@@ -12,14 +12,18 @@ double precision, row-major.
 charge block by charge block.  The new bond sector label equals the net
 charge entering through the row legs ("particles to the left of the cut"),
 so the left factor always has total charge zero and the right factor
-inherits the input's total charge.
+inherits the input's total charge.  Its SVD-and-truncate step,
+``truncated_split``, is shared with the two-site gate kernel in
+``mps_core``.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,15 +63,15 @@ class ChargeIndex:
     def trivial(cls, charge: int = 0) -> "ChargeIndex":
         return cls(((charge, 1),))
 
-    @property
+    @cached_property
     def charges(self) -> tuple[int, ...]:
         return tuple(q for q, _ in self.sectors)
 
-    @property
+    @cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(dim for _, dim in self.sectors)
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return sum(self.dims)
 
@@ -412,6 +416,81 @@ def _svd_dense(mat: np.ndarray):
         return scipy_svd(mat, full_matrices=False, lapack_driver="gesvd")
 
 
+def truncated_split(
+    pieces: list[tuple[int, tuple[int, ...], tuple[int, ...], np.ndarray]],
+    n_row: int,
+    policy: TruncationPolicy,
+):
+    """Blockwise truncated SVD of sector matrices, cut back into blocks.
+
+    Each piece ``(q, row_key, col_key, block)`` is one block of the
+    matrix of new bond charge ``q``; the block's first ``n_row`` axes are
+    rows.  Row and column keys are laid out in sorted order, each charge's
+    matrix is decomposed independently (in parallel over ``MPODYN_THREADS``
+    threads), and :func:`global_truncation` picks the kept values.  ``U``
+    and ``V^dagger`` are cut into blocks keyed ``row_key + (bond_pos,)`` and
+    ``(bond_pos,) + col_key``; all-zero blocks are left out.
+
+    Returns the new bond index, the kept (unnormalized) values per charge,
+    the left and right blocks, the kept 2-norm and the discarded 2-norm.
+    """
+    groups: dict[int, list] = {}
+    for piece in pieces:
+        groups.setdefault(piece[0], []).append(piece)
+
+    def _layout(shapes: dict) -> tuple[dict, int]:
+        out, acc = {}, 0
+        for key in sorted(shapes):
+            size = math.prod(shapes[key])
+            out[key] = (slice(acc, acc + size), shapes[key])
+            acc += size
+        return out, acc
+
+    layouts, mats = {}, {}
+    for q, group in groups.items():
+        rows, nrows = _layout({rk: blk.shape[:n_row] for _, rk, _, blk in group})
+        cols, ncols = _layout({ck: blk.shape[n_row:] for _, _, ck, blk in group})
+        layouts[q], mats[q] = (rows, cols), np.zeros((nrows, ncols), dtype=np.complex128)
+    for q, rk, ck, blk in pieces:
+        rows, cols = layouts[q]
+        rs, cs = rows[rk][0], cols[ck][0]
+        mats[q][rs, cs] = blk.reshape(rs.stop - rs.start, cs.stop - cs.start)
+
+    def _decompose(q: int):
+        return q, _svd_dense(mats[q])
+
+    qs = sorted(mats)
+    nthreads = int(os.environ.get(THREADS_ENV, "1") or "1")
+    if nthreads > 1 and len(qs) > 1:
+        with ThreadPoolExecutor(max_workers=nthreads) as pool:
+            svds = dict(pool.map(_decompose, qs))
+    else:
+        svds = dict(map(_decompose, qs))
+
+    keep_count, kept_norm, discarded_norm = global_truncation(
+        {q: svds[q][1] for q in qs}, policy
+    )
+
+    kept_charges = sorted(keep_count)
+    bond = ChargeIndex(tuple((q, keep_count[q]) for q in kept_charges))
+    values: dict[int, np.ndarray] = {}
+    left_blocks: dict[tuple[int, ...], np.ndarray] = {}
+    right_blocks: dict[tuple[int, ...], np.ndarray] = {}
+    for pos, q in enumerate(kept_charges):
+        (rows, cols), (u, s, vh) = layouts[q], svds[q]
+        k = keep_count[q]
+        values[q] = s[:k]
+        for rk, (rs, dims) in rows.items():
+            part = u[rs, :k]
+            if part.any():
+                left_blocks[rk + (pos,)] = part.reshape(dims + (k,))
+        for ck, (cs, dims) in cols.items():
+            part = vh[:k, cs]
+            if part.any():
+                right_blocks[(pos,) + ck] = part.reshape((k,) + dims)
+    return bond, values, left_blocks, right_blocks, kept_norm, discarded_norm
+
+
 def block_svd(
     t: SymmetricTensor,
     row_axes: tuple[int, ...],
@@ -421,8 +500,7 @@ def block_svd(
     """Truncated SVD of ``t`` matricized with ``row_axes`` as rows.
 
     Each charge block of the matricized tensor is decomposed independently
-    (optionally in parallel, see the ``MPODYN_THREADS`` environment
-    variable); the kept values are the globally largest
+    by :func:`truncated_split`; the kept values are the globally largest
     ``min(chi_max, available)`` across all blocks.  Values tied at the
     cutoff are kept lowest charge first, then by in-sector order, which
     makes the truncation deterministic.
@@ -436,82 +514,19 @@ def block_svd(
         raise ZeroNormError("zero norm")
 
     row_sign = [(-_sign(t.directions[a])) for a in row_axes]
-
-    groups: dict[int, dict] = {}
+    pieces = []
     for key in sorted(t.blocks):
         if t.key_charge(key) != t.total_charge:
             raise ChargeMismatchError("charge mismatch")
         rk = tuple(key[a] for a in row_axes)
-        ck = tuple(key[a] for a in col_axes)
         q = sum(s * t.indices[a].charges[p] for s, a, p in zip(row_sign, row_axes, rk))
-        g = groups.setdefault(q, {"rows": {}, "cols": {}, "entries": []})
-        if rk not in g["rows"]:
-            g["rows"][rk] = int(np.prod([t.indices[a].dims[p] for a, p in zip(row_axes, rk)]))
-        if ck not in g["cols"]:
-            g["cols"][ck] = int(np.prod([t.indices[a].dims[p] for a, p in zip(col_axes, ck)]))
-        g["entries"].append((rk, ck, key))
+        block = np.transpose(t.blocks[key], row_axes + col_axes)
+        pieces.append((q, rk, tuple(key[a] for a in col_axes), block))
 
-    def _decompose(q: int):
-        g = groups[q]
-        row_combos = sorted(g["rows"])
-        col_combos = sorted(g["cols"])
-        roff, acc = {}, 0
-        for rk in row_combos:
-            roff[rk] = acc
-            acc += g["rows"][rk]
-        nrows = acc
-        coff, acc = {}, 0
-        for ck in col_combos:
-            coff[ck] = acc
-            acc += g["cols"][ck]
-        ncols = acc
-        mat = np.zeros((nrows, ncols), dtype=np.complex128)
-        for rk, ck, key in g["entries"]:
-            blk = np.transpose(t.blocks[key], row_axes + col_axes)
-            mat[
-                roff[rk] : roff[rk] + g["rows"][rk],
-                coff[ck] : coff[ck] + g["cols"][ck],
-            ] = blk.reshape(g["rows"][rk], g["cols"][ck])
-        u, s, vh = _svd_dense(mat)
-        return q, (u, s, vh, roff, coff, row_combos, col_combos, g)
-
-    qs = sorted(groups)
-    nthreads = int(os.environ.get(THREADS_ENV, "1") or "1")
-    if nthreads > 1 and len(qs) > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            decomposed = dict(pool.map(_decompose, qs))
-    else:
-        decomposed = dict(_decompose(q) for q in qs)
-
-    keep_count, kept_norm, discarded_norm = global_truncation(
-        {q: decomposed[q][1] for q in qs}, policy
+    bond, values, left_blocks, right_blocks, kept_norm, discarded_norm = truncated_split(
+        pieces, len(row_axes), policy
     )
-
-    kept_charges = sorted(keep_count)
-    bond = ChargeIndex(tuple((q, keep_count[q]) for q in kept_charges))
-    bond_pos = {q: i for i, q in enumerate(kept_charges)}
-
     scale = 1.0 / kept_norm if normalize else 1.0
-    spec_sectors = []
-    left_blocks: dict[tuple[int, ...], np.ndarray] = {}
-    right_blocks: dict[tuple[int, ...], np.ndarray] = {}
-    for q in kept_charges:
-        u, s, vh, roff, coff, row_combos, col_combos, g = decomposed[q]
-        k = keep_count[q]
-        spec_sectors.append((q, s[:k] * scale))
-        for rk in row_combos:
-            part = u[roff[rk] : roff[rk] + g["rows"][rk], :k]
-            if not np.any(part):
-                continue
-            dims = tuple(t.indices[a].dims[p] for a, p in zip(row_axes, rk))
-            left_blocks[rk + (bond_pos[q],)] = part.reshape(dims + (k,))
-        for ck in col_combos:
-            part = vh[:k, coff[ck] : coff[ck] + g["cols"][ck]]
-            if not np.any(part):
-                continue
-            dims = tuple(t.indices[a].dims[p] for a, p in zip(col_axes, ck))
-            right_blocks[(bond_pos[q],) + ck] = part.reshape((k,) + dims)
-
     left = SymmetricTensor(
         tuple(t.indices[a] for a in row_axes) + (bond,),
         tuple(t.directions[a] for a in row_axes) + (OUT,),
@@ -524,7 +539,8 @@ def block_svd(
         right_blocks,
         t.total_charge,
     )
-    return SvdResult(left, Spectrum(tuple(spec_sectors)), right, discarded_norm, kept_norm)
+    spectrum = Spectrum(tuple((q, v * scale) for q, v in values.items()))
+    return SvdResult(left, spectrum, right, discarded_norm, kept_norm)
 
 
 def dense_axis_values(index: ChargeIndex, values: dict[int, np.ndarray]) -> np.ndarray:

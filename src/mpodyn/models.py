@@ -16,13 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .charge_tensor import (
-    IN,
-    OUT,
-    ChargeIndex,
-    ChargeMismatchError,
-    SymmetricTensor,
-)
+from .charge_tensor import ChargeIndex, ChargeMismatchError
 from .operator_space import (
     BRUTE,
     LocalOperator,
@@ -33,6 +27,8 @@ from .operator_space import (
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=np.complex128)
 SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
+
+CHARGE_ATOL = 1e-12  # largest entry a gate may have between different two-site charges
 
 
 def boson_annihilator(d: int) -> np.ndarray:
@@ -134,9 +130,12 @@ class GateBand:
 class BondGate:
     """Two-site gate with charge-conserving block structure.
 
-    ``tensor`` has legs (out1 IN, out2 IN, in1 OUT, in2 OUT) so it contracts
-    directly with the state's physical legs; ``dense`` is the full matrix
-    with the left site as the slow index.
+    ``dense`` is the full matrix with the left site as the slow index;
+    ``index`` grades each site and ``perm`` maps its sector-layout
+    positions to dense basis positions.  The constructor raises
+    ``ChargeMismatchError`` when an entry between two-site basis states of
+    different total charge exceeds 1e-12 in absolute value, so every
+    ``band_table`` block holds the whole gate.
     """
 
     def __init__(self, dense: np.ndarray, index: ChargeIndex, perm: np.ndarray | None = None):
@@ -146,7 +145,11 @@ class BondGate:
         D = index.dim
         if self.dense.shape != (D * D, D * D):
             raise ValueError("gate matrix has wrong shape")
-        self.tensor = _gate_tensor(self.dense, index, perm)
+        site_q = np.empty(D, dtype=np.int64)
+        site_q[self.perm] = np.repeat(index.charges, index.dims)
+        pair_q = (site_q[:, None] + site_q[None, :]).ravel()
+        if np.any(np.abs(self.dense[pair_q[:, None] != pair_q[None, :]]) > CHARGE_ATOL):
+            raise ChargeMismatchError("charge mismatch")
         self._bands: dict[int, GateBand] | None = None
 
     @property
@@ -185,43 +188,6 @@ class BondGate:
             )
         self._bands = table
         return table
-
-
-def _gate_tensor(dense: np.ndarray, index: ChargeIndex, perm: np.ndarray | None, atol: float = 1e-12) -> SymmetricTensor:
-    """Block decomposition of a two-site matrix over the given leg grading.
-
-    Entries that violate charge conservation raise ``ChargeMismatchError``.
-    ``perm`` maps sector-layout positions to dense basis positions.
-    """
-    D = index.dim
-    if perm is None:
-        perm = np.arange(D, dtype=np.intp)
-    g4 = dense.reshape(D, D, D, D)  # (out1, out2, in1, in2) in dense basis order
-    offsets = index.offsets()
-    blocks: dict[tuple[int, int, int, int], np.ndarray] = {}
-    placed_sq = 0.0
-    nsec = index.nsectors
-    sel = [perm[offsets[s] : offsets[s] + index.dims[s]] for s in range(nsec)]
-    for s1 in range(nsec):
-        for s2 in range(nsec):
-            for s3 in range(nsec):
-                for s4 in range(nsec):
-                    q = index.charges[s1] + index.charges[s2] - index.charges[s3] - index.charges[s4]
-                    sub = g4[np.ix_(sel[s1], sel[s2], sel[s3], sel[s4])]
-                    if q != 0:
-                        if np.max(np.abs(sub)) > atol:
-                            raise ChargeMismatchError("charge mismatch")
-                        continue
-                    if not np.any(sub):
-                        continue
-                    blocks[(s1, s2, s3, s4)] = sub
-                    placed_sq += float(np.sum(np.abs(sub) ** 2))
-    total_sq = float(np.sum(np.abs(dense) ** 2))
-    if abs(placed_sq - total_sq) > max(atol * total_sq, atol):
-        raise ChargeMismatchError("charge mismatch")
-    return SymmetricTensor(
-        (index, index, index, index), (IN, IN, OUT, OUT), blocks, 0
-    )
 
 
 def _blockwise_expm(h: np.ndarray, charges: np.ndarray, dt_fraction: float) -> np.ndarray:

@@ -6,6 +6,11 @@ grouped by bond charge.  Bond charges count accumulated physical charge
 from the left, so the leftmost bond is a trivial charge-0 sector and the
 rightmost carries the total charge of a charge-definite state.
 
+Two-site gates are ``models.BondGate`` objects, applied by one path: the
+band kernel of :meth:`CanonicalMps.apply_two_site_gate`.  It and
+:func:`canonicalize` (through ``block_svd``) share
+``charge_tensor.truncated_split`` for the sector SVDs and the truncation.
+
 Open boundaries only: the outer bonds are one-dimensional.  Singular
 values below ``LAMBDA_FLOOR`` are dropped outright; restoring Vidal form
 after a two-site update divides by the outer singular values and this
@@ -15,8 +20,6 @@ floor keeps that division stable.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,13 +33,11 @@ from .charge_tensor import (
     SymmetricTensor,
     TruncationPolicy,
     ZeroNormError,
-    THREADS_ENV,
-    _svd_dense,
     block_svd,
     contract,
     dense_axis_values,
-    global_truncation,
     scale_axis,
+    truncated_split,
 )
 
 LAMBDA_FLOOR = 1e-14
@@ -131,70 +132,29 @@ class CanonicalMps:
     # -- gate application -----------------------------------------------------
 
     def apply_two_site_gate(self, m, gate, policy: TruncationPolicy) -> TruncationRecord:
-        """Apply a charge-conserving two-site gate at bond m (1..L-1), in place.
+        """Apply a charge-conserving ``BondGate`` at bond m (1..L-1), in place.
 
-        Builds the outer-weighted two-site tensor, applies the gate,
-        re-splits with a blockwise truncated SVD and restores Vidal form.
-        The state is renormalized; the returned record carries the
-        pre-normalization kept norm ``nu`` and the discarded weight.
+        The outer-weighted two-site tensor is assembled per (left sector,
+        right sector) slab over the fused pair basis of the matching charge
+        band, and the gate acts as one dense block per band
+        (``BondGate.band_table``).  The gated pieces are re-split with
+        ``truncated_split`` and Vidal form is restored by dividing out the
+        outer singular values.  The state is renormalized; the returned
+        record carries the pre-normalization kept norm ``nu`` and the
+        discarded weight.
         """
         if not 1 <= m <= self.L - 1:
             raise ValueError("bond out of range")
-        tensor = gate.tensor if hasattr(gate, "tensor") else gate
-        if tensor.total_charge != 0:
-            raise ChargeMismatchError("charge mismatch")
         g1, g2 = self.gammas[m - 1], self.gammas[m]
-        if (
-            tensor.indices[2].sectors != g1.indices[1].sectors
-            or tensor.indices[3].sectors != g2.indices[1].sectors
-        ):
-            raise ChargeMismatchError("charge mismatch")
-        if hasattr(gate, "band_table"):
-            return self._apply_gate_banded(m, gate, policy)
-
-        lam_l = self.lambda_at(m - 1)
-        lam_c = self.lambda_at(m)
-        lam_r = self.lambda_at(m + 1)
-
-        left = scale_axis(scale_axis(g1, 0, lam_l), 2, lam_c)
-        right = scale_axis(g2, 2, lam_r) if m + 1 < self.L else g2
-        theta = contract(left, right, [(2, 0)])  # (l, p1, p2, r)
-
-        theta = contract(tensor, theta, [(2, 1), (3, 2)])  # (p1', p2', l, r)
-        theta = theta.transpose((2, 0, 1, 3))
-
-        floor = max(policy.singular_value_floor, LAMBDA_FLOOR)
-        eff = TruncationPolicy(policy.chi_max, floor)
-        try:
-            res = block_svd(theta, (0, 1), eff, normalize=True)
-        except ZeroNormError as exc:
-            raise ZeroNormError("state annihilated") from exc
-
-        new_g1 = scale_axis(res.left, 0, lam_l, inverse=True)
-        new_g2 = scale_axis(res.right, 2, lam_r, inverse=True) if m + 1 < self.L else res.right
-
-        self.gammas[m - 1] = new_g1
-        self.gammas[m] = new_g2
-        self.lambdas[m - 1] = res.spectrum.to_dict()
-        return TruncationRecord(
-            bond=m,
-            nu=res.kept_norm,
-            discarded_weight=res.discarded_norm,
-            chi_used=len(res.spectrum),
-        )
-
-    def _apply_gate_banded(self, m, gate, policy: TruncationPolicy) -> TruncationRecord:
-        """Fast two-site update: the gate acts as one dense block per
-        two-site charge band, avoiding per-block dispatch when the grading
-        is fine (many small sectors)."""
-        g1, g2 = self.gammas[m - 1], self.gammas[m]
-        lam_l = self.lambda_at(m - 1)
-        lam_c = self.lambda_at(m)
-        lam_r = self.lambda_at(m + 1)
-        left = scale_axis(scale_axis(g1, 0, lam_l), 2, lam_c)
-        right = scale_axis(g2, 2, lam_r) if m + 1 < self.L else g2
-
         phys1, phys2 = g1.indices[1], g2.indices[1]
+        if gate.index.sectors != phys1.sectors or gate.index.sectors != phys2.sectors:
+            raise ChargeMismatchError("charge mismatch")
+        lam_l = self.lambda_at(m - 1)
+        lam_c = self.lambda_at(m)
+        lam_r = self.lambda_at(m + 1)
+        left = scale_axis(scale_axis(g1, 0, lam_l), 2, lam_c)
+        right = scale_axis(g2, 2, lam_r) if m + 1 < self.L else g2
+
         lix, rix = g1.indices[0], g2.indices[2]
         bands = gate.band_table()
 
@@ -224,13 +184,9 @@ class CanonicalMps:
                 slab[:, off : off + d1 * d2, :] += contrib.reshape(
                     blk1.shape[0], d1 * d2, blk2.shape[2]
                 )
-        if not slabs:
-            raise ZeroNormError("state annihilated")
 
-        # split the gated slabs into one matrix per new bond charge
+        # cut the gated slabs into pieces of the matrix of each new bond charge
         pieces = []
-        row_sets: dict[int, set] = {}
-        col_sets: dict[int, set] = {}
         for skey in sorted(slabs):
             l_sec, r_sec = skey
             band = bands[rix.charges[r_sec] - lix.charges[l_sec]]
@@ -243,87 +199,25 @@ class CanonicalMps:
                     continue
                 qn = lix.charges[l_sec] + phys1.charges[s1]
                 pieces.append((qn, (l_sec, s1), (s2, r_sec), piece.reshape(l_dim, d1, d2, r_dim)))
-                row_sets.setdefault(qn, set()).add((l_sec, s1))
-                col_sets.setdefault(qn, set()).add((s2, r_sec))
-
-        mats: dict[int, np.ndarray] = {}
-        row_layout: dict[int, dict] = {}
-        col_layout: dict[int, dict] = {}
-        for qn in sorted(row_sets):
-            roff, acc = {}, 0
-            for l_sec, s1 in sorted(row_sets[qn]):
-                roff[(l_sec, s1)] = acc
-                acc += lix.dims[l_sec] * phys1.dims[s1]
-            coff, cacc = {}, 0
-            for s2, r_sec in sorted(col_sets[qn]):
-                coff[(s2, r_sec)] = cacc
-                cacc += phys2.dims[s2] * rix.dims[r_sec]
-            row_layout[qn] = roff
-            col_layout[qn] = coff
-            mats[qn] = np.zeros((acc, cacc), dtype=np.complex128)
-        for qn, rkey, ckey, piece in pieces:
-            nr = piece.shape[0] * piece.shape[1]
-            nc = piece.shape[2] * piece.shape[3]
-            ro = row_layout[qn][rkey]
-            co = col_layout[qn][ckey]
-            mats[qn][ro : ro + nr, co : co + nc] = piece.reshape(nr, nc)
 
         floor = max(policy.singular_value_floor, LAMBDA_FLOOR)
-        eff = TruncationPolicy(policy.chi_max, floor)
-        qns = sorted(mats)
-        nthreads = int(os.environ.get(THREADS_ENV, "1") or "1")
-        if nthreads > 1 and len(qns) > 1:
-            with ThreadPoolExecutor(max_workers=nthreads) as pool:
-                svds = dict(zip(qns, pool.map(lambda q: _svd_dense(mats[q]), qns)))
-        else:
-            svds = {qn: _svd_dense(mats[qn]) for qn in qns}
         try:
-            keep_count, kept_norm, discarded_norm = global_truncation(
-                {qn: svds[qn][1] for qn in svds}, eff
+            bond, values, g1_blocks, g2_blocks, kept_norm, discarded_norm = truncated_split(
+                pieces, 2, TruncationPolicy(policy.chi_max, floor)
             )
         except ZeroNormError as exc:
             raise ZeroNormError("state annihilated") from exc
 
-        kept_charges = sorted(keep_count)
-        bond = ChargeIndex(tuple((q, keep_count[q]) for q in kept_charges))
-        bond_pos = {q: i for i, q in enumerate(kept_charges)}
-        new_lam = {q: svds[q][1][: keep_count[q]] / kept_norm for q in kept_charges}
-
-        g1_blocks: dict[tuple[int, int, int], np.ndarray] = {}
-        g2_blocks: dict[tuple[int, int, int], np.ndarray] = {}
-        for q in kept_charges:
-            u, _s, vh = svds[q]
-            k = keep_count[q]
-            for (l_sec, s1), ro in row_layout[q].items():
-                nr = lix.dims[l_sec] * phys1.dims[s1]
-                part = u[ro : ro + nr, :k]
-                if not part.any():
-                    continue
-                g1_blocks[(l_sec, s1, bond_pos[q])] = part.reshape(
-                    lix.dims[l_sec], phys1.dims[s1], k
-                )
-            for (s2, r_sec), co in col_layout[q].items():
-                nc = phys2.dims[s2] * rix.dims[r_sec]
-                part = vh[:k, co : co + nc]
-                if not part.any():
-                    continue
-                g2_blocks[(bond_pos[q], s2, r_sec)] = part.reshape(
-                    k, phys2.dims[s2], rix.dims[r_sec]
-                )
-
         new_g1 = SymmetricTensor((lix, phys1, bond), (IN, IN, OUT), g1_blocks, 0)
         new_g2 = SymmetricTensor((bond, phys2, rix), (IN, IN, OUT), g2_blocks, 0)
-        new_g1 = scale_axis(new_g1, 0, lam_l, inverse=True)
-        if m + 1 < self.L:
-            new_g2 = scale_axis(new_g2, 2, lam_r, inverse=True)
-        self.gammas[m - 1] = new_g1
-        self.gammas[m] = new_g2
-        self.lambdas[m - 1] = new_lam
+        self.gammas[m - 1] = scale_axis(new_g1, 0, lam_l, inverse=True)
+        self.gammas[m] = scale_axis(new_g2, 2, lam_r, inverse=True) if m + 1 < self.L else new_g2
+        self.lambdas[m - 1] = {q: v / kept_norm for q, v in values.items()}
         return TruncationRecord(
             bond=m,
             nu=kept_norm,
             discarded_weight=discarded_norm,
-            chi_used=sum(keep_count.values()),
+            chi_used=bond.dim,
         )
 
     # -- dense views -----------------------------------------------------------

@@ -169,10 +169,15 @@ class TestSuperGate:
         assert max(one.osee_profile()) < 1e-12
 
     def test_conserves_difference_and_pair_charges(self, rng):
-        # block structure: the lifted gate carries zero total charge in both
-        # gradings, which is the conservation statement
-        g = random_conserving_gate(3, rng)
-        for mode, qbase in ((GRAND_CANONICAL, None), ("canonical", 25)):
+        # the lifted gate couples only doubled-site pairs of equal total
+        # charge in both gradings, which is the conservation statement
+        d = 3
+        g = random_conserving_gate(d, rng)
+        j, i = np.divmod(np.arange(d * d), d)  # dense super index k = j*d + i
+        for mode, qbase, site_q in ((GRAND_CANONICAL, None, j - i), ("canonical", 25, j * 25 + i)):
             sg = super_gate(g, mode, qbase)
-            assert sg.tensor.total_charge == 0
-            sg.tensor.validate()
+            pair_q = (site_q[:, None] + site_q[None, :]).ravel()
+            assert np.max(np.abs(sg.dense[pair_q[:, None] != pair_q[None, :]])) <= 1e-12
+            band_sq = sum(np.sum(np.abs(b.matrix) ** 2) for b in sg.band_table().values())
+            total_sq = np.sum(np.abs(sg.dense) ** 2)
+            assert abs(band_sq - total_sq) <= 1e-12 * total_sq

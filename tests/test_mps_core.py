@@ -3,7 +3,8 @@ import pytest
 
 from mpodyn.charge_tensor import ChargeMismatchError, TruncationPolicy, ZeroNormError
 from mpodyn.mps_core import CanonicalMps, add, from_fock, load_mps, save_mps
-from mpodyn.models import BondGate
+from mpodyn.models import BondGate, super_gate
+from mpodyn.operator_space import CANONICAL, GRAND_CANONICAL, identity_superstate
 from mpodyn.charge_tensor import ChargeIndex
 from mpodyn.projector import uniform_fock_superposition
 from mpodyn import oracle
@@ -11,6 +12,13 @@ from mpodyn import oracle
 from conftest import random_charge_mps, random_conserving_gate
 
 UNRESTRICTED = TruncationPolicy(None, 0.0)
+
+
+def _identity_plus_off_band(eps: float) -> np.ndarray:
+    """Two-site identity plus one entry ``eps`` coupling |01> to |00>."""
+    dense = np.eye(4, dtype=complex)
+    dense[0, 1] = eps
+    return dense
 
 
 class TestFromFock:
@@ -114,14 +122,15 @@ class TestGateApplication:
         psi.assert_canonical()
         assert np.max(np.abs(psi.to_statevector() - vec)) < 1e-10
 
-    def test_generic_and_banded_paths_agree(self, rng):
-        occ = [0, 1, 1, 0]
-        g = random_conserving_gate(2, rng)
-        fast = from_fock(occ, 2)
-        slow = from_fock(occ, 2)
-        fast.apply_two_site_gate(2, g, UNRESTRICTED)
-        slow.apply_two_site_gate(2, g.tensor, UNRESTRICTED)
-        assert np.max(np.abs(fast.to_statevector() - slow.to_statevector())) < 1e-12
+    @pytest.mark.parametrize("d, occ", [(2, [0, 1, 1, 0]), (3, [0, 2, 1, 0])], ids=["d2", "d3"])
+    def test_gate_matches_dense_oracle(self, rng, d, occ):
+        L = len(occ)
+        psi = random_charge_mps(L, d, occ, rng)
+        vec = psi.to_statevector()
+        g = random_conserving_gate(d, rng)
+        psi.apply_two_site_gate(2, g, UNRESTRICTED)
+        want = oracle.two_site_operator(g.dense, 2, L, d) @ vec
+        assert np.max(np.abs(psi.to_statevector() - want)) < 1e-12
 
     def test_banded_path_thread_determinism(self, rng, monkeypatch):
         occ = [0, 1, 1, 0, 1]
@@ -133,10 +142,28 @@ class TestGateApplication:
         b.apply_two_site_gate(3, g, UNRESTRICTED)
         assert np.array_equal(a.to_statevector(), b.to_statevector())
 
-    def test_non_conserving_gate_rejected(self):
-        rot = np.kron(np.array([[0, 1], [1, 0]], dtype=complex), np.eye(2))
+    @pytest.mark.parametrize(
+        "dense",
+        [
+            np.kron(np.array([[0, 1], [1, 0]], dtype=complex), np.eye(2)),
+            _identity_plus_off_band(1e-8),
+        ],
+        ids=["site_flip", "off_band_1e-8"],
+    )
+    def test_non_conserving_gate_rejected(self, dense):
         with pytest.raises(ChargeMismatchError, match="charge mismatch"):
-            BondGate(rot, ChargeIndex.occupation(2))
+            BondGate(dense, ChargeIndex.occupation(2))
+
+    def test_gate_grading_mismatch_rejected(self, rng):
+        psi = from_fock([0, 1, 1, 0], 2)
+        with pytest.raises(ChargeMismatchError, match="charge mismatch"):
+            psi.apply_two_site_gate(2, random_conserving_gate(3, rng), UNRESTRICTED)
+
+    def test_canonical_gate_on_grand_canonical_operator_rejected(self, rng):
+        one = identity_superstate(4, 2, GRAND_CANONICAL)
+        sg = super_gate(random_conserving_gate(2, rng), CANONICAL, 5)
+        with pytest.raises(ChargeMismatchError, match="charge mismatch"):
+            one.mps.apply_two_site_gate(2, sg, UNRESTRICTED)
 
     def test_charge_constant_under_gates(self, rng):
         psi = random_charge_mps(4, 3, [1, 2, 0, 1], rng)
