@@ -42,7 +42,7 @@ from .projector import (
     uniform_fock_superposition,
 )
 from .models import BondGate, ModelSpec, bond_gate, bond_hamiltonian, super_gate
-from .evolution import EvolutionLog, TrotterSchedule, accumulated_cutoff, evolve, make_schedule
+from .evolution import EvolutionLog, TrotterSchedule, evolve, make_schedule
 from .observables import (
     FitParams,
     TimeSeries,

@@ -79,6 +79,7 @@ class ChargeIndex:
     def nsectors(self) -> int:
         return len(self.sectors)
 
+    @cached_property
     def offsets(self) -> tuple[int, ...]:
         """Dense offset of each sector when the leg is laid out sector by sector."""
         out, acc = [], 0
@@ -92,9 +93,6 @@ class ChargeIndex:
             if q == charge:
                 return pos
         raise KeyError(f"no sector with charge {charge}")
-
-    def shifted(self, delta: int) -> "ChargeIndex":
-        return ChargeIndex(tuple((q + delta, dim) for q, dim in self.sectors))
 
 
 def _sign(direction: str) -> int:
@@ -201,7 +199,7 @@ class SymmetricTensor:
     def densify(self) -> np.ndarray:
         """Dense array with every leg laid out sector by sector (charge ascending)."""
         out = np.zeros(self.shape, dtype=np.complex128)
-        offs = [ix.offsets() for ix in self.indices]
+        offs = [ix.offsets for ix in self.indices]
         for key, blk in self.blocks.items():
             sl = tuple(
                 slice(offs[a][pos], offs[a][pos] + self.indices[a].dims[pos])

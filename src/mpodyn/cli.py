@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .charge_tensor import TruncationPolicy
-from .evolution import evolve, make_schedule
+from .evolution import make_schedule
 from .models import ModelSpec
 from .observables import (
     TimeSeries,
@@ -36,6 +36,7 @@ from .observables import (
     fit_itac,
     itac_series,
     local_density_series,
+    observe_series,
 )
 from .operator_space import BRUTE, CANONICAL, GRAND_CANONICAL
 from .projector import projector_osee
@@ -67,7 +68,6 @@ class RunConfig:
     order: int
     t_max: float
     cutoff_budget: float
-    seed: int
     output: str
 
     def validate(self) -> None:
@@ -143,37 +143,14 @@ def _run_series(cfg: RunConfig) -> TimeSeries:
             spec, psi0, cfg.site, cfg.method, schedule, policy, cfg.t_max, cfg.cutoff_budget
         )
     if cfg.observable == "osee":
-        return _osee_series(cfg, spec, schedule, policy)
+        target = build_observable_superstate(spec, cfg.site, cfg.method, cfg.n_sector)
+        bond = max(1, min(cfg.site, spec.L - 1))
+        meta = {"observable": f"osee bond {bond}", "method": cfg.method, "N": cfg.n_sector}
+        return observe_series(
+            target, spec, schedule, policy, cfg.t_max, cfg.cutoff_budget,
+            lambda state: state.osee_profile()[bond - 1], meta,
+        )
     raise ValueError(f"unknown observable {cfg.observable!r}")
-
-
-def _osee_series(cfg: RunConfig, spec, schedule, policy) -> TimeSeries:
-    target = build_observable_superstate(spec, cfg.site, cfg.method, cfg.n_sector)
-    bond = max(1, min(cfg.site, spec.L - 1))
-    times, values, cutoffs, osees, chis = [], [], [], [], []
-
-    def observer(t, state, log):
-        times.append(t)
-        values.append(state.osee_profile()[bond - 1])
-        cutoffs.append(log.accumulated_cutoff)
-        osees.append(log.max_osee_per_step[-1])
-        chis.append(state.mps.max_bond_dimension())
-
-    log = evolve(target, spec, schedule, cfg.t_max, policy, cfg.cutoff_budget, observer)
-    meta = {
-        "observable": f"osee bond {bond}",
-        "method": cfg.method,
-        "N": cfg.n_sector,
-        "L": spec.L,
-        "d": spec.d,
-        "chi": policy.chi_max,
-        "dt": schedule.dt,
-        "accumulated_cutoff": cutoffs,
-        "max_osee": osees,
-        "chi_used": chis,
-        "termination_reason": log.termination_reason,
-    }
-    return TimeSeries(np.array(times), np.array(values, dtype=complex), meta)
 
 
 def cmd_simulate(args) -> int:
@@ -352,7 +329,6 @@ def _config_from_args(args) -> RunConfig:
         order=args.order,
         t_max=args.tmax,
         cutoff_budget=args.budget,
-        seed=args.seed,
         output=args.output,
     )
 
@@ -375,7 +351,6 @@ def _add_sim_args(p, with_method=True):
     p.add_argument("--order", type=int, choices=[1, 2, 4], default=4)
     p.add_argument("--tmax", type=float, default=4.0)
     p.add_argument("--budget", type=float, default=1e-2)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", type=str, default="run.csv")
 
 

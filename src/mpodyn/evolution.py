@@ -89,7 +89,7 @@ class EvolutionLog:
     nu_product: float = 1.0
     max_osee_per_step: list[float] = field(default_factory=list)
     times: list[float] = field(default_factory=list)
-    wall_of_termination: float | None = None
+    end_time: float | None = None  # simulation time at which the run stopped
     termination_reason: str | None = None
 
     @property
@@ -104,10 +104,6 @@ class EvolutionLog:
     def record(self, rec: TruncationRecord) -> None:
         self.records.append(rec)
         self.nu_product *= rec.nu
-
-
-def accumulated_cutoff(log: EvolutionLog) -> float:
-    return log.accumulated_cutoff
 
 
 def evolve(
@@ -161,10 +157,10 @@ def evolve(
         if observer is not None:
             observer(t, target, log)
         if hit_budget:
-            log.wall_of_termination = t
+            log.end_time = t
             log.termination_reason = "budget"
             return log
-    log.wall_of_termination = n_steps * schedule.dt
+    log.end_time = n_steps * schedule.dt
     log.termination_reason = "t_max"
     return log
 
@@ -186,7 +182,7 @@ def save_checkpoint(path_prefix: str, target, log: EvolutionLog, time: float) ->
             "records": [
                 [r.bond, r.nu, r.discarded_weight, r.chi_used] for r in log.records
             ],
-            "wall_of_termination": log.wall_of_termination,
+            "end_time": log.end_time,
             "termination_reason": log.termination_reason,
         },
     }
@@ -228,7 +224,7 @@ def load_checkpoint(path_prefix: str):
         nu_product=meta["log"]["nu_product"],
         max_osee_per_step=meta["log"]["max_osee_per_step"],
         times=meta["log"]["times"],
-        wall_of_termination=meta["log"]["wall_of_termination"],
+        end_time=meta["log"]["end_time"],
         termination_reason=meta["log"]["termination_reason"],
     )
     return target, log, meta["time"]

@@ -162,7 +162,7 @@ class BondGate:
             return self._bands
         index, perm = self.index, self.perm
         D = index.dim
-        offsets = index.offsets()
+        offsets = index.offsets
         bands: dict[int, dict] = {}
         for s1 in range(index.nsectors):
             for s2 in range(index.nsectors):

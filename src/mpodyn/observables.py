@@ -8,10 +8,17 @@ Infinite-temperature autocorrelations of a Hermitian observable O at site m:
 Both normalize to 1 at t = 0 for Hilbert-Schmidt-normalized observables
 such as sigma^z.  Values are measured once per full Trotter step (stage
 boundaries are not physical times).
+
+Every series comes from one driver, ``observe_series``: it evolves a
+target superstate and records a caller's ``measure(state)`` together with
+the per-step accumulated cutoff, maximum OSEE and bond dimension.
+``itac_series``, ``local_density_series`` and the command line's ``osee``
+observable each build a target and a measure and call it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +32,7 @@ from .operator_space import (
     BRUTE,
     CANONICAL,
     GRAND_CANONICAL,
+    LocalOperator,
     SuperState,
     embed_factor,
     expectation_in_state,
@@ -68,7 +76,7 @@ def itac_grand_canonical(evolved: SuperState, reference: SuperState) -> complex:
     return hs_trace_pair(evolved, reference) / evolved.d**evolved.L
 
 
-def itac_canonical(evolved: SuperState, reference_op, N: int) -> complex:
+def itac_canonical(evolved: SuperState, reference: SuperState, N: int) -> complex:
     """Sector autocorrelation; works from either evolution order.
 
     When ``evolved`` carries canonical labels it is the projected,
@@ -76,15 +84,10 @@ def itac_canonical(evolved: SuperState, reference_op, N: int) -> complex:
     reference; when it carries grand-canonical labels the projection is
     applied to the reference instead.
     """
-    if isinstance(reference_op, SuperState):
-        ref = reference_op
-    else:
-        ref = lift_product_operator(list(reference_op))
     norm = omega(evolved.d, N, evolved.L)
     if evolved.mode == CANONICAL:
-        return hs_trace_pair(evolved, ref) / norm
-    projected = project_operator(ref, N)
-    return hs_trace_pair(evolved, projected) / norm
+        return hs_trace_pair(evolved, reference) / norm
+    return hs_trace_pair(evolved, project_operator(reference, N)) / norm
 
 
 def ensemble_relation_check(g: TimeSeries, c_by_n: dict[int, TimeSeries]) -> float:
@@ -103,14 +106,48 @@ def ensemble_relation_check(g: TimeSeries, c_by_n: dict[int, TimeSeries]) -> flo
     return float(np.max(np.abs(g.values - weighted)))
 
 
-def _observable_factors(spec: ModelSpec, site: int):
-    op = sigma_z_local() if spec.d == 2 else number_local(spec.d)
-    return embed_factor(op, site, spec.L)
+def observe_series(
+    target: SuperState,
+    spec: ModelSpec,
+    schedule: TrotterSchedule,
+    policy: TruncationPolicy,
+    t_max: float,
+    cutoff_budget: float,
+    measure: Callable[[SuperState], complex],
+    meta: dict,
+) -> TimeSeries:
+    """Evolve ``target`` and record ``measure(state)`` at t = 0 and every full step.
+
+    ``meta`` names the observable; the driver adds the run's shape and,
+    per step, the accumulated cutoff, the maximum OSEE and the largest
+    bond dimension, plus the termination reason.
+    """
+    times, values, cutoffs, osees, chis = [], [], [], [], []
+
+    def observer(t, state, log):
+        times.append(t)
+        values.append(measure(state))
+        cutoffs.append(log.accumulated_cutoff)
+        osees.append(log.max_osee_per_step[-1])
+        chis.append(state.mps.max_bond_dimension())
+
+    log = evolve(target, spec, schedule, t_max, policy, cutoff_budget, observer)
+    meta = {
+        **meta,
+        "L": spec.L,
+        "d": spec.d,
+        "chi": policy.chi_max,
+        "dt": schedule.dt,
+        "accumulated_cutoff": cutoffs,
+        "max_osee": osees,
+        "chi_used": chis,
+        "termination_reason": log.termination_reason,
+    }
+    return TimeSeries(np.array(times), np.array(values, dtype=complex), meta)
 
 
-def build_observable_superstate(spec: ModelSpec, site: int, method: str, N: int | None = None) -> SuperState:
-    """Lift (and optionally project) the default observable at ``site``."""
-    factors = _observable_factors(spec, site)
+def _lift_target(factors: list[LocalOperator], method: str, N: int | None) -> SuperState:
+    """Superstate of a product operator in ``method``'s labels; canonical projects onto N."""
     if method == CANONICAL:
         if N is None:
             raise ValueError("canonical method requires N")
@@ -118,6 +155,16 @@ def build_observable_superstate(spec: ModelSpec, site: int, method: str, N: int 
     if method in (GRAND_CANONICAL, BRUTE):
         return lift_product_operator(factors, mode=method)
     raise ValueError(f"unknown method {method!r}")
+
+
+def _observable_factors(spec: ModelSpec, site: int) -> list[LocalOperator]:
+    op = sigma_z_local() if spec.d == 2 else number_local(spec.d)
+    return embed_factor(op, site, spec.L)
+
+
+def build_observable_superstate(spec: ModelSpec, site: int, method: str, N: int | None = None) -> SuperState:
+    """Lift (and optionally project) the default observable at ``site``."""
+    return _lift_target(_observable_factors(spec, site), method, N)
 
 
 def itac_series(
@@ -131,36 +178,15 @@ def itac_series(
     N: int | None = None,
 ) -> TimeSeries:
     """Drive a Heisenberg-picture run and record the autocorrelation per step."""
-    target = build_observable_superstate(spec, site, method, N)
-    reference = lift_product_operator(_observable_factors(spec, site))
-    times, values, cutoffs, osees, chis = [], [], [], [], []
-
-    def observer(t, state, log):
-        if method == CANONICAL:
-            val = itac_canonical(state, reference, N)
-        else:
-            val = itac_grand_canonical(state, reference)
-        times.append(t)
-        values.append(val)
-        cutoffs.append(log.accumulated_cutoff)
-        osees.append(log.max_osee_per_step[-1])
-        chis.append(state.mps.max_bond_dimension())
-
-    log = evolve(target, spec, schedule, t_max, policy, cutoff_budget, observer)
-    meta = {
-        "observable": f"itac site {site}",
-        "method": method,
-        "N": N,
-        "L": spec.L,
-        "d": spec.d,
-        "chi": policy.chi_max,
-        "dt": schedule.dt,
-        "accumulated_cutoff": cutoffs,
-        "max_osee": osees,
-        "chi_used": chis,
-        "termination_reason": log.termination_reason,
-    }
-    return TimeSeries(np.array(times), np.array(values), meta)
+    factors = _observable_factors(spec, site)
+    target = _lift_target(factors, method, N)
+    reference = lift_product_operator(factors)
+    if method == CANONICAL:
+        measure = lambda state: itac_canonical(state, reference, N)
+    else:
+        measure = lambda state: itac_grand_canonical(state, reference)
+    meta = {"observable": f"itac site {site}", "method": method, "N": N}
+    return observe_series(target, spec, schedule, policy, t_max, cutoff_budget, measure, meta)
 
 
 def local_density_series(
@@ -183,36 +209,12 @@ def local_density_series(
         raise ValueError("psi0 length mismatch")
     psi = from_fock(psi0_occupations, spec.d)
     N = sum(psi0_occupations)
-    factors = embed_factor(number_local(spec.d), site, spec.L)
-    if method == CANONICAL:
-        target = project_operator(factors, N)
-    else:
-        target = lift_product_operator(factors, mode=method)
-
-    times, values, cutoffs, osees, chis = [], [], [], [], []
-
-    def observer(t, state, log):
-        times.append(t)
-        values.append(expectation_in_state(state, psi))
-        cutoffs.append(log.accumulated_cutoff)
-        osees.append(log.max_osee_per_step[-1])
-        chis.append(state.mps.max_bond_dimension())
-
-    log = evolve(target, spec, schedule, t_max, policy, cutoff_budget, observer)
-    meta = {
-        "observable": f"density site {site}",
-        "method": method,
-        "N": N,
-        "L": spec.L,
-        "d": spec.d,
-        "chi": policy.chi_max,
-        "dt": schedule.dt,
-        "accumulated_cutoff": cutoffs,
-        "max_osee": osees,
-        "chi_used": chis,
-        "termination_reason": log.termination_reason,
-    }
-    return TimeSeries(np.array(times), np.array(values), meta)
+    target = _lift_target(embed_factor(number_local(spec.d), site, spec.L), method, N)
+    meta = {"observable": f"density site {site}", "method": method, "N": N}
+    return observe_series(
+        target, spec, schedule, policy, t_max, cutoff_budget,
+        lambda state: expectation_in_state(state, psi), meta,
+    )
 
 
 def _fit_model(params: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -16,6 +16,10 @@ Superstates are stored normalized; a scalar ``prefactor`` carries the
 Hilbert-Schmidt norm so truncation logic can assume unit norm throughout.
 The Hermitian conjugate of a charge-definite operator flips the sign of
 its particle-number change (delta_n), pinned by densify tests.
+
+Composing an operator onto the out-chain of a superstate has one
+implementation, ``out_chain_compose``; ``apply_out_chain`` lifts a
+single-site operator to a product MPO and calls it.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .charge_tensor import (
     ChargeMismatchError,
     SymmetricTensor,
     ZeroNormError,
-    scale_axis,
 )
 from . import mps_core
 from .mps_core import CanonicalMps
@@ -81,16 +84,6 @@ def layout_perm(d: int, mode: str) -> np.ndarray:
     """Map sector-layout position -> dense super index k = j*d + i."""
     flat = [j * d + i for sec in super_site_states(d, mode) for (j, i) in sec]
     return np.array(flat, dtype=np.intp)
-
-
-def bond_charge_delta(mode: str, k: int) -> int:
-    """Shift of accumulated bond charge when an out-chain operator removes
-    k particles at one site."""
-    if mode == BRUTE:
-        return 0
-    if mode == GRAND_CANONICAL:
-        return k
-    return -k  # canonical packing: low component is the out-chain count
 
 
 @dataclass(frozen=True)
@@ -189,9 +182,6 @@ class SuperState:
             self.in_charge,
             self.qbase,
         )
-
-    def phys_index(self) -> ChargeIndex:
-        return super_site_index(self.d, self.mode, self.qbase)
 
     def osee_profile(self) -> list[float]:
         """Entanglement entropy of the superstate at each interior bond."""
@@ -337,92 +327,16 @@ def add(a: SuperState, b: SuperState) -> SuperState:
     return SuperState(mps, a.L, a.d, a.mode, a.delta_n, norm, a.in_charge, a.qbase)
 
 
-def _shift_bond_labels(mps: CanonicalMps, first_bond: int, delta: int) -> CanonicalMps:
-    """Shift the charge labels of bonds >= first_bond by delta (relabel only)."""
-    if delta == 0:
-        return mps
-    gammas = []
-    for m in range(1, mps.L + 1):
-        g = mps.gammas[m - 1]
-        left = g.indices[0].shifted(delta) if m - 1 >= first_bond else g.indices[0]
-        right = g.indices[2].shifted(delta) if m >= first_bond else g.indices[2]
-        gammas.append(
-            SymmetricTensor((left, g.indices[1], right), g.directions, dict(g.blocks), 0)
-        )
-    lambdas = []
-    for b in range(1, mps.L):
-        lam = mps.lambdas[b - 1]
-        lambdas.append({q + delta: v for q, v in lam.items()} if b >= first_bond else lam)
-    total = mps.total_charge
-    if total is not None:
-        total += delta
-    return CanonicalMps(gammas, lambdas, total)
-
-
 def apply_out_chain(op: LocalOperator, m: int, s: SuperState) -> SuperState:
     """Compose a single-site operator onto the out-chain at site m (1-based).
 
     The densified result is ``op_at_m @ densify(s)``; the particle-number
-    change grows by the operator's.
+    change grows by the operator's.  ``op`` must carry a definite charge,
+    in every mode.
     """
     if op.d != s.d:
         raise ValueError("shape mismatch")
-    k = op.delta_n
-    if s.mode != BRUTE and k is None:
-        raise ChargeMismatchError("indefinite charge")
-    new_delta = None if (s.delta_n is None or k is None) else s.delta_n + k
-    if s.is_zero:
-        return SuperState.zero(s.L, s.d, s.mode, new_delta, s.in_charge, s.qbase)
-
-    d = s.d
-    phys = s.phys_index()
-    states = super_site_states(d, s.mode)
-    state_pos = {sec: {ji: p for p, ji in enumerate(lst)} for sec, lst in enumerate(states)}
-
-    g = s.mps.gammas[m - 1]
-    new_blocks: dict[tuple[int, int, int], np.ndarray] = {}
-    for key, blk in g.blocks.items():
-        sec = key[1]
-        for pos, (j, i) in enumerate(states[sec]):
-            for x in range(d):
-                amp = op.entries[x, i]
-                if amp == 0:
-                    continue
-                # locate (j, x) in the mode's grading
-                tgt_sec, tgt_pos = None, None
-                for sec2 in range(len(states)):
-                    p2 = state_pos[sec2].get((j, x))
-                    if p2 is not None:
-                        tgt_sec, tgt_pos = sec2, p2
-                        break
-                nkey = (key[0], tgt_sec, key[2])
-                if nkey not in new_blocks:
-                    new_blocks[nkey] = np.zeros(
-                        (blk.shape[0], phys.dims[tgt_sec], blk.shape[2]), dtype=np.complex128
-                    )
-                new_blocks[nkey][:, tgt_pos, :] += amp * blk[:, pos, :]
-
-    # the right bond of site m and every later bond pick up the charge shift;
-    # _shift_bond_labels relabels them, after which every block satisfies the
-    # selection rule again (new phys charge = old + shift)
-    delta_bond = bond_charge_delta(s.mode, k or 0)
-    new_site = SymmetricTensor((g.indices[0], phys, g.indices[2]), g.directions, new_blocks, 0)
-    work = s.mps.copy()
-    work.gammas[m - 1] = new_site
-    work = _shift_bond_labels(work, m, delta_bond)
-    work.gammas[m - 1].validate()
-
-    site_tensors = [
-        scale_axis(work.gammas[i - 1], 2, work.lambda_at(i)) if i < work.L else work.gammas[i - 1]
-        for i in range(1, work.L + 1)
-    ]
-    try:
-        new_mps, factor = mps_core.canonicalize(site_tensors)
-    except ZeroNormError:
-        return SuperState.zero(s.L, s.d, s.mode, new_delta, s.in_charge, s.qbase)
-    return SuperState(
-        new_mps, s.L, s.d, s.mode, new_delta, s.prefactor * factor, s.in_charge, s.qbase
-    )
+    return out_chain_compose(lift_product_operator(embed_factor(op, m, s.L)), s)
 
 
 def hs_trace_pair(a: SuperState, b: SuperState) -> complex:
@@ -527,8 +441,8 @@ def out_chain_compose(op_s: SuperState, target: SuperState) -> SuperState:
         o_ix_l = op_s.mps.bond_index(m - 1)
         t_ix_r = target.mps.bond_index(m)
         o_ix_r = op_s.mps.bond_index(m)
-        t_off_l, o_off_l = t_ix_l.offsets(), o_ix_l.offsets()
-        t_off_r, o_off_r = t_ix_r.offsets(), o_ix_r.offsets()
+        t_off_l, o_off_l = t_ix_l.offsets, o_ix_l.offsets
+        t_off_r, o_off_r = t_ix_r.offsets, o_ix_r.offsets
 
         blocks: dict[tuple[int, int, int], np.ndarray] = {}
         placed_sq = 0.0

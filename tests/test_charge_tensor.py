@@ -38,16 +38,16 @@ class TestChargeIndex:
     def test_dims_and_offsets(self):
         ix = ChargeIndex(((0, 2), (2, 3)))
         assert ix.dim == 5
-        assert ix.offsets() == (0, 2)
+        assert ix.offsets == (0, 2)
 
 
 class TestDensify:
     def test_charge_forbidden_entries_are_zero(self, rng):
         t = make_random_three_leg(rng)
         dense = t.densify()
-        loff = t.indices[0].offsets()
-        poff = t.indices[1].offsets()
-        roff = t.indices[2].offsets()
+        loff = t.indices[0].offsets
+        poff = t.indices[1].offsets
+        roff = t.indices[2].offsets
         for lp, (lq, ld) in enumerate(t.indices[0].sectors):
             for pp, (pq, pd) in enumerate(t.indices[1].sectors):
                 for rp, (rq, rd) in enumerate(t.indices[2].sectors):

@@ -3,7 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from mpodyn.cli import main
+from mpodyn.charge_tensor import TruncationPolicy
+from mpodyn.cli import METHODS, main
+from mpodyn.evolution import evolve, make_schedule
+from mpodyn.models import ModelSpec
+from mpodyn.observables import build_observable_superstate
 
 
 def read_csv(path):
@@ -85,6 +89,36 @@ class TestSimulate:
         assert sidecar["termination_reason"] == "budget"
         _, rows = read_csv(out)
         assert float(rows[-1][3]) >= 1e-2  # accumulated cutoff column
+
+    @pytest.mark.parametrize("method,n", [("grand-canonical", None), ("canonical", 3)])
+    def test_osee_run_matches_hand_evolution(self, tmp_path, method, n):
+        L, site, dt, tmax = 6, 3, 0.125, 0.5
+        args = [
+            "simulate", "--model", "xxz", "--delta", "0.8", "--length", str(L),
+            "--method", method, "--observable", "osee", "--site", str(site),
+            "--chi", "64", "--dt", str(dt), "--order", "4", "--tmax", str(tmax),
+            "--budget", "1",
+        ] + (["--n", str(n)] if n is not None else [])
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(args + ["--output", str(a)]) == 0
+        assert main(args + ["--output", str(b)]) == 0
+        assert a.read_text().splitlines()[1:] == b.read_text().splitlines()[1:]
+
+        _, rows = read_csv(a)
+        n_steps = round(tmax / dt)
+        assert [float(r[0]) for r in rows] == [k * dt for k in range(n_steps + 1)]
+
+        spec = ModelSpec.xxz(L, 0.8)
+        target = build_observable_superstate(spec, site, METHODS[method], n)
+        expected = []
+        evolve(
+            target, spec, make_schedule(4, dt), tmax, TruncationPolicy(64, 0.0), 1.0,
+            observer=lambda t, s, lg: expected.append(s.osee_profile()[site - 1]),  # bond = site
+        )
+        assert len(expected) == len(rows)
+        for row, val in zip(rows, expected):
+            assert abs(float(row[1]) - val) <= 1e-12
+            assert float(row[2]) == 0.0
 
 
 class TestProjectorOsee:

@@ -183,6 +183,12 @@ class TestApplyOutChain:
         s = apply_out_chain(annihilator_local(2), 1, ps)
         assert s.is_zero
 
+    def test_indefinite_charge_rejected_in_brute_mode(self):
+        one = identity_superstate(3, 2, BRUTE)
+        sigma_x = LocalOperator.from_matrix(np.array([[0, 1], [1, 0]]))
+        with pytest.raises(ChargeMismatchError, match="indefinite charge"):
+            apply_out_chain(sigma_x, 2, one)
+
 
 class TestTraces:
     def test_identity_pair(self):
