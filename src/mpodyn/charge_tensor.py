@@ -141,7 +141,7 @@ class SymmetricTensor:
             for ix, dr, pos in zip(self.indices, self.directions, key)
         )
 
-    def validate(self, atol: float = 0.0) -> None:
+    def validate(self) -> None:
         """Check shapes and the charge selection rule for every stored block."""
         for key, blk in self.blocks.items():
             if len(key) != self.ndim:
@@ -338,9 +338,6 @@ class Spectrum:
     def __len__(self) -> int:
         return sum(len(v) for _, v in self.sectors)
 
-    def sum_sq(self) -> float:
-        return float(sum(np.sum(v**2) for _, v in self.sectors))
-
     def entropy(self) -> float:
         """Von Neumann entropy in bits of the squared values."""
         p = np.concatenate([v**2 for _, v in self.sectors]) if self.sectors else np.array([])
@@ -348,9 +345,6 @@ class Spectrum:
         if p.size == 0:
             return 0.0
         return max(0.0, float(-np.sum(p * np.log2(p))))
-
-    def as_index(self) -> ChargeIndex:
-        return ChargeIndex(tuple((q, len(v)) for q, v in self.sectors))
 
 
 @dataclass(frozen=True)

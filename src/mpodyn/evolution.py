@@ -15,8 +15,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .charge_tensor import TruncationPolicy, ZeroNormError
 from .models import ModelSpec, _cached_bond_gate, _cached_super_gate
 from .mps_core import CanonicalMps, TruncationRecord, load_mps, save_mps

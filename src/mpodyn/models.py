@@ -17,12 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .charge_tensor import ChargeIndex, ChargeMismatchError
-from .operator_space import (
-    BRUTE,
-    LocalOperator,
-    layout_perm,
-    super_site_index,
-)
+from .operator_space import LocalOperator, layout_perm, super_site_index
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=np.complex128)

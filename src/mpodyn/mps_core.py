@@ -153,7 +153,7 @@ class CanonicalMps:
         lam_c = self.lambda_at(m)
         lam_r = self.lambda_at(m + 1)
         left = scale_axis(scale_axis(g1, 0, lam_l), 2, lam_c)
-        right = scale_axis(g2, 2, lam_r) if m + 1 < self.L else g2
+        right = self.site_tensor(m + 1)
 
         lix, rix = g1.indices[0], g2.indices[2]
         bands = gate.band_table()
@@ -220,20 +220,23 @@ class CanonicalMps:
             chi_used=bond.dim,
         )
 
-    # -- dense views -----------------------------------------------------------
+    # -- site views ------------------------------------------------------------
+
+    def site_tensor(self, m: int) -> SymmetricTensor:
+        """Gamma of site m (1..L) with the bond values to its right multiplied in.
+
+        The chain product of these tensors is the state.
+        """
+        g = self.gammas[m - 1]
+        return scale_axis(g, 2, self.lambda_at(m)) if m < self.L else g
 
     def site_tensor_dense(self, m: int, absorb_right: bool = True) -> np.ndarray:
         """Dense (chi_l, D, chi_r) view of site m (1..L), sector-layout ordering.
 
-        With ``absorb_right`` the bond singular values to the right are
-        multiplied in, so the chain product of these tensors is the state.
+        With ``absorb_right`` it densifies :meth:`site_tensor`, otherwise the
+        bare Gamma.
         """
-        g = self.gammas[m - 1]
-        dense = g.densify()
-        if absorb_right and m < self.L:
-            w = dense_axis_values(g.indices[2], self.lambda_at(m))
-            dense = dense * w[None, None, :]
-        return dense
+        return (self.site_tensor(m) if absorb_right else self.gammas[m - 1]).densify()
 
     def to_statevector(self, site_perms=None) -> np.ndarray:
         """Dense state with site 1 as the fastest-varying index.
@@ -269,9 +272,7 @@ class CanonicalMps:
             return 0.0 + 0.0j
         env = np.ones((1, 1), dtype=np.complex128)
         for m in range(1, self.L + 1):
-            ta = self.site_tensor_dense(m)
-            tb = other.site_tensor_dense(m)
-            env = np.einsum("ab,akc,bkd->cd", env, ta.conj(), tb)
+            env = overlap_step(env, self.site_tensor_dense(m), other.site_tensor_dense(m))
         return complex(env[0, 0])
 
     def norm(self) -> float:
@@ -295,6 +296,16 @@ class CanonicalMps:
             left_env = np.einsum("akc,bkc->ab", b, b.conj())
             if not np.allclose(left_env, np.eye(b.shape[0]), atol=atol):
                 raise AssertionError(f"site {m}: left orthogonality violated")
+
+
+def overlap_step(env: np.ndarray, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
+    """Extend the overlap environment <a|b> by one site: sum env[a,b] ta*[a,k,c] tb[b,k,d].
+
+    ``ta`` and ``tb`` are dense (chi_l, D, chi_r) site tensors in the same
+    physical order; the contraction is done pairwise.
+    """
+    half = np.tensordot(env, ta.conj(), axes=(0, 0))  # (b, k, c)
+    return np.tensordot(half, tb, axes=([0, 1], [0, 1]))
 
 
 def from_fock(occupations: list[int], d: int) -> CanonicalMps:
@@ -415,8 +426,7 @@ def add(
     L = a.L
     site_tensors = []
     for m in range(1, L + 1):
-        ta = scale_axis(a.gammas[m - 1], 2, a.lambda_at(m)) if m < L else a.gammas[m - 1]
-        tb = scale_axis(b.gammas[m - 1], 2, b.lambda_at(m)) if m < L else b.gammas[m - 1]
+        ta, tb = a.site_tensor(m), b.site_tensor(m)
         if m == 1:
             ta = ta.scale(coeff_a)
             tb = tb.scale(coeff_b)

@@ -18,8 +18,9 @@ The Hermitian conjugate of a charge-definite operator flips the sign of
 its particle-number change (delta_n), pinned by densify tests.
 
 Composing an operator onto the out-chain of a superstate has one
-implementation, ``out_chain_compose``; ``apply_out_chain`` lifts a
-single-site operator to a product MPO and calls it.
+implementation, ``out_chain_compose``, which works block by block on the
+stored blocks of both chains; ``apply_out_chain`` lifts a single-site
+operator to a product MPO and calls it.
 """
 
 from __future__ import annotations
@@ -197,11 +198,6 @@ class SuperState:
         out[:, perm, :] = t
         return out
 
-    def site_dense_pair(self, m: int) -> np.ndarray:
-        """Site tensor as (chi_l, d_in, d_out, chi_r)."""
-        t = self.site_dense_k(m)
-        return t.reshape(t.shape[0], self.d, self.d, t.shape[2])
-
     def densify(self) -> np.ndarray:
         """Dense operator matrix, occupation basis, site 1 fastest-varying."""
         d, L = self.d, self.L
@@ -347,9 +343,7 @@ def hs_trace_pair(a: SuperState, b: SuperState) -> complex:
         return 0.0 + 0.0j
     env = np.ones((1, 1), dtype=np.complex128)
     for m in range(1, a.L + 1):
-        ta = a.site_dense_k(m)
-        tb = b.site_dense_k(m)
-        env = np.einsum("ab,akc,bkd->cd", env, ta.conj(), tb)
+        env = mps_core.overlap_step(env, a.site_dense_k(m), b.site_dense_k(m))
     return complex(np.conj(a.prefactor) * b.prefactor * env[0, 0])
 
 
@@ -361,9 +355,12 @@ def expectation_in_state(s: SuperState, psi: CanonicalMps) -> complex:
         return 0.0 + 0.0j
     env = np.ones((1, 1, 1), dtype=np.complex128)
     for m in range(1, s.L + 1):
-        so = s.site_dense_pair(m)  # (alpha, j, i, alpha')
+        so = s.site_dense_k(m)
+        so = so.reshape(so.shape[0], s.d, s.d, so.shape[2])  # (alpha, j, i, alpha')
         tp = psi.site_tensor_dense(m)
-        env = np.einsum("xab,xjiy,aic,bjd->ycd", env, so, tp.conj(), tp)
+        env = np.tensordot(env, so, axes=(0, 0))  # (a, b, j, i, y)
+        env = np.tensordot(env, tp.conj(), axes=([0, 3], [0, 1]))  # (b, j, y, c)
+        env = np.tensordot(env, tp, axes=([0, 1], [0, 1]))  # (y, c, d)
     return complex(s.prefactor * env[0, 0, 0])
 
 
@@ -393,7 +390,11 @@ def out_chain_compose(op_s: SuperState, target: SuperState) -> SuperState:
     """Compose an operator MPO onto the out-chain of ``target``: result = op . target.
 
     ``op_s`` must carry a definite particle-number change (grand-canonical
-    labels); the result keeps the target's mode and input charge.
+    labels); the result keeps the target's mode and input charge.  Each
+    pair of stored blocks composes on its own: a target state (j, i) and
+    an operator state (i, x) that share the occupation i add the outer
+    product of their bond slices to state (j, x) of the merged-bond block.
+    Every composed site tensor must obey the charge rule.
     """
     if op_s.L != target.L or op_s.d != target.d:
         raise ValueError("shape mismatch")
@@ -416,78 +417,48 @@ def out_chain_compose(op_s: SuperState, target: SuperState) -> SuperState:
         combine = lambda qt, qo: qt - qo
 
     phys = super_site_index(d, mode, target.qbase)
-    states = super_site_states(d, mode)
-    state_pos = {}
-    for sec, lst in enumerate(states):
-        for p, ji in enumerate(lst):
-            state_pos[ji] = (sec, p)
+    t_states = super_site_states(d, mode)
+    o_states = super_site_states(d, GRAND_CANONICAL)
+    state_pos = {ji: (sec, p) for sec, lst in enumerate(t_states) for p, ji in enumerate(lst)}
 
     site_tensors = []
     left_ix, left_place = _merged_pair_index(
         target.mps.bond_index(0), op_s.mps.bond_index(0), combine
     )
     for m in range(1, L + 1):
-        dt = target.site_dense_pair(m)  # (a, j, i, b)
-        do = op_s.site_dense_pair(m)  # (c, i, x, e)
-        comp = np.einsum("ajib,cixe->acjxbe", dt, do)
-        na, nc = comp.shape[0], comp.shape[1]
-        nb, ne = comp.shape[4], comp.shape[5]
-        comp = comp.reshape(na * nc, d, d, nb * ne)
-
         right_ix, right_place = _merged_pair_index(
             target.mps.bond_index(m), op_s.mps.bond_index(m), combine
         )
-        t_ix_l = target.mps.bond_index(m - 1)
-        o_ix_l = op_s.mps.bond_index(m - 1)
-        t_ix_r = target.mps.bond_index(m)
-        o_ix_r = op_s.mps.bond_index(m)
-        t_off_l, o_off_l = t_ix_l.offsets, o_ix_l.offsets
-        t_off_r, o_off_r = t_ix_r.offsets, o_ix_r.offsets
-
+        tt, to = target.mps.site_tensor(m), op_s.mps.site_tensor(m)
         blocks: dict[tuple[int, int, int], np.ndarray] = {}
-        placed_sq = 0.0
-        for (pt, po), (lsec, loff) in left_place.items():
-            rows = (
-                np.arange(t_off_l[pt], t_off_l[pt] + t_ix_l.dims[pt])[:, None] * o_ix_l.dim
-                + np.arange(o_off_l[po], o_off_l[po] + o_ix_l.dims[po])[None, :]
-            ).ravel()
-            for (pt2, po2), (rsec, roff) in right_place.items():
-                cols = (
-                    np.arange(t_off_r[pt2], t_off_r[pt2] + t_ix_r.dims[pt2])[:, None]
-                    * o_ix_r.dim
-                    + np.arange(o_off_r[po2], o_off_r[po2] + o_ix_r.dims[po2])[None, :]
-                ).ravel()
-                sub = comp[np.ix_(rows, np.arange(d), np.arange(d), cols)]
-                if not np.any(sub):
-                    continue
-                ql = left_ix.charges[lsec]
-                qr = right_ix.charges[rsec]
-                for j in range(d):
-                    for x in range(d):
-                        piece = sub[:, j, x, :]
-                        if not np.any(piece):
+        for (pt, st, pt2), bt in tt.blocks.items():
+            for (po, so, po2), bo in to.blocks.items():
+                lsec, loff = left_place[(pt, po)]
+                rsec, roff = right_place[(pt2, po2)]
+                rows, cols = bt.shape[0] * bo.shape[0], bt.shape[2] * bo.shape[2]
+                for p, (j, i) in enumerate(t_states[st]):
+                    for q, (i_o, x) in enumerate(o_states[so]):
+                        if i_o != i:
                             continue
                         psec, ppos = state_pos[(j, x)]
-                        if qr - ql - phys.charges[psec] != 0:
-                            if np.max(np.abs(piece)) > 1e-10:
-                                raise ChargeMismatchError("charge mismatch")
-                            continue
                         key = (lsec, psec, rsec)
                         if key not in blocks:
                             blocks[key] = np.zeros(
                                 (left_ix.dims[lsec], phys.dims[psec], right_ix.dims[rsec]),
                                 dtype=np.complex128,
                             )
-                        blocks[key][
-                            loff : loff + len(rows), ppos, roff : roff + len(cols)
-                        ] = piece
-                        placed_sq += float(np.sum(np.abs(piece) ** 2))
-        total_sq = float(np.sum(np.abs(comp) ** 2))
-        if total_sq > 0 and abs(placed_sq - total_sq) > 1e-9 * total_sq + 1e-14:
-            raise ChargeMismatchError("charge mismatch")
-        site_tensors.append(
-            SymmetricTensor((left_ix, phys, right_ix), (IN, IN, OUT), blocks, 0)
+                        outer = np.multiply.outer(bt[:, p, :], bo[:, q, :])  # (a, b, c, e)
+                        blocks[key][loff : loff + rows, ppos, roff : roff + cols] += (
+                            outer.transpose(0, 2, 1, 3).reshape(rows, cols)
+                        )
+        composed = SymmetricTensor(
+            (left_ix, phys, right_ix),
+            (IN, IN, OUT),
+            {key: blk for key, blk in blocks.items() if blk.any()},
+            0,
         )
+        composed.validate()
+        site_tensors.append(composed)
         left_ix, left_place = right_ix, right_place
 
     try:

@@ -10,7 +10,6 @@ Practical up to d**L of a few thousand (L <= 10 at d = 2, L <= 6 at d = 4).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np

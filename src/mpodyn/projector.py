@@ -24,7 +24,6 @@ from .charge_tensor import IN, OUT, ChargeIndex, SymmetricTensor
 from .mps_core import CanonicalMps
 from .operator_space import (
     CANONICAL,
-    GRAND_CANONICAL,
     LocalOperator,
     SuperState,
     apply_out_chain,
@@ -127,86 +126,48 @@ def uniform_fock_superposition(N: int, L: int, d: int | None = None) -> Canonica
     return CanonicalMps(gammas, lambdas, total_charge=N)
 
 
-def projector_superstate(N: int, L: int, d: int, mode: str = CANONICAL) -> SuperState:
-    """Superstate of the projector onto the N-particle sector.
+def projector_superstate(N: int, L: int, d: int) -> SuperState:
+    """Superstate of the projector onto the N-particle sector, canonical labels.
 
     The diagonal map |j> -> |j><j| applied to the uniform superposition;
     the stored prefactor sqrt(Omega_d(N, L)) is its Hilbert-Schmidt norm.
-    In canonical mode every bond keeps one sector per particle count; in
-    the weaker gradings the counts collapse onto fewer charge labels.
+    Every bond keeps one sector per particle count: l particles on both
+    chains carry the label l * qbase + l.
     """
     state = uniform_fock_superposition(N, L, d)
-    qbase = default_qbase(L, d) if mode == CANONICAL else None
-    phys = super_site_index(d, mode, qbase)
+    qbase = default_qbase(L, d)
+    phys = super_site_index(d, CANONICAL, qbase)
 
-    def bond_label(l: int) -> int:
-        if mode == CANONICAL:
-            return l * qbase + l
-        return 0
+    def relabel(ix: ChargeIndex) -> ChargeIndex:
+        return ChargeIndex(tuple((l * qbase + l, dim) for l, dim in ix.sectors))
 
-    def phys_sector(j: int) -> tuple[int, int]:
-        # position of the diagonal pair (j, j) inside the mode's grading
-        if mode == CANONICAL:
-            return phys.position(j * qbase + j), 0
-        if mode == GRAND_CANONICAL:
-            return phys.position(0), j
-        return 0, j * d + j
-
-    def merge_bond(ix: ChargeIndex):
-        """New ChargeIndex plus (new position, offset) per old sector position."""
-        groups: dict[int, int] = {}
-        place: list[tuple[int, int]] = []
-        for q, dim in ix.sectors:
-            label = bond_label(q)
-            place.append((label, groups.get(label, 0)))
-            groups[label] = groups.get(label, 0) + dim
-        charges = sorted(groups)
-        merged = ChargeIndex(tuple((c, groups[c]) for c in charges))
-        pos_of = {c: i for i, c in enumerate(charges)}
-        return merged, [(pos_of[label], off) for label, off in place]
-
-    gammas = []
-    bond_maps = [merge_bond(state.bond_index(m)) for m in range(L + 1)]
-    for m, g in enumerate(state.gammas, start=1):
-        left, lmap = bond_maps[m - 1]
-        right, rmap = bond_maps[m]
-        blocks: dict[tuple[int, int, int], np.ndarray] = {}
-        for (lpos, j, rpos), blk in g.blocks.items():
-            sec, pos = phys_sector(j)
-            nl, loff = lmap[lpos]
-            nr, roff = rmap[rpos]
-            key = (nl, sec, nr)
-            if key not in blocks:
-                blocks[key] = np.zeros(
-                    (left.dims[nl], phys.dims[sec], right.dims[nr]), dtype=np.complex128
-                )
-            blocks[key][loff, pos, roff] = blk[0, 0, 0]
-        gammas.append(SymmetricTensor((left, phys, right), (IN, IN, OUT), blocks, 0))
-
-    lambdas = []
-    for b in range(1, L):
-        merged, bmap = bond_maps[b]
-        vals = {q: np.zeros(dim) for q, dim in merged.sectors}
-        for old_pos, (q, _) in enumerate(state.bond_index(b).sectors):
-            npos, off = bmap[old_pos]
-            label = merged.charges[npos]
-            vals[label][off] = state.lambdas[b - 1][q][0]
-        lambdas.append(vals)
-
-    mps = CanonicalMps(gammas, lambdas, total_charge=bond_label(N))
+    gammas = [
+        SymmetricTensor(
+            (relabel(g.indices[0]), phys, relabel(g.indices[2])),
+            (IN, IN, OUT),
+            {
+                (lpos, phys.position(j * qbase + j), rpos): blk
+                for (lpos, j, rpos), blk in g.blocks.items()
+            },
+            0,
+        )
+        for g in state.gammas
+    ]
+    lambdas = [{l * qbase + l: v for l, v in lam.items()} for lam in state.lambdas]
+    mps = CanonicalMps(gammas, lambdas, total_charge=N * qbase + N)
     return SuperState(
         mps,
         L,
         d,
-        mode,
+        CANONICAL,
         delta_n=0,
         prefactor=float(np.sqrt(omega(d, N, L))),
-        in_charge=N if mode == CANONICAL else None,
+        in_charge=N,
         qbase=qbase,
     )
 
 
-def project_operator(op, N: int, L: int | None = None, d: int | None = None) -> SuperState:
+def project_operator(op, N: int) -> SuperState:
     """Sandwich an operator between fixed-number projectors: P_{N-dn} op P_N.
 
     ``op`` is either a per-site factor list or a grand-canonical SuperState.
@@ -214,23 +175,19 @@ def project_operator(op, N: int, L: int | None = None, d: int | None = None) -> 
     than an error.
     """
     if isinstance(op, SuperState):
-        L, d = op.L, op.d
-        delta = op.delta_n
-        if delta is None:
-            raise ValueError("indefinite charge")
-        if N < 0 or N > L * (d - 1) or N - delta < 0 or N - delta > L * (d - 1):
-            return SuperState.zero(L, d, CANONICAL, delta, N, default_qbase(L, d))
-        return out_chain_compose(op, projector_superstate(N, L, d))
-
-    factors: list[LocalOperator] = list(op)
-    L = len(factors)
-    d = factors[0].d
-    if any(f.delta_n is None for f in factors):
+        L, d, delta = op.L, op.d, op.delta_n
+    else:
+        factors: list[LocalOperator] = list(op)
+        L, d = len(factors), factors[0].d
+        deltas = [f.delta_n for f in factors]
+        delta = None if None in deltas else sum(deltas)
+    if delta is None:
         raise ValueError("indefinite charge")
-    delta = sum(f.delta_n for f in factors)
     if N < 0 or N > L * (d - 1) or N - delta < 0 or N - delta > L * (d - 1):
         return SuperState.zero(L, d, CANONICAL, delta, N, default_qbase(L, d))
     result = projector_superstate(N, L, d)
+    if isinstance(op, SuperState):
+        return out_chain_compose(op, result)
     for m, f in enumerate(factors, start=1):
         if f.is_identity():
             continue

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from mpodyn import oracle
-from mpodyn.charge_tensor import ChargeMismatchError
+from mpodyn.charge_tensor import ChargeMismatchError, SymmetricTensor, TruncationPolicy
+from mpodyn.evolution import evolve, make_schedule
 from mpodyn.models import (
     SIGMA_Z,
+    ModelSpec,
     annihilator_local,
     boson_annihilator,
     creator_local,
@@ -24,6 +26,7 @@ from mpodyn.operator_space import (
     hs_trace_pair,
     identity_superstate,
     lift_product_operator,
+    out_chain_compose,
 )
 from mpodyn.projector import projector_superstate, uniform_fock_superposition
 
@@ -188,6 +191,59 @@ class TestApplyOutChain:
         sigma_x = LocalOperator.from_matrix(np.array([[0, 1], [1, 0]]))
         with pytest.raises(ChargeMismatchError, match="indefinite charge"):
             apply_out_chain(sigma_x, 2, one)
+
+
+def _evolved(op, site, L, d, mode=GRAND_CANONICAL):
+    """Lifted single-site operator after a short exact evolution (bond dimension > 1)."""
+    spec = ModelSpec.xxz(L, 0.8) if d == 2 else ModelSpec.bose_hubbard(L, d, 2.0)
+    s = lift_product_operator(embed_factor(op, site, L), mode)
+    evolve(s, spec, make_schedule(2, 0.1), 0.3, TruncationPolicy(None, 0.0))
+    return s
+
+
+def _charge_breaking_operator(L):
+    """Lifted annihilator whose site block sits in the creator's sector; its bonds say +1."""
+    site = min(2, L)
+    s = lift_product_operator(embed_factor(annihilator_local(2), site, L))
+    g = s.mps.gammas[site - 1]
+    ((left, _, right), blk), = g.blocks.items()
+    wrong = g.indices[1].position(-1)
+    s.mps.gammas[site - 1] = SymmetricTensor(g.indices, g.directions, {(left, wrong, right): blk}, 0)
+    return s
+
+
+class TestOutChainCompose:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("target_kind", ["grand_canonical", "brute", "projector"])
+    def test_mpo_on_mpo_matches_dense(self, d, target_kind):
+        # both chains have bond dimension > 1, so the merged bond interleaves them
+        L = 3
+        op = _evolved(annihilator_local(d), 2, L, d)
+        assert op.mps.max_bond_dimension() > 1
+        assert max(len({k[1] for k in g.blocks}) for g in op.mps.gammas) > 1
+        if target_kind == "projector":
+            target = projector_superstate(d - 1, L, d)
+        else:
+            target = _evolved(creator_local(d), 1, L, d, target_kind)
+        s = out_chain_compose(op, target)
+        assert s.mode == target.mode
+        assert s.delta_n == 1 + target.delta_n
+        assert np.max(np.abs(s.densify() - op.densify() @ target.densify())) < 1e-12
+
+    @pytest.mark.parametrize(
+        "make_target",
+        [
+            lambda: identity_superstate(3, 2),
+            lambda: projector_superstate(1, 3, 2),
+            lambda: identity_superstate(1, 2),
+            lambda: projector_superstate(0, 1, 2),
+        ],
+        ids=["identity-L3", "projector-L3", "identity-L1", "projector-L1"],
+    )
+    def test_charge_violation_rejected(self, make_target):
+        target = make_target()
+        with pytest.raises(ChargeMismatchError, match="charge mismatch"):
+            out_chain_compose(_charge_breaking_operator(target.L), target)
 
 
 class TestTraces:
