@@ -11,7 +11,6 @@ verification.
 from .charge_tensor import (
     ChargeIndex,
     ChargeMismatchError,
-    Spectrum,
     SymmetricTensor,
     TruncationPolicy,
     ZeroNormError,
@@ -34,7 +33,6 @@ from .operator_space import (
     lift_product_operator,
 )
 from .projector import (
-    OccupancyCount,
     omega,
     project_operator,
     projector_osee,

@@ -15,6 +15,11 @@ so the left factor always has total charge zero and the right factor
 inherits the input's total charge.  Its SVD-and-truncate step,
 ``truncated_split``, is shared with the two-site gate kernel in
 ``mps_core``.
+
+A bond spectrum is a plain ``dict`` mapping bond charge to that sector's
+descending singular values.  Which values survive a cut is decided only
+by ``global_truncation``: descending value, ties kept lowest charge
+first, then in sector order.
 """
 
 from __future__ import annotations
@@ -294,77 +299,6 @@ class TruncationPolicy:
             raise ValueError("singular_value_floor must be >= 0")
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Charge-labelled singular values, stored per sector, descending within."""
-
-    sectors: tuple[tuple[int, np.ndarray], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "sectors",
-            tuple(
-                (int(q), np.asarray(v, dtype=np.float64)) for q, v in self.sectors
-            ),
-        )
-
-    @classmethod
-    def from_dict(cls, d: dict[int, np.ndarray]) -> "Spectrum":
-        return cls(tuple(sorted((q, np.asarray(v)) for q, v in d.items())))
-
-    def to_dict(self) -> dict[int, np.ndarray]:
-        return {q: v.copy() for q, v in self.sectors}
-
-    def _global_order(self) -> list[tuple[float, int, int]]:
-        entries = []
-        for q, vals in self.sectors:
-            for pos, v in enumerate(vals):
-                entries.append((v, q, pos))
-        # descending value; ties broken by lower charge, then in-sector order
-        entries.sort(key=lambda e: (-e[0], e[1], e[2]))
-        return entries
-
-    @property
-    def values(self) -> np.ndarray:
-        """All values in global descending order."""
-        return np.array([v for v, _, _ in self._global_order()], dtype=np.float64)
-
-    @property
-    def charges(self) -> np.ndarray:
-        """Charge label of each value, aligned with :attr:`values`."""
-        return np.array([q for _, q, _ in self._global_order()], dtype=np.int64)
-
-    def __len__(self) -> int:
-        return sum(len(v) for _, v in self.sectors)
-
-    def entropy(self) -> float:
-        """Von Neumann entropy in bits of the squared values."""
-        p = np.concatenate([v**2 for _, v in self.sectors]) if self.sectors else np.array([])
-        p = p[p > 0]
-        if p.size == 0:
-            return 0.0
-        return max(0.0, float(-np.sum(p * np.log2(p))))
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Outcome of a blockwise truncated SVD.
-
-    ``spectrum`` is normalized to unit square sum when requested;
-    ``kept_norm`` is the pre-normalization 2-norm of the kept values and
-    ``discarded_norm`` the 2-norm of everything dropped, so
-    ``left @ diag(spectrum * kept_norm) @ right`` reconstructs the truncated
-    input.
-    """
-
-    left: SymmetricTensor
-    spectrum: Spectrum
-    right: SymmetricTensor
-    discarded_norm: float
-    kept_norm: float
-
-
 def global_truncation(
     values_by_q: dict[int, np.ndarray], policy: TruncationPolicy
 ) -> tuple[dict[int, int], float, float]:
@@ -487,15 +421,16 @@ def block_svd(
     t: SymmetricTensor,
     row_axes: tuple[int, ...],
     policy: TruncationPolicy,
-    normalize: bool = True,
-) -> SvdResult:
+) -> tuple[SymmetricTensor, dict[int, np.ndarray], SymmetricTensor, float, float]:
     """Truncated SVD of ``t`` matricized with ``row_axes`` as rows.
 
     Each charge block of the matricized tensor is decomposed independently
     by :func:`truncated_split`; the kept values are the globally largest
-    ``min(chi_max, available)`` across all blocks.  Values tied at the
-    cutoff are kept lowest charge first, then by in-sector order, which
-    makes the truncation deterministic.
+    ``min(chi_max, available)`` across all blocks, chosen by
+    :func:`global_truncation`.  Returns ``(left, values, right, kept_norm,
+    discarded_norm)``: ``values`` maps each new bond charge to its kept
+    (unnormalized) singular values, so ``left @ diag(values) @ right`` is
+    the truncated input.
     """
     row_axes = tuple(row_axes)
     col_axes = tuple(i for i in range(t.ndim) if i not in row_axes)
@@ -518,7 +453,6 @@ def block_svd(
     bond, values, left_blocks, right_blocks, kept_norm, discarded_norm = truncated_split(
         pieces, len(row_axes), policy
     )
-    scale = 1.0 / kept_norm if normalize else 1.0
     left = SymmetricTensor(
         tuple(t.indices[a] for a in row_axes) + (bond,),
         tuple(t.directions[a] for a in row_axes) + (OUT,),
@@ -531,16 +465,5 @@ def block_svd(
         right_blocks,
         t.total_charge,
     )
-    spectrum = Spectrum(tuple((q, v * scale) for q, v in values.items()))
-    return SvdResult(left, spectrum, right, discarded_norm, kept_norm)
+    return left, values, right, kept_norm, discarded_norm
 
-
-def dense_axis_values(index: ChargeIndex, values: dict[int, np.ndarray]) -> np.ndarray:
-    """Concatenate per-sector weight vectors in the leg's sector layout."""
-    parts = []
-    for q, dim in index.sectors:
-        v = np.asarray(values[q], dtype=np.float64)
-        if len(v) != dim:
-            raise ChargeMismatchError("charge mismatch")
-        parts.append(v)
-    return np.concatenate(parts) if parts else np.array([])

@@ -14,11 +14,22 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .charge_tensor import TruncationPolicy, ZeroNormError
-from .models import ModelSpec, _cached_bond_gate, _cached_super_gate
+from .models import BondGate, ModelSpec, bond_gate, super_gate
 from .mps_core import CanonicalMps, TruncationRecord, load_mps, save_mps
 from .operator_space import SuperState
+
+
+@lru_cache(maxsize=None)
+def _cached_bond_gate(spec: ModelSpec, m: int, dt_fraction: float) -> BondGate:
+    return bond_gate(spec, m, dt_fraction)
+
+
+@lru_cache(maxsize=None)
+def _cached_super_gate(spec: ModelSpec, m: int, dt_fraction: float, mode: str, qbase: int | None) -> BondGate:
+    return super_gate(_cached_bond_gate(spec, m, dt_fraction), mode, qbase)
 
 
 @dataclass(frozen=True)

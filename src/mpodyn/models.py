@@ -12,7 +12,6 @@ eigendecomposition, which keeps every block exactly unitary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -227,12 +226,3 @@ def super_gate(gate: BondGate, mode: str, qbase: int | None = None) -> BondGate:
     perm = layout_perm(d, mode)
     return BondGate(sg, index, perm)
 
-
-@lru_cache(maxsize=None)
-def _cached_bond_gate(spec: ModelSpec, m: int, dt_fraction: float) -> BondGate:
-    return bond_gate(spec, m, dt_fraction)
-
-
-@lru_cache(maxsize=None)
-def _cached_super_gate(spec: ModelSpec, m: int, dt_fraction: float, mode: str, qbase: int | None) -> BondGate:
-    return super_gate(_cached_bond_gate(spec, m, dt_fraction), mode, qbase)

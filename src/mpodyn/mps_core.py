@@ -6,6 +6,11 @@ grouped by bond charge.  Bond charges count accumulated physical charge
 from the left, so the leftmost bond is a trivial charge-0 sector and the
 rightmost carries the total charge of a charge-definite state.
 
+Bond spectra are plain dicts, bond charge -> descending values (see
+``charge_tensor``); which values a cut keeps is decided only by
+``charge_tensor.global_truncation``.  Every bond-dimension-1 chain (Fock
+states, product operators) is built by :func:`product_mps`.
+
 Two-site gates are ``models.BondGate`` objects, applied by one path: the
 band kernel of :meth:`CanonicalMps.apply_two_site_gate`.  It and
 :func:`canonicalize` (through ``block_svd``) share
@@ -29,13 +34,11 @@ from .charge_tensor import (
     OUT,
     ChargeIndex,
     ChargeMismatchError,
-    Spectrum,
     SymmetricTensor,
     TruncationPolicy,
     ZeroNormError,
     block_svd,
     contract,
-    dense_axis_values,
     scale_axis,
     truncated_split,
 )
@@ -117,14 +120,14 @@ class CanonicalMps:
 
     # -- spectra and entropies ------------------------------------------------
 
-    def schmidt_spectrum(self, m: int) -> Spectrum:
-        """Charge-labelled Schmidt values across interior bond m (1..L-1)."""
+    def schmidt_spectrum(self, m: int) -> dict[int, np.ndarray]:
+        """Copy of the Schmidt values across interior bond m (1..L-1), by charge."""
         if not 1 <= m <= self.L - 1:
             raise ValueError("bond out of range")
-        return Spectrum.from_dict(self.lambdas[m - 1])
+        return {q: v.copy() for q, v in self.lambdas[m - 1].items()}
 
     def entanglement_entropy(self, m: int) -> float:
-        return self.schmidt_spectrum(m).entropy()
+        return von_neumann_entropy(self.schmidt_spectrum(m))
 
     def entropy_profile(self) -> list[float]:
         return [self.entanglement_entropy(m) for m in range(1, self.L)]
@@ -230,13 +233,9 @@ class CanonicalMps:
         g = self.gammas[m - 1]
         return scale_axis(g, 2, self.lambda_at(m)) if m < self.L else g
 
-    def site_tensor_dense(self, m: int, absorb_right: bool = True) -> np.ndarray:
-        """Dense (chi_l, D, chi_r) view of site m (1..L), sector-layout ordering.
-
-        With ``absorb_right`` it densifies :meth:`site_tensor`, otherwise the
-        bare Gamma.
-        """
-        return (self.site_tensor(m) if absorb_right else self.gammas[m - 1]).densify()
+    def site_tensor_dense(self, m: int) -> np.ndarray:
+        """Dense (chi_l, D, chi_r) :meth:`site_tensor` of site m, sector-layout ordering."""
+        return self.site_tensor(m).densify()
 
     def to_statevector(self, site_perms=None) -> np.ndarray:
         """Dense state with site 1 as the fastest-varying index.
@@ -285,14 +284,11 @@ class CanonicalMps:
             if abs(total - 1.0) > 1e-10:
                 raise AssertionError(f"bond {m}: sum lambda^2 = {total}")
         for m in range(1, self.L + 1):
-            g = self.site_tensor_dense(m, absorb_right=False)
-            wl = dense_axis_values(self.bond_index(m - 1), self.lambda_at(m - 1))
-            a = g * wl[:, None, None]
+            a = scale_axis(self.gammas[m - 1], 0, self.lambda_at(m - 1)).densify()
             right_env = np.einsum("akb,akc->bc", a.conj(), a)
             if not np.allclose(right_env, np.eye(a.shape[2]), atol=atol):
                 raise AssertionError(f"site {m}: right orthogonality violated")
-            wr = dense_axis_values(self.bond_index(m), self.lambda_at(m))
-            b = g * wr[None, None, :]
+            b = self.site_tensor_dense(m)
             left_env = np.einsum("akc,bkc->ab", b, b.conj())
             if not np.allclose(left_env, np.eye(b.shape[0]), atol=atol):
                 raise AssertionError(f"site {m}: left orthogonality violated")
@@ -308,40 +304,47 @@ def overlap_step(env: np.ndarray, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
     return np.tensordot(half, tb, axes=([0, 1], [0, 1]))
 
 
+def von_neumann_entropy(values: dict[int, np.ndarray]) -> float:
+    """Entropy in bits of the squared values of a bond spectrum."""
+    p = np.concatenate([values[q] ** 2 for q in sorted(values)])
+    p = p[p > 0]
+    return max(0.0, float(-np.sum(p * np.log2(p))))
+
+
+def product_mps(phys: ChargeIndex, sites: list[tuple[int, np.ndarray]]) -> CanonicalMps:
+    """Bond-dimension-1 chain; each site is (physical charge, amplitude vector).
+
+    A site's amplitudes fill the physical sector of that charge, and the
+    charge is added to the bond on its right.  Bonds are trivial and carry
+    unit Schmidt values.
+    """
+    gammas, lambdas, acc = [], [], 0
+    for q, amps in sites:
+        left, right = ChargeIndex.trivial(acc), ChargeIndex.trivial(acc + q)
+        acc += q
+        blk = np.asarray(amps, dtype=np.complex128).reshape(1, -1, 1)
+        key = (0, phys.position(q), 0)
+        gammas.append(SymmetricTensor((left, phys, right), (IN, IN, OUT), {key: blk}, 0))
+        lambdas.append({acc: np.array([1.0])})
+    return CanonicalMps(gammas, lambdas[:-1], total_charge=acc)
+
+
 def from_fock(occupations: list[int], d: int) -> CanonicalMps:
     """Product (Fock) state; bond dimension one everywhere."""
     occupations = [int(j) for j in occupations]
     if any(j < 0 or j >= d for j in occupations):
         raise ValueError("local dimension exceeded")
-    phys = ChargeIndex.occupation(d)
-    gammas = []
-    lambdas = []
-    acc = 0
-    for i, j in enumerate(occupations):
-        left = ChargeIndex.trivial(acc)
-        acc += j
-        right = ChargeIndex.trivial(acc)
-        blk = np.ones((1, 1, 1), dtype=np.complex128)
-        gammas.append(
-            SymmetricTensor((left, phys, right), (IN, IN, OUT), {(0, j, 0): blk}, 0)
-        )
-        if i < len(occupations) - 1:
-            lambdas.append({acc: np.array([1.0])})
-    return CanonicalMps(gammas, lambdas, total_charge=acc)
+    return product_mps(ChargeIndex.occupation(d), [(j, np.ones(1)) for j in occupations])
 
 
-def canonicalize(
-    site_tensors: list[SymmetricTensor],
-    policy: TruncationPolicy | None = None,
-) -> tuple[CanonicalMps, float]:
+def canonicalize(site_tensors: list[SymmetricTensor]) -> tuple[CanonicalMps, float]:
     """Bring an arbitrary (bond-in, phys, bond-out) chain to Vidal form.
 
-    Returns the canonical state and the norm of the input chain.  Raises
-    ``ZeroNormError`` if the chain represents the zero vector.
+    No cap on the bond dimension; values below ``LAMBDA_FLOOR`` are
+    dropped.  Returns the canonical state and the norm of the input chain.
+    Raises ``ZeroNormError`` if the chain represents the zero vector.
     """
-    if policy is None:
-        policy = TruncationPolicy(None, LAMBDA_FLOOR)
-    eff = TruncationPolicy(policy.chi_max, max(policy.singular_value_floor, LAMBDA_FLOOR))
+    exact = TruncationPolicy(None, LAMBDA_FLOOR)
     L = len(site_tensors)
     tensors = [t.copy() for t in site_tensors]
 
@@ -358,9 +361,8 @@ def canonicalize(
 
     # right-to-left sweep: make sites 2..L right-isometric
     for m in range(L - 1, 0, -1):
-        res = block_svd(tensors[m], (0,), TruncationPolicy(None, LAMBDA_FLOOR), normalize=False)
-        tensors[m] = res.right
-        carry = scale_axis(res.left, 1, res.spectrum.to_dict())
+        left, values, tensors[m], _, _ = block_svd(tensors[m], (0,), exact)
+        carry = scale_axis(left, 1, values)
         tensors[m - 1] = contract(tensors[m - 1], carry, [(2, 0)])
 
     # left-to-right sweep: extract Schmidt spectra and Gamma tensors
@@ -369,16 +371,16 @@ def canonicalize(
     norm_val = None
     prev_lam: dict[int, np.ndarray] | None = None
     for m in range(L - 1):
-        res = block_svd(tensors[m], (0, 1), eff, normalize=False)
+        left, values, right, kept_norm, discarded_norm = block_svd(tensors[m], (0, 1), exact)
         if norm_val is None:
-            norm_val = float(np.sqrt(res.kept_norm**2 + res.discarded_norm**2))
+            norm_val = float(np.sqrt(kept_norm**2 + discarded_norm**2))
             if norm_val < 1e-300:
                 raise ZeroNormError("zero norm")
-        lam = {q: v / norm_val for q, v in res.spectrum.to_dict().items()}
-        gamma = res.left if prev_lam is None else scale_axis(res.left, 0, prev_lam, inverse=True)
+        lam = {q: v / norm_val for q, v in values.items()}
+        gamma = left if prev_lam is None else scale_axis(left, 0, prev_lam, inverse=True)
         gammas.append(gamma)
         lambdas.append(lam)
-        carry = scale_axis(res.right, 0, res.spectrum.to_dict())
+        carry = scale_axis(right, 0, values)
         tensors[m + 1] = contract(carry, tensors[m + 1], [(1, 0)])
         prev_lam = lam
 
@@ -405,7 +407,6 @@ def add(
     b: CanonicalMps,
     coeff_a: complex = 1.0,
     coeff_b: complex = 1.0,
-    policy: TruncationPolicy | None = None,
 ) -> tuple[CanonicalMps, float]:
     """coeff_a * |a> + coeff_b * |b>, recanonicalized.
 
@@ -465,7 +466,7 @@ def add(
         site_tensors.append(
             SymmetricTensor((left_ix, ta.indices[1], right_ix), (IN, IN, OUT), blocks, 0)
         )
-    return canonicalize(site_tensors, policy)
+    return canonicalize(site_tensors)
 
 
 # -- serialization ---------------------------------------------------------------

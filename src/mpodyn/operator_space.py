@@ -216,30 +216,12 @@ def identity_superstate(L: int, d: int, mode: str = GRAND_CANONICAL) -> SuperSta
     """Superstate of the identity operator: a product of local Bell-like pairs.
 
     Bond dimension 1, zero entanglement between sites; the unnormalized
-    trace convention gives Hilbert-Schmidt norm d**(L/2), carried by the
+    trace convention gives Hilbert-Schmidt norm sqrt(d)**L, carried by the
     prefactor.
     """
     if L < 1 or d < 2:
         raise ValueError("need L >= 1 and d >= 2")
-    if mode == CANONICAL:
-        raise ValueError("identity is not definite in a single input-number sector")
-    phys = super_site_index(d, mode)
-    states = super_site_states(d, mode)
-    vec = np.zeros(phys.dims[phys.position(0)], dtype=np.complex128)
-    sec = phys.position(0)
-    for pos, (j, i) in enumerate(states[sec]):
-        if j == i:
-            vec[pos] = 1.0 / np.sqrt(d)
-    gammas = []
-    lambdas = []
-    triv = ChargeIndex.trivial(0)
-    for m in range(L):
-        blk = vec.reshape(1, -1, 1)
-        gammas.append(SymmetricTensor((triv, phys, triv), (IN, IN, OUT), {(0, sec, 0): blk}, 0))
-        if m < L - 1:
-            lambdas.append({0: np.array([1.0])})
-    mps = CanonicalMps(gammas, lambdas, total_charge=0)
-    return SuperState(mps, L, d, mode, 0, d ** (L / 2.0))
+    return lift_product_operator([LocalOperator(d, np.eye(d), 0)] * L, mode)
 
 
 def lift_product_operator(
@@ -261,41 +243,20 @@ def lift_product_operator(
         raise ChargeMismatchError("indefinite charge")
 
     L = len(factors)
+    deltas = [f.delta_n for f in factors]
+    delta = None if None in deltas else sum(deltas)
     phys = super_site_index(d, mode)
     states = super_site_states(d, mode)
     prefactor = 1.0
-    gammas = []
-    lambdas = []
-    acc = 0
-    for m, f in enumerate(factors):
+    sites = []
+    for f in factors:
         nf = f.hs_norm()
         if nf == 0.0:
-            delta = sum(g.delta_n or 0 for g in factors)
             return SuperState.zero(L, d, mode, delta)
         prefactor *= nf
-        left = ChargeIndex.trivial(acc)
-        if mode == GRAND_CANONICAL:
-            sec = phys.position(f.delta_n)
-            acc += f.delta_n
-        else:
-            sec = 0
-        right = ChargeIndex.trivial(acc)
-        vec = np.zeros(phys.dims[sec], dtype=np.complex128)
-        for pos, (j, i) in enumerate(states[sec]):
-            vec[pos] = f.entries[i, j] / nf
-        gammas.append(
-            SymmetricTensor(
-                (left, phys, right), (IN, IN, OUT), {(0, sec, 0): vec.reshape(1, -1, 1)}, 0
-            )
-        )
-        if m < L - 1:
-            lambdas.append({acc: np.array([1.0])})
-    delta = sum(f.delta_n or 0 for f in factors) if mode == GRAND_CANONICAL else None
-    if mode == BRUTE:
-        deltas = [f.delta_n for f in factors]
-        delta = sum(deltas) if all(x is not None for x in deltas) else None
-    mps = CanonicalMps(gammas, lambdas, total_charge=acc)
-    return SuperState(mps, L, d, mode, delta, prefactor)
+        q = f.delta_n if mode == GRAND_CANONICAL else 0
+        sites.append((q, [f.entries[i, j] / nf for j, i in states[phys.position(q)]]))
+    return SuperState(mps_core.product_mps(phys, sites), L, d, mode, delta, prefactor)
 
 
 def embed_factor(op: LocalOperator, site: int, L: int) -> list[LocalOperator]:

@@ -33,42 +33,17 @@ from .operator_space import (
 )
 
 
-class OccupancyCount:
-    """Number of ways to place n indistinguishable particles on L sites with
-    at most d-1 per site; memoized exact integers."""
-
-    def __init__(self, d: int):
-        if d < 2:
-            raise ValueError("need d >= 2")
-        self.d = d
-        self.memo: dict[tuple[int, int], int] = {}
-
-    def count(self, n: int, L: int) -> int:
-        if n < 0 or L < 0:
-            return 0
-        if L == 0:
-            return 1 if n == 0 else 0
-        key = (n, L)
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-        total = sum(self.count(n - j, L - 1) for j in range(min(n, self.d - 1) + 1))
-        self.memo[key] = total
-        return total
-
-
 @lru_cache(maxsize=None)
-def _counter(d: int) -> OccupancyCount:
-    return OccupancyCount(d)
-
-
 def omega(d: int, n: int, L: int) -> int:
-    """Exact occupancy count Omega_d(n, L); 0 for infeasible n."""
-    if d < 2 or L < 0 or n < 0:
-        if n < 0:
-            return 0
+    """Exact occupancy count Omega_d(n, L): ways to place n indistinguishable
+    particles on L sites with at most d-1 per site; 0 for infeasible n."""
+    if n < 0:
+        return 0
+    if d < 2 or L < 0:
         raise ValueError("need d >= 2 and L >= 0")
-    return _counter(d).count(n, L)
+    if L == 0:
+        return int(n == 0)
+    return sum(omega(d, n - j, L - 1) for j in range(min(n, d - 1) + 1))
 
 
 def _lambda_sq(d: int, N: int, L: int, m: int, l: int) -> Fraction:

@@ -10,8 +10,15 @@ from mpodyn.charge_tensor import (
     ZeroNormError,
     block_svd,
     contract,
+    global_truncation,
+    scale_axis,
     SymmetricTensor,
 )
+
+
+def descending(values):
+    """All values of a bond spectrum dict, largest first."""
+    return np.sort(np.concatenate(list(values.values())))[::-1]
 
 
 def make_random_three_leg(rng):
@@ -95,9 +102,9 @@ class TestBlockSvd:
         t = SymmetricTensor(
             (ix, ix), (IN, OUT), {(0, 0): np.eye(2, dtype=complex)}, 0
         )
-        res = block_svd(t, (0,), TruncationPolicy(2, 0.0), normalize=False)
-        assert np.allclose(res.spectrum.values, [1.0, 1.0])
-        assert res.discarded_norm == 0.0
+        _, values, _, _, discarded = block_svd(t, (0,), TruncationPolicy(2, 0.0))
+        assert np.allclose(descending(values), [1.0, 1.0])
+        assert discarded == 0.0
 
     def test_global_top_chi_across_blocks(self):
         ix = ChargeIndex(((0, 1), (1, 2)))
@@ -106,37 +113,33 @@ class TestBlockSvd:
             (1, 1): np.diag([0.8, 0.1]).astype(complex),
         }
         t = SymmetricTensor((ix, ix), (IN, OUT), blocks, 0)
-        res = block_svd(t, (0,), TruncationPolicy(2, 0.0), normalize=False)
-        assert np.allclose(res.spectrum.values, [0.9, 0.8])
-        assert np.allclose(res.discarded_norm, 0.1)
+        _, values, _, _, discarded = block_svd(t, (0,), TruncationPolicy(2, 0.0))
+        assert np.allclose(descending(values), [0.9, 0.8])
+        assert np.allclose(discarded, 0.1)
 
     def test_reconstruction_matches_dense_svd(self, rng):
         t = make_random_three_leg(rng)
-        res = block_svd(t, (0, 1), TruncationPolicy(None, 0.0), normalize=False)
-        lam = {q: v for q, v in res.spectrum.sectors}
-        from mpodyn.charge_tensor import scale_axis
-
-        rebuilt = contract(scale_axis(res.left, 2, lam), res.right, [(2, 0)])
+        left, values, right, _, _ = block_svd(t, (0, 1), TruncationPolicy(None, 0.0))
+        rebuilt = contract(scale_axis(left, 2, values), right, [(2, 0)])
         assert np.max(np.abs(rebuilt.densify() - t.densify())) < 1e-12
         # dense SVD oracle: the same values, globally sorted
         dense = t.densify().reshape(t.shape[0] * t.shape[1], t.shape[2])
         s_dense = np.linalg.svd(dense, compute_uv=False)
         s_dense = s_dense[s_dense > 1e-13]
-        assert np.allclose(np.sort(res.spectrum.values)[::-1][: len(s_dense)], s_dense)
+        assert np.allclose(descending(values)[: len(s_dense)], s_dense)
 
     def test_normalized_spectrum(self, rng):
         t = make_random_three_leg(rng)
-        res = block_svd(t, (0, 1), TruncationPolicy(4, 0.0), normalize=True)
-        assert abs(np.sum(res.spectrum.values**2) - 1.0) < 1e-12
-        # discarded weight reported before normalization
-        assert abs(res.kept_norm**2 + res.discarded_norm**2 - t.norm() ** 2) < 1e-10
+        _, values, _, kept, discarded = block_svd(t, (0, 1), TruncationPolicy(4, 0.0))
+        # values come back unnormalized; kept_norm is their 2-norm
+        assert abs(np.sum(descending(values) ** 2) - kept**2) < 1e-12
+        assert abs(kept**2 + discarded**2 - t.norm() ** 2) < 1e-10
 
     def test_kept_values_dominate_discarded(self, rng):
         t = make_random_three_leg(rng)
-        full = block_svd(t, (0, 1), TruncationPolicy(None, 0.0), normalize=False)
-        cut = block_svd(t, (0, 1), TruncationPolicy(3, 0.0), normalize=False)
-        all_vals = full.spectrum.values
-        assert cut.spectrum.values.min() >= all_vals[3:].max() - 1e-14
+        all_vals = descending(block_svd(t, (0, 1), TruncationPolicy(None, 0.0))[1])
+        cut = descending(block_svd(t, (0, 1), TruncationPolicy(3, 0.0))[1])
+        assert cut.min() >= all_vals[3:].max() - 1e-14
 
     def test_zero_tensor_raises(self):
         ix = ChargeIndex(((0, 2),))
@@ -154,9 +157,47 @@ class TestBlockSvd:
 
     def test_deterministic_under_thread_count(self, rng, monkeypatch):
         t = make_random_three_leg(rng)
-        res1 = block_svd(t, (0, 1), TruncationPolicy(5, 0.0))
+        left1, values1, _, _, _ = block_svd(t, (0, 1), TruncationPolicy(5, 0.0))
         monkeypatch.setenv("MPODYN_THREADS", "4")
-        res2 = block_svd(t, (0, 1), TruncationPolicy(5, 0.0))
-        assert np.array_equal(res1.spectrum.values, res2.spectrum.values)
-        for key in res1.left.blocks:
-            assert np.array_equal(res1.left.blocks[key], res2.left.blocks[key])
+        left2, values2, _, _, _ = block_svd(t, (0, 1), TruncationPolicy(5, 0.0))
+        assert values1.keys() == values2.keys()
+        for q in values1:
+            assert np.array_equal(values1[q], values2[q])
+        for key in left1.blocks:
+            assert np.array_equal(left1.blocks[key], left2.blocks[key])
+
+
+class TestGlobalTruncation:
+    """The one tie-break rule: descending value, then lower charge, then
+    position in the sector."""
+
+    def test_tie_at_cutoff_keeps_lower_charge(self):
+        values = {1: np.array([0.5, 0.2]), 0: np.array([0.9, 0.5, 0.1])}
+        counts, _, _ = global_truncation(values, TruncationPolicy(2, 0.0))
+        assert counts == {0: 2}
+        counts, _, _ = global_truncation(values, TruncationPolicy(3, 0.0))
+        assert counts == {0: 2, 1: 1}
+
+    def test_kept_counts_are_prefixes(self):
+        # equal values inside one sector are kept in sector order
+        values = {0: np.array([0.6, 0.4, 0.4, 0.4]), 2: np.array([0.4, 0.4])}
+        for chi in range(1, 7):
+            counts, _, _ = global_truncation(values, TruncationPolicy(chi, 0.0))
+            assert sum(counts.values()) == chi
+            assert counts[0] == min(chi, 4)
+            assert counts.get(2, 0) == max(0, chi - 4)
+
+    def test_norms(self):
+        values = {0: np.array([0.8, 0.3]), 1: np.array([0.4, 0.2])}
+        counts, kept, discarded = global_truncation(values, TruncationPolicy(2, 0.0))
+        assert counts == {0: 1, 1: 1}
+        assert abs(kept - np.sqrt(0.8**2 + 0.4**2)) < 1e-15
+        assert abs(discarded - np.sqrt(0.3**2 + 0.2**2)) < 1e-15
+        counts, kept, discarded = global_truncation(values, TruncationPolicy(None, 0.25))
+        assert counts == {0: 2, 1: 1}
+        assert abs(discarded - 0.2) < 1e-15
+
+    def test_floor_above_every_value_raises(self):
+        values = {0: np.array([0.8, 0.3]), 1: np.array([0.4])}
+        with pytest.raises(ZeroNormError):
+            global_truncation(values, TruncationPolicy(None, 0.9))

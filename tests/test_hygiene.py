@@ -1,4 +1,5 @@
-"""Source hygiene: every name a package module imports is used in it."""
+"""Source hygiene: every name a package module imports is used in it, and
+every module-level private function or class is read somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -22,6 +23,20 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
+def unused_private_helpers(source: str) -> list[str]:
+    """Module-level ``_name`` functions and classes that the module never reads."""
+    tree = ast.parse(source)
+    defined = [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in defined if name not in read]
+
+
 def test_detects_unused_import():
     src = "import itertools\nimport numpy as np\nfrom .x import A, B\nprint(np.pi, A)\n"
     assert unused_imports(src) == ["itertools", "B"]
@@ -30,3 +45,18 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_detects_unused_private_helper():
+    src = (
+        "def _used():\n    return 1\n"
+        "def _dead():\n    return _used()\n"
+        "class _Gone:\n    pass\n"
+        "def public():\n    def _inner():\n        pass\n    return _used\n"
+    )
+    assert unused_private_helpers(src) == ["_dead", "_Gone"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_private_helpers(path):
+    assert unused_private_helpers(path.read_text()) == []

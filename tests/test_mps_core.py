@@ -47,25 +47,35 @@ class TestSchmidtSpectrum:
     def test_product_state_single_value(self):
         psi = from_fock([1, 0, 1], 2)
         spec = psi.schmidt_spectrum(1)
-        assert np.allclose(spec.values, [1.0])
-        assert spec.charges[0] == 1  # one particle left of the bond
+        assert list(spec) == [1]  # one particle left of the bond
+        assert np.allclose(spec[1], [1.0])
 
     def test_bell_pair(self):
         psi = uniform_fock_superposition(1, 2, 2)
         spec = psi.schmidt_spectrum(1)
-        assert np.allclose(spec.values, [2**-0.5, 2**-0.5])
-        assert set(spec.charges) == {0, 1}
+        assert set(spec) == {0, 1}
+        assert all(np.allclose(v, [2**-0.5]) for v in spec.values())
 
     def test_uniform_two_particle_spins(self):
         # enumeration oracle: lambda^2 at bond 2 of L=4, d=2 is (1,4,1)/6
         psi = uniform_fock_superposition(2, 4, 2)
         spec = psi.schmidt_spectrum(2)
-        assert np.allclose(np.sort(spec.values**2), np.sort([1 / 6, 4 / 6, 1 / 6]))
+        assert {q: v**2 for q, v in spec.items()} == pytest.approx(
+            {0: [1 / 6], 1: [4 / 6], 2: [1 / 6]}
+        )
 
     def test_bond_out_of_range(self):
         psi = from_fock([0, 1], 2)
         with pytest.raises(ValueError):
             psi.schmidt_spectrum(2)
+
+    def test_returns_copy(self):
+        psi = uniform_fock_superposition(1, 2, 2)
+        spec = psi.schmidt_spectrum(1)
+        spec[0][0] = 5.0
+        del spec[1]
+        assert set(psi.lambdas[0]) == {0, 1}
+        assert np.allclose(psi.lambdas[0][0], [2**-0.5])
 
 
 class TestEntropy:
@@ -92,12 +102,14 @@ class TestEntropy:
 class TestGateApplication:
     def test_identity_gate_keeps_lambdas(self, rng):
         psi = random_charge_mps(4, 2, [0, 1, 1, 0], rng)
-        before = psi.schmidt_spectrum(2).values
+        before = psi.schmidt_spectrum(2)
         ident = BondGate(np.eye(4, dtype=complex), ChargeIndex.occupation(2))
         rec = psi.apply_two_site_gate(2, ident, UNRESTRICTED)
         assert abs(rec.nu - 1.0) < 1e-12
         assert rec.discarded_weight < 1e-12
-        assert np.allclose(np.sort(psi.schmidt_spectrum(2).values), np.sort(before))
+        after = psi.schmidt_spectrum(2)
+        assert after.keys() == before.keys()
+        assert all(np.allclose(after[q], before[q]) for q in before)
 
     def test_swap_gate_on_fock(self):
         swap = np.zeros((4, 4), dtype=complex)

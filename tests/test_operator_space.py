@@ -109,6 +109,13 @@ class TestLift:
         expected = oracle.site_operator(np.array([[0, 1], [1, 0]]), 1, 2)
         assert np.max(np.abs(s.densify() - expected)) < 1e-12
 
+    def test_zero_product_keeps_indefinite_charge_brute(self):
+        sx = LocalOperator.from_matrix(np.array([[0, 1], [1, 0]]))
+        zero = lift_product_operator([LocalOperator(2, np.zeros((2, 2)), 0), sx], mode=BRUTE)
+        assert zero.is_zero and zero.delta_n is None
+        s = lift_product_operator(embed_factor(sx, 2, 2), mode=BRUTE)
+        assert np.max(np.abs(add(s, zero).densify() - s.densify())) < 1e-12
+
     def test_current_operator_chi_two(self):
         L, d = 4, 2
         a, adag = annihilator_local(d), creator_local(d)

@@ -11,7 +11,6 @@ from mpodyn import oracle
 from mpodyn.models import SIGMA_Z, annihilator_local, identity_local, sigma_z_local
 from mpodyn.operator_space import GRAND_CANONICAL, embed_factor, lift_product_operator
 from mpodyn.projector import (
-    OccupancyCount,
     _lambda_sq,
     omega,
     project_operator,
@@ -55,9 +54,19 @@ class TestOmega:
             assert omega(2, n, L) == (comb(L, n) if n <= L else 0)
 
     def test_memo_table_object(self):
-        counter = OccupancyCount(3)
-        assert counter.count(2, 4) == 10
-        assert (2, 4) in counter.memo
+        assert omega(3, 2, 4) == 10
+        hits = omega.cache_info().hits
+        assert omega(3, 2, 4) == 10
+        assert omega.cache_info().hits == hits + 1
+
+    def test_argument_contract(self):
+        assert omega(1, -1, 3) == 0  # negative n is infeasible before any check
+        with pytest.raises(ValueError):
+            omega(1, 2, 3)
+        with pytest.raises(ValueError):
+            omega(3, 2, -1)
+        big = omega(4, 30, 40)
+        assert type(big) is int and big > 2**53
 
 
 class TestLambdaWeights:
