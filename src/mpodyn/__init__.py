@@ -24,7 +24,6 @@ from .operator_space import (
     GRAND_CANONICAL,
     LocalOperator,
     SuperState,
-    add,
     apply_out_chain,
     embed_factor,
     expectation_in_state,

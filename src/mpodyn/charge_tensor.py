@@ -177,17 +177,6 @@ class SymmetricTensor:
             -self.total_charge,
         )
 
-    def transpose(self, perm: tuple[int, ...]) -> "SymmetricTensor":
-        return SymmetricTensor(
-            tuple(self.indices[p] for p in perm),
-            tuple(self.directions[p] for p in perm),
-            {
-                tuple(key[p] for p in perm): np.transpose(blk, perm)
-                for key, blk in self.blocks.items()
-            },
-            self.total_charge,
-        )
-
     def scale(self, factor: complex) -> "SymmetricTensor":
         return SymmetricTensor(
             self.indices,

@@ -73,6 +73,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.method == CANONICAL and self.observable != "density" and self.n_sector is None:
             raise ValueError("canonical method requires --n")
+        if not 1 <= self.site <= self.length:
+            raise ValueError("site out of range")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if not 0 < self.cutoff_budget <= 1:

@@ -19,7 +19,7 @@ from functools import lru_cache
 from .charge_tensor import TruncationPolicy, ZeroNormError
 from .models import BondGate, ModelSpec, bond_gate, super_gate
 from .mps_core import CanonicalMps, TruncationRecord, load_mps, save_mps
-from .operator_space import SuperState
+from .operator_space import SuperState, default_qbase
 
 
 @lru_cache(maxsize=None)
@@ -28,8 +28,8 @@ def _cached_bond_gate(spec: ModelSpec, m: int, dt_fraction: float) -> BondGate:
 
 
 @lru_cache(maxsize=None)
-def _cached_super_gate(spec: ModelSpec, m: int, dt_fraction: float, mode: str, qbase: int | None) -> BondGate:
-    return super_gate(_cached_bond_gate(spec, m, dt_fraction), mode, qbase)
+def _cached_super_gate(spec: ModelSpec, m: int, dt_fraction: float, mode: str) -> BondGate:
+    return super_gate(_cached_bond_gate(spec, m, dt_fraction), mode, default_qbase(spec.L, spec.d))
 
 
 @dataclass(frozen=True)
@@ -105,11 +105,6 @@ class EvolutionLog:
     def accumulated_cutoff(self) -> float:
         return 1.0 - self.nu_product
 
-    @property
-    def sum_approximation(self) -> float:
-        """First-order estimate of the cutoff: sum of single-step losses."""
-        return float(sum(1.0 - r.nu for r in self.records))
-
     def record(self, rec: TruncationRecord) -> None:
         self.records.append(rec)
         self.nu_product *= rec.nu
@@ -144,7 +139,7 @@ def evolve(
     def gate_for(m: int, coeff: float):
         dt_frac = coeff * schedule.dt
         if is_super:
-            return _cached_super_gate(spec, m, dt_frac, target.mode, target.qbase)
+            return _cached_super_gate(spec, m, dt_frac, target.mode)
         return _cached_bond_gate(spec, m, dt_frac)
 
     log = EvolutionLog()
@@ -202,7 +197,6 @@ def save_checkpoint(path_prefix: str, target, log: EvolutionLog, time: float) ->
             "mode": target.mode,
             "delta_n": target.delta_n,
             "in_charge": target.in_charge,
-            "qbase": target.qbase,
             "prefactor": [target.prefactor.real, target.prefactor.imag],
         }
     with open(path_prefix + ".json", "w") as fh:
@@ -224,7 +218,6 @@ def load_checkpoint(path_prefix: str):
             s["delta_n"],
             complex(s["prefactor"][0], s["prefactor"][1]),
             s["in_charge"],
-            s["qbase"],
         )
     else:
         target = mps

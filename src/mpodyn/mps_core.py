@@ -257,26 +257,6 @@ class CanonicalMps:
             vec = np.einsum("pa,akb->kpb", vec, t).reshape(-1, t.shape[2])
         return vec[:, 0]
 
-    # -- overlaps ---------------------------------------------------------------
-
-    def inner_product(self, other: "CanonicalMps") -> complex:
-        """<self|other>; exact 0 when total charges are definite and differ."""
-        if self.L != other.L or self.site_dims != other.site_dims:
-            raise ValueError("shape mismatch")
-        if (
-            self.total_charge is not None
-            and other.total_charge is not None
-            and self.total_charge != other.total_charge
-        ):
-            return 0.0 + 0.0j
-        env = np.ones((1, 1), dtype=np.complex128)
-        for m in range(1, self.L + 1):
-            env = overlap_step(env, self.site_tensor_dense(m), other.site_tensor_dense(m))
-        return complex(env[0, 0])
-
-    def norm(self) -> float:
-        return float(np.sqrt(abs(self.inner_product(self))))
-
     def assert_canonical(self, atol: float = 1e-8) -> None:
         """Verify bond normalization and the left/right orthogonality conditions."""
         for m in range(1, self.L):
@@ -388,85 +368,6 @@ def canonicalize(site_tensors: list[SymmetricTensor]) -> tuple[CanonicalMps, flo
     last = scale_axis(last, 0, prev_lam, inverse=True)
     gammas.append(last)
     return CanonicalMps(gammas, lambdas, total_charge), norm_val
-
-
-def _bond_direct_sum(ix_a: ChargeIndex, ix_b: ChargeIndex):
-    """Merged ChargeIndex plus per-sector embedding offsets for each operand."""
-    charges = sorted(set(ix_a.charges) | set(ix_b.charges))
-    dims_a = dict(ix_a.sectors)
-    dims_b = dict(ix_b.sectors)
-    sectors = tuple((q, dims_a.get(q, 0) + dims_b.get(q, 0)) for q in charges)
-    merged = ChargeIndex(sectors)
-    off_a = {q: 0 for q in charges}
-    off_b = {q: dims_a.get(q, 0) for q in charges}
-    return merged, off_a, off_b
-
-
-def add(
-    a: CanonicalMps,
-    b: CanonicalMps,
-    coeff_a: complex = 1.0,
-    coeff_b: complex = 1.0,
-) -> tuple[CanonicalMps, float]:
-    """coeff_a * |a> + coeff_b * |b>, recanonicalized.
-
-    Returns the normalized sum and its norm.  Operands must share the
-    physical grading and, when definite, the total charge.
-    """
-    if a.L != b.L or [ix.sectors for ix in a.phys_indices] != [
-        ix.sectors for ix in b.phys_indices
-    ]:
-        raise ValueError("shape mismatch")
-    if (
-        a.total_charge is not None
-        and b.total_charge is not None
-        and a.total_charge != b.total_charge
-    ):
-        raise ChargeMismatchError("charge mismatch")
-
-    L = a.L
-    site_tensors = []
-    for m in range(1, L + 1):
-        ta, tb = a.site_tensor(m), b.site_tensor(m)
-        if m == 1:
-            ta = ta.scale(coeff_a)
-            tb = tb.scale(coeff_b)
-        left_ix, la, lb = (
-            (ta.indices[0], None, None)
-            if m == 1
-            else _bond_direct_sum(ta.indices[0], tb.indices[0])
-        )
-        right_ix, ra, rb = (
-            (ta.indices[2], None, None)
-            if m == L
-            else _bond_direct_sum(ta.indices[2], tb.indices[2])
-        )
-        blocks: dict[tuple[int, int, int], np.ndarray] = {}
-
-        def _embed(src: SymmetricTensor, loff, roff):
-            for key, blk in src.blocks.items():
-                lq = src.indices[0].charges[key[0]]
-                rq = src.indices[2].charges[key[2]]
-                lpos = left_ix.position(lq)
-                rpos = right_ix.position(rq)
-                nkey = (lpos, key[1], rpos)
-                if nkey not in blocks:
-                    blocks[nkey] = np.zeros(
-                        (left_ix.dims[lpos], src.indices[1].dims[key[1]], right_ix.dims[rpos]),
-                        dtype=np.complex128,
-                    )
-                l0 = 0 if loff is None else loff[lq]
-                r0 = 0 if roff is None else roff[rq]
-                blocks[nkey][
-                    l0 : l0 + blk.shape[0], :, r0 : r0 + blk.shape[2]
-                ] += blk
-
-        _embed(ta, la, ra)
-        _embed(tb, lb, rb)
-        site_tensors.append(
-            SymmetricTensor((left_ix, ta.indices[1], right_ix), (IN, IN, OUT), blocks, 0)
-        )
-    return canonicalize(site_tensors)
 
 
 # -- serialization ---------------------------------------------------------------

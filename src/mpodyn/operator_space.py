@@ -146,12 +146,9 @@ class SuperState:
         delta_n: int | None,
         prefactor: complex,
         in_charge: int | None = None,
-        qbase: int | None = None,
     ):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
-        if mode == CANONICAL and qbase is None:
-            qbase = default_qbase(L, d)
         self.mps = mps
         self.L = L
         self.d = d
@@ -159,11 +156,15 @@ class SuperState:
         self.delta_n = delta_n
         self.prefactor = complex(prefactor)
         self.in_charge = in_charge
-        self.qbase = qbase
 
     @classmethod
-    def zero(cls, L, d, mode, delta_n=0, in_charge=None, qbase=None) -> "SuperState":
-        return cls(None, L, d, mode, delta_n, 0.0, in_charge, qbase)
+    def zero(cls, L, d, mode, delta_n=0, in_charge=None) -> "SuperState":
+        return cls(None, L, d, mode, delta_n, 0.0, in_charge)
+
+    @property
+    def qbase(self) -> int | None:
+        """Canonical-mode packing base, derived from L and d; None otherwise."""
+        return default_qbase(self.L, self.d) if self.mode == CANONICAL else None
 
     @property
     def is_zero(self) -> bool:
@@ -181,7 +182,6 @@ class SuperState:
             self.delta_n,
             self.prefactor,
             self.in_charge,
-            self.qbase,
         )
 
     def osee_profile(self) -> list[float]:
@@ -261,27 +261,12 @@ def lift_product_operator(
 
 def embed_factor(op: LocalOperator, site: int, L: int) -> list[LocalOperator]:
     """Per-site factor list with ``op`` at ``site`` (1-based), identity elsewhere."""
+    if not 1 <= site <= L:
+        raise ValueError("site out of range")
     ident = LocalOperator(op.d, np.eye(op.d), 0)
     factors = [ident] * L
     factors[site - 1] = op
     return factors
-
-
-def add(a: SuperState, b: SuperState) -> SuperState:
-    """Operator sum; bond dimension at most the sum of the operands'."""
-    if a.L != b.L or a.d != b.d or a.mode != b.mode:
-        raise ValueError("shape mismatch")
-    if a.delta_n != b.delta_n or a.in_charge != b.in_charge:
-        raise ChargeMismatchError("charge mismatch")
-    if a.is_zero:
-        return b.copy()
-    if b.is_zero:
-        return a.copy()
-    try:
-        mps, norm = mps_core.add(a.mps, b.mps, a.prefactor, b.prefactor)
-    except ZeroNormError:
-        return SuperState.zero(a.L, a.d, a.mode, a.delta_n, a.in_charge, a.qbase)
-    return SuperState(mps, a.L, a.d, a.mode, a.delta_n, norm, a.in_charge, a.qbase)
 
 
 def apply_out_chain(op: LocalOperator, m: int, s: SuperState) -> SuperState:
@@ -365,9 +350,7 @@ def out_chain_compose(op_s: SuperState, target: SuperState) -> SuperState:
     if target.delta_n is not None and op_s.delta_n is not None:
         new_delta = target.delta_n + op_s.delta_n
     if op_s.is_zero or target.is_zero:
-        return SuperState.zero(
-            target.L, target.d, target.mode, new_delta, target.in_charge, target.qbase
-        )
+        return SuperState.zero(target.L, target.d, target.mode, new_delta, target.in_charge)
 
     d, L, mode = target.d, target.L, target.mode
     if mode == BRUTE:
@@ -425,7 +408,7 @@ def out_chain_compose(op_s: SuperState, target: SuperState) -> SuperState:
     try:
         new_mps, factor = mps_core.canonicalize(site_tensors)
     except ZeroNormError:
-        return SuperState.zero(L, d, mode, new_delta, target.in_charge, target.qbase)
+        return SuperState.zero(L, d, mode, new_delta, target.in_charge)
     return SuperState(
         new_mps,
         L,
@@ -434,5 +417,4 @@ def out_chain_compose(op_s: SuperState, target: SuperState) -> SuperState:
         new_delta,
         target.prefactor * op_s.prefactor * factor,
         target.in_charge,
-        target.qbase,
     )

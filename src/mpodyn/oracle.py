@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy import sparse
 from scipy.sparse.linalg import expm_multiply
 
 from .models import ModelSpec
@@ -39,6 +39,14 @@ def site_operator(op: np.ndarray, m: int, L: int) -> np.ndarray:
     """Embed a single-site matrix at site m (1-based), little-endian basis."""
     d = op.shape[0]
     return np.kron(np.eye(d ** (L - m)), np.kron(op, np.eye(d ** (m - 1))))
+
+
+def _sparse_site(op: np.ndarray, m: int, L: int) -> sparse.csr_matrix:
+    """:func:`site_operator` as a sparse matrix, for building H term by term."""
+    d = op.shape[0]
+    return sparse.kron(
+        sparse.identity(d ** (L - m)), sparse.kron(op, sparse.identity(d ** (m - 1))), format="csr"
+    )
 
 
 def two_site_operator(op2: np.ndarray, m: int, L: int, d: int) -> np.ndarray:
@@ -78,7 +86,12 @@ def dense_total_number(L: int, d: int) -> np.ndarray:
 
 
 def dense_hamiltonian(spec: ModelSpec, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
-    """Full Hamiltonian from the global model formula (not from bond terms)."""
+    """Full Hamiltonian from the global model formula (not from bond terms).
+
+    Each term is a product of sparse site operators, densified before it
+    is summed; every entry of a product holds a single nonzero term, so H
+    is bitwise the one the dense products would give.
+    """
     L, d = spec.L, spec.d
     _check_cap(d**L, cap)
     dim = d**L
@@ -89,16 +102,16 @@ def dense_hamiltonian(spec: ModelSpec, cap: int = DEFAULT_DIM_CAP) -> DenseOpera
         sz = np.array([[-1, 0], [0, 1]], dtype=np.complex128)
         for m in range(1, L):
             for op, w in ((sx, 1.0), (sy, 1.0), (sz, spec.delta)):
-                H += -0.5 * w * site_operator(op, m, L) @ site_operator(op, m + 1, L)
+                H += (-0.5 * w * _sparse_site(op, m, L) @ _sparse_site(op, m + 1, L)).toarray()
     else:
         a = np.diag(np.sqrt(np.arange(1.0, d)), k=1).astype(np.complex128)
         for m in range(1, L):
-            hop = site_operator(a.conj().T, m, L) @ site_operator(a, m + 1, L)
+            hop = (_sparse_site(a.conj().T, m, L) @ _sparse_site(a, m + 1, L)).toarray()
             H += -spec.hopping * (hop + hop.conj().T)
         n = np.diag(np.arange(d, dtype=np.float64)).astype(np.complex128)
         for m in range(1, L + 1):
-            nm = site_operator(n, m, L)
-            H += 0.5 * spec.interaction * (nm @ nm - nm)
+            nm = _sparse_site(n, m, L)
+            H += 0.5 * spec.interaction * (nm @ nm - nm).toarray()
     return DenseOperator(H)
 
 
@@ -129,5 +142,5 @@ def dense_sector_itac(H: np.ndarray, O: np.ndarray, t: float, L: int, d: int, N:
 
 def dense_statevector_evolve(H: np.ndarray, psi: np.ndarray, t: float) -> np.ndarray:
     """exp(-iHt) |psi> with a sparse Krylov propagator."""
-    sp = csr_matrix(H)
+    sp = sparse.csr_matrix(H)
     return expm_multiply(-1j * t * sp, psi.astype(np.complex128))

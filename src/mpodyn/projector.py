@@ -138,7 +138,6 @@ def projector_superstate(N: int, L: int, d: int) -> SuperState:
         delta_n=0,
         prefactor=float(np.sqrt(omega(d, N, L))),
         in_charge=N,
-        qbase=qbase,
     )
 
 
@@ -159,7 +158,7 @@ def project_operator(op, N: int) -> SuperState:
     if delta is None:
         raise ValueError("indefinite charge")
     if N < 0 or N > L * (d - 1) or N - delta < 0 or N - delta > L * (d - 1):
-        return SuperState.zero(L, d, CANONICAL, delta, N, default_qbase(L, d))
+        return SuperState.zero(L, d, CANONICAL, delta, N)
     result = projector_superstate(N, L, d)
     if isinstance(op, SuperState):
         return out_chain_compose(op, result)
@@ -177,6 +176,8 @@ def projector_osee(N: int, L: int, d: int, m: int) -> float:
     evaluated directly from the exact Schmidt weights."""
     if not 1 <= m <= L - 1:
         raise ValueError("bond out of range")
+    if N < 0 or N > L * (d - 1):
+        raise ValueError("infeasible particle number")
     total = 0.0
     for l in range(N + 1):
         p = _lambda_sq(d, N, L, m, l)

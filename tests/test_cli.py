@@ -74,6 +74,22 @@ class TestSimulate:
         assert rc == 2
         assert "requires --n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("site", [0, 5])
+    def test_site_out_of_range_exit_code(self, tmp_path, capsys, command, site):
+        out = tmp_path / "x.csv"
+        run = ["--method", "grand-canonical"] if command == "simulate" else ["--run", "method=brute"]
+        rc = main(
+            [
+                command, "--model", "xxz", "--length", "4", "--observable", "itac",
+                "--site", str(site), "--dt", "0.25", "--tmax", "0.25", "--output", str(out),
+            ]
+            + run
+        )
+        assert rc == 2
+        assert "site out of range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_budget_termination_reported(self, tmp_path):
         out = tmp_path / "b.csv"
         rc = main(
@@ -138,6 +154,18 @@ class TestProjectorOsee:
         for n, s in zip(range(1, 21), vals):
             assert s <= np.log2(n + 1) + 1e-12
         assert all(b > a for a, b in zip(vals, vals[1:]))  # monotone up to L/2
+
+    def test_infeasible_particle_number_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "osee.csv"
+        rc = main(
+            [
+                "projector-osee", "--d", "2", "--length", "4",
+                "--n-range", "0:6", "--bond", "2", "--output", str(out),
+            ]
+        )
+        assert rc == 2
+        assert "infeasible particle number" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOracleCheck:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,16 +15,18 @@ from mpodyn.evolution import (
     save_checkpoint,
     sublattice_bonds,
 )
-from mpodyn.models import ModelSpec, SIGMA_Z, sigma_z_local
+from mpodyn.models import ModelSpec, SIGMA_Z, annihilator_local, sigma_z_local
 from mpodyn.mps_core import TruncationRecord, from_fock
 from mpodyn.operator_space import (
+    CANONICAL,
     GRAND_CANONICAL,
+    default_qbase,
     embed_factor,
     hs_trace_pair,
     identity_superstate,
     lift_product_operator,
 )
-from mpodyn.projector import projector_superstate
+from mpodyn.projector import project_operator, projector_superstate
 
 from conftest import random_charge_mps
 
@@ -200,7 +204,8 @@ class TestAccumulatedCutoff:
             log.record(TruncationRecord(1, 0.9999, 0.01414, 2))
         assert abs(log.accumulated_cutoff - (1 - 0.9999**100)) < 1e-12
         assert abs(log.accumulated_cutoff - 9.95e-3) < 5e-5
-        assert abs(log.sum_approximation - 1.0e-2) < 1e-12
+        # the product stays below the first-order sum of single-step losses
+        assert log.accumulated_cutoff < sum(1.0 - r.nu for r in log.records)
 
     def test_norm_bookkeeping(self, rng):
         # stored norm times the nu product recovers the unnormalized norm
@@ -229,4 +234,26 @@ class TestCheckpoint:
         assert t == 0.3
         assert log2.termination_reason == log.termination_reason
         assert len(log2.records) == len(log.records)
+        assert np.max(np.abs(target.densify() - s.densify())) < 1e-12
+
+    def test_canonical_superstate_round_trip(self, tmp_path):
+        # the packing base is not stored: it is derived from L and d on load
+        spec = ModelSpec.xxz(4, 0.5)
+        s = project_operator(embed_factor(annihilator_local(2), 2, 4), 2)
+        log = evolve(s, spec, make_schedule(2, 0.1), 0.3, UNRESTRICTED)
+        prefix = str(tmp_path / "ckpt")
+        save_checkpoint(prefix, s, log, 0.3)
+        with open(prefix + ".json") as fh:
+            meta = json.load(fh)
+        assert "qbase" not in meta["super"]
+        target, _, _ = load_checkpoint(prefix)
+        assert target.mode == CANONICAL
+        assert target.qbase == default_qbase(4, 2)
+        assert (target.in_charge, target.delta_n) == (2, 1)
+        assert np.max(np.abs(target.densify() - s.densify())) < 1e-12
+        # sidecars written before the base was derived still load
+        meta["super"]["qbase"] = default_qbase(4, 2)
+        with open(prefix + ".json", "w") as fh:
+            json.dump(meta, fh)
+        target, _, _ = load_checkpoint(prefix)
         assert np.max(np.abs(target.densify() - s.densify())) < 1e-12

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mpodyn.charge_tensor import ChargeMismatchError, TruncationPolicy, ZeroNormError
-from mpodyn.mps_core import CanonicalMps, add, from_fock, load_mps, save_mps
+from mpodyn.mps_core import CanonicalMps, from_fock, load_mps, save_mps
 from mpodyn.models import BondGate, super_gate
 from mpodyn.operator_space import CANONICAL, GRAND_CANONICAL, identity_superstate
 from mpodyn.charge_tensor import ChargeIndex
@@ -203,44 +203,6 @@ class TestGateApplication:
         gate = BondGate(proj, ChargeIndex.occupation(2))
         with pytest.raises(ZeroNormError, match="state annihilated"):
             psi.apply_two_site_gate(1, gate, UNRESTRICTED)
-
-
-class TestInnerProduct:
-    def test_self_overlap_is_one(self, rng):
-        psi = random_charge_mps(5, 2, [1, 0, 1, 0, 0], rng)
-        assert abs(psi.inner_product(psi) - 1.0) < 1e-10
-
-    def test_orthogonal_fock_states(self):
-        a = from_fock([0, 1, 1], 2)
-        b = from_fock([1, 1, 0], 2)
-        assert a.inner_product(b) == 0.0
-
-    def test_against_dense(self, rng):
-        a = random_charge_mps(5, 2, [1, 0, 1, 0, 0], rng)
-        b = random_charge_mps(5, 2, [0, 1, 0, 0, 1], rng)
-        dense = np.vdot(a.to_statevector(), b.to_statevector())
-        assert abs(a.inner_product(b) - dense) < 1e-10
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            from_fock([0, 1], 2).inner_product(from_fock([0, 1, 0], 2))
-
-
-class TestAdd:
-    def test_sum_matches_dense(self, rng):
-        a = random_charge_mps(4, 2, [0, 1, 0, 1], rng)
-        b = random_charge_mps(4, 2, [1, 0, 0, 1], rng)
-        total, norm = add(a, b, 0.3, 0.7 + 0.1j)
-        dense = 0.3 * a.to_statevector() + (0.7 + 0.1j) * b.to_statevector()
-        assert abs(norm - np.linalg.norm(dense)) < 1e-10
-        got = total.to_statevector() * norm
-        assert np.max(np.abs(got - dense)) < 1e-10
-
-    def test_charge_mismatch(self, rng):
-        a = from_fock([0, 1], 2)
-        b = from_fock([1, 1], 2)
-        with pytest.raises(ChargeMismatchError):
-            add(a, b)
 
 
 class TestReversibility:

@@ -19,7 +19,6 @@ from mpodyn.operator_space import (
     BRUTE,
     GRAND_CANONICAL,
     LocalOperator,
-    add,
     apply_out_chain,
     embed_factor,
     expectation_in_state,
@@ -28,7 +27,7 @@ from mpodyn.operator_space import (
     lift_product_operator,
     out_chain_compose,
 )
-from mpodyn.projector import projector_superstate, uniform_fock_superposition
+from mpodyn.projector import projector_superstate
 
 
 class TestLocalOperator:
@@ -68,6 +67,11 @@ class TestIdentitySuperstate:
 
 
 class TestLift:
+    @pytest.mark.parametrize("site", [0, 4])
+    def test_embed_site_out_of_range(self, site):
+        with pytest.raises(ValueError, match="site out of range"):
+            embed_factor(sigma_z_local(), site, 3)
+
     def test_sigma_z_product(self):
         s = lift_product_operator(embed_factor(sigma_z_local(), 2, 3))
         assert s.mps.max_bond_dimension() == 1
@@ -113,53 +117,6 @@ class TestLift:
         sx = LocalOperator.from_matrix(np.array([[0, 1], [1, 0]]))
         zero = lift_product_operator([LocalOperator(2, np.zeros((2, 2)), 0), sx], mode=BRUTE)
         assert zero.is_zero and zero.delta_n is None
-        s = lift_product_operator(embed_factor(sx, 2, 2), mode=BRUTE)
-        assert np.max(np.abs(add(s, zero).densify() - s.densify())) < 1e-12
-
-    def test_current_operator_chi_two(self):
-        L, d = 4, 2
-        a, adag = annihilator_local(d), creator_local(d)
-        t1 = [identity_local(d)] * L
-        t1[1], t1[2] = adag, a
-        t2 = [identity_local(d)] * L
-        t2[1], t2[2] = a, adag
-        s1 = lift_product_operator([
-            LocalOperator(d, 1j * f.entries, f.delta_n) if i == 1 else f
-            for i, f in enumerate(t1)
-        ])
-        s2 = lift_product_operator([
-            LocalOperator(d, -1j * f.entries, f.delta_n) if i == 1 else f
-            for i, f in enumerate(t2)
-        ])
-        cur = add(s1, s2)
-        assert cur.mps.max_bond_dimension() == 2
-        amat = boson_annihilator(d)
-        expected = 1j * (
-            oracle.site_operator(amat.conj().T, 2, L) @ oracle.site_operator(amat, 3, L)
-            - oracle.site_operator(amat.conj().T, 3, L) @ oracle.site_operator(amat, 2, L)
-        )
-        assert np.max(np.abs(cur.densify() - expected)) < 1e-12
-
-
-class TestAdd:
-    def test_add_zero(self):
-        s = lift_product_operator(embed_factor(sigma_z_local(), 1, 2))
-        from mpodyn.operator_space import SuperState
-
-        zero = SuperState.zero(2, 2, GRAND_CANONICAL, 0)
-        out = add(s, zero)
-        assert np.max(np.abs(out.densify() - s.densify())) < 1e-12
-
-    def test_doubling_doubles_norm(self):
-        s = lift_product_operator(embed_factor(sigma_z_local(), 1, 2))
-        out = add(s, s)
-        assert abs(out.hs_norm() - 2 * s.hs_norm()) < 1e-12
-
-    def test_delta_mismatch(self):
-        a = lift_product_operator(embed_factor(annihilator_local(3), 1, 2))
-        n = lift_product_operator(embed_factor(number_local(3), 1, 2))
-        with pytest.raises(ChargeMismatchError, match="charge mismatch"):
-            add(a, n)
 
 
 class TestApplyOutChain:
@@ -315,28 +272,13 @@ class TestOsee:
     def test_identity_zero_everywhere(self):
         assert identity_superstate(4, 2).osee_profile() == [0.0, 0.0, 0.0]
 
-    def test_projector_onto_bell_state(self):
-        # |psi><psi| for a Bell pair: the doubled-space vector factorizes
-        # between the chains, so the operator entropy is twice the state's
-        # (dense SVD oracle below); each chain contributes one bit
-        bell = uniform_fock_superposition(1, 2, 2)
-        v = bell.to_statevector()
-        proj = np.outer(v, v.conj())
-        # build as a sum of four Fock dyads, each a product operator
-        terms = []
-        basis = [(0, 1), (1, 0)]
-        for occ_i in basis:
-            for occ_j in basis:
-                factors = []
-                for site in range(2):
-                    m = np.zeros((2, 2), dtype=complex)
-                    m[occ_i[site], occ_j[site]] = 0.5**0.5
-                    factors.append(LocalOperator.from_matrix(m))
-                terms.append(lift_product_operator(factors))
-        total = terms[0]
-        for t in terms[1:]:
-            total = add(total, t)
-        assert np.max(np.abs(total.densify() - proj)) < 1e-12
+    def test_sector_projector_against_schmidt_oracle(self):
+        # P_1 = |01><01| + |10><10| on two spins: the doubled-space vector
+        # pairs (0,0) with (1,1) across the bond, so one bit of operator
+        # entropy (dense SVD oracle below)
+        ps = projector_superstate(1, 2, 2)
+        proj = np.diag(oracle.sector_indicator(2, 2, 1).astype(complex))
+        assert np.max(np.abs(ps.densify() - proj)) < 1e-12
         # independent oracle: Schmidt values of the doubled-space vector
         mat = np.zeros((4, 4), dtype=complex)  # super-site1 x super-site2
         for x in range(2):
@@ -350,8 +292,8 @@ class TestOsee:
         p = (s / np.linalg.norm(s)) ** 2
         p = p[p > 1e-16]
         expected = float(-np.sum(p * np.log2(p)))
-        assert abs(expected - 2.0) < 1e-12
-        assert abs(total.osee_profile()[0] - expected) < 1e-10
+        assert abs(expected - 1.0) < 1e-12
+        assert abs(ps.osee_profile()[0] - expected) < 1e-10
 
     def test_projector_center_bond(self):
         ps = projector_superstate(1, 2, 2)

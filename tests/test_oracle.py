@@ -31,6 +31,31 @@ class TestDenseHamiltonian:
             N = oracle.dense_total_number(spec.L, spec.d)
             assert np.max(np.abs(H @ N - N @ H)) < 1e-12
 
+    def test_bitwise_equal_to_dense_products(self):
+        # the global formula with every term a product of dense site operators
+        site = oracle.site_operator
+        spec = ModelSpec.xxz(6, 0.8)
+        sx = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+        sy = np.array([[0, 1j], [-1j, 0]], dtype=np.complex128)
+        sz = np.array([[-1, 0], [0, 1]], dtype=np.complex128)
+        want = np.zeros((2**6, 2**6), dtype=np.complex128)
+        for m in range(1, 6):
+            for op, w in ((sx, 1.0), (sy, 1.0), (sz, spec.delta)):
+                want += -0.5 * w * site(op, m, 6) @ site(op, m + 1, 6)
+        assert np.array_equal(oracle.dense_hamiltonian(spec).entries, want)
+
+        spec = ModelSpec.bose_hubbard(3, 3, 2.5, hopping=0.7)
+        a = np.diag(np.sqrt(np.arange(1.0, 3)), k=1).astype(np.complex128)
+        n = np.diag(np.arange(3, dtype=np.float64)).astype(np.complex128)
+        want = np.zeros((27, 27), dtype=np.complex128)
+        for m in range(1, 3):
+            hop = site(a.conj().T, m, 3) @ site(a, m + 1, 3)
+            want += -spec.hopping * (hop + hop.conj().T)
+        for m in range(1, 4):
+            nm = site(n, m, 3)
+            want += 0.5 * spec.interaction * (nm @ nm - nm)
+        assert np.array_equal(oracle.dense_hamiltonian(spec).entries, want)
+
     def test_cap_enforced(self):
         import pytest
 

@@ -219,3 +219,8 @@ class TestProjectorOsee:
     def test_bond_out_of_range(self):
         with pytest.raises(ValueError):
             projector_osee(1, 4, 2, 4)
+
+    @pytest.mark.parametrize("N", [-1, 5])
+    def test_infeasible_particle_number(self, N):
+        with pytest.raises(ValueError, match="infeasible particle number"):
+            projector_osee(N, 4, 2, 2)
