@@ -25,6 +25,7 @@ import sys
 import time
 
 import numpy as np
+from scipy import sparse
 
 from . import __version__
 from .charge_tensor import TruncationPolicy
@@ -82,7 +83,7 @@ class RunConfig:
         if self.observable == "density" and self.psi0 is None:
             raise ValueError("density observable requires --psi0")
         if self.n_sector is not None:
-            if not 0 <= self.n_sector <= self.length * (self.local_dim - 1):
+            if not 0 <= self.n_sector <= self.length * (self.model_spec().d - 1):
                 raise ValueError("infeasible particle number")
 
     def model_spec(self) -> ModelSpec:
@@ -221,7 +222,7 @@ def cmd_oracle_check(args) -> int:
             report[f"itac_canonical_N{N}"] = max(devs)
     elif args.suite == "density":
         psi0 = [int(c) for c in (args.psi0 or "01" * (spec.L // 2))]
-        H = oracle.dense_hamiltonian(spec).entries
+        H = sparse.csr_matrix(oracle.dense_hamiltonian(spec).entries)
         v0 = oracle.fock_statevector(psi0, spec.d)
         nmat = oracle.site_operator(np.diag(np.arange(spec.d, dtype=float)), args.site, spec.L)
         for method in (CANONICAL, GRAND_CANONICAL):

@@ -19,7 +19,7 @@ from functools import lru_cache
 from .charge_tensor import TruncationPolicy, ZeroNormError
 from .models import BondGate, ModelSpec, bond_gate, super_gate
 from .mps_core import CanonicalMps, TruncationRecord, load_mps, save_mps
-from .operator_space import SuperState, default_qbase
+from .operator_space import SuperState
 
 
 @lru_cache(maxsize=None)
@@ -28,8 +28,8 @@ def _cached_bond_gate(spec: ModelSpec, m: int, dt_fraction: float) -> BondGate:
 
 
 @lru_cache(maxsize=None)
-def _cached_super_gate(spec: ModelSpec, m: int, dt_fraction: float, mode: str) -> BondGate:
-    return super_gate(_cached_bond_gate(spec, m, dt_fraction), mode, default_qbase(spec.L, spec.d))
+def _cached_super_gate(spec: ModelSpec, m: int, dt_fraction: float, weights: tuple) -> BondGate:
+    return super_gate(_cached_bond_gate(spec, m, dt_fraction), weights)
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ def evolve(
     def gate_for(m: int, coeff: float):
         dt_frac = coeff * schedule.dt
         if is_super:
-            return _cached_super_gate(spec, m, dt_frac, target.mode)
+            return _cached_super_gate(spec, m, dt_frac, target.weights)
         return _cached_bond_gate(spec, m, dt_frac)
 
     log = EvolutionLog()

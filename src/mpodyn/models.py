@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charge_tensor import ChargeIndex, ChargeMismatchError
-from .operator_space import LocalOperator, layout_perm, super_site_index
+from .operator_space import LocalOperator, super_site_layout
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=np.complex128)
@@ -208,13 +208,14 @@ def bond_gate(spec: ModelSpec, m: int, dt_fraction: float) -> BondGate:
     return BondGate(dense, ChargeIndex.occupation(d))
 
 
-def super_gate(gate: BondGate, mode: str, qbase: int | None = None) -> BondGate:
+def super_gate(gate: BondGate, weights: tuple[int, int]) -> BondGate:
     """Lift a bond gate to the doubled space: conjugation on the out-chain.
 
     Acting on a lifted operator reproduces Heisenberg conjugation
-    g^dagger O g; the in- and out-chain factors act independently, so the
-    particle-number difference (and, in canonical mode, both chain numbers)
-    is preserved.
+    g^dagger O g; the in- and out-chain factors act independently, so both
+    chain numbers, and with them every charge w_in*n_in + w_out*n_out, are
+    preserved.  ``weights`` (``operator_space.mode_weights``) grade the
+    doubled sites.
     """
     d = gate.d
     u4 = gate.dense.reshape(d, d, d, d)
@@ -222,7 +223,6 @@ def super_gate(gate: BondGate, mode: str, qbase: int | None = None) -> BondGate:
     # axes now (y1, x1, y2, x2, j1, i1, j2, i2): new pairs then old pairs
     D2 = d * d
     sg = sg.reshape(D2, D2, D2, D2).reshape(D2 * D2, D2 * D2)
-    index = super_site_index(d, mode, qbase)
-    perm = layout_perm(d, mode)
+    index, _, perm = super_site_layout(d, weights)
     return BondGate(sg, index, perm)
 

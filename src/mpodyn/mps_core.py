@@ -237,25 +237,11 @@ class CanonicalMps:
         """Dense (chi_l, D, chi_r) :meth:`site_tensor` of site m, sector-layout ordering."""
         return self.site_tensor(m).densify()
 
-    def to_statevector(self, site_perms=None) -> np.ndarray:
-        """Dense state with site 1 as the fastest-varying index.
-
-        ``site_perms`` optionally maps each site's sector-layout order to a
-        physical basis order (used by doubled-site states).
-        """
-        dim = int(np.prod(self.site_dims))
-        if dim > 2**22:
+    def to_statevector(self) -> np.ndarray:
+        """Dense state with site 1 as the fastest-varying index."""
+        if int(np.prod(self.site_dims)) > 2**22:
             raise ValueError("state too large to densify")
-        vec = np.ones((1, 1), dtype=np.complex128)
-        for m in range(1, self.L + 1):
-            t = self.site_tensor_dense(m)
-            if site_perms is not None:
-                perm = site_perms[m - 1]
-                inv = np.argsort(perm)
-                t = t[:, inv, :]
-            # vec: (prefix, chi); new index varies slower than the prefix
-            vec = np.einsum("pa,akb->kpb", vec, t).reshape(-1, t.shape[2])
-        return vec[:, 0]
+        return dense_chain(self.site_tensor_dense(m) for m in range(1, self.L + 1))
 
     def assert_canonical(self, atol: float = 1e-8) -> None:
         """Verify bond normalization and the left/right orthogonality conditions."""
@@ -272,6 +258,15 @@ class CanonicalMps:
             left_env = np.einsum("akc,bkc->ab", b, b.conj())
             if not np.allclose(left_env, np.eye(b.shape[0]), atol=atol):
                 raise AssertionError(f"site {m}: left orthogonality violated")
+
+
+def dense_chain(site_tensors) -> np.ndarray:
+    """Vector of a chain of dense (chi_l, D, chi_r) site tensors; site 1 fastest."""
+    vec = np.ones((1, 1), dtype=np.complex128)
+    for t in site_tensors:
+        # vec: (prefix, chi); the new index varies slower than the prefix
+        vec = np.einsum("pa,akb->kpb", vec, t).reshape(-1, t.shape[2])
+    return vec[:, 0]
 
 
 def overlap_step(env: np.ndarray, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:

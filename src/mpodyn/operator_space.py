@@ -3,14 +3,15 @@
 An operator O = sum o_{x,y} |x><y| is stored as an MPS over super-sites of
 dimension d*d; the basis state of one super-site is the pair
 (in occupation j, out occupation i) with dense position k = j*d + i (the
-in/upper label varies slower).  Three charge labelings of the same space
-implement the three conservation modes:
+in/upper label varies slower).  The three conservation modes differ only
+in their labels, and this module alone sets them: a mode is a pair of
+integer weights (:func:`mode_weights`), the state (j, i) has charge
+w_in*j + w_out*i, and a bond's charge sums the sites to its left.
 
-* ``brute``            - single charge-0 sector, no symmetry used;
-* ``grand_canonical``  - per-site charge j - i, so the chain conserves the
-                         particle-number difference between the chains;
-* ``canonical``        - per-site pair (j, i) packed into one integer
-                         j*qbase + i, making both chain numbers definite.
+* ``brute``            - (0, 0): one charge-0 sector, no symmetry used;
+* ``grand_canonical``  - (1, -1): conserves the particle-number difference
+                         between the chains;
+* ``canonical``        - (2L(d-1) + 3, 1): both chain numbers stay definite.
 
 Superstates are stored normalized; a scalar ``prefactor`` carries the
 Hilbert-Schmidt norm so truncation logic can assume unit norm throughout.
@@ -48,43 +49,32 @@ CANONICAL = "canonical"
 MODES = (BRUTE, GRAND_CANONICAL, CANONICAL)
 
 
-def default_qbase(L: int, d: int) -> int:
-    """Packing base for canonical-mode charges; large enough that per-chain
-    particle counts never collide under addition."""
-    return 2 * L * (d - 1) + 3
-
-
-@lru_cache(maxsize=None)
-def super_site_states(d: int, mode: str) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per charge sector, the (in j, out i) pairs in layout order."""
+def mode_weights(mode: str, L: int, d: int) -> tuple[int, int]:
+    """Charge weights (w_in, w_out) of a mode: state (j, i) has charge w_in*j + w_out*i."""
     if mode == BRUTE:
-        return (tuple((j, i) for j in range(d) for i in range(d)),)
+        return (0, 0)
     if mode == GRAND_CANONICAL:
-        out = []
-        for c in range(-(d - 1), d):
-            out.append(tuple((j, j - c) for j in range(d) if 0 <= j - c < d))
-        return tuple(out)
+        return (1, -1)
     if mode == CANONICAL:
-        return tuple(((j, i),) for j in range(d) for i in range(d))
+        return (2 * L * (d - 1) + 3, 1)
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def super_site_index(d: int, mode: str, qbase: int | None = None) -> ChargeIndex:
-    states = super_site_states(d, mode)
-    if mode == BRUTE:
-        return ChargeIndex(((0, d * d),))
-    if mode == GRAND_CANONICAL:
-        return ChargeIndex(tuple((c, d - abs(c)) for c in range(-(d - 1), d)))
-    if qbase is None:
-        raise ValueError("canonical mode requires qbase")
-    return ChargeIndex(tuple((j * qbase + i, 1) for ((j, i),) in states))
-
-
 @lru_cache(maxsize=None)
-def layout_perm(d: int, mode: str) -> np.ndarray:
-    """Map sector-layout position -> dense super index k = j*d + i."""
-    flat = [j * d + i for sec in super_site_states(d, mode) for (j, i) in sec]
-    return np.array(flat, dtype=np.intp)
+def super_site_layout(d: int, weights: tuple[int, int]) -> tuple[ChargeIndex, tuple, np.ndarray]:
+    """A doubled site under ``weights``: its charge index (ascending charges),
+    per sector the (in j, out i) states in layout order (j, then i,
+    ascending), and the map from layout position to k = j*d + i."""
+    w_in, w_out = weights
+    by_charge: dict[int, list[tuple[int, int]]] = {}
+    for j in range(d):
+        for i in range(d):
+            by_charge.setdefault(w_in * j + w_out * i, []).append((j, i))
+    charges = sorted(by_charge)
+    states = tuple(tuple(by_charge[q]) for q in charges)
+    index = ChargeIndex(tuple((q, len(sec)) for q, sec in zip(charges, states)))
+    perm = np.array([j * d + i for sec in states for j, i in sec], dtype=np.intp)
+    return index, states, perm
 
 
 @dataclass(frozen=True)
@@ -162,9 +152,9 @@ class SuperState:
         return cls(None, L, d, mode, delta_n, 0.0, in_charge)
 
     @property
-    def qbase(self) -> int | None:
-        """Canonical-mode packing base, derived from L and d; None otherwise."""
-        return default_qbase(self.L, self.d) if self.mode == CANONICAL else None
+    def weights(self) -> tuple[int, int]:
+        """Charge weights (w_in, w_out) of the mode at this chain's L and d."""
+        return mode_weights(self.mode, self.L, self.d)
 
     @property
     def is_zero(self) -> bool:
@@ -193,7 +183,7 @@ class SuperState:
     def site_dense_k(self, m: int) -> np.ndarray:
         """Site tensor as a dense (chi_l, d*d, chi_r) array in k = j*d+i order."""
         t = self.mps.site_tensor_dense(m)
-        perm = layout_perm(self.d, self.mode)
+        perm = super_site_layout(self.d, self.weights)[2]
         out = np.empty_like(t)
         out[:, perm, :] = t
         return out
@@ -205,8 +195,7 @@ class SuperState:
             raise ValueError("operator too large to densify")
         if self.is_zero:
             return np.zeros((d**L, d**L), dtype=np.complex128)
-        perms = [layout_perm(d, self.mode)] * L
-        vec = self.mps.to_statevector(site_perms=perms)
+        vec = mps_core.dense_chain(self.site_dense_k(m) for m in range(1, L + 1))
         arr = vec.reshape((d, d) * L)  # axes (j_L, i_L, ..., j_1, i_1)
         perm = list(range(1, 2 * L, 2)) + list(range(0, 2 * L, 2))
         return arr.transpose(perm).reshape(d**L, d**L) * self.prefactor
@@ -229,8 +218,9 @@ def lift_product_operator(
 ) -> SuperState:
     """Superstate of a product operator; always bond dimension 1.
 
-    In the symmetric modes every factor must carry a definite particle-number
-    change; mixed factors are only representable without charge labels.
+    The state (j, i) of a site holds ``entries[i, j]``; every factor's
+    nonzero states must share one charge under the mode's weights, so
+    mixed factors are only representable without charge labels.
     """
     if not factors:
         raise ValueError("need at least one factor")
@@ -239,22 +229,23 @@ def lift_product_operator(
         raise ValueError("shape mismatch")
     if mode == CANONICAL:
         raise ValueError("use project_operator to build input-number definite operators")
-    if mode == GRAND_CANONICAL and any(f.delta_n is None for f in factors):
-        raise ChargeMismatchError("indefinite charge")
 
     L = len(factors)
+    w_in, w_out = weights = mode_weights(mode, L, d)
+    charges = [{w_in * j + w_out * i for i, j in np.argwhere(f.entries).tolist()} for f in factors]
+    if any(len(qs) > 1 for qs in charges):
+        raise ChargeMismatchError("indefinite charge")
     deltas = [f.delta_n for f in factors]
     delta = None if None in deltas else sum(deltas)
-    phys = super_site_index(d, mode)
-    states = super_site_states(d, mode)
+    phys, states, _ = super_site_layout(d, weights)
     prefactor = 1.0
     sites = []
-    for f in factors:
+    for f, qs in zip(factors, charges):
         nf = f.hs_norm()
         if nf == 0.0:
             return SuperState.zero(L, d, mode, delta)
         prefactor *= nf
-        q = f.delta_n if mode == GRAND_CANONICAL else 0
+        (q,) = qs
         sites.append((q, [f.entries[i, j] / nf for j, i in states[phys.position(q)]]))
     return SuperState(mps_core.product_mps(phys, sites), L, d, mode, delta, prefactor)
 
@@ -311,9 +302,10 @@ def expectation_in_state(s: SuperState, psi: CanonicalMps) -> complex:
 
 
 def _merged_pair_index(
-    ix_t: ChargeIndex, ix_o: ChargeIndex, combine
+    ix_t: ChargeIndex, ix_o: ChargeIndex, w_out: int
 ) -> tuple[ChargeIndex, dict[tuple[int, int], tuple[int, int]]]:
-    """Bond index of a composed chain: sector pairs grouped by combined charge.
+    """Bond index of a composed chain: sector pairs grouped by combined charge,
+    qt - w_out*qo for a target charge qt and a grand-canonical operator's qo.
 
     Returns the merged index and, per (t-sector, o-sector) pair, the target
     (merged sector position, offset inside it).
@@ -321,7 +313,7 @@ def _merged_pair_index(
     pairs = []
     for pt, (qt, dt) in enumerate(ix_t.sectors):
         for po, (qo, do) in enumerate(ix_o.sectors):
-            pairs.append((combine(qt, qo), pt, po, dt * do))
+            pairs.append((qt - w_out * qo, pt, po, dt * do))
     charges = sorted({q for q, _, _, _ in pairs})
     dims = {q: 0 for q in charges}
     placement: dict[tuple[int, int], tuple[int, int]] = {}
@@ -353,25 +345,18 @@ def out_chain_compose(op_s: SuperState, target: SuperState) -> SuperState:
         return SuperState.zero(target.L, target.d, target.mode, new_delta, target.in_charge)
 
     d, L, mode = target.d, target.L, target.mode
-    if mode == BRUTE:
-        combine = lambda qt, qo: 0
-    elif mode == GRAND_CANONICAL:
-        combine = lambda qt, qo: qt + qo
-    else:
-        combine = lambda qt, qo: qt - qo
-
-    phys = super_site_index(d, mode, target.qbase)
-    t_states = super_site_states(d, mode)
-    o_states = super_site_states(d, GRAND_CANONICAL)
+    w_out = target.weights[1]
+    phys, t_states, _ = super_site_layout(d, target.weights)
+    o_states = super_site_layout(d, op_s.weights)[1]
     state_pos = {ji: (sec, p) for sec, lst in enumerate(t_states) for p, ji in enumerate(lst)}
 
     site_tensors = []
     left_ix, left_place = _merged_pair_index(
-        target.mps.bond_index(0), op_s.mps.bond_index(0), combine
+        target.mps.bond_index(0), op_s.mps.bond_index(0), w_out
     )
     for m in range(1, L + 1):
         right_ix, right_place = _merged_pair_index(
-            target.mps.bond_index(m), op_s.mps.bond_index(m), combine
+            target.mps.bond_index(m), op_s.mps.bond_index(m), w_out
         )
         tt, to = target.mps.site_tensor(m), op_s.mps.site_tensor(m)
         blocks: dict[tuple[int, int, int], np.ndarray] = {}

@@ -140,7 +140,7 @@ def dense_sector_itac(H: np.ndarray, O: np.ndarray, t: float, L: int, d: int, N:
     return complex(np.trace(P @ Ot @ P @ O) / count)
 
 
-def dense_statevector_evolve(H: np.ndarray, psi: np.ndarray, t: float) -> np.ndarray:
-    """exp(-iHt) |psi> with a sparse Krylov propagator."""
+def dense_statevector_evolve(H, psi: np.ndarray, t: float) -> np.ndarray:
+    """exp(-iHt) |psi> with a sparse Krylov propagator; ``H`` may be dense or sparse."""
     sp = sparse.csr_matrix(H)
     return expm_multiply(-1j * t * sp, psi.astype(np.complex128))

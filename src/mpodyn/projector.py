@@ -27,9 +27,9 @@ from .operator_space import (
     LocalOperator,
     SuperState,
     apply_out_chain,
-    default_qbase,
+    mode_weights,
     out_chain_compose,
-    super_site_index,
+    super_site_layout,
 )
 
 
@@ -107,29 +107,30 @@ def projector_superstate(N: int, L: int, d: int) -> SuperState:
     The diagonal map |j> -> |j><j| applied to the uniform superposition;
     the stored prefactor sqrt(Omega_d(N, L)) is its Hilbert-Schmidt norm.
     Every bond keeps one sector per particle count: l particles on both
-    chains carry the label l * qbase + l.
+    chains carry the label l * (w_in + w_out).
     """
     state = uniform_fock_superposition(N, L, d)
-    qbase = default_qbase(L, d)
-    phys = super_site_index(d, CANONICAL, qbase)
+    weights = mode_weights(CANONICAL, L, d)
+    phys = super_site_layout(d, weights)[0]
+    w = sum(weights)
 
     def relabel(ix: ChargeIndex) -> ChargeIndex:
-        return ChargeIndex(tuple((l * qbase + l, dim) for l, dim in ix.sectors))
+        return ChargeIndex(tuple((l * w, dim) for l, dim in ix.sectors))
 
     gammas = [
         SymmetricTensor(
             (relabel(g.indices[0]), phys, relabel(g.indices[2])),
             (IN, IN, OUT),
             {
-                (lpos, phys.position(j * qbase + j), rpos): blk
+                (lpos, phys.position(j * w), rpos): blk
                 for (lpos, j, rpos), blk in g.blocks.items()
             },
             0,
         )
         for g in state.gammas
     ]
-    lambdas = [{l * qbase + l: v for l, v in lam.items()} for lam in state.lambdas]
-    mps = CanonicalMps(gammas, lambdas, total_charge=N * qbase + N)
+    lambdas = [{l * w: v for l, v in lam.items()} for lam in state.lambdas]
+    mps = CanonicalMps(gammas, lambdas, total_charge=N * w)
     return SuperState(
         mps,
         L,

@@ -10,6 +10,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import mpodyn.cli
 from mpodyn import oracle
@@ -160,7 +161,7 @@ def test_criterion_08_bose_hubbard_cross_picture():
     spec = ModelSpec.bose_hubbard(L, d, 10.0)
     sched = make_schedule(4, 1.0 / 18)
     psi0 = [0, 1, 0, 1, 0, 1]
-    H = oracle.dense_hamiltonian(spec).entries
+    H = sparse.csr_matrix(oracle.dense_hamiltonian(spec).entries)  # converted once, not per call
     v0 = oracle.fock_statevector(psi0, d)
     nmat = oracle.site_operator(np.diag(np.arange(float(d))), site, L)
     exact = {}

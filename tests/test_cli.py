@@ -90,6 +90,24 @@ class TestSimulate:
         assert "site out of range" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_particle_number_checked_against_model_dimension(self, tmp_path, capsys, command):
+        # xxz sites are spin-1/2 whatever --d says, so N = 3 on two sites is infeasible
+        out = tmp_path / "x.csv"
+        run = ["--method", "canonical", "--n", "3"]
+        if command == "compare":
+            run = ["--run", "method=canonical,n=3"]
+        rc = main(
+            [
+                command, "--model", "xxz", "--d", "3", "--length", "2", "--site", "1",
+                "--dt", "0.25", "--tmax", "0.25", "--output", str(out),
+            ]
+            + run
+        )
+        assert rc == 2
+        assert "infeasible particle number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_budget_termination_reported(self, tmp_path):
         out = tmp_path / "b.csv"
         rc = main(
@@ -179,6 +197,18 @@ class TestOracleCheck:
         out = capsys.readouterr().out
         assert rc == 0
         assert "itac_grand_canonical" in out
+        assert "FAIL" not in out
+
+    def test_density_suite_passes(self, capsys):
+        rc = main(
+            [
+                "oracle-check", "--suite", "density", "--model", "bose-hubbard", "--d", "3",
+                "--length", "4", "--site", "2", "--psi0", "1010", "--tmax", "0.5",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "density_canonical" in out and "density_grand_canonical" in out
         assert "FAIL" not in out
 
 

@@ -20,7 +20,6 @@ from mpodyn.mps_core import TruncationRecord, from_fock
 from mpodyn.operator_space import (
     CANONICAL,
     GRAND_CANONICAL,
-    default_qbase,
     embed_factor,
     hs_trace_pair,
     identity_superstate,
@@ -134,7 +133,7 @@ class TestEvolve:
         ps = projector_superstate(2, 4, 2)
         evolve(ps, spec, make_schedule(2, 0.05), 0.5, UNRESTRICTED)
         assert ps.in_charge == 2
-        assert ps.mps.total_charge == 2 * ps.qbase + 2
+        assert ps.mps.total_charge == 2 * sum(ps.weights)
 
     def test_reversibility(self, rng):
         L = 5
@@ -237,7 +236,7 @@ class TestCheckpoint:
         assert np.max(np.abs(target.densify() - s.densify())) < 1e-12
 
     def test_canonical_superstate_round_trip(self, tmp_path):
-        # the packing base is not stored: it is derived from L and d on load
+        # the charge weights are not stored: they follow from mode, L and d on load
         spec = ModelSpec.xxz(4, 0.5)
         s = project_operator(embed_factor(annihilator_local(2), 2, 4), 2)
         log = evolve(s, spec, make_schedule(2, 0.1), 0.3, UNRESTRICTED)
@@ -248,11 +247,11 @@ class TestCheckpoint:
         assert "qbase" not in meta["super"]
         target, _, _ = load_checkpoint(prefix)
         assert target.mode == CANONICAL
-        assert target.qbase == default_qbase(4, 2)
+        assert target.weights == (2 * 4 * (2 - 1) + 3, 1)
         assert (target.in_charge, target.delta_n) == (2, 1)
         assert np.max(np.abs(target.densify() - s.densify())) < 1e-12
-        # sidecars written before the base was derived still load
-        meta["super"]["qbase"] = default_qbase(4, 2)
+        # sidecars that still carry the old packing base load unchanged
+        meta["super"]["qbase"] = 2 * 4 * (2 - 1) + 3
         with open(prefix + ".json", "w") as fh:
             json.dump(meta, fh)
         target, _, _ = load_checkpoint(prefix)

@@ -1,13 +1,17 @@
-"""Source hygiene: every name a package module imports is used in it, and
-every module-level private function or class is read somewhere in it."""
+"""Source hygiene: every name a package module imports is used in it, every
+module-level private function or class is read somewhere in it, and every
+module-level public function or class is named somewhere in the package,
+its tests or the benchmark."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "mpodyn"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "mpodyn"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+CORPUS = sorted(p for root in ("src", "tests", "perfbench") for p in (REPO / root).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,6 +41,33 @@ def unused_private_helpers(source: str) -> list[str]:
     return [name for name in defined if name not in read]
 
 
+def names_read(source: str) -> set[str]:
+    """Names, attributes and whole-string constants (``getattr`` lookups) a source reads.
+
+    Import statements do not count: a re-export alone is not a use.
+    """
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
+
+
+def unnamed_public_definitions(source: str, read: set[str]) -> list[str]:
+    """Module-level public functions and classes that no name in ``read`` matches."""
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+    ]
+
+
 def test_detects_unused_import():
     src = "import itertools\nimport numpy as np\nfrom .x import A, B\nprint(np.pi, A)\n"
     assert unused_imports(src) == ["itertools", "B"]
@@ -60,3 +91,26 @@ def test_detects_unused_private_helper():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_private_helpers(path):
     assert unused_private_helpers(path.read_text()) == []
+
+
+def test_detects_unnamed_public_definition():
+    src = (
+        "def used():\n    return 1\n"
+        "def dead():\n    return used()\n"
+        "class Gone:\n    pass\n"
+        "class Looked:\n    pass\n"
+        "def _private():\n    pass\n"
+    )
+    other = "from pkg import dead, Gone\nimport pkg\npkg.used()\ngetattr(pkg, 'Looked')\n"
+    read = names_read(src) | names_read(other)
+    assert unnamed_public_definitions(src, read) == ["dead", "Gone"]
+
+
+@pytest.fixture(scope="module")
+def corpus_names() -> set[str]:
+    return set().union(*(names_read(p.read_text()) for p in CORPUS))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unnamed_public_definitions(path, corpus_names):
+    assert unnamed_public_definitions(path.read_text(), corpus_names) == []

@@ -20,6 +20,7 @@ from mpodyn.operator_space import (
     GRAND_CANONICAL,
     embed_factor,
     lift_product_operator,
+    mode_weights,
 )
 from mpodyn.charge_tensor import TruncationPolicy
 
@@ -121,14 +122,14 @@ class TestBondGate:
 class TestSuperGate:
     def test_identity_maps_to_identity(self):
         g = BondGate(np.eye(4, dtype=complex), ChargeIndex.occupation(2))
-        sg = super_gate(g, GRAND_CANONICAL)
+        sg = super_gate(g, mode_weights(GRAND_CANONICAL, 2, 2))
         assert np.max(np.abs(sg.dense - np.eye(16))) < 1e-14
 
     def test_reproduces_heisenberg_conjugation(self, rng):
         L, d = 4, 2
         spec = ModelSpec.xxz(L, 0.8)
         g = bond_gate(spec, 2, 0.1)
-        sg = super_gate(g, GRAND_CANONICAL)
+        sg = super_gate(g, mode_weights(GRAND_CANONICAL, L, d))
         s = lift_product_operator(embed_factor(sigma_z_local(), 2, L))
         s.mps.apply_two_site_gate(2, sg, UNRESTRICTED)
         U = oracle.two_site_operator(g.dense, 2, L, d)
@@ -140,7 +141,7 @@ class TestSuperGate:
         d = 3
         spec = ModelSpec.bose_hubbard(2, d, 4.0)
         g = bond_gate(spec, 1, 0.23)
-        sg = super_gate(g, BRUTE)
+        sg = super_gate(g, mode_weights(BRUTE, 2, d))
         from mpodyn.operator_space import LocalOperator
 
         for xi in range(d):
@@ -163,7 +164,7 @@ class TestSuperGate:
         from mpodyn.operator_space import identity_superstate
 
         one = identity_superstate(4, 2)
-        sg = super_gate(random_conserving_gate(2, rng), GRAND_CANONICAL)
+        sg = super_gate(random_conserving_gate(2, rng), mode_weights(GRAND_CANONICAL, 4, 2))
         one.mps.apply_two_site_gate(2, sg, UNRESTRICTED)
         assert np.max(np.abs(one.densify() - np.eye(16))) < 1e-12
         assert max(one.osee_profile()) < 1e-12
@@ -174,8 +175,8 @@ class TestSuperGate:
         d = 3
         g = random_conserving_gate(d, rng)
         j, i = np.divmod(np.arange(d * d), d)  # dense super index k = j*d + i
-        for mode, qbase, site_q in ((GRAND_CANONICAL, None, j - i), ("canonical", 25, j * 25 + i)):
-            sg = super_gate(g, mode, qbase)
+        for weights, site_q in (((1, -1), j - i), ((25, 1), j * 25 + i)):
+            sg = super_gate(g, weights)
             pair_q = (site_q[:, None] + site_q[None, :]).ravel()
             assert np.max(np.abs(sg.dense[pair_q[:, None] != pair_q[None, :]])) <= 1e-12
             band_sq = sum(np.sum(np.abs(b.matrix) ** 2) for b in sg.band_table().values())

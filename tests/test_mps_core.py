@@ -4,7 +4,7 @@ import pytest
 from mpodyn.charge_tensor import ChargeMismatchError, TruncationPolicy, ZeroNormError
 from mpodyn.mps_core import CanonicalMps, from_fock, load_mps, save_mps
 from mpodyn.models import BondGate, super_gate
-from mpodyn.operator_space import CANONICAL, GRAND_CANONICAL, identity_superstate
+from mpodyn.operator_space import CANONICAL, GRAND_CANONICAL, identity_superstate, mode_weights
 from mpodyn.charge_tensor import ChargeIndex
 from mpodyn.projector import uniform_fock_superposition
 from mpodyn import oracle
@@ -173,7 +173,7 @@ class TestGateApplication:
 
     def test_canonical_gate_on_grand_canonical_operator_rejected(self, rng):
         one = identity_superstate(4, 2, GRAND_CANONICAL)
-        sg = super_gate(random_conserving_gate(2, rng), CANONICAL, 5)
+        sg = super_gate(random_conserving_gate(2, rng), mode_weights(CANONICAL, 4, 2))
         with pytest.raises(ChargeMismatchError, match="charge mismatch"):
             one.mps.apply_two_site_gate(2, sg, UNRESTRICTED)
 

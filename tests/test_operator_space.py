@@ -17,6 +17,7 @@ from mpodyn.models import (
 from mpodyn.mps_core import from_fock
 from mpodyn.operator_space import (
     BRUTE,
+    CANONICAL,
     GRAND_CANONICAL,
     LocalOperator,
     apply_out_chain,
@@ -25,9 +26,43 @@ from mpodyn.operator_space import (
     hs_trace_pair,
     identity_superstate,
     lift_product_operator,
+    mode_weights,
     out_chain_compose,
+    super_site_layout,
 )
-from mpodyn.projector import projector_superstate
+from mpodyn.projector import projector_superstate, uniform_fock_superposition
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+class TestChargeRule:
+    """The weight rule against the per-mode formulas it replaced."""
+
+    def test_layout_matches_per_mode_formulas(self, L, d):
+        k_order = [(j, i) for j in range(d) for i in range(d)]
+        qbase = 2 * L * (d - 1) + 3
+        expected = {
+            BRUTE: [(0, k_order)],
+            GRAND_CANONICAL: [
+                (c, [(j, j - c) for j in range(d) if 0 <= j - c < d]) for c in range(-(d - 1), d)
+            ],
+            CANONICAL: [(j * qbase + i, [(j, i)]) for j, i in k_order],
+        }
+        for mode, sectors in expected.items():
+            index, states, perm = super_site_layout(d, mode_weights(mode, L, d))
+            assert index.sectors == tuple((q, len(sec)) for q, sec in sectors)
+            assert [list(sec) for sec in states] == [sec for _, sec in sectors]
+            assert perm.tolist() == [j * d + i for _, sec in sectors for j, i in sec]
+
+    def test_projector_bond_labels(self, L, d):
+        qbase = 2 * L * (d - 1) + 3
+        for N in range(L * (d - 1) + 1):
+            counts = uniform_fock_superposition(N, L, d)
+            mps = projector_superstate(N, L, d).mps
+            for m in range(L + 1):
+                labels = tuple(l * qbase + l for l in counts.bond_index(m).charges)
+                assert mps.bond_index(m).charges == labels
+            assert mps.total_charge == N * qbase + N
 
 
 class TestLocalOperator:
