@@ -331,50 +331,46 @@ def _svd_dense(mat: np.ndarray):
         return scipy_svd(mat, full_matrices=False, lapack_driver="gesvd")
 
 
+def _cut(mat: np.ndarray, blocks: list, axis: int):
+    """Split ``mat`` along ``axis`` into ``blocks`` (``(key, dims)`` in order).
+
+    Yields ``(key, piece)`` with the piece's ``axis`` unfolded to ``dims``;
+    all-zero pieces are skipped.
+    """
+    sizes = [math.prod(dims) for _, dims in blocks]
+    starts = np.cumsum([0] + sizes[:-1])
+    nonzero = np.logical_or.reduceat(np.any(mat != 0, axis=1 - axis), starts)
+    for (key, dims), start, size, keep in zip(blocks, starts, sizes, nonzero):
+        if keep:
+            if axis == 0:
+                yield key, mat[start : start + size].reshape(dims + mat.shape[1:])
+            else:
+                yield key, mat[:, start : start + size].reshape(mat.shape[:1] + dims)
+
+
 def truncated_split(
-    pieces: list[tuple[int, tuple[int, ...], tuple[int, ...], np.ndarray]],
-    n_row: int,
+    sectors: dict[int, tuple[np.ndarray, list, list]],
     policy: TruncationPolicy,
 ):
     """Blockwise truncated SVD of sector matrices, cut back into blocks.
 
-    Each piece ``(q, row_key, col_key, block)`` is one block of the
-    matrix of new bond charge ``q``; the block's first ``n_row`` axes are
-    rows.  Row and column keys are laid out in sorted order, each charge's
-    matrix is decomposed independently (in parallel over ``MPODYN_THREADS``
-    threads), and :func:`global_truncation` picks the kept values.  ``U``
-    and ``V^dagger`` are cut into blocks keyed ``row_key + (bond_pos,)`` and
-    ``(bond_pos,) + col_key``; all-zero blocks are left out.
+    ``sectors`` maps each new bond charge ``q`` to ``(matrix, rows, cols)``,
+    where ``rows`` lists the ``(row_key, dims)`` blocks stacked along the
+    matrix rows in order (``prod(dims)`` rows each) and ``cols`` likewise.
+    Each charge's matrix is decomposed independently (in parallel over
+    ``MPODYN_THREADS`` threads), and :func:`global_truncation` picks the
+    kept values.  ``U`` and ``V^dagger`` are cut into blocks keyed
+    ``row_key + (bond_pos,)`` and ``(bond_pos,) + col_key``; all-zero
+    blocks are left out.
 
     Returns the new bond index, the kept (unnormalized) values per charge,
     the left and right blocks, the kept 2-norm and the discarded 2-norm.
     """
-    groups: dict[int, list] = {}
-    for piece in pieces:
-        groups.setdefault(piece[0], []).append(piece)
-
-    def _layout(shapes: dict) -> tuple[dict, int]:
-        out, acc = {}, 0
-        for key in sorted(shapes):
-            size = math.prod(shapes[key])
-            out[key] = (slice(acc, acc + size), shapes[key])
-            acc += size
-        return out, acc
-
-    layouts, mats = {}, {}
-    for q, group in groups.items():
-        rows, nrows = _layout({rk: blk.shape[:n_row] for _, rk, _, blk in group})
-        cols, ncols = _layout({ck: blk.shape[n_row:] for _, _, ck, blk in group})
-        layouts[q], mats[q] = (rows, cols), np.zeros((nrows, ncols), dtype=np.complex128)
-    for q, rk, ck, blk in pieces:
-        rows, cols = layouts[q]
-        rs, cs = rows[rk][0], cols[ck][0]
-        mats[q][rs, cs] = blk.reshape(rs.stop - rs.start, cs.stop - cs.start)
 
     def _decompose(q: int):
-        return q, _svd_dense(mats[q])
+        return q, _svd_dense(sectors[q][0])
 
-    qs = sorted(mats)
+    qs = sorted(sectors)
     nthreads = int(os.environ.get(THREADS_ENV, "1") or "1")
     if nthreads > 1 and len(qs) > 1:
         with ThreadPoolExecutor(max_workers=nthreads) as pool:
@@ -392,17 +388,13 @@ def truncated_split(
     left_blocks: dict[tuple[int, ...], np.ndarray] = {}
     right_blocks: dict[tuple[int, ...], np.ndarray] = {}
     for pos, q in enumerate(kept_charges):
-        (rows, cols), (u, s, vh) = layouts[q], svds[q]
+        (_, rows, cols), (u, s, vh) = sectors[q], svds[q]
         k = keep_count[q]
         values[q] = s[:k]
-        for rk, (rs, dims) in rows.items():
-            part = u[rs, :k]
-            if part.any():
-                left_blocks[rk + (pos,)] = part.reshape(dims + (k,))
-        for ck, (cs, dims) in cols.items():
-            part = vh[:k, cs]
-            if part.any():
-                right_blocks[(pos,) + ck] = part.reshape((k,) + dims)
+        for rk, part in _cut(u[:, :k], rows, 0):
+            left_blocks[rk + (pos,)] = part
+        for ck, part in _cut(vh[:k], cols, 1):
+            right_blocks[(pos,) + ck] = part
     return bond, values, left_blocks, right_blocks, kept_norm, discarded_norm
 
 
@@ -429,18 +421,42 @@ def block_svd(
     if not t.blocks or all(not np.any(blk) for blk in t.blocks.values()):
         raise ZeroNormError("zero norm")
 
+    # each block sits in the matrix of its row charge, rows and columns laid
+    # out block by block in sorted key order
     row_sign = [(-_sign(t.directions[a])) for a in row_axes]
-    pieces = []
+    n_row = len(row_axes)
+    groups: dict[int, tuple[dict, dict, list]] = {}
     for key in sorted(t.blocks):
         if t.key_charge(key) != t.total_charge:
             raise ChargeMismatchError("charge mismatch")
         rk = tuple(key[a] for a in row_axes)
+        ck = tuple(key[a] for a in col_axes)
         q = sum(s * t.indices[a].charges[p] for s, a, p in zip(row_sign, row_axes, rk))
         block = np.transpose(t.blocks[key], row_axes + col_axes)
-        pieces.append((q, rk, tuple(key[a] for a in col_axes), block))
+        rows, cols, parts = groups.setdefault(q, ({}, {}, []))
+        rows[rk], cols[ck] = block.shape[:n_row], block.shape[n_row:]
+        parts.append((rk, ck, block))
+
+    def _layout(shapes: dict) -> tuple[list, dict, int]:
+        order, start, acc = sorted(shapes.items()), {}, 0
+        for key, dims in order:
+            start[key] = acc
+            acc += math.prod(dims)
+        return order, start, acc
+
+    sectors = {}
+    for q, (rows, cols, parts) in groups.items():
+        row_order, row_start, nrows = _layout(rows)
+        col_order, col_start, ncols = _layout(cols)
+        mat = np.zeros((nrows, ncols), dtype=np.complex128)
+        for rk, ck, block in parts:
+            r0, c0 = row_start[rk], col_start[ck]
+            nr, nc = math.prod(block.shape[:n_row]), math.prod(block.shape[n_row:])
+            mat[r0 : r0 + nr, c0 : c0 + nc] = block.reshape(nr, nc)
+        sectors[q] = (mat, row_order, col_order)
 
     bond, values, left_blocks, right_blocks, kept_norm, discarded_norm = truncated_split(
-        pieces, len(row_axes), policy
+        sectors, policy
     )
     left = SymmetricTensor(
         tuple(t.indices[a] for a in row_axes) + (bond,),

@@ -91,6 +91,10 @@ class RunConfig:
             return ModelSpec.xxz(self.length, self.delta)
         return ModelSpec.bose_hubbard(self.length, self.local_dim, self.interaction, self.hopping)
 
+    def record(self) -> dict:
+        """The config as a sidecar stores it; ``local_dim`` is the model's own (XXZ: 2)."""
+        return dict(dataclasses.asdict(self), local_dim=self.model_spec().d)
+
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
@@ -167,7 +171,7 @@ def cmd_simulate(args) -> int:
     _write_rows(cfg.output, _series_rows(series), "t,re,im,accumulated_cutoff,max_osee,chi_max_used")
     _sidecar(
         cfg.output + ".json",
-        dataclasses.asdict(cfg),
+        cfg.record(),
         series.meta["termination_reason"],
     )
     print(f"wrote {cfg.output} ({len(series.times)} rows)")
@@ -288,7 +292,7 @@ def cmd_compare(args) -> int:
     last_common = float(min(s.times[-1] for _, s in serieses))
     _sidecar(
         args.output + ".json",
-        dataclasses.asdict(base),
+        base.record(),
         "complete",
         {"runs": summary, "last_common_time": last_common},
     )

@@ -118,7 +118,6 @@ class GateBand:
     pairs: list[tuple[int, int, int]]
     dim: int
     matrix: np.ndarray
-    offset_of: dict[tuple[int, int], int]
 
 
 class BondGate:
@@ -178,7 +177,6 @@ class BondGate:
                 pairs=b["pairs"],
                 dim=b["dim"],
                 matrix=self.dense[np.ix_(idx, idx)],
-                offset_of={(s1, s2): off for s1, s2, off in b["pairs"]},
             )
         self._bands = table
         return table

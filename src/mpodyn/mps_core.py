@@ -11,8 +11,12 @@ Bond spectra are plain dicts, bond charge -> descending values (see
 ``charge_tensor.global_truncation``.  Every bond-dimension-1 chain (Fock
 states, product operators) is built by :func:`product_mps`.
 
-Two-site gates are ``models.BondGate`` objects, applied by one path: the
-band kernel of :meth:`CanonicalMps.apply_two_site_gate`.  It and
+Two-site gates are ``models.BondGate`` objects, applied by one kernel for
+every conservation mode, :meth:`CanonicalMps.apply_two_site_gate`.  Its
+work is batched by charge, not by block: one matmul per centre bond sector
+builds the two-site amplitudes, one matmul per gate band (two-site charge)
+applies the gate, and index arrays computed per run of contiguous entries
+move the amplitudes between the two layouts.  The kernel and
 :func:`canonicalize` (through ``block_svd``) share
 ``charge_tensor.truncated_split`` for the sector SVDs and the truncation.
 
@@ -137,14 +141,19 @@ class CanonicalMps:
     def apply_two_site_gate(self, m, gate, policy: TruncationPolicy) -> TruncationRecord:
         """Apply a charge-conserving ``BondGate`` at bond m (1..L-1), in place.
 
-        The outer-weighted two-site tensor is assembled per (left sector,
-        right sector) slab over the fused pair basis of the matching charge
-        band, and the gate acts as one dense block per band
-        (``BondGate.band_table``).  The gated pieces are re-split with
-        ``truncated_split`` and Vidal form is restored by dividing out the
-        outer singular values.  The state is renormalized; the returned
-        record carries the pre-normalization kept norm ``nu`` and the
-        discarded weight.
+        The two-site tensor is built per centre sector c: the left blocks
+        ``(l, p1, c)`` are stacked into one matrix, the right blocks
+        ``(c, p2, r)`` into another, with the outer and centre singular
+        values multiplied in, and one matmul gives every amplitude through
+        c.  The products are scattered into one matrix per gate band q
+        (``BondGate.band_table``): rows are the band's fused pair basis,
+        columns every (l, r) pair of bond charge difference q.  The band
+        block acts on it with one matmul.  The gated amplitudes are then
+        gathered into one matrix per new bond charge, all-zero (l, p1) rows
+        and (p2, r) columns left out, and re-split by ``truncated_split``.
+        Vidal form is restored by dividing out the outer singular values.
+        The state is renormalized; the returned record carries the
+        pre-normalization kept norm ``nu`` and the discarded weight.
         """
         if not 1 <= m <= self.L - 1:
             raise ValueError("bond out of range")
@@ -152,61 +161,62 @@ class CanonicalMps:
         phys1, phys2 = g1.indices[1], g2.indices[1]
         if gate.index.sectors != phys1.sectors or gate.index.sectors != phys2.sectors:
             raise ChargeMismatchError("charge mismatch")
-        lam_l = self.lambda_at(m - 1)
-        lam_c = self.lambda_at(m)
-        lam_r = self.lambda_at(m + 1)
-        left = scale_axis(scale_axis(g1, 0, lam_l), 2, lam_c)
-        right = self.site_tensor(m + 1)
+        lam_l, lam_c, lam_r = (self.lambda_at(k) for k in (m - 1, m, m + 1))
+        lix, cix, rix = g1.indices[0], g1.indices[2], g2.indices[2]
 
-        lix, rix = g1.indices[0], g2.indices[2]
-        bands = gate.band_table()
-
+        left_by_c: dict[int, list] = {}
         right_by_c: dict[int, list] = {}
-        for key, blk in right.blocks.items():
-            right_by_c.setdefault(key[0], []).append((key, blk))
+        for key in sorted(g1.blocks):
+            left_by_c.setdefault(key[2], []).append(key)
+        for key in sorted(g2.blocks):
+            right_by_c.setdefault(key[0], []).append(key)
+        centres = sorted(left_by_c.keys() & right_by_c.keys())
 
-        # two-site tensor as per-(left sector, right sector) slabs over the
-        # fused pair basis of the matching charge band
-        slabs: dict[tuple[int, int], np.ndarray] = {}
-        for key1 in sorted(left.blocks):
-            l_sec, p1, _c = key1
-            blk1 = left.blocks[key1]
-            for key2, blk2 in sorted(right_by_c.get(key1[2], ()), key=lambda e: e[0]):
-                _, p2, r_sec = key2
-                band = bands[rix.charges[r_sec] - lix.charges[l_sec]]
-                off = band.offset_of[(p1, p2)]
-                d1, d2 = phys1.dims[p1], phys2.dims[p2]
-                contrib = np.tensordot(blk1, blk2, axes=(2, 0))
-                skey = (l_sec, r_sec)
-                slab = slabs.get(skey)
-                if slab is None:
-                    slab = np.zeros(
-                        (blk1.shape[0], band.dim, blk2.shape[2]), dtype=np.complex128
-                    )
-                    slabs[skey] = slab
-                slab[:, off : off + d1 * d2, :] += contrib.reshape(
-                    blk1.shape[0], d1 * d2, blk2.shape[2]
-                )
+        # stacked, weighted factors of each centre sector
+        factors, row_blocks, col_blocks = [], [], []
+        for sec, c in enumerate(centres):
+            lkeys, rkeys = left_by_c[c], right_by_c[c]
+            dc = cix.dims[c]
+            a_mat = np.concatenate(
+                [
+                    (g1.blocks[k] * lam_l[lix.charges[k[0]]][:, None, None]).reshape(-1, dc)
+                    for k in lkeys
+                ]
+            ) * lam_c[cix.charges[c]]
+            b_mat = np.concatenate(
+                [(g2.blocks[k] * lam_r[rix.charges[k[2]]]).reshape(dc, -1) for k in rkeys],
+                axis=1,
+            )
+            factors.append((a_mat, b_mat))
+            row_blocks += [(sec, k[0], k[1]) for k in lkeys]
+            col_blocks += [(sec, k[1], k[2]) for k in rkeys]
+        rows = np.array(row_blocks, dtype=np.intp).reshape(-1, 3).T
+        cols = np.array(col_blocks, dtype=np.intp).reshape(-1, 3).T
 
-        # cut the gated slabs into pieces of the matrix of each new bond charge
-        pieces = []
-        for skey in sorted(slabs):
-            l_sec, r_sec = skey
-            band = bands[rix.charges[r_sec] - lix.charges[l_sec]]
-            gated = np.tensordot(band.matrix, slabs[skey], axes=(1, 1)).transpose(1, 0, 2)
-            l_dim, r_dim = gated.shape[0], gated.shape[2]
-            for s1, s2, off in band.pairs:
-                d1, d2 = phys1.dims[s1], phys2.dims[s2]
-                piece = gated[:, off : off + d1 * d2, :]
-                if not piece.any():
-                    continue
-                qn = lix.charges[l_sec] + phys1.charges[s1]
-                pieces.append((qn, (l_sec, s1), (s2, r_sec), piece.reshape(l_dim, d1, d2, r_dim)))
+        # the (l, r) pairs joined through some centre sector are the band columns
+        left_of = np.zeros((lix.nsectors, len(centres)), dtype=np.intp)
+        left_of[rows[1], rows[0]] = 1
+        right_of = np.zeros((len(centres), rix.nsectors), dtype=np.intp)
+        right_of[cols[0], cols[2]] = 1
+        layout = _BandLayout(gate.band_table(), lix, phys1, rix, left_of @ right_of > 0)
+        pos = layout.positions(rows, cols, len(centres))[0]
+        flat = np.zeros(layout.size, dtype=np.complex128)
+        at = 0
+        for a_mat, b_mat in factors:
+            n = a_mat.shape[0] * b_mat.shape[1]
+            flat[pos[at : at + n]] = (a_mat @ b_mat).reshape(-1)
+            at += n
+        # each stage's buffers go before the next one allocates
+        del factors, pos
+        gated = layout.apply_bands(flat)
+        del flat
+        sectors = layout.gather(gated)
+        del gated
 
         floor = max(policy.singular_value_floor, LAMBDA_FLOOR)
         try:
             bond, values, g1_blocks, g2_blocks, kept_norm, discarded_norm = truncated_split(
-                pieces, 2, TruncationPolicy(policy.chi_max, floor)
+                sectors, TruncationPolicy(policy.chi_max, floor)
             )
         except ZeroNormError as exc:
             raise ZeroNormError("state annihilated") from exc
@@ -258,6 +268,156 @@ class CanonicalMps:
             left_env = np.einsum("akc,bkc->ab", b, b.conj())
             if not np.allclose(left_env, np.eye(b.shape[0]), atol=atol):
                 raise AssertionError(f"site {m}: left orthogonality violated")
+
+
+def _ragged(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Owner and offset within it of every entry of blocks of ``sizes`` laid end to end."""
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    return owner, np.arange(len(owner)) - (np.cumsum(sizes) - sizes)[owner]
+
+
+class _BandLayout:
+    """Where each two-site amplitude of a gate update sits in the band matrices.
+
+    Band q's matrix has the rows (p1, p2, i1, i2) of ``band.pairs`` and the
+    columns (l, r, a, b) for every joined (l, r) pair with
+    ``charge(r) - charge(l) == q``, pairs in sorted order.  The band
+    matrices are stored one after another in one flat buffer of ``size``
+    entries, followed by ``pad`` zeros that stand in for amplitudes of
+    (l, r) pairs no band holds.
+    """
+
+    def __init__(self, bands, lix: ChargeIndex, phys: ChargeIndex, rix: ChargeIndex, joined):
+        self.dl, self.dp, self.dr = (np.array(ix.dims, dtype=np.intp) for ix in (lix, phys, rix))
+        self.ql, self.qp, self.qr = (np.array(ix.charges) for ix in (lix, phys, rix))
+        self.joined = joined
+        pl, pr = np.nonzero(joined)
+        pq = self.qr[pr] - self.ql[pl]
+        order = np.argsort(pq, kind="stable")
+        pl, pr, pq = pl[order], pr[order], pq[order]
+        width = self.dl[pl] * self.dr[pr]
+        band_qs, first, count = np.unique(pq, return_index=True, return_counts=True)
+        before = np.cumsum(width) - width
+        self.colstart = np.full(joined.shape, -1, dtype=np.intp)
+        self.colstart[pl, pr] = before - np.repeat(before[first], count)
+        nsec = phys.nsectors
+        self.base = np.zeros((nsec, nsec), dtype=np.intp)
+        self.ncols = np.zeros((nsec, nsec), dtype=np.intp)
+        self.bands, start = [], 0
+        for q, nc in zip(band_qs.tolist(), np.add.reduceat(width, first).tolist()):
+            band = bands[q]
+            for s1, s2, off in band.pairs:
+                self.base[s1, s2] = start + off * nc
+                self.ncols[s1, s2] = nc
+            self.bands.append((band.matrix, start, band.dim, nc))
+            start += band.dim * nc
+        self.size, self.pad = start, int(self.dr.max())
+
+    def positions(self, rows, cols, nsectors: int):
+        """Buffer position of every entry of a list of sector matrices.
+
+        ``rows`` is (sector, l, p1) per row block and ``cols`` is
+        (sector, p2, r) per column block, each in layout order; a row block
+        spans (a, i1) in C order and a column block (i2, b).  Sector
+        matrices follow one another, each in C order.  The b columns of one
+        (row, column block, i2) form a run that is contiguous in both
+        layouts, so positions are computed per run.  Returns the positions
+        and the row block, column block and length of every run.
+        """
+        rsec, rl, rp = rows
+        csec, cp, cr = cols
+        rsize = self.dl[rl] * self.dp[rp]
+        rblk, rin = _ragged(rsize)
+        a, i1 = np.divmod(rin, self.dp[rp][rblk])
+        sblk, i2 = _ragged(self.dp[cp])  # one column segment per (column block, i2)
+        slen = self.dr[cr][sblk]
+        nrows = np.bincount(rsec, rsize, nsectors).astype(np.intp)
+        ncols = np.bincount(csec, self.dp[cp] * self.dr[cr], nsectors).astype(np.intp)
+        nsegs = np.bincount(csec, self.dp[cp], nsectors).astype(np.intp)
+        row_first, col_first, seg_first = (np.cumsum(n) - n for n in (nrows, ncols, nsegs))
+        entry_first = np.cumsum(nrows * ncols) - nrows * ncols
+        # where each row and each segment starts inside its sector matrix
+        row_sec = rsec[rblk]
+        row_at = entry_first[row_sec] + (np.arange(len(rblk)) - row_first[row_sec]) * ncols[row_sec]
+        seg_at = np.cumsum(slen) - slen - col_first[csec[sblk]]
+
+        run_sec, run_at = _ragged(nrows * nsegs)
+        run_row, run_seg = np.divmod(run_at, nsegs[run_sec])
+        run_row += row_first[run_sec]
+        run_seg += seg_first[run_sec]
+        rb, cb = rblk[run_row], sblk[run_seg]
+        p1, p2 = rp[rb], cp[cb]
+        start = self.colstart[rl[rb], cr[cb]]
+        band_at = (
+            self.base[p1, p2]
+            + self.ncols[p1, p2] * (i1[run_row] * self.dp[p2] + i2[run_seg])
+            + start
+            + a[run_row] * slen[run_seg]
+        )
+        band_at[start < 0] = self.size
+        run_len = slen[run_seg]
+        shift = band_at - row_at[run_row] - seg_at[run_seg]
+        pos = np.repeat(shift, run_len)
+        pos += np.arange(len(pos))
+        return pos, rb, cb, run_len
+
+    def apply_bands(self, flat: np.ndarray) -> np.ndarray:
+        """Each band block times its matrix in ``flat``, followed by ``pad`` zeros."""
+        out = np.empty(self.size + self.pad, dtype=np.complex128)
+        out[self.size :] = 0.0
+        for matrix, start, dim, nc in self.bands:
+            stop = start + dim * nc
+            np.matmul(matrix, flat[start:stop].reshape(dim, nc), out=out[start:stop].reshape(dim, nc))
+        return out
+
+    def gather(self, gated: np.ndarray) -> dict[int, tuple[np.ndarray, list, list]]:
+        """``truncated_split`` sectors of the gated amplitudes, by new bond charge.
+
+        Rows (l, p1) and columns (p2, r) are in sorted order; a row or column
+        block whose amplitudes are all zero is left out.
+        """
+        nsec = len(self.qp)
+        lsel = np.flatnonzero(self.joined.any(axis=1))
+        rsel = np.flatnonzero(self.joined.any(axis=0))
+        row_l, row_p = np.repeat(lsel, nsec), np.tile(np.arange(nsec), len(lsel))
+        col_p, col_r = np.repeat(np.arange(nsec), len(rsel)), np.tile(rsel, nsec)
+        row_q = self.ql[row_l] + self.qp[row_p]
+        col_q = self.qr[col_r] - self.qp[col_p]
+        charges = np.intersect1d(row_q, col_q)
+        order = _by_charge(row_q, charges)
+        rows = (np.searchsorted(charges, row_q[order]), row_l[order], row_p[order])
+        order = _by_charge(col_q, charges)
+        cols = (np.searchsorted(charges, col_q[order]), col_p[order], col_r[order])
+        pos, rb, cb, run_len = self.positions(rows, cols, len(charges))
+        values = gated[pos]
+        hit = np.logical_or.reduceat(values != 0, np.cumsum(run_len) - run_len)
+        row_hit = np.zeros(len(rows[0]), dtype=bool)
+        row_hit[rb[hit]] = True
+        col_hit = np.zeros(len(cols[0]), dtype=bool)
+        col_hit[cb[hit]] = True
+        values = values[np.repeat(row_hit[rb] & col_hit[cb], run_len)]
+
+        dl, dp, dr = self.dl.tolist(), self.dp.tolist(), self.dr.tolist()
+        row_keys = [[] for _ in charges]
+        for s, l, p in zip(*(v[row_hit].tolist() for v in rows)):
+            row_keys[s].append(((l, p), (dl[l], dp[p])))
+        col_keys = [[] for _ in charges]
+        for s, p, r in zip(*(v[col_hit].tolist() for v in cols)):
+            col_keys[s].append(((p, r), (dp[p], dr[r])))
+        sectors, at = {}, 0
+        for q, rk, ck in zip(charges.tolist(), row_keys, col_keys):
+            if rk:
+                nr = sum(dl[l] * dp[p] for (l, p), _ in rk)
+                nc = sum(dp[p] * dr[r] for (p, r), _ in ck)
+                sectors[q] = (values[at : at + nr * nc].reshape(nr, nc), rk, ck)
+                at += nr * nc
+        return sectors
+
+
+def _by_charge(q: np.ndarray, charges: np.ndarray) -> np.ndarray:
+    """Entries whose charge is in ``charges``, grouped by charge, order kept within a group."""
+    keep = np.flatnonzero(np.isin(q, charges))
+    return keep[np.argsort(q[keep], kind="stable")]
 
 
 def dense_chain(site_tensors) -> np.ndarray:

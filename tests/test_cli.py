@@ -237,6 +237,23 @@ class TestCompare:
             assert abs(float(row[1]) - float(row[5])) < 1e-8
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_xxz_sidecar_records_model_local_dim(tmp_path, command):
+    # XXZ sites are spin-1/2 whatever --d says; the sidecar must say what ran
+    out = tmp_path / "run.csv"
+    args = [
+        command, "--model", "xxz", "--d", "3", "--length", "4", "--site", "2",
+        "--dt", "0.25", "--tmax", "0.25", "--output", str(out),
+    ]
+    if command == "simulate":
+        args += ["--method", "canonical", "--n", "2"]
+    else:
+        args += ["--run", "method=canonical,n=2"]
+    assert main(args) == 0
+    sidecar = json.loads((tmp_path / "run.csv.json").read_text())
+    assert sidecar["config"]["local_dim"] == 2
+
+
 class TestFitCommand:
     def test_fit_round_trip(self, tmp_path, capsys):
         t = np.linspace(1.0, 9.0, 80)

@@ -78,6 +78,31 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def imported_modules(source: str) -> set[str]:
+    """Modules a source imports from, relative ones as their bare name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            if node.module is None:
+                found |= {a.name for a in node.names}
+            else:
+                found.add(node.module)
+    return found
+
+
+def test_detects_imported_modules():
+    src = "import numpy as np\nfrom .models import BondGate\nfrom . import operator_space\n"
+    assert imported_modules(src) == {"numpy", "models", "operator_space"}
+
+
+def test_gate_kernel_knows_no_conservation_mode():
+    # one kernel for every mode: mps_core must not see how modes label sites
+    imports = imported_modules((SRC / "mps_core.py").read_text())
+    assert not {"models", "operator_space", "mpodyn.models", "mpodyn.operator_space"} & imports
+
+
 def test_detects_unused_private_helper():
     src = (
         "def _used():\n    return 1\n"

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 
-from mpodyn.charge_tensor import ChargeMismatchError, TruncationPolicy, ZeroNormError
+from mpodyn import mps_core
+from mpodyn.charge_tensor import (
+    ChargeMismatchError,
+    TruncationPolicy,
+    ZeroNormError,
+    scale_axis,
+    truncated_split,
+)
+from mpodyn.evolution import evolve, make_schedule
 from mpodyn.mps_core import CanonicalMps, from_fock, load_mps, save_mps
-from mpodyn.models import BondGate, super_gate
+from mpodyn.models import BondGate, ModelSpec, bond_gate, super_gate
+from mpodyn.observables import build_observable_superstate
 from mpodyn.operator_space import CANONICAL, GRAND_CANONICAL, identity_superstate, mode_weights
 from mpodyn.charge_tensor import ChargeIndex
 from mpodyn.projector import uniform_fock_superposition
@@ -19,6 +28,46 @@ def _identity_plus_off_band(eps: float) -> np.ndarray:
     dense = np.eye(4, dtype=complex)
     dense[0, 1] = eps
     return dense
+
+
+def _swap_gate() -> BondGate:
+    swap = np.zeros((4, 4), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            swap[j * 2 + i, i * 2 + j] = 1.0
+    return BondGate(swap, ChargeIndex.occupation(2))
+
+
+def _evolved_superstate(mode: str):
+    """Bose-Hubbard L=4, d=3 density at site 2, three Trotter steps in (bonds chi > 3).
+
+    Canonical labels give one-dimensional physical sectors and many gate
+    bands; grand-canonical labels give multi-dimensional sectors.
+    """
+    spec = ModelSpec.bose_hubbard(4, 3, 4.0)
+    s = build_observable_superstate(spec, 2, mode, 4 if mode == CANONICAL else None)
+    evolve(s, spec, make_schedule(2, 0.2), 0.6, UNRESTRICTED)
+    assert s.mps.bond_dimension(2) > 3
+    return spec, s
+
+
+def _dense_gated_two_site(mps: CanonicalMps, m: int, gate: BondGate) -> np.ndarray:
+    """``gate`` on the outer-weighted two-site tensor of bond m, as a dense
+    (chi_l * D, D * chi_r) matrix in sector-layout order."""
+    left = scale_axis(mps.site_tensor(m), 0, mps.lambda_at(m - 1)).densify()
+    theta = np.einsum("axc,cyb->axyb", left, mps.site_tensor_dense(m + 1))
+    D, p = gate.d, gate.perm
+    layout_gate = gate.dense.reshape(D, D, D, D)[np.ix_(p, p, p, p)]
+    gated = np.einsum("uvxy,axyb->auvb", layout_gate, theta)
+    return gated.reshape(left.shape[0] * D, D * theta.shape[3])
+
+
+def _assert_stored_blocks_valid(t) -> None:
+    t.validate()
+    assert all(blk.any() for blk in t.blocks.values())
+
+
+SUPER_MODES = pytest.mark.parametrize("mode", [CANONICAL, GRAND_CANONICAL])
 
 
 class TestFromFock:
@@ -112,12 +161,8 @@ class TestGateApplication:
         assert all(np.allclose(after[q], before[q]) for q in before)
 
     def test_swap_gate_on_fock(self):
-        swap = np.zeros((4, 4), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                swap[j * 2 + i, i * 2 + j] = 1.0
         psi = from_fock([0, 1], 2)
-        psi.apply_two_site_gate(1, BondGate(swap, ChargeIndex.occupation(2)), UNRESTRICTED)
+        psi.apply_two_site_gate(1, _swap_gate(), UNRESTRICTED)
         out = psi.to_statevector()
         assert np.allclose(out, oracle.fock_statevector([1, 0], 2))
 
@@ -145,14 +190,72 @@ class TestGateApplication:
         assert np.max(np.abs(psi.to_statevector() - want)) < 1e-12
 
     def test_banded_path_thread_determinism(self, rng, monkeypatch):
-        occ = [0, 1, 1, 0, 1]
-        g = random_conserving_gate(2, rng)
-        a = random_charge_mps(5, 2, occ, rng)
-        b = a.copy()
-        a.apply_two_site_gate(3, g, UNRESTRICTED)
-        monkeypatch.setenv("MPODYN_THREADS", "3")
-        b.apply_two_site_gate(3, g, UNRESTRICTED)
-        assert np.array_equal(a.to_statevector(), b.to_statevector())
+        psi = random_charge_mps(5, 2, [0, 1, 1, 0, 1], rng)
+        cases = [(psi, random_conserving_gate(2, rng), 3)]
+        for mode in (CANONICAL, GRAND_CANONICAL):
+            spec, s = _evolved_superstate(mode)
+            cases.append((s, super_gate(bond_gate(spec, 2, 0.37), s.weights), 2))
+        for state, g, m in cases:
+            runs = []
+            for threads in ("1", "3"):
+                monkeypatch.setenv("MPODYN_THREADS", threads)
+                x = state.copy()
+                mps = getattr(x, "mps", x)  # a superstate or a plain state
+                mps.apply_two_site_gate(m, g, UNRESTRICTED)
+                for t in mps.gammas[m - 1 : m + 1]:
+                    _assert_stored_blocks_valid(t)
+                dense = x.to_statevector() if mps is x else x.densify()
+                runs.append((dense, mps.lambdas[m - 1]))
+            (dense_1, lam_1), (dense_3, lam_3) = runs
+            assert np.array_equal(dense_1, dense_3)
+            assert lam_1.keys() == lam_3.keys()
+            assert all(np.array_equal(lam_1[q], lam_3[q]) for q in lam_1)
+
+    @SUPER_MODES
+    def test_super_gate_matches_dense_conjugation(self, mode):
+        spec, s = _evolved_superstate(mode)
+        g = bond_gate(spec, 2, 0.37)
+        before = s.densify()
+        s.mps.apply_two_site_gate(2, super_gate(g, s.weights), UNRESTRICTED)
+        U = oracle.two_site_operator(g.dense, 2, spec.L, spec.d)
+        assert np.max(np.abs(s.densify() - U.conj().T @ before @ U)) < 1e-12
+
+    def test_sector_matrices_have_no_zero_row_or_column_block(self, monkeypatch):
+        seen = []
+
+        def spy(sectors, policy):
+            seen.append(sectors)
+            return truncated_split(sectors, policy)
+
+        monkeypatch.setattr(mps_core, "truncated_split", spy)
+        # swaps on a Fock state leave most (l, p1) x (p2, r) blocks zero
+        psi = from_fock([0, 1, 1, 0], 2)
+        for m in (1, 2, 3):
+            psi.apply_two_site_gate(m, _swap_gate(), UNRESTRICTED)
+        for mode in (CANONICAL, GRAND_CANONICAL):
+            spec, s = _evolved_superstate(mode)
+            for m in range(1, spec.L):
+                s.mps.apply_two_site_gate(m, super_gate(bond_gate(spec, m, 0.37), s.weights), UNRESTRICTED)
+        for sectors in seen:
+            for mat, rows, cols in sectors.values():
+                row_sizes = [int(np.prod(dims)) for _, dims in rows]
+                col_sizes = [int(np.prod(dims)) for _, dims in cols]
+                assert mat.shape == (sum(row_sizes), sum(col_sizes))
+                for part in np.split(mat, np.cumsum(row_sizes)[:-1], axis=0):
+                    assert part.any()
+                for part in np.split(mat, np.cumsum(col_sizes)[:-1], axis=1):
+                    assert part.any()
+
+    @SUPER_MODES
+    def test_capped_super_gate_keeps_largest_values(self, mode):
+        spec, s = _evolved_superstate(mode)
+        sg = super_gate(bond_gate(spec, 2, 0.37), s.weights)
+        values = np.linalg.svd(_dense_gated_two_site(s.mps, 2, sg), compute_uv=False)
+        assert values[3] > 1e-8  # the cap cuts real weight
+        rec = s.mps.apply_two_site_gate(2, sg, TruncationPolicy(3, 0.0))
+        kept = np.sort(np.concatenate(list(s.mps.lambdas[1].values())))[::-1] * rec.nu
+        assert np.max(np.abs(kept - values[:3])) < 1e-12
+        assert abs(rec.nu**2 + rec.discarded_weight**2 - 1.0) < 1e-12
 
     @pytest.mark.parametrize(
         "dense",
