@@ -1,19 +1,21 @@
-"""Block-sparse tensors graded by a single additive U(1) charge.
+"""Block-sparse chain tensors graded by a single additive U(1) charge.
 
-Every tensor leg carries a :class:`ChargeIndex` (ordered charge sectors) and
-a direction flag ("in" or "out").  A dense block may be nonzero only when
+Every block tensor is one link of a chain: its legs are bond-in, the
+physical legs, bond-out, each carrying a :class:`ChargeIndex` (ordered
+charge sectors).  A dense block may be nonzero only when
 
-    sum(charges of outgoing legs) - sum(charges of incoming legs) == total_charge
+    charge(last leg) == sum(charges of the other legs)
 
-All other entries are exactly zero and never stored.  Blocks are complex
-double precision, row-major.
+so a bond charge counts the charge accumulated from the left end of the
+chain.  All other entries are exactly zero and never stored.  Blocks are
+complex double precision, row-major.
 
-``block_svd`` matricizes a tensor along a leg bipartition and decomposes it
-charge block by charge block.  The new bond sector label equals the net
-charge entering through the row legs ("particles to the left of the cut"),
-so the left factor always has total charge zero and the right factor
-inherits the input's total charge.  Its SVD-and-truncate step,
-``truncated_split``, is shared with the two-site gate kernel in
+``contract`` is the chain product (last leg of one tensor against the
+first leg of the next).  ``block_svd`` cuts a tensor after its first
+``n_row`` legs and decomposes it charge block by charge block; the new
+bond charge is the sum of the row charges ("particles to the left of the
+cut"), so both factors are chain tensors again.  Its SVD-and-truncate
+step, ``truncated_split``, is shared with the two-site gate kernel in
 ``mps_core``.
 
 A bond spectrum is a plain ``dict`` mapping bond charge to that sector's
@@ -31,9 +33,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-IN = "in"
-OUT = "out"
 
 THREADS_ENV = "MPODYN_THREADS"
 
@@ -100,33 +99,21 @@ class ChargeIndex:
         raise KeyError(f"no sector with charge {charge}")
 
 
-def _sign(direction: str) -> int:
-    if direction == OUT:
-        return 1
-    if direction == IN:
-        return -1
-    raise ValueError(f"unknown direction {direction!r}")
-
-
 @dataclass
 class SymmetricTensor:
-    """Charge-conserving block-sparse tensor.
+    """Charge-conserving block-sparse chain tensor.
 
     ``blocks`` maps per-leg sector positions to dense complex arrays whose
-    shape matches the selected sector dimensions.  Tensors are treated as
+    shape matches the selected sector dimensions; a stored block's last-leg
+    charge is the sum of its other legs' charges.  Tensors are treated as
     immutable values after construction.
     """
 
     indices: tuple[ChargeIndex, ...]
-    directions: tuple[str, ...]
     blocks: dict[tuple[int, ...], np.ndarray]
-    total_charge: int = 0
 
     def __post_init__(self):
-        if len(self.indices) != len(self.directions):
-            raise ValueError("one direction flag per index required")
         self.indices = tuple(self.indices)
-        self.directions = tuple(self.directions)
         self.blocks = {
             key: np.ascontiguousarray(np.asarray(blk, dtype=np.complex128))
             for key, blk in self.blocks.items()
@@ -140,11 +127,9 @@ class SymmetricTensor:
     def shape(self) -> tuple[int, ...]:
         return tuple(ix.dim for ix in self.indices)
 
-    def key_charge(self, key: tuple[int, ...]) -> int:
-        return sum(
-            _sign(dr) * ix.charges[pos]
-            for ix, dr, pos in zip(self.indices, self.directions, key)
-        )
+    def _conserves(self, key: tuple[int, ...]) -> bool:
+        *rest, last = (ix.charges[pos] for ix, pos in zip(self.indices, key))
+        return sum(rest) == last
 
     def validate(self) -> None:
         """Check shapes and the charge selection rule for every stored block."""
@@ -156,34 +141,14 @@ class SymmetricTensor:
                 raise ChargeMismatchError(
                     f"block {key} has shape {blk.shape}, sectors require {want}"
                 )
-            if self.key_charge(key) != self.total_charge:
+            if not self._conserves(key):
                 raise ChargeMismatchError("charge mismatch")
 
     def copy(self) -> "SymmetricTensor":
-        return SymmetricTensor(
-            self.indices,
-            self.directions,
-            {k: blk.copy() for k, blk in self.blocks.items()},
-            self.total_charge,
-        )
-
-    def conj(self) -> "SymmetricTensor":
-        """Complex conjugate; flips leg directions and negates the total charge."""
-        flipped = tuple(IN if d == OUT else OUT for d in self.directions)
-        return SymmetricTensor(
-            self.indices,
-            flipped,
-            {k: blk.conj() for k, blk in self.blocks.items()},
-            -self.total_charge,
-        )
+        return SymmetricTensor(self.indices, {k: blk.copy() for k, blk in self.blocks.items()})
 
     def scale(self, factor: complex) -> "SymmetricTensor":
-        return SymmetricTensor(
-            self.indices,
-            self.directions,
-            {k: blk * factor for k, blk in self.blocks.items()},
-            self.total_charge,
-        )
+        return SymmetricTensor(self.indices, {k: blk * factor for k, blk in self.blocks.items()})
 
     def norm(self) -> float:
         return float(
@@ -219,56 +184,38 @@ def scale_axis(
         shape[axis] = len(vec)
         w = vec.reshape(shape)
         blocks[key] = blk / w if inverse else blk * w
-    return SymmetricTensor(t.indices, t.directions, blocks, t.total_charge)
+    return SymmetricTensor(t.indices, blocks)
 
 
-def contract(
-    a: SymmetricTensor,
-    b: SymmetricTensor,
-    pairs: list[tuple[int, int]],
-) -> SymmetricTensor:
-    """Contract ``a`` with ``b`` over the given leg pairs.
+def contract(a: SymmetricTensor, b: SymmetricTensor) -> SymmetricTensor:
+    """Chain product: the last leg of ``a`` summed against the first leg of ``b``.
 
-    Paired legs must carry identical sector lists with opposite direction
-    flags.  Free legs of ``a`` come first in the result, then free legs of
-    ``b``; the result charge is the sum of the operand charges.
+    The two legs must carry identical sector lists.  The result has the
+    other legs of ``a``, then the other legs of ``b``.
     """
-    for ia, ib in pairs:
-        if a.indices[ia].sectors != b.indices[ib].sectors:
-            raise ChargeMismatchError("charge mismatch")
-        if _sign(a.directions[ia]) + _sign(b.directions[ib]) != 0:
-            raise ChargeMismatchError("paired legs must have opposite directions")
+    if a.indices[-1].sectors != b.indices[0].sectors:
+        raise ChargeMismatchError("charge mismatch")
 
-    a_axes = [ia for ia, _ in pairs]
-    b_axes = [ib for _, ib in pairs]
-    a_free = [i for i in range(a.ndim) if i not in a_axes]
-    b_free = [i for i in range(b.ndim) if i not in b_axes]
-
-    by_paired: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    by_first: dict[int, list[tuple[int, ...]]] = {}
     for kb in b.blocks:
-        by_paired.setdefault(tuple(kb[i] for i in b_axes), []).append(kb)
+        by_first.setdefault(kb[0], []).append(kb)
 
+    axis = a.ndim - 1
     out_blocks: dict[tuple[int, ...], np.ndarray] = {}
     for ka in sorted(a.blocks):
-        lookup = tuple(ka[i] for i in a_axes)
-        partners = by_paired.get(lookup)
+        partners = by_first.get(ka[-1])
         if not partners:
             continue
         blk_a = a.blocks[ka]
         for kb in sorted(partners):
-            res = np.tensordot(blk_a, b.blocks[kb], axes=(a_axes, b_axes))
-            key = tuple(ka[i] for i in a_free) + tuple(kb[i] for i in b_free)
+            res = np.tensordot(blk_a, b.blocks[kb], axes=([axis], [0]))
+            key = ka[:-1] + kb[1:]
             if key in out_blocks:
                 out_blocks[key] = out_blocks[key] + res
             else:
                 out_blocks[key] = res
 
-    return SymmetricTensor(
-        tuple(a.indices[i] for i in a_free) + tuple(b.indices[i] for i in b_free),
-        tuple(a.directions[i] for i in a_free) + tuple(b.directions[i] for i in b_free),
-        out_blocks,
-        a.total_charge + b.total_charge,
-    )
+    return SymmetricTensor(a.indices[:-1] + b.indices[1:], out_blocks)
 
 
 @dataclass(frozen=True)
@@ -400,39 +347,35 @@ def truncated_split(
 
 def block_svd(
     t: SymmetricTensor,
-    row_axes: tuple[int, ...],
+    n_row: int,
     policy: TruncationPolicy,
 ) -> tuple[SymmetricTensor, dict[int, np.ndarray], SymmetricTensor, float, float]:
-    """Truncated SVD of ``t`` matricized with ``row_axes`` as rows.
+    """Truncated SVD of ``t`` cut after its first ``n_row`` legs.
 
-    Each charge block of the matricized tensor is decomposed independently
-    by :func:`truncated_split`; the kept values are the globally largest
+    The first ``n_row`` legs are the matrix rows, the rest the columns.
+    Each charge block of that matrix is decomposed independently by
+    :func:`truncated_split`; the kept values are the globally largest
     ``min(chi_max, available)`` across all blocks, chosen by
     :func:`global_truncation`.  Returns ``(left, values, right, kept_norm,
     discarded_norm)``: ``values`` maps each new bond charge to its kept
     (unnormalized) singular values, so ``left @ diag(values) @ right`` is
     the truncated input.
     """
-    row_axes = tuple(row_axes)
-    col_axes = tuple(i for i in range(t.ndim) if i not in row_axes)
-    if not row_axes or not col_axes:
-        raise ValueError("row/column grouping must be a bipartition of the legs")
+    if not 0 < n_row < t.ndim:
+        raise ValueError("the cut must leave legs on both sides")
 
     if not t.blocks or all(not np.any(blk) for blk in t.blocks.values()):
         raise ZeroNormError("zero norm")
 
     # each block sits in the matrix of its row charge, rows and columns laid
     # out block by block in sorted key order
-    row_sign = [(-_sign(t.directions[a])) for a in row_axes]
-    n_row = len(row_axes)
     groups: dict[int, tuple[dict, dict, list]] = {}
     for key in sorted(t.blocks):
-        if t.key_charge(key) != t.total_charge:
+        if not t._conserves(key):
             raise ChargeMismatchError("charge mismatch")
-        rk = tuple(key[a] for a in row_axes)
-        ck = tuple(key[a] for a in col_axes)
-        q = sum(s * t.indices[a].charges[p] for s, a, p in zip(row_sign, row_axes, rk))
-        block = np.transpose(t.blocks[key], row_axes + col_axes)
+        rk, ck = key[:n_row], key[n_row:]
+        q = sum(ix.charges[p] for ix, p in zip(t.indices, rk))
+        block = t.blocks[key]
         rows, cols, parts = groups.setdefault(q, ({}, {}, []))
         rows[rk], cols[ck] = block.shape[:n_row], block.shape[n_row:]
         parts.append((rk, ck, block))
@@ -458,17 +401,6 @@ def block_svd(
     bond, values, left_blocks, right_blocks, kept_norm, discarded_norm = truncated_split(
         sectors, policy
     )
-    left = SymmetricTensor(
-        tuple(t.indices[a] for a in row_axes) + (bond,),
-        tuple(t.directions[a] for a in row_axes) + (OUT,),
-        left_blocks,
-        0,
-    )
-    right = SymmetricTensor(
-        (bond,) + tuple(t.indices[a] for a in col_axes),
-        (IN,) + tuple(t.directions[a] for a in col_axes),
-        right_blocks,
-        t.total_charge,
-    )
+    left = SymmetricTensor(t.indices[:n_row] + (bond,), left_blocks)
+    right = SymmetricTensor((bond,) + t.indices[n_row:], right_blocks)
     return left, values, right, kept_norm, discarded_norm
-

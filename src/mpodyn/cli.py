@@ -78,10 +78,15 @@ class RunConfig:
             raise ValueError("site out of range")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        if self.t_max < 0:
+            raise ValueError("tmax must be >= 0")
         if not 0 < self.cutoff_budget <= 1:
             raise ValueError("budget must be in (0, 1]")
         if self.observable == "density" and self.psi0 is None:
             raise ValueError("density observable requires --psi0")
+        if self.observable == "density" and self.n_sector is not None:
+            if self.n_sector != sum(int(c) for c in self.psi0):
+                raise ValueError("--n differs from the particle number of psi0")
         if self.n_sector is not None:
             if not 0 <= self.n_sector <= self.length * (self.model_spec().d - 1):
                 raise ValueError("infeasible particle number")
@@ -225,7 +230,7 @@ def cmd_oracle_check(args) -> int:
             ]
             report[f"itac_canonical_N{N}"] = max(devs)
     elif args.suite == "density":
-        psi0 = [int(c) for c in (args.psi0 or "01" * (spec.L // 2))]
+        psi0 = [int(c) for c in (args.psi0 or ("01" * spec.L)[: spec.L])]
         H = sparse.csr_matrix(oracle.dense_hamiltonian(spec).entries)
         v0 = oracle.fock_statevector(psi0, spec.d)
         nmat = oracle.site_operator(np.diag(np.arange(spec.d, dtype=float)), args.site, spec.L)

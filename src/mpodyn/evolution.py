@@ -13,6 +13,7 @@ reaches the budget, whichever comes first.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -123,7 +124,11 @@ def evolve(
 
     The observer, when given, is called as observer(time, target, log)
     at t = 0 and after every full step (including the terminating one).
+    No step ends past t_max: a t_max between two step ends stops at the
+    earlier one.
     """
+    if t_max < 0:
+        raise ValueError("t_max must be >= 0")
     if not 0.0 < cutoff_budget <= 1.0:
         raise ValueError("cutoff_budget must be in (0, 1]")
     is_super = isinstance(target, SuperState)
@@ -148,7 +153,8 @@ def evolve(
     if observer is not None:
         observer(0.0, target, log)
 
-    n_steps = int(round(t_max / schedule.dt))
+    # the tolerance keeps a t_max of k steps at k when t_max / dt rounds below k
+    n_steps = math.floor(t_max / schedule.dt + 1e-9)
     for step in range(1, n_steps + 1):
         for stage in schedule.stages:
             for m in sublattice_bonds(stage.sublattice, spec.L):

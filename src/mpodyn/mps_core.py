@@ -1,10 +1,12 @@
 """Canonical (Vidal) matrix product states over charge-graded sites.
 
 A state of L sites is stored as per-site Gamma tensors with legs
-(bond-in, physical, bond-out) and per-interior-bond singular value vectors
-grouped by bond charge.  Bond charges count accumulated physical charge
-from the left, so the leftmost bond is a trivial charge-0 sector and the
-rightmost carries the total charge of a charge-definite state.
+(bond-in, physical, bond-out), each a ``charge_tensor`` chain tensor, and
+per-interior-bond singular value vectors grouped by bond charge.  Bond
+charges count accumulated physical charge from the left, so the leftmost
+bond is a trivial charge-0 sector and the rightmost carries the total
+charge of a charge-definite state; ``CanonicalMps.total_charge`` reads it
+from there and is not stored.
 
 Bond spectra are plain dicts, bond charge -> descending values (see
 ``charge_tensor``); which values a cut keeps is decided only by
@@ -34,8 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charge_tensor import (
-    IN,
-    OUT,
     ChargeIndex,
     ChargeMismatchError,
     SymmetricTensor,
@@ -69,12 +69,7 @@ class CanonicalMps:
     legs.
     """
 
-    def __init__(
-        self,
-        gammas: list[SymmetricTensor],
-        lambdas: list[dict[int, np.ndarray]],
-        total_charge: int | None = None,
-    ):
+    def __init__(self, gammas: list[SymmetricTensor], lambdas: list[dict[int, np.ndarray]]):
         if len(lambdas) != len(gammas) - 1:
             raise ValueError("need exactly one singular vector per interior bond")
         self.gammas = gammas
@@ -82,7 +77,6 @@ class CanonicalMps:
             {int(q): np.asarray(v, dtype=np.float64) for q, v in lam.items()}
             for lam in lambdas
         ]
-        self.total_charge = total_charge
 
     @property
     def L(self) -> int:
@@ -95,6 +89,12 @@ class CanonicalMps:
     @property
     def site_dims(self) -> list[int]:
         return [ix.dim for ix in self.phys_indices]
+
+    @property
+    def total_charge(self) -> int | None:
+        """Charge of the right outer bond when it has one sector, else ``None``."""
+        right = self.bond_index(self.L)
+        return right.charges[0] if right.nsectors == 1 else None
 
     def bond_index(self, m: int) -> ChargeIndex:
         """ChargeIndex of bond m (0..L); outer bonds are one-dimensional."""
@@ -119,7 +119,6 @@ class CanonicalMps:
         return CanonicalMps(
             [g.copy() for g in self.gammas],
             [{q: v.copy() for q, v in lam.items()} for lam in self.lambdas],
-            self.total_charge,
         )
 
     # -- spectra and entropies ------------------------------------------------
@@ -221,8 +220,8 @@ class CanonicalMps:
         except ZeroNormError as exc:
             raise ZeroNormError("state annihilated") from exc
 
-        new_g1 = SymmetricTensor((lix, phys1, bond), (IN, IN, OUT), g1_blocks, 0)
-        new_g2 = SymmetricTensor((bond, phys2, rix), (IN, IN, OUT), g2_blocks, 0)
+        new_g1 = SymmetricTensor((lix, phys1, bond), g1_blocks)
+        new_g2 = SymmetricTensor((bond, phys2, rix), g2_blocks)
         self.gammas[m - 1] = scale_axis(new_g1, 0, lam_l, inverse=True)
         self.gammas[m] = scale_axis(new_g2, 2, lam_r, inverse=True) if m + 1 < self.L else new_g2
         self.lambdas[m - 1] = {q: v / kept_norm for q, v in values.items()}
@@ -459,9 +458,9 @@ def product_mps(phys: ChargeIndex, sites: list[tuple[int, np.ndarray]]) -> Canon
         acc += q
         blk = np.asarray(amps, dtype=np.complex128).reshape(1, -1, 1)
         key = (0, phys.position(q), 0)
-        gammas.append(SymmetricTensor((left, phys, right), (IN, IN, OUT), {key: blk}, 0))
+        gammas.append(SymmetricTensor((left, phys, right), {key: blk}))
         lambdas.append({acc: np.array([1.0])})
-    return CanonicalMps(gammas, lambdas[:-1], total_charge=acc)
+    return CanonicalMps(gammas, lambdas[:-1])
 
 
 def from_fock(occupations: list[int], d: int) -> CanonicalMps:
@@ -483,22 +482,17 @@ def canonicalize(site_tensors: list[SymmetricTensor]) -> tuple[CanonicalMps, flo
     L = len(site_tensors)
     tensors = [t.copy() for t in site_tensors]
 
-    total_charge = None
-    right_ix = tensors[-1].indices[2]
-    if right_ix.nsectors == 1:
-        total_charge = right_ix.charges[0]
-
     if L == 1:
         nrm = tensors[0].norm()
         if nrm < 1e-300:
             raise ZeroNormError("zero norm")
-        return CanonicalMps([tensors[0].scale(1.0 / nrm)], [], total_charge), nrm
+        return CanonicalMps([tensors[0].scale(1.0 / nrm)], []), nrm
 
     # right-to-left sweep: make sites 2..L right-isometric
     for m in range(L - 1, 0, -1):
-        left, values, tensors[m], _, _ = block_svd(tensors[m], (0,), exact)
+        left, values, tensors[m], _, _ = block_svd(tensors[m], 1, exact)
         carry = scale_axis(left, 1, values)
-        tensors[m - 1] = contract(tensors[m - 1], carry, [(2, 0)])
+        tensors[m - 1] = contract(tensors[m - 1], carry)
 
     # left-to-right sweep: extract Schmidt spectra and Gamma tensors
     gammas: list[SymmetricTensor] = []
@@ -506,7 +500,7 @@ def canonicalize(site_tensors: list[SymmetricTensor]) -> tuple[CanonicalMps, flo
     norm_val = None
     prev_lam: dict[int, np.ndarray] | None = None
     for m in range(L - 1):
-        left, values, right, kept_norm, discarded_norm = block_svd(tensors[m], (0, 1), exact)
+        left, values, right, kept_norm, discarded_norm = block_svd(tensors[m], 2, exact)
         if norm_val is None:
             norm_val = float(np.sqrt(kept_norm**2 + discarded_norm**2))
             if norm_val < 1e-300:
@@ -516,13 +510,13 @@ def canonicalize(site_tensors: list[SymmetricTensor]) -> tuple[CanonicalMps, flo
         gammas.append(gamma)
         lambdas.append(lam)
         carry = scale_axis(right, 0, values)
-        tensors[m + 1] = contract(carry, tensors[m + 1], [(1, 0)])
+        tensors[m + 1] = contract(carry, tensors[m + 1])
         prev_lam = lam
 
     last = tensors[L - 1].scale(1.0 / norm_val)
     last = scale_axis(last, 0, prev_lam, inverse=True)
     gammas.append(last)
-    return CanonicalMps(gammas, lambdas, total_charge), norm_val
+    return CanonicalMps(gammas, lambdas), norm_val
 
 
 # -- serialization ---------------------------------------------------------------
@@ -537,12 +531,8 @@ def save_mps(path: str, mps: CanonicalMps) -> None:
     """
     meta = {
         "L": mps.L,
-        "total_charge": mps.total_charge,
         "indices": [
-            {
-                "sectors": [list(s) for s in g.indices[i].sectors],
-                "direction": g.directions[i],
-            }
+            {"sectors": [list(s) for s in g.indices[i].sectors]}
             for g in mps.gammas
             for i in range(3)
         ],
@@ -560,23 +550,27 @@ def save_mps(path: str, mps: CanonicalMps) -> None:
 
 
 def load_mps(path: str) -> CanonicalMps:
+    """Read a :func:`save_mps` checkpoint.
+
+    Older files also carry per-leg ``direction`` and a ``total_charge``
+    key; both are ignored (the total charge follows from the right bond).
+    """
     with np.load(path) as data:
         meta = json.loads(bytes(data["__meta__"]).decode())
         L = meta["L"]
         gammas = []
         for m in range(L):
-            idx = []
-            for i in range(3):
-                entry = meta["indices"][3 * m + i]
-                idx.append(ChargeIndex(tuple(tuple(s) for s in entry["sectors"])))
-            dirs = tuple(meta["indices"][3 * m + i]["direction"] for i in range(3))
+            idx = tuple(
+                ChargeIndex(tuple(tuple(s) for s in meta["indices"][3 * m + i]["sectors"]))
+                for i in range(3)
+            )
             blocks = {
                 tuple(k): data[f"g{m}/{','.join(map(str, k))}"]
                 for k in meta["block_keys"][m]
             }
-            gammas.append(SymmetricTensor(tuple(idx), dirs, blocks, 0))
+            gammas.append(SymmetricTensor(idx, blocks))
         lambdas = [
             {q: data[f"lam{m}/{q}"] for q in meta["lambda_charges"][m]}
             for m in range(L - 1)
         ]
-    return CanonicalMps(gammas, lambdas, meta["total_charge"])
+    return CanonicalMps(gammas, lambdas)

@@ -32,8 +32,6 @@ from functools import lru_cache
 import numpy as np
 
 from .charge_tensor import (
-    IN,
-    OUT,
     ChargeIndex,
     ChargeMismatchError,
     SymmetricTensor,
@@ -382,9 +380,7 @@ def out_chain_compose(op_s: SuperState, target: SuperState) -> SuperState:
                         )
         composed = SymmetricTensor(
             (left_ix, phys, right_ix),
-            (IN, IN, OUT),
             {key: blk for key, blk in blocks.items() if blk.any()},
-            0,
         )
         composed.validate()
         site_tensors.append(composed)

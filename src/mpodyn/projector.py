@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .charge_tensor import IN, OUT, ChargeIndex, SymmetricTensor
+from .charge_tensor import ChargeIndex, SymmetricTensor
 from .mps_core import CanonicalMps
 from .operator_space import (
     CANONICAL,
@@ -92,13 +92,13 @@ def uniform_fock_superposition(N: int, L: int, d: int | None = None) -> Canonica
                 g2 = Fraction(num, den)
                 val = float(np.sqrt(float(g2)))
                 blocks[(lpos, j, rpos)] = np.array([[[val]]], dtype=np.complex128)
-        gammas.append(SymmetricTensor((left, phys, right), (IN, IN, OUT), blocks, 0))
+        gammas.append(SymmetricTensor((left, phys, right), blocks))
         if m < L:
             lambdas.append(
                 {l: np.array([float(np.sqrt(float(_lambda_sq(d, N, L, m, l))))]) for l in cur}
             )
         prev = cur
-    return CanonicalMps(gammas, lambdas, total_charge=N)
+    return CanonicalMps(gammas, lambdas)
 
 
 def projector_superstate(N: int, L: int, d: int) -> SuperState:
@@ -120,17 +120,15 @@ def projector_superstate(N: int, L: int, d: int) -> SuperState:
     gammas = [
         SymmetricTensor(
             (relabel(g.indices[0]), phys, relabel(g.indices[2])),
-            (IN, IN, OUT),
             {
                 (lpos, phys.position(j * w), rpos): blk
                 for (lpos, j, rpos), blk in g.blocks.items()
             },
-            0,
         )
         for g in state.gammas
     ]
     lambdas = [{l * w: v for l, v in lam.items()} for lam in state.lambdas]
-    mps = CanonicalMps(gammas, lambdas, total_charge=N * w)
+    mps = CanonicalMps(gammas, lambdas)
     return SuperState(
         mps,
         L,

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from mpodyn.charge_tensor import (
-    IN,
-    OUT,
     ChargeIndex,
     ChargeMismatchError,
     TruncationPolicy,
@@ -22,7 +20,7 @@ def descending(values):
 
 
 def make_random_three_leg(rng):
-    """Charge-conserving 3-leg tensor (l IN, p IN, r OUT) with mixed sector dims."""
+    """Chain tensor (l, p, r) with r = l + p and mixed sector dims."""
     left = ChargeIndex(((0, 2), (1, 3)))
     phys = ChargeIndex.occupation(2)
     right = ChargeIndex(((0, 2), (1, 4), (2, 3)))
@@ -34,7 +32,19 @@ def make_random_three_leg(rng):
                     blocks[(lp, pp, rp)] = rng.normal(size=(ld, pd, rd)) + 1j * rng.normal(
                         size=(ld, pd, rd)
                     )
-    return SymmetricTensor((left, phys, right), (IN, IN, OUT), blocks, 0)
+    return SymmetricTensor((left, phys, right), blocks)
+
+
+def make_random_two_leg(rng, first):
+    """Chain tensor (first, second): block-diagonal in charge, with one extra
+    second-leg sector that no block reaches."""
+    second = ChargeIndex(tuple((q, dim % 3 + 1) for q, dim in first.sectors) + ((9, 2),))
+    blocks = {
+        (p, p): rng.normal(size=(first.dims[p], second.dims[p]))
+        + 1j * rng.normal(size=(first.dims[p], second.dims[p]))
+        for p in range(first.nsectors)
+    }
+    return SymmetricTensor((first, second), blocks)
 
 
 class TestChargeIndex:
@@ -67,6 +77,17 @@ class TestDensify:
                         assert np.all(sl == 0)
 
 
+class TestValidate:
+    def test_rejects_wrong_last_leg_charge(self, rng):
+        t = make_random_three_leg(rng)
+        # l = 1, p = 0 must end in r = 1; the block has the shape of r = 2,
+        # so only its charge is wrong
+        bad = dict(t.blocks)
+        bad[(1, 0, 2)] = np.ones((3, 1, t.indices[2].dims[2]))
+        with pytest.raises(ChargeMismatchError, match="charge mismatch"):
+            SymmetricTensor(t.indices, bad).validate()
+
+
 class TestContract:
     def test_identity_contraction(self, rng):
         t = make_random_three_leg(rng)
@@ -74,35 +95,31 @@ class TestContract:
         eye_blocks = {
             (p, p): np.eye(dim, dtype=complex) for p, (q, dim) in enumerate(right.sectors)
         }
-        ident = SymmetricTensor((right, right), (IN, OUT), eye_blocks, 0)
-        out = contract(t, ident, [(2, 0)])
+        ident = SymmetricTensor((right, right), eye_blocks)
+        out = contract(t, ident)
         assert np.allclose(out.densify(), t.densify(), atol=1e-14)
-
-    def test_full_contraction_gives_squared_norm(self, rng):
-        t = make_random_three_leg(rng)
-        val = contract(t, t.conj(), [(0, 0), (1, 1), (2, 2)])
-        assert np.allclose(val.blocks[()], t.norm() ** 2)
 
     def test_against_dense(self, rng):
         a = make_random_three_leg(rng)
-        b = make_random_three_leg(rng)
-        out = contract(a, b.conj(), [(2, 2)])
-        dense = np.tensordot(a.densify(), b.densify().conj(), axes=(2, 2))
+        b = make_random_two_leg(rng, a.indices[2])
+        out = contract(a, b)
+        out.validate()
+        assert out.indices == a.indices[:2] + b.indices[1:]
+        dense = np.tensordot(a.densify(), b.densify(), axes=(2, 0))
         assert np.max(np.abs(out.densify() - dense)) < 1e-12
 
     def test_sector_mismatch_raises(self, rng):
         a = make_random_three_leg(rng)
+        # a's last leg (0, 1, 2) and first leg (0, 1) differ
         with pytest.raises(ChargeMismatchError, match="charge mismatch"):
-            contract(a, a.conj(), [(0, 2)])
+            contract(a, a)
 
 
 class TestBlockSvd:
     def test_identity_two_values(self):
         ix = ChargeIndex(((0, 2),))
-        t = SymmetricTensor(
-            (ix, ix), (IN, OUT), {(0, 0): np.eye(2, dtype=complex)}, 0
-        )
-        _, values, _, _, discarded = block_svd(t, (0,), TruncationPolicy(2, 0.0))
+        t = SymmetricTensor((ix, ix), {(0, 0): np.eye(2, dtype=complex)})
+        _, values, _, _, discarded = block_svd(t, 1, TruncationPolicy(2, 0.0))
         assert np.allclose(descending(values), [1.0, 1.0])
         assert discarded == 0.0
 
@@ -112,54 +129,60 @@ class TestBlockSvd:
             (0, 0): np.array([[0.9]], dtype=complex),
             (1, 1): np.diag([0.8, 0.1]).astype(complex),
         }
-        t = SymmetricTensor((ix, ix), (IN, OUT), blocks, 0)
-        _, values, _, _, discarded = block_svd(t, (0,), TruncationPolicy(2, 0.0))
+        t = SymmetricTensor((ix, ix), blocks)
+        _, values, _, _, discarded = block_svd(t, 1, TruncationPolicy(2, 0.0))
         assert np.allclose(descending(values), [0.9, 0.8])
         assert np.allclose(discarded, 0.1)
 
     def test_reconstruction_matches_dense_svd(self, rng):
         t = make_random_three_leg(rng)
-        left, values, right, _, _ = block_svd(t, (0, 1), TruncationPolicy(None, 0.0))
-        rebuilt = contract(scale_axis(left, 2, values), right, [(2, 0)])
-        assert np.max(np.abs(rebuilt.densify() - t.densify())) < 1e-12
-        # dense SVD oracle: the same values, globally sorted
-        dense = t.densify().reshape(t.shape[0] * t.shape[1], t.shape[2])
-        s_dense = np.linalg.svd(dense, compute_uv=False)
-        s_dense = s_dense[s_dense > 1e-13]
-        assert np.allclose(descending(values)[: len(s_dense)], s_dense)
+        for n_row in (1, 2):
+            left, values, right, _, _ = block_svd(t, n_row, TruncationPolicy(None, 0.0))
+            left.validate()
+            right.validate()
+            rebuilt = contract(scale_axis(left, n_row, values), right)
+            assert np.max(np.abs(rebuilt.densify() - t.densify())) < 1e-12
+            # dense SVD oracle: the same values, globally sorted
+            rows = int(np.prod(t.shape[:n_row]))
+            s_dense = np.linalg.svd(t.densify().reshape(rows, -1), compute_uv=False)
+            s_dense = s_dense[s_dense > 1e-13]
+            assert np.allclose(descending(values)[: len(s_dense)], s_dense)
+
+    @pytest.mark.parametrize("n_row", [0, 3])
+    def test_cut_must_leave_legs_on_both_sides(self, rng, n_row):
+        with pytest.raises(ValueError, match="both sides"):
+            block_svd(make_random_three_leg(rng), n_row, TruncationPolicy(None, 0.0))
 
     def test_normalized_spectrum(self, rng):
         t = make_random_three_leg(rng)
-        _, values, _, kept, discarded = block_svd(t, (0, 1), TruncationPolicy(4, 0.0))
+        _, values, _, kept, discarded = block_svd(t, 2, TruncationPolicy(4, 0.0))
         # values come back unnormalized; kept_norm is their 2-norm
         assert abs(np.sum(descending(values) ** 2) - kept**2) < 1e-12
         assert abs(kept**2 + discarded**2 - t.norm() ** 2) < 1e-10
 
     def test_kept_values_dominate_discarded(self, rng):
         t = make_random_three_leg(rng)
-        all_vals = descending(block_svd(t, (0, 1), TruncationPolicy(None, 0.0))[1])
-        cut = descending(block_svd(t, (0, 1), TruncationPolicy(3, 0.0))[1])
+        all_vals = descending(block_svd(t, 2, TruncationPolicy(None, 0.0))[1])
+        cut = descending(block_svd(t, 2, TruncationPolicy(3, 0.0))[1])
         assert cut.min() >= all_vals[3:].max() - 1e-14
 
     def test_zero_tensor_raises(self):
         ix = ChargeIndex(((0, 2),))
-        t = SymmetricTensor((ix, ix), (IN, OUT), {(0, 0): np.zeros((2, 2))}, 0)
+        t = SymmetricTensor((ix, ix), {(0, 0): np.zeros((2, 2))})
         with pytest.raises(ZeroNormError, match="zero norm"):
-            block_svd(t, (0,), TruncationPolicy(2, 0.0))
+            block_svd(t, 1, TruncationPolicy(2, 0.0))
 
     def test_inconsistent_grading_raises(self, rng):
         ix = ChargeIndex(((0, 2), (1, 2)))
-        t = SymmetricTensor(
-            (ix, ix), (IN, OUT), {(0, 1): rng.normal(size=(2, 2))}, 0
-        )
+        t = SymmetricTensor((ix, ix), {(0, 1): rng.normal(size=(2, 2))})
         with pytest.raises(ChargeMismatchError, match="charge mismatch"):
-            block_svd(t, (0,), TruncationPolicy(2, 0.0))
+            block_svd(t, 1, TruncationPolicy(2, 0.0))
 
     def test_deterministic_under_thread_count(self, rng, monkeypatch):
         t = make_random_three_leg(rng)
-        left1, values1, _, _, _ = block_svd(t, (0, 1), TruncationPolicy(5, 0.0))
+        left1, values1, _, _, _ = block_svd(t, 2, TruncationPolicy(5, 0.0))
         monkeypatch.setenv("MPODYN_THREADS", "4")
-        left2, values2, _, _, _ = block_svd(t, (0, 1), TruncationPolicy(5, 0.0))
+        left2, values2, _, _, _ = block_svd(t, 2, TruncationPolicy(5, 0.0))
         assert values1.keys() == values2.keys()
         for q in values1:
             assert np.array_equal(values1[q], values2[q])

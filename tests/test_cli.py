@@ -108,6 +108,40 @@ class TestSimulate:
         assert "infeasible particle number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_negative_tmax_exit_code(self, tmp_path, capsys, command):
+        out = tmp_path / "x.csv"
+        run = ["--method", "grand-canonical"] if command == "simulate" else ["--run", "method=brute"]
+        rc = main(
+            [
+                command, "--model", "xxz", "--length", "4", "--site", "2",
+                "--dt", "0.25", "--tmax", "-1", "--output", str(out),
+            ]
+            + run
+        )
+        assert rc == 2
+        assert "tmax" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_density_particle_number_must_match_psi0(self, tmp_path, capsys, command):
+        # psi0 = 0101 holds two bosons; --n 3 would be recorded but not run
+        out = tmp_path / "x.csv"
+        run = ["--method", "canonical", "--n", "3"]
+        if command == "compare":
+            run = ["--run", "method=canonical,n=3"]
+        rc = main(
+            [
+                command, "--model", "bose-hubbard", "--d", "3", "--length", "4",
+                "--site", "2", "--observable", "density", "--psi0", "0101",
+                "--dt", "0.25", "--tmax", "0.25", "--output", str(out),
+            ]
+            + run
+        )
+        assert rc == 2
+        assert "--n differs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_budget_termination_reported(self, tmp_path):
         out = tmp_path / "b.csv"
         rc = main(
@@ -210,6 +244,17 @@ class TestOracleCheck:
         assert rc == 0
         assert "density_canonical" in out and "density_grand_canonical" in out
         assert "FAIL" not in out
+
+    def test_density_suite_default_psi0_odd_length(self, capsys):
+        rc = main(
+            [
+                "oracle-check", "--suite", "density", "--model", "bose-hubbard", "--length", "5",
+                "--d", "3", "--tmax", "0.25",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "density_canonical" in out and "FAIL" not in out
 
 
 class TestCompare:

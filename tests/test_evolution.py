@@ -164,6 +164,27 @@ class TestEvolve:
         evolve(s, spec, make_schedule(2, 0.25), 1.0, UNRESTRICTED, observer=lambda t, st, lg: seen.append(t))
         assert seen == [0.0, 0.25, 0.5, 0.75, 1.0]
 
+    @pytest.mark.parametrize(
+        "dt, t_max, times",
+        [
+            (0.375, 1.0, [0.0, 0.375, 0.75]),  # 1 / 0.375 = 2.67 steps: stop at 2
+            (0.1, 0.3, [0.0, 0.1, 0.2, 0.30000000000000004]),  # 0.3 / 0.1 < 3 in floats
+        ],
+    )
+    def test_never_steps_past_t_max(self, dt, t_max, times):
+        spec = ModelSpec.xxz(4, 0.5)
+        s = lift_product_operator(embed_factor(sigma_z_local(), 2, 4))
+        log = evolve(s, spec, make_schedule(2, dt), t_max, UNRESTRICTED)
+        assert log.times == times
+        assert log.end_time == times[-1]
+        assert log.termination_reason == "t_max"
+
+    def test_negative_t_max_rejected(self):
+        spec = ModelSpec.xxz(4, 0.5)
+        s = lift_product_operator(embed_factor(sigma_z_local(), 2, 4))
+        with pytest.raises(ValueError, match="t_max"):
+            evolve(s, spec, make_schedule(2, 0.25), -1.0, UNRESTRICTED)
+
     def test_budget_termination(self):
         L = 8
         spec = ModelSpec.xxz(L, 0.8)

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from mpodyn import mps_core
 from mpodyn.charge_tensor import (
     ChargeMismatchError,
+    SymmetricTensor,
     TruncationPolicy,
     ZeroNormError,
     scale_axis,
@@ -86,6 +89,13 @@ class TestFromFock:
         psi = from_fock([0, 2, 0], 3)
         assert psi.total_charge == 2
         assert psi.max_bond_dimension() == 1
+
+    def test_total_charge_is_none_for_a_mixed_right_bond(self):
+        # one site whose right bond holds both charges: no definite total
+        phys = ChargeIndex.occupation(2)
+        one = np.ones((1, 1, 1))
+        g = SymmetricTensor((ChargeIndex.trivial(), phys, phys), {(0, 0, 0): one, (0, 1, 1): one})
+        assert CanonicalMps([g], []).total_charge is None
 
     def test_occupation_out_of_range(self):
         with pytest.raises(ValueError, match="local dimension exceeded"):
@@ -327,3 +337,43 @@ class TestSerialization:
         back = load_mps(str(path))
         assert back.total_charge == psi.total_charge
         assert np.max(np.abs(back.to_statevector() - psi.to_statevector())) < 1e-14
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["__meta__"]).decode())
+        assert "total_charge" not in meta
+        assert all(set(entry) == {"sectors"} for entry in meta["indices"])
+
+    def test_loads_files_with_directions_and_total_charge(self, tmp_path):
+        # a two-site, one-particle state in the older layout, written by hand:
+        # sqrt(0.36) |j1=0, j2=1> + sqrt(0.64) |j1=1, j2=0>
+        occ = [[0, 1], [1, 1]]
+        meta = {
+            "L": 2,
+            "total_charge": 1,
+            "indices": [
+                {"sectors": [[0, 1]], "direction": "in"},
+                {"sectors": occ, "direction": "in"},
+                {"sectors": occ, "direction": "out"},
+                {"sectors": occ, "direction": "in"},
+                {"sectors": occ, "direction": "in"},
+                {"sectors": [[1, 1]], "direction": "out"},
+            ],
+            "block_keys": [[[0, 0, 0], [0, 1, 1]], [[0, 1, 0], [1, 0, 0]]],
+            "lambda_charges": [[0, 1]],
+        }
+        one = np.ones((1, 1, 1), dtype=np.complex128)
+        path = tmp_path / "old.npz"
+        np.savez_compressed(
+            path,
+            __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+            **{"g0/0,0,0": one, "g0/0,1,1": one, "g1/0,1,0": one, "g1/1,0,0": one},
+            **{"lam0/0": np.array([0.6]), "lam0/1": np.array([0.8])},
+        )
+        psi = load_mps(str(path))
+        assert psi.total_charge == 1
+        spectrum = psi.schmidt_spectrum(1)
+        assert spectrum.keys() == {0, 1}
+        assert spectrum[0].tolist() == [0.6] and spectrum[1].tolist() == [0.8]
+        for g in psi.gammas:
+            g.validate()
+        # site 1 is the fastest index: |j1=1, j2=0> is entry 1, |j1=0, j2=1> entry 2
+        assert np.array_equal(psi.to_statevector(), np.array([0, 0.8, 0.6, 0]))

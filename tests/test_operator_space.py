@@ -207,7 +207,7 @@ def _charge_breaking_operator(L):
     g = s.mps.gammas[site - 1]
     ((left, _, right), blk), = g.blocks.items()
     wrong = g.indices[1].position(-1)
-    s.mps.gammas[site - 1] = SymmetricTensor(g.indices, g.directions, {(left, wrong, right): blk}, 0)
+    s.mps.gammas[site - 1] = SymmetricTensor(g.indices, {(left, wrong, right): blk})
     return s
 
 
