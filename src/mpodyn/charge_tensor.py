@@ -244,28 +244,33 @@ def global_truncation(
     in-sector order, so the result is deterministic.  Returns kept counts
     per charge, the kept 2-norm, and the discarded 2-norm.
     """
-    entries = []
-    for q in sorted(values_by_q):
-        for pos, v in enumerate(values_by_q[q]):
-            entries.append((float(v), q, pos))
-    entries.sort(key=lambda e: (-e[0], e[1], e[2]))
+    if not values_by_q:
+        raise ZeroNormError("zero norm after truncation")
+    qs = sorted(values_by_q)
+    sizes = [len(values_by_q[q]) for q in qs]
+    values = np.concatenate([values_by_q[q] for q in qs]).astype(np.float64, copy=False)
+    sector = np.repeat(np.arange(len(qs)), sizes)
+    # values are laid out by charge, then position, so the index ranks (charge, position)
+    order = np.lexsort((np.arange(len(values)), -values))
 
     floor = policy.singular_value_floor
-    n_above = sum(1 for v, _, _ in entries if v >= floor and v > 0.0)
+    n_above = int(np.count_nonzero((values >= floor) & (values > 0.0)))
     n_keep = n_above if policy.chi_max is None else min(policy.chi_max, n_above)
-    kept = entries[:n_keep]
-    dropped = entries[n_keep:]
-
-    kept_norm = float(np.sqrt(sum(v * v for v, _, _ in kept)))
-    discarded_norm = float(np.sqrt(sum(v * v for v, _, _ in dropped)))
+    squares = values[order] ** 2
+    # sequential sums, as ``sum`` adds them, so the norms keep their bits
+    kept_norm = float(np.sqrt(_running_sum(squares[:n_keep])))
+    discarded_norm = float(np.sqrt(_running_sum(squares[n_keep:])))
     if n_keep == 0 or kept_norm == 0.0:
         raise ZeroNormError("zero norm after truncation")
 
-    keep_count: dict[int, int] = {}
-    for _, q, pos in kept:
-        # ties are kept in sector order, so kept positions always form a prefix
-        keep_count[q] = max(keep_count.get(q, 0), pos + 1)
-    return keep_count, kept_norm, discarded_norm
+    # values descend within a sector and ties are kept in sector order, so
+    # each sector keeps a prefix: its kept count is that prefix's length
+    counts = np.bincount(sector[order[:n_keep]], minlength=len(qs)).tolist()
+    return {q: n for q, n in zip(qs, counts) if n}, kept_norm, discarded_norm
+
+
+def _running_sum(x: np.ndarray) -> float:
+    return float(np.cumsum(x)[-1]) if len(x) else 0.0
 
 
 def _svd_dense(mat: np.ndarray):
@@ -286,7 +291,7 @@ def _cut(mat: np.ndarray, blocks: list, axis: int):
     """
     sizes = [math.prod(dims) for _, dims in blocks]
     starts = np.cumsum([0] + sizes[:-1])
-    nonzero = np.logical_or.reduceat(np.any(mat != 0, axis=1 - axis), starts)
+    nonzero = np.logical_or.reduceat(mat.any(axis=1 - axis), starts)
     for (key, dims), start, size, keep in zip(blocks, starts, sizes, nonzero):
         if keep:
             if axis == 0:
@@ -299,19 +304,18 @@ def truncated_split(
     sectors: dict[int, tuple[np.ndarray, list, list]],
     policy: TruncationPolicy,
 ):
-    """Blockwise truncated SVD of sector matrices, cut back into blocks.
+    """Blockwise truncated SVD of sector matrices.
 
     ``sectors`` maps each new bond charge ``q`` to ``(matrix, rows, cols)``,
     where ``rows`` lists the ``(row_key, dims)`` blocks stacked along the
-    matrix rows in order (``prod(dims)`` rows each) and ``cols`` likewise.
-    Each charge's matrix is decomposed independently (in parallel over
-    ``MPODYN_THREADS`` threads), and :func:`global_truncation` picks the
-    kept values.  ``U`` and ``V^dagger`` are cut into blocks keyed
-    ``row_key + (bond_pos,)`` and ``(bond_pos,) + col_key``; all-zero
-    blocks are left out.
+    matrix rows in order (``prod(dims)`` rows each) and ``cols`` likewise;
+    they are passed through untouched.  Each charge's matrix is decomposed
+    independently (in parallel over ``MPODYN_THREADS`` threads), and
+    :func:`global_truncation` picks the kept values.
 
     Returns the new bond index, the kept (unnormalized) values per charge,
-    the left and right blocks, the kept 2-norm and the discarded 2-norm.
+    ``[(U[:, :k], rows)]`` and ``[(V^dagger[:k], cols)]`` per kept charge
+    in bond order, the kept 2-norm and the discarded 2-norm.
     """
 
     def _decompose(q: int):
@@ -331,18 +335,14 @@ def truncated_split(
 
     kept_charges = sorted(keep_count)
     bond = ChargeIndex(tuple((q, keep_count[q]) for q in kept_charges))
-    values: dict[int, np.ndarray] = {}
-    left_blocks: dict[tuple[int, ...], np.ndarray] = {}
-    right_blocks: dict[tuple[int, ...], np.ndarray] = {}
-    for pos, q in enumerate(kept_charges):
+    values, left, right = {}, [], []
+    for q in kept_charges:
         (_, rows, cols), (u, s, vh) = sectors[q], svds[q]
         k = keep_count[q]
         values[q] = s[:k]
-        for rk, part in _cut(u[:, :k], rows, 0):
-            left_blocks[rk + (pos,)] = part
-        for ck, part in _cut(vh[:k], cols, 1):
-            right_blocks[(pos,) + ck] = part
-    return bond, values, left_blocks, right_blocks, kept_norm, discarded_norm
+        left.append((u[:, :k], rows))
+        right.append((vh[:k], cols))
+    return bond, values, left, right, kept_norm, discarded_norm
 
 
 def block_svd(
@@ -398,9 +398,16 @@ def block_svd(
             mat[r0 : r0 + nr, c0 : c0 + nc] = block.reshape(nr, nc)
         sectors[q] = (mat, row_order, col_order)
 
-    bond, values, left_blocks, right_blocks, kept_norm, discarded_norm = truncated_split(
+    bond, values, left_parts, right_parts, kept_norm, discarded_norm = truncated_split(
         sectors, policy
     )
+    left_blocks: dict[tuple[int, ...], np.ndarray] = {}
+    right_blocks: dict[tuple[int, ...], np.ndarray] = {}
+    for pos, ((u, rows), (vh, cols)) in enumerate(zip(left_parts, right_parts)):
+        for rk, part in _cut(u, rows, 0):
+            left_blocks[rk + (pos,)] = part
+        for ck, part in _cut(vh, cols, 1):
+            right_blocks[(pos,) + ck] = part
     left = SymmetricTensor(t.indices[:n_row] + (bond,), left_blocks)
     right = SymmetricTensor((bond,) + t.indices[n_row:], right_blocks)
     return left, values, right, kept_norm, discarded_norm

@@ -200,6 +200,8 @@ def cmd_projector_osee(args) -> int:
 def cmd_oracle_check(args) -> int:
     from . import oracle
 
+    if not 1 <= args.site <= args.length:
+        raise ValueError("site out of range")
     spec = (
         ModelSpec.xxz(args.length, args.delta)
         if args.model == "xxz"

@@ -1,12 +1,23 @@
 """Canonical (Vidal) matrix product states over charge-graded sites.
 
-A state of L sites is stored as per-site Gamma tensors with legs
-(bond-in, physical, bond-out), each a ``charge_tensor`` chain tensor, and
-per-interior-bond singular value vectors grouped by bond charge.  Bond
-charges count accumulated physical charge from the left, so the leftmost
-bond is a trivial charge-0 sector and the rightmost carries the total
-charge of a charge-definite state; ``CanonicalMps.total_charge`` reads it
-from there and is not stored.
+A state of L sites is a chain of Gamma tensors with legs (bond-in,
+physical, bond-out) plus per-interior-bond singular value vectors grouped
+by bond charge.  Bond charges count accumulated physical charge from the
+left, so the leftmost bond is a trivial charge-0 sector and the rightmost
+carries the total charge of a charge-definite state;
+``CanonicalMps.total_charge`` reads it from there and is not stored.
+
+Each Gamma is stored as sector matrices, one dense matrix per charge of
+the bond leg the gate kernel contracts over.  The left-factor layout is
+that of ``U`` in a split: one matrix per bond-out charge, its rows the
+(l, p) blocks stacked in order.  The right-factor layout is that of
+``V^dagger``: one matrix per bond-in charge, its columns the (p, r)
+blocks.  A site keeps the layout its last update produced; the other one
+is made by one index-array permutation when a gate needs it.  A site no
+gate has updated keeps the block tensor it was built from until one does.
+Everything outside the kernel (``canonicalize``, composition, observers,
+``save_mps``) reads ``charge_tensor`` block tensors: ``gammas`` builds a
+site's view from its matrices when it is first read after an update.
 
 Bond spectra are plain dicts, bond charge -> descending values (see
 ``charge_tensor``); which values a cut keeps is decided only by
@@ -14,13 +25,13 @@ Bond spectra are plain dicts, bond charge -> descending values (see
 states, product operators) is built by :func:`product_mps`.
 
 Two-site gates are ``models.BondGate`` objects, applied by one kernel for
-every conservation mode, :meth:`CanonicalMps.apply_two_site_gate`.  Its
-work is batched by charge, not by block: one matmul per centre bond sector
-builds the two-site amplitudes, one matmul per gate band (two-site charge)
-applies the gate, and index arrays computed per run of contiguous entries
-move the amplitudes between the two layouts.  The kernel and
-:func:`canonicalize` (through ``block_svd``) share
-``charge_tensor.truncated_split`` for the sector SVDs and the truncation.
+every conservation mode, :meth:`CanonicalMps.apply_two_site_gate`.  It
+works on matrices only: one matmul per centre bond sector builds the
+two-site amplitudes, one matmul per gate band (two-site charge) applies
+the gate, and index arrays computed per run of contiguous entries move
+the amplitudes between the layouts.  The kernel and :func:`canonicalize`
+(through ``block_svd``) share ``charge_tensor.truncated_split`` for the
+sector SVDs and the truncation.
 
 Open boundaries only: the outer bonds are one-dimensional.  Singular
 values below ``LAMBDA_FLOOR`` are dropped outright; restoring Vidal form
@@ -66,25 +77,50 @@ class CanonicalMps:
     ``lambdas[m-1]`` holds the singular values of interior bond ``m``
     (1-based, between sites m and m+1) as a mapping charge -> descending
     values; the grouping matches the sector order of the adjacent bond
-    legs.
+    legs.  The Gammas are stored as sector matrices (see the module
+    docstring); ``gammas`` gives block views of them.
     """
 
     def __init__(self, gammas: list[SymmetricTensor], lambdas: list[dict[int, np.ndarray]]):
         if len(lambdas) != len(gammas) - 1:
             raise ValueError("need exactly one singular vector per interior bond")
-        self.gammas = gammas
+        # a site never updated by a gate is held as the block tensor it was given
+        self._sites: list[_SectorMatrices | None] = [None] * len(gammas)
+        self._views: list[SymmetricTensor | None] = list(gammas)
         self.lambdas = [
             {int(q): np.asarray(v, dtype=np.float64) for q, v in lam.items()}
             for lam in lambdas
         ]
 
     @property
+    def gammas(self) -> list[SymmetricTensor]:
+        """Block views of the Gammas; each is built once after its site's last update."""
+        return [self._view(i) for i in range(self.L)]
+
+    def _view(self, i: int) -> SymmetricTensor:
+        if self._views[i] is None:
+            self._views[i] = self._sites[i].tensor()
+        return self._views[i]
+
+    def _matrices(self, i: int) -> "_SectorMatrices":
+        site = self._sites[i]
+        return _SectorMatrices.from_tensor(self._views[i]) if site is None else site
+
+    def _set_site(self, i: int, site: "_SectorMatrices") -> None:
+        self._sites[i] = site
+        self._views[i] = None
+
+    def _indices(self, i: int) -> tuple[ChargeIndex, ...]:
+        site = self._sites[i]
+        return self._views[i].indices if site is None else site.indices
+
+    @property
     def L(self) -> int:
-        return len(self.gammas)
+        return len(self._sites)
 
     @property
     def phys_indices(self) -> list[ChargeIndex]:
-        return [g.indices[1] for g in self.gammas]
+        return [self._indices(i)[1] for i in range(self.L)]
 
     @property
     def site_dims(self) -> list[int]:
@@ -99,8 +135,8 @@ class CanonicalMps:
     def bond_index(self, m: int) -> ChargeIndex:
         """ChargeIndex of bond m (0..L); outer bonds are one-dimensional."""
         if m == 0:
-            return self.gammas[0].indices[0]
-        return self.gammas[m - 1].indices[2]
+            return self._indices(0)[0]
+        return self._indices(m - 1)[2]
 
     def lambda_at(self, m: int) -> dict[int, np.ndarray]:
         """Singular values at bond m (0..L); outer bonds return a unit weight."""
@@ -116,10 +152,13 @@ class CanonicalMps:
         return max(self.bond_dimension(m) for m in range(self.L + 1))
 
     def copy(self) -> "CanonicalMps":
-        return CanonicalMps(
-            [g.copy() for g in self.gammas],
-            [{q: v.copy() for q, v in lam.items()} for lam in self.lambdas],
-        )
+        out = CanonicalMps.__new__(CanonicalMps)
+        out._sites = [None if site is None else site.copy() for site in self._sites]
+        out._views = [
+            view.copy() if site is None else None for site, view in zip(self._sites, self._views)
+        ]
+        out.lambdas = [{q: v.copy() for q, v in lam.items()} for lam in self.lambdas]
+        return out
 
     # -- spectra and entropies ------------------------------------------------
 
@@ -140,57 +179,41 @@ class CanonicalMps:
     def apply_two_site_gate(self, m, gate, policy: TruncationPolicy) -> TruncationRecord:
         """Apply a charge-conserving ``BondGate`` at bond m (1..L-1), in place.
 
-        The two-site tensor is built per centre sector c: the left blocks
-        ``(l, p1, c)`` are stacked into one matrix, the right blocks
-        ``(c, p2, r)`` into another, with the outer and centre singular
-        values multiplied in, and one matmul gives every amplitude through
-        c.  The products are scattered into one matrix per gate band q
-        (``BondGate.band_table``): rows are the band's fused pair basis,
-        columns every (l, r) pair of bond charge difference q.  The band
-        block acts on it with one matmul.  The gated amplitudes are then
-        gathered into one matrix per new bond charge, all-zero (l, p1) rows
-        and (p2, r) columns left out, and re-split by ``truncated_split``.
-        Vidal form is restored by dividing out the outer singular values.
+        Works on sector matrices only.  Site m is taken in the left-factor
+        layout and site m+1 in the right-factor layout; for each centre
+        sector c their matrices, with the outer and centre singular values
+        multiplied into rows and columns, give every amplitude through c
+        in one matmul.  The products are scattered into one matrix per
+        gate band q (``BondGate.band_table``): rows are the band's fused
+        pair basis, columns every (l, r) pair of bond charge difference q.
+        The band block acts on it with one matmul.  The gated amplitudes
+        are then gathered into one matrix per new bond charge, all-zero
+        (l, p1) rows and (p2, r) columns left out, and split by
+        ``truncated_split``.  The kept ``U`` and ``V^dagger`` become the new
+        sites as they are, less their all-zero blocks, with the outer
+        singular values divided out of their rows and columns (Vidal form).
         The state is renormalized; the returned record carries the
         pre-normalization kept norm ``nu`` and the discarded weight.
         """
         if not 1 <= m <= self.L - 1:
             raise ValueError("bond out of range")
-        g1, g2 = self.gammas[m - 1], self.gammas[m]
-        phys1, phys2 = g1.indices[1], g2.indices[1]
+        g1, g2 = self._matrices(m - 1).on_leg(2), self._matrices(m).on_leg(0)
+        (lix, phys1, cix), (_, phys2, rix) = g1.indices, g2.indices
         if gate.index.sectors != phys1.sectors or gate.index.sectors != phys2.sectors:
             raise ChargeMismatchError("charge mismatch")
         lam_l, lam_c, lam_r = (self.lambda_at(k) for k in (m - 1, m, m + 1))
-        lix, cix, rix = g1.indices[0], g1.indices[2], g2.indices[2]
+        dp = np.array(phys1.dims, dtype=np.intp)
 
-        left_by_c: dict[int, list] = {}
-        right_by_c: dict[int, list] = {}
-        for key in sorted(g1.blocks):
-            left_by_c.setdefault(key[2], []).append(key)
-        for key in sorted(g2.blocks):
-            right_by_c.setdefault(key[0], []).append(key)
-        centres = sorted(left_by_c.keys() & right_by_c.keys())
-
-        # stacked, weighted factors of each centre sector
-        factors, row_blocks, col_blocks = [], [], []
-        for sec, c in enumerate(centres):
-            lkeys, rkeys = left_by_c[c], right_by_c[c]
-            dc = cix.dims[c]
-            a_mat = np.concatenate(
-                [
-                    (g1.blocks[k] * lam_l[lix.charges[k[0]]][:, None, None]).reshape(-1, dc)
-                    for k in lkeys
-                ]
-            ) * lam_c[cix.charges[c]]
-            b_mat = np.concatenate(
-                [(g2.blocks[k] * lam_r[rix.charges[k[2]]]).reshape(dc, -1) for k in rkeys],
-                axis=1,
-            )
-            factors.append((a_mat, b_mat))
-            row_blocks += [(sec, k[0], k[1]) for k in lkeys]
-            col_blocks += [(sec, k[1], k[2]) for k in rkeys]
-        rows = np.array(row_blocks, dtype=np.intp).reshape(-1, 3).T
-        cols = np.array(col_blocks, dtype=np.intp).reshape(-1, 3).T
+        left = {c: (first, mat) for c, first, mat in g1.matrices()}
+        right = {c: (first, mat) for c, first, mat in g2.matrices()}
+        centres = sorted(left.keys() & right.keys())
+        # (sector, l, p1) of every row block and (sector, p2, r) of every column block
+        sector_of = np.full(cix.nsectors, -1, dtype=np.intp)
+        sector_of[centres] = np.arange(len(centres))
+        lk = g1.keys[:, sector_of[g1.keys[2]] >= 0]
+        rk = g2.keys[:, sector_of[g2.keys[0]] >= 0]
+        rows = np.stack((sector_of[lk[2]], lk[0], lk[1]))
+        cols = np.stack((sector_of[rk[0]], rk[1], rk[2]))
 
         # the (l, r) pairs joined through some centre sector are the band columns
         left_of = np.zeros((lix.nsectors, len(centres)), dtype=np.intp)
@@ -199,14 +222,20 @@ class CanonicalMps:
         right_of[cols[0], cols[2]] = 1
         layout = _BandLayout(gate.band_table(), lix, phys1, rix, left_of @ right_of > 0)
         pos = layout.positions(rows, cols, len(centres))[0]
+        # outer singular values of every row of g1 and every column of g2
+        w_left = _outer_values(lam_l, lix, g1.keys[0], dp[g1.keys[1]], 2)
+        w_right = _outer_values(lam_r, rix, g2.keys[2], dp[g2.keys[1]], 0)
         flat = np.zeros(layout.size, dtype=np.complex128)
         at = 0
-        for a_mat, b_mat in factors:
+        for c in centres:
+            (r0, a), (c0, b) = left[c], right[c]
+            a_mat = (a * w_left[r0 : r0 + a.shape[0], None]) * lam_c[cix.charges[c]]
+            b_mat = b * w_right[c0 : c0 + b.shape[1]]
             n = a_mat.shape[0] * b_mat.shape[1]
             flat[pos[at : at + n]] = (a_mat @ b_mat).reshape(-1)
             at += n
         # each stage's buffers go before the next one allocates
-        del factors, pos
+        del pos
         gated = layout.apply_bands(flat)
         del flat
         sectors = layout.gather(gated)
@@ -214,16 +243,14 @@ class CanonicalMps:
 
         floor = max(policy.singular_value_floor, LAMBDA_FLOOR)
         try:
-            bond, values, g1_blocks, g2_blocks, kept_norm, discarded_norm = truncated_split(
+            bond, values, u_parts, vh_parts, kept_norm, discarded_norm = truncated_split(
                 sectors, TruncationPolicy(policy.chi_max, floor)
             )
         except ZeroNormError as exc:
             raise ZeroNormError("state annihilated") from exc
 
-        new_g1 = SymmetricTensor((lix, phys1, bond), g1_blocks)
-        new_g2 = SymmetricTensor((bond, phys2, rix), g2_blocks)
-        self.gammas[m - 1] = scale_axis(new_g1, 0, lam_l, inverse=True)
-        self.gammas[m] = scale_axis(new_g2, 2, lam_r, inverse=True) if m + 1 < self.L else new_g2
+        self._set_site(m - 1, _factor_site((lix, phys1, bond), 2, u_parts, lam_l))
+        self._set_site(m, _factor_site((bond, phys2, rix), 0, vh_parts, lam_r))
         self.lambdas[m - 1] = {q: v / kept_norm for q, v in values.items()}
         return TruncationRecord(
             bond=m,
@@ -239,7 +266,7 @@ class CanonicalMps:
 
         The chain product of these tensors is the state.
         """
-        g = self.gammas[m - 1]
+        g = self._view(m - 1)
         return scale_axis(g, 2, self.lambda_at(m)) if m < self.L else g
 
     def site_tensor_dense(self, m: int) -> np.ndarray:
@@ -259,7 +286,7 @@ class CanonicalMps:
             if abs(total - 1.0) > 1e-10:
                 raise AssertionError(f"bond {m}: sum lambda^2 = {total}")
         for m in range(1, self.L + 1):
-            a = scale_axis(self.gammas[m - 1], 0, self.lambda_at(m - 1)).densify()
+            a = scale_axis(self._view(m - 1), 0, self.lambda_at(m - 1)).densify()
             right_env = np.einsum("akb,akc->bc", a.conj(), a)
             if not np.allclose(right_env, np.eye(a.shape[2]), atol=atol):
                 raise AssertionError(f"site {m}: right orthogonality violated")
@@ -267,6 +294,188 @@ class CanonicalMps:
             left_env = np.einsum("akc,bkc->ab", b, b.conj())
             if not np.allclose(left_env, np.eye(b.shape[0]), atol=atol):
                 raise AssertionError(f"site {m}: left orthogonality violated")
+
+
+@dataclass(frozen=True)
+class _BlockList:
+    """Blocks stacked in order along one side of a sector matrix.
+
+    ``keys`` and ``dims`` are (2, n) integer arrays: block j has the sector
+    positions ``keys[:, j]`` ((l, p) for rows, (p, r) for columns) and the
+    dimensions ``dims[:, j]``.  Iterates as the ``(key, dims)`` tuples that
+    ``truncated_split`` documents.
+    """
+
+    keys: np.ndarray
+    dims: np.ndarray
+
+    def __iter__(self):
+        return zip(map(tuple, self.keys.T.tolist()), map(tuple, self.dims.T.tolist()))
+
+
+class _SectorMatrices:
+    """One Gamma (l, p, r) stored as one dense matrix per sector of a bond leg.
+
+    ``leg == 2`` is the left-factor layout, that of ``U``: one matrix per
+    bond-out sector r, its rows the (l, p) blocks in sorted order, each
+    block's rows (a, i) in C order.  ``leg == 0`` is the right-factor
+    layout, that of ``V^dagger``: one matrix per bond-in sector l, its
+    columns the (p, r) blocks in sorted order, each block's columns (i, b)
+    in C order.  The matrices follow one another in ``flat`` by sector,
+    each in C order, and ``keys`` is the (l, p, r) of every block in that
+    order.  ``flat`` is never written after construction.
+    """
+
+    __slots__ = ("indices", "leg", "keys", "flat")
+
+    def __init__(self, indices, leg: int, keys: np.ndarray, flat: np.ndarray):
+        self.indices, self.leg, self.keys, self.flat = tuple(indices), leg, keys, flat
+
+    @classmethod
+    def from_tensor(cls, t: SymmetricTensor) -> "_SectorMatrices":
+        """Left-factor layout of a block tensor's stored blocks."""
+        order = sorted(t.blocks, key=lambda k: (k[2], k[0], k[1]))
+        keys = np.array(order, dtype=np.intp).reshape(-1, 3).T
+        flat = np.concatenate([t.blocks[k].reshape(-1) for k in order] or [np.zeros(0, complex)])
+        site = cls(t.indices, 2, keys, flat)
+        dl, dp, dr = site._dims()
+        if flat.size != int(np.sum(dl[keys[0]] * dp[keys[1]] * dr[keys[2]])):
+            raise ChargeMismatchError("block shapes do not match the sector dimensions")
+        return site
+
+    def _dims(self) -> list[np.ndarray]:
+        return [np.array(ix.dims, dtype=np.intp) for ix in self.indices]
+
+    def copy(self) -> "_SectorMatrices":
+        return _SectorMatrices(self.indices, self.leg, self.keys, self.flat.copy())
+
+    def matrices(self) -> list[tuple[int, int, np.ndarray]]:
+        """(sector, first stacked row or column, matrix) of every sector matrix.
+
+        Stacked rows (left-factor layout) or columns (right-factor layout)
+        are counted across all matrices in order.
+        """
+        dl, dp, dr = self._dims()
+        l, p, r = self.keys
+        if self.leg == 2:
+            sec, stacked, other = r, dl[l] * dp[p], dr
+        else:
+            sec, stacked, other = l, dp[p] * dr[r], dl
+        count = np.bincount(sec, stacked, len(other)).astype(np.intp)
+        out, at, first = [], 0, 0
+        for c in np.flatnonzero(count).tolist():
+            n, o = int(count[c]), int(other[c])
+            shape = (n, o) if self.leg == 2 else (o, n)
+            out.append((c, first, self.flat[at : at + n * o].reshape(shape)))
+            at += n * o
+            first += n
+        return out
+
+    def on_leg(self, leg: int) -> "_SectorMatrices":
+        """The same Gamma in the layout of ``leg``, made by one index-array permutation."""
+        if leg == self.leg:
+            return self
+        l, p, r = self.keys
+        keys2 = self.keys if self.leg == 2 else self.keys[:, np.lexsort((p, l, r))]
+        to0, at0 = _right_layout_positions(keys2, *self._dims())
+        if self.leg == 2:
+            flat = np.empty_like(self.flat)
+            flat[at0] = self.flat
+            return _SectorMatrices(self.indices, 0, keys2[:, to0], flat)
+        return _SectorMatrices(self.indices, 2, keys2, self.flat[at0])
+
+    def tensor(self) -> SymmetricTensor:
+        """Block view, blocks in layout order; left-factor blocks share ``flat``."""
+        site = self.on_leg(2)
+        dl, dp, dr = (ix.dims for ix in self.indices)
+        blocks, at = {}, 0
+        for l, p, r in site.keys.T.tolist():
+            shape = (dl[l], dp[p], dr[r])
+            n = shape[0] * shape[1] * shape[2]
+            blocks[(l, p, r)] = site.flat[at : at + n].reshape(shape)
+            at += n
+        if self.leg == 0:
+            blocks = dict(sorted(blocks.items()))
+        return SymmetricTensor(self.indices, blocks)
+
+
+def _right_layout_positions(keys2: np.ndarray, dl, dp, dr) -> tuple[np.ndarray, np.ndarray]:
+    """Right-factor block order and position of every left-factor entry in it.
+
+    ``keys2`` is the (l, p, r) of every block in left-factor order.
+    Returns the permutation of blocks into right-factor order and, for
+    every entry of the left-factor ``flat``, its position in the
+    right-factor one.  The b entries of one row (a, i) of a block are
+    contiguous in both layouts, so positions are computed per run.
+    """
+    l, p, r = keys2
+    to0 = np.lexsort((r, p, l))
+    width = dp[p] * dr[r]
+    ncols = np.bincount(l, width, len(dl)).astype(np.intp)
+    col_at = np.empty_like(width)
+    col_at[to0] = np.cumsum(width[to0]) - width[to0] - (np.cumsum(ncols) - ncols)[l[to0]]
+    sec_at = np.cumsum(dl * ncols) - dl * ncols
+    blk, row = _ragged(dl[l] * dp[p])
+    a, i = np.divmod(row, dp[p][blk])
+    lb, run_len = l[blk], dr[r][blk]
+    start = sec_at[lb] + a * ncols[lb] + col_at[blk] + i * run_len
+    pos = np.repeat(start - (np.cumsum(run_len) - run_len), run_len)
+    pos += np.arange(len(pos))
+    return to0, pos
+
+
+def _outer_values(lam: dict[int, np.ndarray], ix: ChargeIndex, outer, dp, leg: int) -> np.ndarray:
+    """Singular values of outer bond ``ix`` for every stacked row or column.
+
+    ``outer`` is each block's sector on ``ix`` and ``dp`` its physical
+    dimension, blocks in stacking order.  Row (a, i) of a left-factor
+    block (``leg == 2``) gets lambda[a]; column (i, b) of a right-factor
+    block (``leg == 0``) gets lambda[b].
+    """
+    values = np.concatenate([lam[q] for q in ix.charges])
+    dout = np.array(ix.dims, dtype=np.intp)[outer]
+    blk, t = _ragged(dout * dp)
+    inner = t // dp[blk] if leg == 2 else t % dout[blk]
+    return values[np.array(ix.offsets, dtype=np.intp)[outer][blk] + inner]
+
+
+def _factor_site(indices, leg: int, parts, lam: dict[int, np.ndarray]) -> _SectorMatrices:
+    """New site from the kept ``(U[:, :k], rows)`` (``leg == 2``) or
+    ``(V^dagger[:k], cols)`` (``leg == 0``) of each new bond charge.
+
+    All-zero row (column) blocks are left out, as ``block_svd`` leaves them
+    out, and the outer bond's values are divided out of the rows
+    (columns), which restores Vidal form.
+    """
+    axis = 0 if leg == 2 else 1
+    mats = [mat for mat, _ in parts]
+    keys = np.concatenate([blocks.keys for _, blocks in parts], axis=1)
+    sizes = np.concatenate([blocks.dims for _, blocks in parts], axis=1).prod(axis=0)
+    bond = np.repeat(np.arange(len(parts)), [blocks.keys.shape[1] for _, blocks in parts])
+    # the zero test of block_svd's cut, for all charges at once
+    nonzero = np.concatenate([mat.any(axis=1 - axis) for mat in mats])
+    keep = np.logical_or.reduceat(nonzero, np.cumsum(sizes) - sizes)
+    if not keep.all():
+        lines = np.repeat(keep, sizes)
+        ends = np.cumsum([mat.shape[axis] for mat in mats])
+        mats = [
+            np.compress(lines[end - mat.shape[axis] : end], mat, axis=axis)
+            for mat, end in zip(mats, ends.tolist())
+        ]
+        keys, bond = keys[:, keep], bond[keep]
+    keys = np.vstack((keys, bond) if leg == 2 else (bond, keys))
+    outer = keys[0] if leg == 2 else keys[2]
+    dp = np.array(indices[1].dims, dtype=np.intp)[keys[1]]
+    weights = _outer_values(lam, indices[0 if leg == 2 else 2], outer, dp, leg)
+    flat = np.empty(sum(mat.size for mat in mats), dtype=np.complex128)
+    at = first = 0
+    for mat in mats:
+        n = mat.shape[axis]
+        w = weights[first : first + n]
+        np.divide(mat, w[:, None] if leg == 2 else w, out=flat[at : at + mat.size].reshape(mat.shape))
+        at += mat.size
+        first += n
+    return _SectorMatrices(indices, leg, keys, flat)
 
 
 def _ragged(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -369,7 +578,7 @@ class _BandLayout:
             np.matmul(matrix, flat[start:stop].reshape(dim, nc), out=out[start:stop].reshape(dim, nc))
         return out
 
-    def gather(self, gated: np.ndarray) -> dict[int, tuple[np.ndarray, list, list]]:
+    def gather(self, gated: np.ndarray) -> dict[int, tuple[np.ndarray, _BlockList, _BlockList]]:
         """``truncated_split`` sectors of the gated amplitudes, by new bond charge.
 
         Rows (l, p1) and columns (p2, r) are in sorted order; a row or column
@@ -383,10 +592,10 @@ class _BandLayout:
         row_q = self.ql[row_l] + self.qp[row_p]
         col_q = self.qr[col_r] - self.qp[col_p]
         charges = np.intersect1d(row_q, col_q)
-        order = _by_charge(row_q, charges)
-        rows = (np.searchsorted(charges, row_q[order]), row_l[order], row_p[order])
-        order = _by_charge(col_q, charges)
-        cols = (np.searchsorted(charges, col_q[order]), col_p[order], col_r[order])
+        order, at = _by_charge(row_q, charges)
+        rows = (at, row_l[order], row_p[order])
+        order, at = _by_charge(col_q, charges)
+        cols = (at, col_p[order], col_r[order])
         pos, rb, cb, run_len = self.positions(rows, cols, len(charges))
         values = gated[pos]
         hit = np.logical_or.reduceat(values != 0, np.cumsum(run_len) - run_len)
@@ -396,27 +605,39 @@ class _BandLayout:
         col_hit[cb[hit]] = True
         values = values[np.repeat(row_hit[rb] & col_hit[cb], run_len)]
 
-        dl, dp, dr = self.dl.tolist(), self.dp.tolist(), self.dr.tolist()
-        row_keys = [[] for _ in charges]
-        for s, l, p in zip(*(v[row_hit].tolist() for v in rows)):
-            row_keys[s].append(((l, p), (dl[l], dp[p])))
-        col_keys = [[] for _ in charges]
-        for s, p, r in zip(*(v[col_hit].tolist() for v in cols)):
-            col_keys[s].append(((p, r), (dp[p], dr[r])))
-        sectors, at = {}, 0
-        for q, rk, ck in zip(charges.tolist(), row_keys, col_keys):
-            if rk:
-                nr = sum(dl[l] * dp[p] for (l, p), _ in rk)
-                nc = sum(dp[p] * dr[r] for (p, r), _ in ck)
-                sectors[q] = (values[at : at + nr * nc].reshape(nr, nc), rk, ck)
+        rsec, rl, rp = (v[row_hit] for v in rows)
+        csec, cp, cr = (v[col_hit] for v in cols)
+        row_dims = np.stack((self.dl[rl], self.dp[rp]))
+        col_dims = np.stack((self.dp[cp], self.dr[cr]))
+        n = len(charges)
+        nrows = np.bincount(rsec, row_dims.prod(axis=0), n).astype(np.intp).tolist()
+        ncols = np.bincount(csec, col_dims.prod(axis=0), n).astype(np.intp).tolist()
+        row_blocks = np.bincount(rsec, minlength=n).tolist()
+        col_blocks = np.bincount(csec, minlength=n).tolist()
+        row_keys, col_keys = np.stack((rl, rp)), np.stack((cp, cr))
+        sectors, at, r0, c0 = {}, 0, 0, 0
+        for q, nr, nc, nrb, ncb in zip(charges.tolist(), nrows, ncols, row_blocks, col_blocks):
+            if nrb:
+                sectors[q] = (
+                    values[at : at + nr * nc].reshape(nr, nc),
+                    _BlockList(row_keys[:, r0 : r0 + nrb], row_dims[:, r0 : r0 + nrb]),
+                    _BlockList(col_keys[:, c0 : c0 + ncb], col_dims[:, c0 : c0 + ncb]),
+                )
                 at += nr * nc
+            r0 += nrb
+            c0 += ncb
         return sectors
 
 
-def _by_charge(q: np.ndarray, charges: np.ndarray) -> np.ndarray:
-    """Entries whose charge is in ``charges``, grouped by charge, order kept within a group."""
-    keep = np.flatnonzero(np.isin(q, charges))
-    return keep[np.argsort(q[keep], kind="stable")]
+def _by_charge(q: np.ndarray, charges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entries whose charge is in ``charges``, grouped by charge, order kept within a
+    group, and the position of each one's charge in ``charges``."""
+    order = np.argsort(q, kind="stable")
+    q = q[order]
+    at = np.searchsorted(charges, q)
+    hit = at < len(charges)
+    hit[hit] = charges[at[hit]] == q[hit]
+    return order[hit], at[hit]
 
 
 def dense_chain(site_tensors) -> np.ndarray:

@@ -224,3 +224,55 @@ class TestGlobalTruncation:
         values = {0: np.array([0.8, 0.3]), 1: np.array([0.4])}
         with pytest.raises(ZeroNormError):
             global_truncation(values, TruncationPolicy(None, 0.9))
+
+
+def _global_truncation_by_entry_sort(values_by_q, policy):
+    """Reference: the per-entry Python sort ``global_truncation`` was first written as."""
+    entries = []
+    for q in sorted(values_by_q):
+        for pos, v in enumerate(values_by_q[q]):
+            entries.append((float(v), q, pos))
+    entries.sort(key=lambda e: (-e[0], e[1], e[2]))
+
+    floor = policy.singular_value_floor
+    n_above = sum(1 for v, _, _ in entries if v >= floor and v > 0.0)
+    n_keep = n_above if policy.chi_max is None else min(policy.chi_max, n_above)
+    kept = entries[:n_keep]
+    dropped = entries[n_keep:]
+
+    kept_norm = float(np.sqrt(sum(v * v for v, _, _ in kept)))
+    discarded_norm = float(np.sqrt(sum(v * v for v, _, _ in dropped)))
+    if n_keep == 0 or kept_norm == 0.0:
+        raise ZeroNormError("zero norm after truncation")
+
+    keep_count: dict[int, int] = {}
+    for _, q, pos in kept:
+        keep_count[q] = max(keep_count.get(q, 0), pos + 1)
+    return keep_count, kept_norm, discarded_norm
+
+
+def test_global_truncation_matches_entry_sort_bit_for_bit(rng):
+    # few distinct values, so ties across and within sectors are common, and zeros
+    pool = np.array([0.0, 0.0, 1e-9, 0.125, 0.3, 1 / 3, 0.5, 0.7])
+    cases = 0
+    for _ in range(400):
+        charges = rng.choice(np.arange(-5, 6), size=rng.integers(1, 6), replace=False)
+        spectra = {}
+        for q in charges:
+            values = np.concatenate([rng.choice(pool, rng.integers(1, 7)), rng.random(rng.integers(0, 3))])
+            spectra[int(q)] = np.sort(values)[::-1]
+        n = sum(len(v) for v in spectra.values())
+        chi = None if rng.random() < 0.3 else int(rng.integers(1, n + 2))
+        policy = TruncationPolicy(chi, float(rng.choice([0.0, 1e-9, 0.125, 1 / 3])))
+        try:
+            want = _global_truncation_by_entry_sort(spectra, policy)
+        except ZeroNormError:
+            with pytest.raises(ZeroNormError):
+                global_truncation(spectra, policy)
+            continue
+        got = global_truncation(spectra, policy)
+        assert got[0] == want[0]
+        assert got[1] == want[1] and got[2] == want[2]  # same bits, not just close
+        cases += 1
+    assert cases > 300
+

@@ -257,6 +257,26 @@ class TestOracleCheck:
         assert "density_canonical" in out and "FAIL" not in out
 
 
+    @pytest.mark.parametrize("suite", ["density", "itac"])
+    @pytest.mark.parametrize("site", [0, 3])
+    def test_site_out_of_range_exit_code(self, capsys, suite, site):
+        rc = main(
+            [
+                "oracle-check", "--suite", suite, "--length", "2", "--site", str(site),
+                "--tmax", "0.25",
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "site out of range" in err and "Traceback" not in err
+
+    def test_default_site_beyond_short_chain(self, capsys):
+        # the default --site 3 does not exist on two sites
+        rc = main(["oracle-check", "--suite", "density", "--length", "2", "--tmax", "0.25"])
+        assert rc == 2
+        assert "site out of range" in capsys.readouterr().err
+
+
 class TestCompare:
     def test_joint_csv(self, tmp_path):
         out = tmp_path / "cmp.csv"

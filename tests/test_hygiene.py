@@ -103,6 +103,35 @@ def test_gate_kernel_knows_no_conservation_mode():
     assert not {"models", "operator_space", "mpodyn.models", "mpodyn.operator_space"} & imports
 
 
+def method_names(source: str, cls: str, method: str) -> set[str]:
+    """What :func:`names_read` finds in the body of method ``cls.method`` of a source."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == method:
+                    return names_read(ast.unparse(item))
+    raise LookupError(f"no method {cls}.{method}")
+
+
+def test_detects_names_in_method():
+    src = (
+        "class A:\n"
+        "    def f(self, t):\n        return scale_axis(t.blocks, inverse=True)\n"
+        "    def g(self):\n        return _cut\n"
+    )
+    assert {"scale_axis", "blocks", "t"} <= method_names(src, "A", "f")
+    assert "_cut" not in method_names(src, "A", "f")
+    with pytest.raises(LookupError):
+        method_names(src, "A", "h")
+
+
+def test_gate_kernel_works_on_sector_matrices_only():
+    # the per-block path (block tensors, per-block restore, per-block cut) stays out
+    # of the kernel: it stacks, cuts and restores whole sector matrices
+    names = method_names((SRC / "mps_core.py").read_text(), "CanonicalMps", "apply_two_site_gate")
+    assert not {"SymmetricTensor", "scale_axis", "_cut"} & names
+
+
 def test_detects_unused_private_helper():
     src = (
         "def _used():\n    return 1\n"

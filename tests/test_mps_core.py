@@ -318,6 +318,76 @@ class TestGateApplication:
             psi.apply_two_site_gate(1, gate, UNRESTRICTED)
 
 
+class TestSectorMatrixStorage:
+    @pytest.mark.parametrize("kind", [CANONICAL, GRAND_CANONICAL, "state"])
+    def test_reading_views_leaves_evolution_unchanged(self, kind):
+        spec = ModelSpec.bose_hubbard(4, 3, 4.0)
+
+        def read_every_site(t, target, log):
+            mps = getattr(target, "mps", target)
+            for m, g in enumerate(mps.gammas, start=1):
+                assert all(blk.any() for blk in g.blocks.values())
+                mps.site_tensor(m).densify()
+
+        runs = []
+        for observer in (None, read_every_site):
+            if kind == "state":
+                target = from_fock([1, 0, 2, 0], 3)
+            else:
+                target = build_observable_superstate(spec, 2, kind, 4 if kind == CANONICAL else None)
+            evolve(target, spec, make_schedule(2, 0.2), 0.6, UNRESTRICTED, observer=observer)
+            mps = getattr(target, "mps", target)
+            dense = target.to_statevector() if mps is target else target.densify()
+            runs.append((mps.lambdas, dense))
+        (lam_a, dense_a), (lam_b, dense_b) = runs
+        assert [lam.keys() for lam in lam_a] == [lam.keys() for lam in lam_b]
+        assert all(np.array_equal(a[q], b[q]) for a, b in zip(lam_a, lam_b) for q in a)
+        assert np.array_equal(dense_a, dense_b)
+
+    @SUPER_MODES
+    def test_canonical_form_survives_many_random_exact_gates(self, mode, rng):
+        spec, s = _evolved_superstate(mode)
+        gates = [super_gate(random_conserving_gate(spec.d, rng), s.weights) for _ in range(4)]
+        for _ in range(200):
+            m = int(rng.integers(1, spec.L))
+            s.mps.apply_two_site_gate(m, gates[rng.integers(len(gates))], UNRESTRICTED)
+        assert s.mps.max_bond_dimension() > 3
+        s.mps.assert_canonical()
+
+    def test_checkpoint_of_gate_updated_state_holds_the_block_views(self, tmp_path):
+        # after gates, sites sit in both sector-matrix layouts; the file must hold
+        # exactly the block views: the same array names and bytes
+        _, s = _evolved_superstate(GRAND_CANONICAL)
+        mps = s.mps
+        path = tmp_path / "state.npz"
+        save_mps(str(path), mps)
+        want = {
+            f"g{m}/{','.join(map(str, key))}": blk
+            for m, g in enumerate(mps.gammas)
+            for key, blk in g.blocks.items()
+        }
+        want.update(
+            {f"lam{m}/{q}": v for m, lam in enumerate(mps.lambdas) for q, v in lam.items()}
+        )
+        with np.load(path) as data:
+            assert set(data.files) == set(want) | {"__meta__"}
+            for name, arr in want.items():
+                stored = data[name]
+                assert (stored.dtype, stored.shape) == (arr.dtype, arr.shape)
+                assert stored.tobytes() == arr.tobytes()
+        back = load_mps(str(path))
+        for g_back, g in zip(back.gammas, mps.gammas):
+            assert g_back.indices == g.indices and g_back.blocks.keys() == g.blocks.keys()
+            assert all(g_back.blocks[k].tobytes() == g.blocks[k].tobytes() for k in g.blocks)
+        assert all(
+            a.keys() == b.keys() and all(np.array_equal(a[q], b[q]) for q in a)
+            for a, b in zip(back.lambdas, mps.lambdas)
+        )
+        s_back = s.copy()
+        s_back.mps = back
+        assert np.array_equal(s_back.densify(), s.densify())
+
+
 class TestReversibility:
     def test_gate_then_inverse(self, rng):
         psi = random_charge_mps(5, 2, [0, 1, 1, 0, 1], rng)

@@ -14,7 +14,7 @@ from mpodyn.models import (
     number_local,
     sigma_z_local,
 )
-from mpodyn.mps_core import from_fock
+from mpodyn.mps_core import CanonicalMps, from_fock
 from mpodyn.operator_space import (
     BRUTE,
     CANONICAL,
@@ -204,10 +204,12 @@ def _charge_breaking_operator(L):
     """Lifted annihilator whose site block sits in the creator's sector; its bonds say +1."""
     site = min(2, L)
     s = lift_product_operator(embed_factor(annihilator_local(2), site, L))
-    g = s.mps.gammas[site - 1]
+    gammas = s.mps.gammas
+    g = gammas[site - 1]
     ((left, _, right), blk), = g.blocks.items()
     wrong = g.indices[1].position(-1)
-    s.mps.gammas[site - 1] = SymmetricTensor(g.indices, {(left, wrong, right): blk})
+    gammas[site - 1] = SymmetricTensor(g.indices, {(left, wrong, right): blk})
+    s.mps = CanonicalMps(gammas, s.mps.lambdas)
     return s
 
 
