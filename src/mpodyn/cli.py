@@ -8,12 +8,12 @@ Floats are emitted with 17 significant digits so CSV bodies are
 byte-stable across reruns of the same config; timestamps live only in the
 sidecar.
 
-Full-scale reference recipe (not asserted anywhere in CI): the spin-chain
-autocorrelation experiment at L=40, anisotropy 0.8, site 20, order-4
-steps of 1/4, cutoff budget 1e-2, with bond dimensions 4000 (canonical),
-1000 (grand-canonical), 500 (brute), reproduces a decay exponent of about
--0.83 when fit over t = 3..11.5.  At desk scale the fit is demonstrative
-only.
+The paper's full-scale recipe (never run in this repository): the
+spin-chain autocorrelation experiment at L=40, anisotropy 0.8, site 20,
+order-4 steps of 1/4, cutoff budget 1e-2, with bond dimensions 4000
+(canonical), 1000 (grand-canonical), 500 (brute); the paper reports a
+decay exponent of about -0.83 when fit over t = 3..11.5.  At desk scale
+the fit is demonstrative only.
 """
 
 from __future__ import annotations
@@ -51,8 +51,18 @@ METHODS = {
 }
 
 
+# compare --run key: (RunConfig field it sets, value parser, run-label part)
+RUN_KEYS = {
+    "method": ("method", METHODS.__getitem__, lambda val: val.replace("-", "_")),
+    "chi": ("chi", int, "chi{}".format),
+    "n": ("n_sector", int, "N{}".format),
+}
+
+
 @dataclasses.dataclass
 class RunConfig:
+    """One simulate/compare run; each field is set by the flag whose dest it names."""
+
     model: str
     length: int
     local_dim: int
@@ -84,10 +94,11 @@ class RunConfig:
             raise ValueError("budget must be in (0, 1]")
         if self.observable == "density" and self.psi0 is None:
             raise ValueError("density observable requires --psi0")
-        if self.observable == "density" and self.n_sector is not None:
-            if self.n_sector != sum(int(c) for c in self.psi0):
-                raise ValueError("--n differs from the particle number of psi0")
         if self.n_sector is not None:
+            if self.observable == "density" and self.n_sector != sum(int(c) for c in self.psi0):
+                raise ValueError("--n differs from the particle number of psi0")
+            if self.observable != "density" and self.method != CANONICAL:
+                raise ValueError(f"--n needs --method canonical for {self.observable}")
             if not 0 <= self.n_sector <= self.length * (self.model_spec().d - 1):
                 raise ValueError("infeasible particle number")
 
@@ -101,15 +112,11 @@ class RunConfig:
         return dict(dataclasses.asdict(self), local_dim=self.model_spec().d)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _write_rows(path: str, rows: list[tuple], header: str) -> None:
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def _sidecar(path: str, config: dict, termination: str | None, extra: dict | None = None) -> None:
@@ -126,19 +133,12 @@ def _sidecar(path: str, config: dict, termination: str | None, extra: dict | Non
 
 
 def _series_rows(series: TimeSeries) -> list[tuple]:
-    rows = []
-    for i, t in enumerate(series.times):
-        rows.append(
-            (
-                float(t),
-                float(series.values[i].real),
-                float(series.values[i].imag),
-                float(series.meta["accumulated_cutoff"][i]),
-                float(series.meta["max_osee"][i]),
-                int(series.meta["chi_used"][i]),
-            )
-        )
-    return rows
+    meta = series.meta
+    columns = (meta["accumulated_cutoff"], meta["max_osee"], meta["chi_used"])
+    return [
+        (float(t), float(v.real), float(v.imag), float(cut), float(osee), int(chi))
+        for t, v, cut, osee, chi in zip(series.times, series.values, *columns)
+    ]
 
 
 def _run_series(cfg: RunConfig) -> TimeSeries:
@@ -167,32 +167,25 @@ def _run_series(cfg: RunConfig) -> TimeSeries:
 
 def cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg.validate()
     series = _run_series(cfg)
     _write_rows(cfg.output, _series_rows(series), "t,re,im,accumulated_cutoff,max_osee,chi_max_used")
-    _sidecar(
-        cfg.output + ".json",
-        cfg.record(),
-        series.meta["termination_reason"],
-    )
+    _sidecar(cfg.output + ".json", cfg.record(), series.meta["termination_reason"])
     print(f"wrote {cfg.output} ({len(series.times)} rows)")
     return 0
 
 
 def cmd_projector_osee(args) -> int:
-    lo, hi = (int(x) for x in args.n_range.split(":"))
-    rows = []
-    for n in range(lo, hi + 1):
-        rows.append((n, projector_osee(n, args.length, args.d, args.bond)))
-    with open(args.output, "w") as fh:
-        fh.write("n,osee\n")
-        for n, s in rows:
-            fh.write(f"{n},{_fmt(s)}\n")
-    _sidecar(args.output + ".json", vars(args), "complete")
+    try:
+        lo, hi = (int(x) for x in args.n_range.split(":"))
+    except ValueError:
+        raise ValueError(f"--n-range must be lo:hi, got {args.n_range!r}") from None
+    if lo > hi:
+        raise ValueError(f"--n-range {args.n_range} is empty (lo > hi)")
+    rows = [(n, projector_osee(n, args.length, args.d, args.bond)) for n in range(lo, hi + 1)]
+    _write_rows(args.output, rows, "n,osee")
+    options = ("d", "length", "n_range", "bond", "output")
+    _sidecar(args.output + ".json", {k: getattr(args, k) for k in options}, "complete")
     print(f"wrote {args.output} ({len(rows)} rows)")
     return 0
 
@@ -231,7 +224,7 @@ def cmd_oracle_check(args) -> int:
                 for t, v in zip(series.times, series.values)
             ]
             report[f"itac_canonical_N{N}"] = max(devs)
-    elif args.suite == "density":
+    else:
         psi0 = [int(c) for c in (args.psi0 or ("01" * spec.L)[: spec.L])]
         H = sparse.csr_matrix(oracle.dense_hamiltonian(spec).entries)
         v0 = oracle.fock_statevector(psi0, spec.d)
@@ -245,9 +238,6 @@ def cmd_oracle_check(args) -> int:
                 vt = oracle.dense_statevector_evolve(H, v0, t)
                 devs.append(abs(v - vt.conj() @ (nmat @ vt)))
             report[f"density_{method}"] = max(devs)
-    else:
-        print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
-        return 2
     for name, dev in report.items():
         status = "ok" if dev <= args.tol else "FAIL"
         if dev > args.tol:
@@ -260,26 +250,18 @@ def cmd_compare(args) -> int:
     base = _config_from_args(args)
     runs = []
     for spec_str in args.run:
-        cfg = dataclasses.replace(base)
-        label_parts = []
+        changes, labels = {}, []
         for item in spec_str.split(","):
             key, _, val = item.partition("=")
-            if key == "method":
-                cfg = dataclasses.replace(cfg, method=METHODS[val])
-                label_parts.append(val.replace("-", "_"))
-            elif key == "chi":
-                cfg = dataclasses.replace(cfg, chi=int(val))
-                label_parts.append(f"chi{val}")
-            elif key == "n":
-                cfg = dataclasses.replace(cfg, n_sector=int(val))
-                label_parts.append(f"N{val}")
-            else:
+            if key not in RUN_KEYS:
                 raise ValueError(f"unknown run key {key!r}")
-        runs.append(("_".join(label_parts), cfg))
-    serieses = []
-    for label, cfg in runs:
+            field, parse, label = RUN_KEYS[key]
+            changes[field] = parse(val)
+            labels.append(label(val))
+        cfg = dataclasses.replace(base, **changes)
         cfg.validate()
-        serieses.append((label, _run_series(cfg)))
+        runs.append(("_".join(labels), cfg))
+    serieses = [(label, _run_series(cfg)) for label, cfg in runs]
     n_common = min(len(s.times) for _, s in serieses)
     header = "t," + ",".join(f"{label}_re,{label}_im" for label, _ in serieses)
     rows = []
@@ -290,19 +272,12 @@ def cmd_compare(args) -> int:
         rows.append(tuple(row))
     _write_rows(args.output, rows, header)
     summary = {
-        label: {
-            "last_time": float(s.times[-1]),
-            "termination": s.meta["termination_reason"],
-        }
+        label: {"last_time": float(s.times[-1]), "termination": s.meta["termination_reason"]}
         for label, s in serieses
     }
     last_common = float(min(s.times[-1] for _, s in serieses))
-    _sidecar(
-        args.output + ".json",
-        base.record(),
-        "complete",
-        {"runs": summary, "last_common_time": last_common},
-    )
+    extra = {"runs": summary, "last_common_time": last_common}
+    _sidecar(args.output + ".json", base.record(), "complete", extra)
     print(f"wrote {args.output}; last common time {last_common}")
     return 0
 
@@ -326,56 +301,40 @@ def cmd_fit(args) -> int:
 
 
 def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        model=args.model,
-        length=args.length,
-        local_dim=args.d,
-        delta=args.delta,
-        hopping=args.hopping,
-        interaction=args.interaction,
-        method=METHODS[getattr(args, "method", "grand-canonical")],
-        n_sector=getattr(args, "n", None),
-        observable=args.observable,
-        site=args.site,
-        psi0=getattr(args, "psi0", None),
-        chi=args.chi,
-        dt=args.dt,
-        order=args.order,
-        t_max=args.tmax,
-        cutoff_budget=args.budget,
-        output=args.output,
-    )
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)}
+    return RunConfig(**dict(values, method=METHODS[args.method]))
 
 
-def _add_sim_args(p, with_method=True):
+def _add_run_args(p, with_method=True):
+    """One flag per RunConfig field; compare sets ``method``/``n_sector`` per --run."""
     p.add_argument("--model", choices=["xxz", "bose-hubbard"], default="xxz")
     p.add_argument("--length", type=int, required=True)
-    p.add_argument("--d", type=int, default=2, help="local dimension (bosons)")
+    p.add_argument("--d", dest="local_dim", type=int, default=2, help="local dimension (bosons)")
     p.add_argument("--delta", type=float, default=0.0, help="spin anisotropy")
     p.add_argument("--hopping", type=float, default=1.0)
     p.add_argument("--interaction", type=float, default=0.0)
     if with_method:
         p.add_argument("--method", choices=sorted(METHODS), default="grand-canonical")
-        p.add_argument("--n", type=int, default=None, help="input particle number (canonical)")
+        p.add_argument("--n", dest="n_sector", type=int, help="input particle number (canonical)")
     p.add_argument("--observable", choices=["itac", "density", "osee"], default="itac")
     p.add_argument("--site", type=int, required=True)
     p.add_argument("--psi0", type=str, default=None, help="occupation string, site 1 first")
     p.add_argument("--chi", type=int, default=None)
     p.add_argument("--dt", type=float, default=0.0625)
     p.add_argument("--order", type=int, choices=[1, 2, 4], default=4)
-    p.add_argument("--tmax", type=float, default=4.0)
-    p.add_argument("--budget", type=float, default=1e-2)
+    p.add_argument("--tmax", dest="t_max", type=float, default=4.0)
+    p.add_argument("--budget", dest="cutoff_budget", type=float, default=1e-2)
     p.add_argument("--output", type=str, default="run.csv")
+    if not with_method:
+        p.set_defaults(method="grand-canonical", n_sector=None)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="mpodyn", description="matrix product operator dynamics"
-    )
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="mpodyn", description="matrix product operator dynamics")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="one Heisenberg-picture run to CSV")
-    _add_sim_args(p_sim)
+    _add_run_args(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_osee = sub.add_parser("projector-osee", help="exact projector entropy sweep")
@@ -401,7 +360,7 @@ def main(argv=None) -> int:
     p_or.set_defaults(func=cmd_oracle_check)
 
     p_cmp = sub.add_parser("compare", help="aligned runs differing in method/chi")
-    _add_sim_args(p_cmp, with_method=False)
+    _add_run_args(p_cmp, with_method=False)
     p_cmp.add_argument(
         "--run",
         action="append",
@@ -415,8 +374,11 @@ def main(argv=None) -> int:
     p_fit.add_argument("--t-lo", type=float, required=True)
     p_fit.add_argument("--t-hi", type=float, required=True)
     p_fit.set_defaults(func=cmd_fit)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError) as exc:

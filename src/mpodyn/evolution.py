@@ -202,7 +202,6 @@ def save_checkpoint(path_prefix: str, target, log: EvolutionLog, time: float) ->
             "d": target.d,
             "mode": target.mode,
             "delta_n": target.delta_n,
-            "in_charge": target.in_charge,
             "prefactor": [target.prefactor.real, target.prefactor.imag],
         }
     with open(path_prefix + ".json", "w") as fh:
@@ -223,7 +222,6 @@ def load_checkpoint(path_prefix: str):
             s["mode"],
             s["delta_n"],
             complex(s["prefactor"][0], s["prefactor"][1]),
-            s["in_charge"],
         )
     else:
         target = mps

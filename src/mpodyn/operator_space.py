@@ -133,7 +133,6 @@ class SuperState:
         mode: str,
         delta_n: int | None,
         prefactor: complex,
-        in_charge: int | None = None,
     ):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
@@ -143,11 +142,10 @@ class SuperState:
         self.mode = mode
         self.delta_n = delta_n
         self.prefactor = complex(prefactor)
-        self.in_charge = in_charge
 
     @classmethod
-    def zero(cls, L, d, mode, delta_n=0, in_charge=None) -> "SuperState":
-        return cls(None, L, d, mode, delta_n, 0.0, in_charge)
+    def zero(cls, L, d, mode, delta_n=0) -> "SuperState":
+        return cls(None, L, d, mode, delta_n, 0.0)
 
     @property
     def weights(self) -> tuple[int, int]:
@@ -169,7 +167,6 @@ class SuperState:
             self.mode,
             self.delta_n,
             self.prefactor,
-            self.in_charge,
         )
 
     def osee_profile(self) -> list[float]:
@@ -340,7 +337,7 @@ def out_chain_compose(op_s: SuperState, target: SuperState) -> SuperState:
     if target.delta_n is not None and op_s.delta_n is not None:
         new_delta = target.delta_n + op_s.delta_n
     if op_s.is_zero or target.is_zero:
-        return SuperState.zero(target.L, target.d, target.mode, new_delta, target.in_charge)
+        return SuperState.zero(target.L, target.d, target.mode, new_delta)
 
     d, L, mode = target.d, target.L, target.mode
     w_out = target.weights[1]
@@ -389,7 +386,7 @@ def out_chain_compose(op_s: SuperState, target: SuperState) -> SuperState:
     try:
         new_mps, factor = mps_core.canonicalize(site_tensors)
     except ZeroNormError:
-        return SuperState.zero(L, d, mode, new_delta, target.in_charge)
+        return SuperState.zero(L, d, mode, new_delta)
     return SuperState(
         new_mps,
         L,
@@ -397,5 +394,4 @@ def out_chain_compose(op_s: SuperState, target: SuperState) -> SuperState:
         mode,
         new_delta,
         target.prefactor * op_s.prefactor * factor,
-        target.in_charge,
     )

@@ -136,7 +136,6 @@ def projector_superstate(N: int, L: int, d: int) -> SuperState:
         CANONICAL,
         delta_n=0,
         prefactor=float(np.sqrt(omega(d, N, L))),
-        in_charge=N,
     )
 
 
@@ -157,7 +156,7 @@ def project_operator(op, N: int) -> SuperState:
     if delta is None:
         raise ValueError("indefinite charge")
     if N < 0 or N > L * (d - 1) or N - delta < 0 or N - delta > L * (d - 1):
-        return SuperState.zero(L, d, CANONICAL, delta, N)
+        return SuperState.zero(L, d, CANONICAL, delta)
     result = projector_superstate(N, L, d)
     if isinstance(op, SuperState):
         return out_chain_compose(op, result)

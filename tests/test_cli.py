@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from mpodyn.charge_tensor import TruncationPolicy
-from mpodyn.cli import METHODS, main
+from mpodyn.cli import METHODS, RUN_KEYS, RunConfig, build_parser, main
 from mpodyn.evolution import evolve, make_schedule
 from mpodyn.models import ModelSpec
 from mpodyn.observables import build_observable_superstate
@@ -142,6 +143,29 @@ class TestSimulate:
         assert "--n differs" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("method", ["grand-canonical", "brute"])
+    @pytest.mark.parametrize("observable", ["itac", "osee"])
+    def test_particle_number_needs_canonical_method(
+        self, tmp_path, capsys, command, method, observable
+    ):
+        # only canonical labels fix N for itac and osee; elsewhere --n would be recorded, not run
+        out = tmp_path / "x.csv"
+        run = ["--method", method, "--n", "2"]
+        if command == "compare":
+            run = ["--run", "method=canonical,n=2", "--run", f"method={method},n=2"]
+        rc = main(
+            [
+                command, "--model", "xxz", "--length", "4", "--site", "2",
+                "--observable", observable, "--dt", "0.25", "--tmax", "0.25",
+                "--output", str(out),
+            ]
+            + run
+        )
+        assert rc == 2
+        assert "--n needs --method canonical" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_budget_termination_reported(self, tmp_path):
         out = tmp_path / "b.csv"
         rc = main(
@@ -217,6 +241,30 @@ class TestProjectorOsee:
         )
         assert rc == 2
         assert "infeasible particle number" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    def test_sidecar_records_only_its_options(self, tmp_path):
+        out = tmp_path / "osee.csv"
+        args = ["--d", "2", "--length", "6", "--n-range", "1:3", "--bond", "3", "--output", str(out)]
+        assert main(["projector-osee"] + args) == 0
+        sidecar = json.loads((tmp_path / "osee.csv.json").read_text())
+        assert sidecar["config"] == {
+            "d": 2, "length": 6, "n_range": "1:3", "bond": 3, "output": str(out),
+        }
+
+    @pytest.mark.parametrize("n_range", ["3:1", "5", "1:2:3", "a:2", ""])
+    def test_bad_n_range_exit_code(self, tmp_path, capsys, n_range):
+        out = tmp_path / "osee.csv"
+        rc = main(
+            [
+                "projector-osee", "--d", "2", "--length", "6",
+                "--n-range", n_range, "--bond", "3", "--output", str(out),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--n-range" in err and "Traceback" not in err
         assert not out.exists()
 
 
@@ -333,3 +381,21 @@ class TestFitCommand:
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["kappa"] + 0.62) < 1e-6
         assert abs(payload["A"] - 1.3) < 1e-6
+
+
+class TestRunOptionsSpelledOnce:
+    """Each simulate/compare option is one RunConfig field: a field without its
+    flag, or a flag without its field, fails here."""
+
+    FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_parsed_options_are_the_config_fields(self, command):
+        argv = [command, "--length", "4", "--site", "2"]
+        if command == "compare":
+            argv += ["--run", "method=brute"]
+        options = set(vars(build_parser().parse_args(argv))) - {"command", "func", "run"}
+        assert options == self.FIELDS
+
+    def test_run_keys_name_config_fields(self):
+        assert {field for field, _parse, _label in RUN_KEYS.values()} <= self.FIELDS

@@ -131,8 +131,8 @@ class TestEvolve:
         assert s.delta_n == 0
         assert s.mps.total_charge == 0
         ps = projector_superstate(2, 4, 2)
+        assert ps.mps.total_charge == 2 * sum(ps.weights)
         evolve(ps, spec, make_schedule(2, 0.05), 0.5, UNRESTRICTED)
-        assert ps.in_charge == 2
         assert ps.mps.total_charge == 2 * sum(ps.weights)
 
     def test_reversibility(self, rng):
@@ -265,14 +265,17 @@ class TestCheckpoint:
         save_checkpoint(prefix, s, log, 0.3)
         with open(prefix + ".json") as fh:
             meta = json.load(fh)
-        assert "qbase" not in meta["super"]
+        assert "qbase" not in meta["super"] and "in_charge" not in meta["super"]
         target, _, _ = load_checkpoint(prefix)
         assert target.mode == CANONICAL
         assert target.weights == (2 * 4 * (2 - 1) + 3, 1)
-        assert (target.in_charge, target.delta_n) == (2, 1)
+        # input charge N = 2 and delta N = 1 live in the right bond's charge
+        assert target.delta_n == 1
+        assert target.mps.total_charge == sum(target.weights) * 2 - target.weights[1] * 1
         assert np.max(np.abs(target.densify() - s.densify())) < 1e-12
-        # sidecars that still carry the old packing base load unchanged
+        # sidecars that still carry the old packing base or input charge load unchanged
         meta["super"]["qbase"] = 2 * 4 * (2 - 1) + 3
+        meta["super"]["in_charge"] = 2
         with open(prefix + ".json", "w") as fh:
             json.dump(meta, fh)
         target, _, _ = load_checkpoint(prefix)

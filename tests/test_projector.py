@@ -125,8 +125,8 @@ class TestProjectorSuperstate:
             ps = projector_superstate(N, L, d)
             want = np.diag(oracle.sector_indicator(L, d, N).astype(float))
             assert np.max(np.abs(ps.densify() - want)) < 1e-12
-            assert ps.in_charge == N
             assert ps.delta_n == 0
+            assert ps.mps.total_charge == sum(ps.weights) * N
 
     def test_vacuum_projector(self):
         ps = projector_superstate(0, 2, 2)
@@ -180,7 +180,8 @@ class TestProjectOperator:
         lifted = lift_product_operator(embed_factor(annihilator_local(d), 2, L))
         s = project_operator(lifted, N)
         assert s.delta_n == 1
-        assert s.in_charge == N
+        w_in, w_out = s.weights
+        assert s.mps.total_charge == (w_in + w_out) * N - w_out * s.delta_n
         P_in = np.diag(oracle.sector_indicator(L, d, N).astype(float))
         P_out = np.diag(oracle.sector_indicator(L, d, N - 1).astype(float))
         amat = np.diag(np.sqrt(np.arange(1.0, d)), k=1)
