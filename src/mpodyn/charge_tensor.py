@@ -144,9 +144,6 @@ class SymmetricTensor:
             if not self._conserves(key):
                 raise ChargeMismatchError("charge mismatch")
 
-    def copy(self) -> "SymmetricTensor":
-        return SymmetricTensor(self.indices, {k: blk.copy() for k, blk in self.blocks.items()})
-
     def scale(self, factor: complex) -> "SymmetricTensor":
         return SymmetricTensor(self.indices, {k: blk * factor for k, blk in self.blocks.items()})
 
@@ -300,26 +297,22 @@ def _cut(mat: np.ndarray, blocks: list, axis: int):
                 yield key, mat[:, start : start + size].reshape(mat.shape[:1] + dims)
 
 
-def truncated_split(
-    sectors: dict[int, tuple[np.ndarray, list, list]],
-    policy: TruncationPolicy,
-):
+def truncated_split(sectors: dict[int, np.ndarray], policy: TruncationPolicy):
     """Blockwise truncated SVD of sector matrices.
 
-    ``sectors`` maps each new bond charge ``q`` to ``(matrix, rows, cols)``,
-    where ``rows`` lists the ``(row_key, dims)`` blocks stacked along the
-    matrix rows in order (``prod(dims)`` rows each) and ``cols`` likewise;
-    they are passed through untouched.  Each charge's matrix is decomposed
-    independently (in parallel over ``MPODYN_THREADS`` threads), and
-    :func:`global_truncation` picks the kept values.
+    ``sectors`` maps each new bond charge ``q`` to its matrix.  Each
+    charge's matrix is decomposed independently (in parallel over
+    ``MPODYN_THREADS`` threads), and :func:`global_truncation` picks the
+    kept values.  Which row and column blocks a matrix stacks is the
+    caller's business; the factors come back bare.
 
     Returns the new bond index, the kept (unnormalized) values per charge,
-    ``[(U[:, :k], rows)]`` and ``[(V^dagger[:k], cols)]`` per kept charge
-    in bond order, the kept 2-norm and the discarded 2-norm.
+    the kept ``U[:, :k]`` and ``V^dagger[:k]`` of each kept charge in bond
+    order, the kept 2-norm and the discarded 2-norm.
     """
 
     def _decompose(q: int):
-        return q, _svd_dense(sectors[q][0])
+        return q, _svd_dense(sectors[q])
 
     qs = sorted(sectors)
     nthreads = int(os.environ.get(THREADS_ENV, "1") or "1")
@@ -335,14 +328,14 @@ def truncated_split(
 
     kept_charges = sorted(keep_count)
     bond = ChargeIndex(tuple((q, keep_count[q]) for q in kept_charges))
-    values, left, right = {}, [], []
+    values, us, vhs = {}, [], []
     for q in kept_charges:
-        (_, rows, cols), (u, s, vh) = sectors[q], svds[q]
+        u, s, vh = svds[q]
         k = keep_count[q]
         values[q] = s[:k]
-        left.append((u[:, :k], rows))
-        right.append((vh[:k], cols))
-    return bond, values, left, right, kept_norm, discarded_norm
+        us.append(u[:, :k])
+        vhs.append(vh[:k])
+    return bond, values, us, vhs, kept_norm, discarded_norm
 
 
 def block_svd(
@@ -387,7 +380,7 @@ def block_svd(
             acc += math.prod(dims)
         return order, start, acc
 
-    sectors = {}
+    sectors, orders = {}, {}
     for q, (rows, cols, parts) in groups.items():
         row_order, row_start, nrows = _layout(rows)
         col_order, col_start, ncols = _layout(cols)
@@ -396,14 +389,13 @@ def block_svd(
             r0, c0 = row_start[rk], col_start[ck]
             nr, nc = math.prod(block.shape[:n_row]), math.prod(block.shape[n_row:])
             mat[r0 : r0 + nr, c0 : c0 + nc] = block.reshape(nr, nc)
-        sectors[q] = (mat, row_order, col_order)
+        sectors[q], orders[q] = mat, (row_order, col_order)
 
-    bond, values, left_parts, right_parts, kept_norm, discarded_norm = truncated_split(
-        sectors, policy
-    )
+    bond, values, us, vhs, kept_norm, discarded_norm = truncated_split(sectors, policy)
     left_blocks: dict[tuple[int, ...], np.ndarray] = {}
     right_blocks: dict[tuple[int, ...], np.ndarray] = {}
-    for pos, ((u, rows), (vh, cols)) in enumerate(zip(left_parts, right_parts)):
+    for pos, (q, u, vh) in enumerate(zip(bond.charges, us, vhs)):
+        rows, cols = orders[q]
         for rk, part in _cut(u, rows, 0):
             left_blocks[rk + (pos,)] = part
         for ck, part in _cut(vh, cols, 1):

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 
@@ -94,6 +95,10 @@ class RunConfig:
             raise ValueError("budget must be in (0, 1]")
         if self.observable == "density" and self.psi0 is None:
             raise ValueError("density observable requires --psi0")
+        if self.observable != "density" and self.psi0 is not None:
+            raise ValueError(f"--psi0 is read only by the density observable, not {self.observable}")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(self.output))):
+            raise ValueError(f"no directory for --output {self.output}")
         if self.n_sector is not None:
             if self.observable == "density" and self.n_sector != sum(int(c) for c in self.psi0):
                 raise ValueError("--n differs from the particle number of psi0")
@@ -381,7 +386,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

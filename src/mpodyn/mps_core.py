@@ -7,17 +7,21 @@ left, so the leftmost bond is a trivial charge-0 sector and the rightmost
 carries the total charge of a charge-definite state;
 ``CanonicalMps.total_charge`` reads it from there and is not stored.
 
-Each Gamma is stored as sector matrices, one dense matrix per charge of
-the bond leg the gate kernel contracts over.  The left-factor layout is
-that of ``U`` in a split: one matrix per bond-out charge, its rows the
-(l, p) blocks stacked in order.  The right-factor layout is that of
-``V^dagger``: one matrix per bond-in charge, its columns the (p, r)
-blocks.  A site keeps the layout its last update produced; the other one
-is made by one index-array permutation when a gate needs it.  A site no
-gate has updated keeps the block tensor it was built from until one does.
-Everything outside the kernel (``canonicalize``, composition, observers,
-``save_mps``) reads ``charge_tensor`` block tensors: ``gammas`` builds a
-site's view from its matrices when it is first read after an update.
+Each site is one immutable object: the block tensor it was built from,
+until a gate updates it, and then the sector matrices the gate stored,
+one dense matrix per charge of the bond leg the gate kernel contracts
+over.  The left-factor layout is that of ``U`` in a split: one matrix per
+bond-out charge, its rows the (l, p) blocks stacked in order.  The
+right-factor layout is that of ``V^dagger``: one matrix per bond-in
+charge, its columns the (p, r) blocks.  A site keeps the layout its last
+update produced; the other one is made by one index-array permutation
+when a gate needs it.  Everything outside the kernel (``canonicalize``,
+composition, observers, ``save_mps``) reads ``charge_tensor`` block
+tensors: stored matrices build their block view once, on first read.
+
+Nothing writes a stored block, matrix or spectrum array after
+construction, so ``CanonicalMps.copy`` copies the site list and the
+spectrum dicts and shares the arrays.
 
 Bond spectra are plain dicts, bond charge -> descending values (see
 ``charge_tensor``); which values a cut keeps is decided only by
@@ -31,7 +35,8 @@ two-site amplitudes, one matmul per gate band (two-site charge) applies
 the gate, and index arrays computed per run of contiguous entries move
 the amplitudes between the layouts.  The kernel and :func:`canonicalize`
 (through ``block_svd``) share ``charge_tensor.truncated_split`` for the
-sector SVDs and the truncation.
+sector SVDs and the truncation; it returns bare factors, and each caller
+keeps its own record of the blocks its matrices stack.
 
 Open boundaries only: the outer bonds are one-dimensional.  Singular
 values below ``LAMBDA_FLOOR`` are dropped outright; restoring Vidal form
@@ -77,16 +82,16 @@ class CanonicalMps:
     ``lambdas[m-1]`` holds the singular values of interior bond ``m``
     (1-based, between sites m and m+1) as a mapping charge -> descending
     values; the grouping matches the sector order of the adjacent bond
-    legs.  The Gammas are stored as sector matrices (see the module
-    docstring); ``gammas`` gives block views of them.
+    legs.  Each Gamma is one immutable site object, a block tensor or
+    sector matrices (see the module docstring); ``gammas`` gives block
+    views of them.
     """
 
     def __init__(self, gammas: list[SymmetricTensor], lambdas: list[dict[int, np.ndarray]]):
         if len(lambdas) != len(gammas) - 1:
             raise ValueError("need exactly one singular vector per interior bond")
-        # a site never updated by a gate is held as the block tensor it was given
-        self._sites: list[_SectorMatrices | None] = [None] * len(gammas)
-        self._views: list[SymmetricTensor | None] = list(gammas)
+        # a site is the block tensor it was built from until a gate stores matrices
+        self._sites: list[SymmetricTensor | _SectorMatrices] = list(gammas)
         self.lambdas = [
             {int(q): np.asarray(v, dtype=np.float64) for q, v in lam.items()}
             for lam in lambdas
@@ -94,25 +99,16 @@ class CanonicalMps:
 
     @property
     def gammas(self) -> list[SymmetricTensor]:
-        """Block views of the Gammas; each is built once after its site's last update."""
+        """Block views of the Gammas; a stored site builds its view once."""
         return [self._view(i) for i in range(self.L)]
 
     def _view(self, i: int) -> SymmetricTensor:
-        if self._views[i] is None:
-            self._views[i] = self._sites[i].tensor()
-        return self._views[i]
+        site = self._sites[i]
+        return site.tensor() if isinstance(site, _SectorMatrices) else site
 
     def _matrices(self, i: int) -> "_SectorMatrices":
         site = self._sites[i]
-        return _SectorMatrices.from_tensor(self._views[i]) if site is None else site
-
-    def _set_site(self, i: int, site: "_SectorMatrices") -> None:
-        self._sites[i] = site
-        self._views[i] = None
-
-    def _indices(self, i: int) -> tuple[ChargeIndex, ...]:
-        site = self._sites[i]
-        return self._views[i].indices if site is None else site.indices
+        return site if isinstance(site, _SectorMatrices) else _SectorMatrices.from_tensor(site)
 
     @property
     def L(self) -> int:
@@ -120,7 +116,7 @@ class CanonicalMps:
 
     @property
     def phys_indices(self) -> list[ChargeIndex]:
-        return [self._indices(i)[1] for i in range(self.L)]
+        return [site.indices[1] for site in self._sites]
 
     @property
     def site_dims(self) -> list[int]:
@@ -135,8 +131,8 @@ class CanonicalMps:
     def bond_index(self, m: int) -> ChargeIndex:
         """ChargeIndex of bond m (0..L); outer bonds are one-dimensional."""
         if m == 0:
-            return self._indices(0)[0]
-        return self._indices(m - 1)[2]
+            return self._sites[0].indices[0]
+        return self._sites[m - 1].indices[2]
 
     def lambda_at(self, m: int) -> dict[int, np.ndarray]:
         """Singular values at bond m (0..L); outer bonds return a unit weight."""
@@ -152,12 +148,10 @@ class CanonicalMps:
         return max(self.bond_dimension(m) for m in range(self.L + 1))
 
     def copy(self) -> "CanonicalMps":
+        """Independent state sharing the immutable sites and spectrum arrays."""
         out = CanonicalMps.__new__(CanonicalMps)
-        out._sites = [None if site is None else site.copy() for site in self._sites]
-        out._views = [
-            view.copy() if site is None else None for site, view in zip(self._sites, self._views)
-        ]
-        out.lambdas = [{q: v.copy() for q, v in lam.items()} for lam in self.lambdas]
+        out._sites = list(self._sites)
+        out.lambdas = [dict(lam) for lam in self.lambdas]
         return out
 
     # -- spectra and entropies ------------------------------------------------
@@ -238,19 +232,19 @@ class CanonicalMps:
         del pos
         gated = layout.apply_bands(flat)
         del flat
-        sectors = layout.gather(gated)
+        sectors, row_blocks, col_blocks = layout.gather(gated)
         del gated
 
         floor = max(policy.singular_value_floor, LAMBDA_FLOOR)
         try:
-            bond, values, u_parts, vh_parts, kept_norm, discarded_norm = truncated_split(
+            bond, values, us, vhs, kept_norm, discarded_norm = truncated_split(
                 sectors, TruncationPolicy(policy.chi_max, floor)
             )
         except ZeroNormError as exc:
             raise ZeroNormError("state annihilated") from exc
 
-        self._set_site(m - 1, _factor_site((lix, phys1, bond), 2, u_parts, lam_l))
-        self._set_site(m, _factor_site((bond, phys2, rix), 0, vh_parts, lam_r))
+        self._sites[m - 1] = _factor_site((lix, phys1, bond), 2, us, row_blocks, lam_l)
+        self._sites[m] = _factor_site((bond, phys2, rix), 0, vhs, col_blocks, lam_r)
         self.lambdas[m - 1] = {q: v / kept_norm for q, v in values.items()}
         return TruncationRecord(
             bond=m,
@@ -296,23 +290,6 @@ class CanonicalMps:
                 raise AssertionError(f"site {m}: left orthogonality violated")
 
 
-@dataclass(frozen=True)
-class _BlockList:
-    """Blocks stacked in order along one side of a sector matrix.
-
-    ``keys`` and ``dims`` are (2, n) integer arrays: block j has the sector
-    positions ``keys[:, j]`` ((l, p) for rows, (p, r) for columns) and the
-    dimensions ``dims[:, j]``.  Iterates as the ``(key, dims)`` tuples that
-    ``truncated_split`` documents.
-    """
-
-    keys: np.ndarray
-    dims: np.ndarray
-
-    def __iter__(self):
-        return zip(map(tuple, self.keys.T.tolist()), map(tuple, self.dims.T.tolist()))
-
-
 class _SectorMatrices:
     """One Gamma (l, p, r) stored as one dense matrix per sector of a bond leg.
 
@@ -323,13 +300,15 @@ class _SectorMatrices:
     columns the (p, r) blocks in sorted order, each block's columns (i, b)
     in C order.  The matrices follow one another in ``flat`` by sector,
     each in C order, and ``keys`` is the (l, p, r) of every block in that
-    order.  ``flat`` is never written after construction.
+    order.  Nothing is written after construction, so copies of a state
+    share these objects; the block view is built once, on first read.
     """
 
-    __slots__ = ("indices", "leg", "keys", "flat")
+    __slots__ = ("indices", "leg", "keys", "flat", "_tensor")
 
     def __init__(self, indices, leg: int, keys: np.ndarray, flat: np.ndarray):
         self.indices, self.leg, self.keys, self.flat = tuple(indices), leg, keys, flat
+        self._tensor: SymmetricTensor | None = None
 
     @classmethod
     def from_tensor(cls, t: SymmetricTensor) -> "_SectorMatrices":
@@ -345,9 +324,6 @@ class _SectorMatrices:
 
     def _dims(self) -> list[np.ndarray]:
         return [np.array(ix.dims, dtype=np.intp) for ix in self.indices]
-
-    def copy(self) -> "_SectorMatrices":
-        return _SectorMatrices(self.indices, self.leg, self.keys, self.flat.copy())
 
     def matrices(self) -> list[tuple[int, int, np.ndarray]]:
         """(sector, first stacked row or column, matrix) of every sector matrix.
@@ -386,17 +362,19 @@ class _SectorMatrices:
 
     def tensor(self) -> SymmetricTensor:
         """Block view, blocks in layout order; left-factor blocks share ``flat``."""
-        site = self.on_leg(2)
-        dl, dp, dr = (ix.dims for ix in self.indices)
-        blocks, at = {}, 0
-        for l, p, r in site.keys.T.tolist():
-            shape = (dl[l], dp[p], dr[r])
-            n = shape[0] * shape[1] * shape[2]
-            blocks[(l, p, r)] = site.flat[at : at + n].reshape(shape)
-            at += n
-        if self.leg == 0:
-            blocks = dict(sorted(blocks.items()))
-        return SymmetricTensor(self.indices, blocks)
+        if self._tensor is None:
+            site = self.on_leg(2)
+            dl, dp, dr = (ix.dims for ix in self.indices)
+            blocks, at = {}, 0
+            for l, p, r in site.keys.T.tolist():
+                shape = (dl[l], dp[p], dr[r])
+                n = shape[0] * shape[1] * shape[2]
+                blocks[(l, p, r)] = site.flat[at : at + n].reshape(shape)
+                at += n
+            if self.leg == 0:
+                blocks = dict(sorted(blocks.items()))
+            self._tensor = SymmetricTensor(self.indices, blocks)
+        return self._tensor
 
 
 def _right_layout_positions(keys2: np.ndarray, dl, dp, dr) -> tuple[np.ndarray, np.ndarray]:
@@ -439,19 +417,23 @@ def _outer_values(lam: dict[int, np.ndarray], ix: ChargeIndex, outer, dp, leg: i
     return values[np.array(ix.offsets, dtype=np.intp)[outer][blk] + inner]
 
 
-def _factor_site(indices, leg: int, parts, lam: dict[int, np.ndarray]) -> _SectorMatrices:
-    """New site from the kept ``(U[:, :k], rows)`` (``leg == 2``) or
-    ``(V^dagger[:k], cols)`` (``leg == 0``) of each new bond charge.
+def _factor_site(indices, leg: int, mats, blocks, lam: dict[int, np.ndarray]) -> _SectorMatrices:
+    """New site from the kept ``U[:, :k]`` (``leg == 2``) or ``V^dagger[:k]``
+    (``leg == 0``) of each new bond charge, in bond order.
 
-    All-zero row (column) blocks are left out, as ``block_svd`` leaves them
-    out, and the outer bond's values are divided out of the rows
-    (columns), which restores Vidal form.
+    ``blocks`` is ``(charge, keys, dims)`` of every row (column) block of
+    the split's sector matrices, grouped by ascending charge, as
+    ``_BandLayout.gather`` returns it; the blocks of charges the cut
+    dropped are skipped.  All-zero row (column) blocks are left out, as
+    ``block_svd`` leaves them out, and the outer bond's values are divided
+    out of the rows (columns), which restores Vidal form.
     """
     axis = 0 if leg == 2 else 1
-    mats = [mat for mat, _ in parts]
-    keys = np.concatenate([blocks.keys for _, blocks in parts], axis=1)
-    sizes = np.concatenate([blocks.dims for _, blocks in parts], axis=1).prod(axis=0)
-    bond = np.repeat(np.arange(len(parts)), [blocks.keys.shape[1] for _, blocks in parts])
+    kept_charges = np.array(indices[2 if leg == 2 else 0].charges)
+    charge, keys, dims = blocks
+    bond = np.searchsorted(kept_charges, charge)
+    kept = kept_charges.take(bond, mode="clip") == charge
+    bond, keys, sizes = bond[kept], keys[:, kept], dims[:, kept].prod(axis=0)
     # the zero test of block_svd's cut, for all charges at once
     nonzero = np.concatenate([mat.any(axis=1 - axis) for mat in mats])
     keep = np.logical_or.reduceat(nonzero, np.cumsum(sizes) - sizes)
@@ -578,11 +560,15 @@ class _BandLayout:
             np.matmul(matrix, flat[start:stop].reshape(dim, nc), out=out[start:stop].reshape(dim, nc))
         return out
 
-    def gather(self, gated: np.ndarray) -> dict[int, tuple[np.ndarray, _BlockList, _BlockList]]:
+    def gather(self, gated: np.ndarray):
         """``truncated_split`` sectors of the gated amplitudes, by new bond charge.
 
-        Rows (l, p1) and columns (p2, r) are in sorted order; a row or column
-        block whose amplitudes are all zero is left out.
+        Returns the matrices, as a dict charge -> matrix, and the row and
+        column blocks of all of them, each as ``(charge, keys, dims)``:
+        block j of a matrix stacks the (l, p1) rows or (p2, r) columns
+        ``keys[:, j]`` of dimensions ``dims[:, j]``.  Blocks are grouped by
+        ascending charge and sorted within a matrix; a row or column block
+        whose amplitudes are all zero is left out.
         """
         nsec = len(self.qp)
         lsel = np.flatnonzero(self.joined.any(axis=1))
@@ -612,21 +598,14 @@ class _BandLayout:
         n = len(charges)
         nrows = np.bincount(rsec, row_dims.prod(axis=0), n).astype(np.intp).tolist()
         ncols = np.bincount(csec, col_dims.prod(axis=0), n).astype(np.intp).tolist()
-        row_blocks = np.bincount(rsec, minlength=n).tolist()
-        col_blocks = np.bincount(csec, minlength=n).tolist()
-        row_keys, col_keys = np.stack((rl, rp)), np.stack((cp, cr))
-        sectors, at, r0, c0 = {}, 0, 0, 0
-        for q, nr, nc, nrb, ncb in zip(charges.tolist(), nrows, ncols, row_blocks, col_blocks):
-            if nrb:
-                sectors[q] = (
-                    values[at : at + nr * nc].reshape(nr, nc),
-                    _BlockList(row_keys[:, r0 : r0 + nrb], row_dims[:, r0 : r0 + nrb]),
-                    _BlockList(col_keys[:, c0 : c0 + ncb], col_dims[:, c0 : c0 + ncb]),
-                )
+        sectors, at = {}, 0
+        for q, nr, nc in zip(charges.tolist(), nrows, ncols):
+            if nr:
+                sectors[q] = values[at : at + nr * nc].reshape(nr, nc)
                 at += nr * nc
-            r0 += nrb
-            c0 += ncb
-        return sectors
+        rows = (charges[rsec], np.stack((rl, rp)), row_dims)
+        cols = (charges[csec], np.stack((cp, cr)), col_dims)
+        return sectors, rows, cols
 
 
 def _by_charge(q: np.ndarray, charges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -701,7 +680,7 @@ def canonicalize(site_tensors: list[SymmetricTensor]) -> tuple[CanonicalMps, flo
     """
     exact = TruncationPolicy(None, LAMBDA_FLOOR)
     L = len(site_tensors)
-    tensors = [t.copy() for t in site_tensors]
+    tensors = list(site_tensors)
 
     if L == 1:
         nrm = tensors[0].norm()

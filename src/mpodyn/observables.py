@@ -82,10 +82,18 @@ def itac_canonical(evolved: SuperState, reference: SuperState, N: int) -> comple
     When ``evolved`` carries canonical labels it is the projected,
     time-evolved operator and pairs directly with the unprojected
     reference; when it carries grand-canonical labels the projection is
-    applied to the reference instead.
+    applied to the reference instead.  Raises ``ValueError`` for an N
+    outside 0..L(d-1), or one that a canonical-labelled operator was not
+    projected onto (its right bond carries the input particle number).
     """
+    if not 0 <= N <= evolved.L * (evolved.d - 1):
+        raise ValueError("infeasible particle number")
     norm = omega(evolved.d, N, evolved.L)
     if evolved.mode == CANONICAL:
+        w_in, w_out = evolved.weights
+        want = (w_in + w_out) * N - w_out * evolved.delta_n
+        if not evolved.is_zero and evolved.mps.total_charge != want:
+            raise ValueError(f"operator is not projected onto N = {N}")
         return hs_trace_pair(evolved, reference) / norm
     return hs_trace_pair(evolved, project_operator(reference, N)) / norm
 

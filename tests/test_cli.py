@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from mpodyn import cli
 from mpodyn.charge_tensor import TruncationPolicy
 from mpodyn.cli import METHODS, RUN_KEYS, RunConfig, build_parser, main
 from mpodyn.evolution import evolve, make_schedule
@@ -165,6 +166,36 @@ class TestSimulate:
         assert rc == 2
         assert "--n needs --method canonical" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_psi0_needs_the_density_observable(self, tmp_path, capsys, command):
+        # an itac run never reads psi0; it would be recorded in the sidecar only
+        out = tmp_path / "x.csv"
+        run = ["--method", "grand-canonical"] if command == "simulate" else ["--run", "method=brute"]
+        rc = main(
+            [
+                command, "--length", "4", "--site", "2", "--tmax", "0.25", "--psi0", "0101",
+                "--output", str(out),
+            ]
+            + run
+        )
+        assert rc == 2
+        assert "--psi0 is read only by the density observable" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_missing_output_directory_rejected_before_the_run(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def no_run(cfg):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "_run_series", no_run)
+        run = ["--method", "grand-canonical"] if command == "simulate" else ["--run", "method=brute"]
+        out = tmp_path / "no" / "such" / "run.csv"
+        rc = main([command, "--length", "4", "--site", "2", "--output", str(out)] + run)
+        assert rc == 2
+        assert "no directory for --output" in capsys.readouterr().err
 
     def test_budget_termination_reported(self, tmp_path):
         out = tmp_path / "b.csv"
@@ -381,6 +412,11 @@ class TestFitCommand:
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["kappa"] + 0.62) < 1e-6
         assert abs(payload["A"] - 1.3) < 1e-6
+
+    def test_missing_input_exit_code(self, tmp_path, capsys):
+        rc = main(["fit", "--input", str(tmp_path / "missing.csv"), "--t-lo", "1", "--t-hi", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestRunOptionsSpelledOnce:

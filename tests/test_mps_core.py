@@ -10,7 +10,6 @@ from mpodyn.charge_tensor import (
     TruncationPolicy,
     ZeroNormError,
     scale_axis,
-    truncated_split,
 )
 from mpodyn.evolution import evolve, make_schedule
 from mpodyn.mps_core import CanonicalMps, from_fock, load_mps, save_mps
@@ -232,12 +231,14 @@ class TestGateApplication:
 
     def test_sector_matrices_have_no_zero_row_or_column_block(self, monkeypatch):
         seen = []
+        gather = mps_core._BandLayout.gather
 
-        def spy(sectors, policy):
-            seen.append(sectors)
-            return truncated_split(sectors, policy)
+        def spy(layout, gated):
+            out = gather(layout, gated)
+            seen.append(out)
+            return out
 
-        monkeypatch.setattr(mps_core, "truncated_split", spy)
+        monkeypatch.setattr(mps_core._BandLayout, "gather", spy)
         # swaps on a Fock state leave most (l, p1) x (p2, r) blocks zero
         psi = from_fock([0, 1, 1, 0], 2)
         for m in (1, 2, 3):
@@ -246,10 +247,12 @@ class TestGateApplication:
             spec, s = _evolved_superstate(mode)
             for m in range(1, spec.L):
                 s.mps.apply_two_site_gate(m, super_gate(bond_gate(spec, m, 0.37), s.weights), UNRESTRICTED)
-        for sectors in seen:
-            for mat, rows, cols in sectors.values():
-                row_sizes = [int(np.prod(dims)) for _, dims in rows]
-                col_sizes = [int(np.prod(dims)) for _, dims in cols]
+        assert seen
+        for sectors, (row_q, _, row_dims), (col_q, _, col_dims) in seen:
+            assert sorted(sectors) == np.unique(row_q).tolist() == np.unique(col_q).tolist()
+            for q, mat in sectors.items():
+                row_sizes = row_dims[:, row_q == q].prod(axis=0)
+                col_sizes = col_dims[:, col_q == q].prod(axis=0)
                 assert mat.shape == (sum(row_sizes), sum(col_sizes))
                 for part in np.split(mat, np.cumsum(row_sizes)[:-1], axis=0):
                     assert part.any()
@@ -386,6 +389,65 @@ class TestSectorMatrixStorage:
         s_back = s.copy()
         s_back.mps = back
         assert np.array_equal(s_back.densify(), s.densify())
+
+
+def _snapshot(x, path) -> tuple:
+    """Dense form, spectra and checkpoint arrays of a state or superstate, as bytes."""
+    mps = getattr(x, "mps", x)
+    dense = x.to_statevector() if mps is x else x.densify()
+    save_mps(str(path), mps)
+    with np.load(path) as data:
+        arrays = {name: data[name].tobytes() for name in data.files}
+    spectra = [{q: v.tobytes() for q, v in lam.items()} for lam in mps.lambdas]
+    return dense.tobytes(), spectra, arrays
+
+
+def _state_of_kind(kind: str):
+    """A state or superstate, the same on every call; gate-updated states end
+    a sweep in either direction, so their sites sit in both layouts."""
+    rng = np.random.default_rng(7)
+    if kind == "block_built":
+        return uniform_fock_superposition(3, 5, 3)
+    if kind == "superstate":
+        return _evolved_superstate(GRAND_CANONICAL)[1]
+    x = random_charge_mps(5, 3, [0, 2, 1, 0, 1], rng)
+    if kind == "swept_right_to_left":
+        for m in range(4, 0, -1):
+            x.apply_two_site_gate(m, random_conserving_gate(3, rng), UNRESTRICTED)
+    return x
+
+
+class TestCopiesShareImmutableValues:
+    @pytest.mark.parametrize(
+        "kind", ["block_built", "swept_left_to_right", "swept_right_to_left", "superstate"]
+    )
+    def test_gates_on_copies_leave_the_original_unchanged(self, kind, rng, tmp_path):
+        # one gate per fresh copy, so every bond reads the original's stored sites;
+        # nothing reads the original before the end, so no cached view hides a write
+        x, twin = _state_of_kind(kind), _state_of_kind(kind)
+        spec = ModelSpec.bose_hubbard(4, 3, 4.0)
+        x_mps = getattr(x, "mps", x)
+        for m in range(1, x_mps.L):
+            y = x.copy()
+            y_mps = getattr(y, "mps", y)
+            if kind == "superstate":
+                gate = super_gate(bond_gate(spec, m, 0.37), y.weights)
+            else:
+                gate = random_conserving_gate(3, rng)
+            y_mps.apply_two_site_gate(m, gate, UNRESTRICTED)
+            y_mps.site_tensor(m), y_mps.site_tensor(m + 1)  # builds the new sites' views
+            spectra = [{q: v.tobytes() for q, v in s.lambdas[m - 1].items()} for s in (x_mps, y_mps)]
+            assert spectra[0] != spectra[1]
+        assert _snapshot(x, tmp_path / "x.npz") == _snapshot(twin, tmp_path / "twin.npz")
+
+    def test_canonicalize_leaves_its_input_unchanged(self, rng, tmp_path):
+        x = random_charge_mps(5, 3, [0, 2, 1, 0, 1], rng)
+        chain = x.gammas  # a non-canonical chain of the stored sites' views
+        blocks = [{k: blk.tobytes() for k, blk in g.blocks.items()} for g in chain]
+        before = _snapshot(x, tmp_path / "before.npz")
+        mps_core.canonicalize(chain)
+        assert [{k: blk.tobytes() for k, blk in g.blocks.items()} for g in chain] == blocks
+        assert _snapshot(x, tmp_path / "after.npz") == before
 
 
 class TestReversibility:

@@ -97,6 +97,23 @@ class TestCanonical:
         b = itac_canonical(unproj, ref, 2)
         assert abs(a - b) < 1e-8
 
+    @pytest.mark.parametrize("N", [5, -1])
+    def test_infeasible_sector_rejected(self, N):
+        ref = lift_product_operator(embed_factor(sigma_z_local(), 2, 4))
+        with pytest.raises(ValueError, match="infeasible particle number"):
+            itac_canonical(ref, ref, N)
+
+    @pytest.mark.parametrize("N", [1, 3])
+    def test_sector_other_than_the_projection_rejected(self, N):
+        from mpodyn.projector import project_operator
+
+        factors = embed_factor(sigma_z_local(), 2, 4)
+        ref = lift_product_operator(factors)
+        projected = project_operator(factors, 2)
+        assert abs(itac_canonical(projected, ref, 2) - 1.0) < 1e-12
+        with pytest.raises(ValueError, match=f"not projected onto N = {N}"):
+            itac_canonical(projected, ref, N)
+
     def test_hermitian_series_is_real(self):
         spec, _, _ = xxz_setup(L=4)
         series = itac_series(spec, 2, CANONICAL, make_schedule(2, 0.1), EXACTISH, 0.5, N=2)
