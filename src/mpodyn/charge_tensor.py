@@ -11,8 +11,8 @@ chain.  All other entries are exactly zero and never stored.  Blocks are
 complex double precision, row-major.
 
 ``contract`` is the chain product (last leg of one tensor against the
-first leg of the next).  ``block_svd`` cuts a tensor after its first
-``n_row`` legs and decomposes it charge block by charge block; the new
+first leg of the next).  ``block_svd`` cuts a tensor at the first or the
+last bond and decomposes it one sector of that bond at a time; the new
 bond charge is the sum of the row charges ("particles to the left of the
 cut"), so both factors are chain tensors again.  Its SVD-and-truncate
 step, ``truncated_split``, is shared with the two-site gate kernel in
@@ -343,63 +343,54 @@ def block_svd(
     n_row: int,
     policy: TruncationPolicy,
 ) -> tuple[SymmetricTensor, dict[int, np.ndarray], SymmetricTensor, float, float]:
-    """Truncated SVD of ``t`` cut after its first ``n_row`` legs.
+    """Truncated SVD of the chain link ``t`` cut at its first or last bond.
 
-    The first ``n_row`` legs are the matrix rows, the rest the columns.
-    Each charge block of that matrix is decomposed independently by
-    :func:`truncated_split`; the kept values are the globally largest
-    ``min(chi_max, available)`` across all blocks, chosen by
-    :func:`global_truncation`.  Returns ``(left, values, right, kept_norm,
-    discarded_norm)``: ``values`` maps each new bond charge to its kept
-    (unnormalized) singular values, so ``left @ diag(values) @ right`` is
-    the truncated input.
+    ``n_row`` is 1 (the cut falls on the first bond) or ``t.ndim - 1``
+    (the last bond).  Each sector of the cut bond is one matrix: its
+    blocks are stacked in sorted key order along the other axis.  Each
+    matrix is decomposed independently by :func:`truncated_split`; the
+    kept values are the globally largest ``min(chi_max, available)``
+    across all of them, chosen by :func:`global_truncation`.  Returns
+    ``(left, values, right, kept_norm, discarded_norm)``: ``values`` maps
+    each new bond charge to its kept (unnormalized) singular values, so
+    ``left @ diag(values) @ right`` is the truncated input.
     """
     if not 0 < n_row < t.ndim:
         raise ValueError("the cut must leave legs on both sides")
+    if n_row not in (1, t.ndim - 1):
+        raise ValueError("the cut must fall on the first or the last bond")
 
     if not t.blocks or all(not np.any(blk) for blk in t.blocks.values()):
         raise ZeroNormError("zero norm")
 
-    # each block sits in the matrix of its row charge, rows and columns laid
-    # out block by block in sorted key order
-    groups: dict[int, tuple[dict, dict, list]] = {}
+    # at the first bond the blocks of a sector sit side by side, at the last
+    # one above each other; the new bond charge is the row charge either way
+    axis = 1 if n_row == 1 else 0
+    groups: dict[int, tuple[tuple, list, list]] = {}
     for key in sorted(t.blocks):
         if not t._conserves(key):
             raise ChargeMismatchError("charge mismatch")
         rk, ck = key[:n_row], key[n_row:]
         q = sum(ix.charges[p] for ix, p in zip(t.indices, rk))
         block = t.blocks[key]
-        rows, cols, parts = groups.setdefault(q, ({}, {}, []))
-        rows[rk], cols[ck] = block.shape[:n_row], block.shape[n_row:]
-        parts.append((rk, ck, block))
+        dims = block.shape[n_row:] if axis else block.shape[:n_row]
+        _, stacked, pieces = groups.setdefault(q, (rk if axis else ck, [], []))
+        stacked.append((ck if axis else rk, dims))
+        pieces.append(block.reshape(math.prod(block.shape[:n_row]), -1))
 
-    def _layout(shapes: dict) -> tuple[list, dict, int]:
-        order, start, acc = sorted(shapes.items()), {}, 0
-        for key, dims in order:
-            start[key] = acc
-            acc += math.prod(dims)
-        return order, start, acc
-
-    sectors, orders = {}, {}
-    for q, (rows, cols, parts) in groups.items():
-        row_order, row_start, nrows = _layout(rows)
-        col_order, col_start, ncols = _layout(cols)
-        mat = np.zeros((nrows, ncols), dtype=np.complex128)
-        for rk, ck, block in parts:
-            r0, c0 = row_start[rk], col_start[ck]
-            nr, nc = math.prod(block.shape[:n_row]), math.prod(block.shape[n_row:])
-            mat[r0 : r0 + nr, c0 : c0 + nc] = block.reshape(nr, nc)
-        sectors[q], orders[q] = mat, (row_order, col_order)
-
+    sectors = {q: np.concatenate(pieces, axis=axis) for q, (_, _, pieces) in groups.items()}
     bond, values, us, vhs, kept_norm, discarded_norm = truncated_split(sectors, policy)
     left_blocks: dict[tuple[int, ...], np.ndarray] = {}
     right_blocks: dict[tuple[int, ...], np.ndarray] = {}
+    # the bond-side factor has orthonormal columns (rows), so it is one nonzero block
     for pos, (q, u, vh) in enumerate(zip(bond.charges, us, vhs)):
-        rows, cols = orders[q]
-        for rk, part in _cut(u, rows, 0):
-            left_blocks[rk + (pos,)] = part
-        for ck, part in _cut(vh, cols, 1):
-            right_blocks[(pos,) + ck] = part
+        bond_key, stacked, _ = groups[q]
+        if axis:
+            left_blocks[bond_key + (pos,)] = u
+            right_blocks.update(((pos,) + ck, part) for ck, part in _cut(vh, stacked, 1))
+        else:
+            left_blocks.update((rk + (pos,), part) for rk, part in _cut(u, stacked, 0))
+            right_blocks[(pos,) + bond_key] = vh
     left = SymmetricTensor(t.indices[:n_row] + (bond,), left_blocks)
     right = SymmetricTensor((bond,) + t.indices[n_row:], right_blocks)
     return left, values, right, kept_norm, discarded_norm

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -87,10 +88,10 @@ class RunConfig:
             raise ValueError("canonical method requires --n")
         if not 1 <= self.site <= self.length:
             raise ValueError("site out of range")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_max < 0:
-            raise ValueError("tmax must be >= 0")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"--dt must be finite and positive, got {self.dt}")
+        if not (math.isfinite(self.t_max) and self.t_max >= 0):
+            raise ValueError(f"--tmax must be finite and >= 0, got {self.t_max}")
         if not 0 < self.cutoff_budget <= 1:
             raise ValueError("budget must be in (0, 1]")
         if self.observable == "density" and self.psi0 is None:

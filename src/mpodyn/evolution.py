@@ -48,8 +48,8 @@ class TrotterSchedule:
 
 def make_schedule(order: int, dt: float) -> TrotterSchedule:
     """Deterministic stage list for a full step of size dt."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     if order == 1:
         stages = [TrotterStage("even", 1.0), TrotterStage("odd", 1.0)]
     elif order == 2:
@@ -99,8 +99,12 @@ class EvolutionLog:
     nu_product: float = 1.0
     max_osee_per_step: list[float] = field(default_factory=list)
     times: list[float] = field(default_factory=list)
-    end_time: float | None = None  # simulation time at which the run stopped
     termination_reason: str | None = None
+
+    @property
+    def end_time(self) -> float | None:
+        """Simulation time of the last recorded step; None for an empty log."""
+        return self.times[-1] if self.times else None
 
     @property
     def accumulated_cutoff(self) -> float:
@@ -127,8 +131,8 @@ def evolve(
     No step ends past t_max: a t_max between two step ends stops at the
     earlier one.
     """
-    if t_max < 0:
-        raise ValueError("t_max must be >= 0")
+    if not (math.isfinite(t_max) and t_max >= 0):
+        raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
     if not 0.0 < cutoff_budget <= 1.0:
         raise ValueError("cutoff_budget must be in (0, 1]")
     is_super = isinstance(target, SuperState)
@@ -167,10 +171,8 @@ def evolve(
         if observer is not None:
             observer(t, target, log)
         if hit_budget:
-            log.end_time = t
             log.termination_reason = "budget"
             return log
-    log.end_time = n_steps * schedule.dt
     log.termination_reason = "t_max"
     return log
 
@@ -192,7 +194,6 @@ def save_checkpoint(path_prefix: str, target, log: EvolutionLog, time: float) ->
             "records": [
                 [r.bond, r.nu, r.discarded_weight, r.chi_used] for r in log.records
             ],
-            "end_time": log.end_time,
             "termination_reason": log.termination_reason,
         },
     }
@@ -230,7 +231,6 @@ def load_checkpoint(path_prefix: str):
         nu_product=meta["log"]["nu_product"],
         max_osee_per_step=meta["log"]["max_osee_per_step"],
         times=meta["log"]["times"],
-        end_time=meta["log"]["end_time"],
         termination_reason=meta["log"]["termination_reason"],
     )
     return target, log, meta["time"]

@@ -68,6 +68,9 @@ def occupations_iter(L: int, d: int):
 
 
 def fock_statevector(occupations, d: int) -> np.ndarray:
+    """Basis vector of one occupation tuple; each occupation must lie in 0..d-1."""
+    if any(not 0 <= int(n) < d for n in occupations):
+        raise ValueError(f"occupations {list(occupations)} outside 0..{d - 1}")
     L = len(occupations)
     idx = sum(int(n) * d**m for m, n in enumerate(occupations))
     v = np.zeros(d**L, dtype=np.complex128)

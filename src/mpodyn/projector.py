@@ -8,14 +8,15 @@ that state into the projector onto the N-particle sector, whose bond
 dimension is at most N + 1 and whose entanglement entropy is bounded by
 log2(N + 1).
 
-All counts are exact big integers; ratios are formed with ``fractions``
-and converted to floats only at the end, so large systems do not lose
-precision to cancellation.
+One builder writes both chains, given the physical leg and a charge
+weight w: occupation j sits on the physical sector of charge j * w, and l
+particles left of a bond give it the charge l * w.  All counts are exact
+big integers, and each ratio is one correctly rounded integer division,
+so large systems do not lose precision to cancellation.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -46,17 +47,47 @@ def omega(d: int, n: int, L: int) -> int:
     return sum(omega(d, n - j, L - 1) for j in range(min(n, d - 1) + 1))
 
 
-def _lambda_sq(d: int, N: int, L: int, m: int, l: int) -> Fraction:
-    """Probability of l particles left of bond m in the uniform N-particle state."""
-    return Fraction(omega(d, l, m) * omega(d, N - l, L - m), omega(d, N, L))
+def _split_count(d: int, N: int, L: int, m: int, l: int) -> int:
+    """Number of N-particle Fock states with l particles left of bond m."""
+    return omega(d, l, m) * omega(d, N - l, L - m)
 
 
-def _feasible(d: int, N: int, L: int, m: int) -> list[int]:
-    return [
-        l
-        for l in range(N + 1)
-        if omega(d, l, m) > 0 and omega(d, N - l, L - m) > 0
-    ]
+def _uniform_chain(N: int, L: int, d: int, phys: ChargeIndex, w: int) -> CanonicalMps:
+    """Canonical MPS of the uniform N-particle superposition.
+
+    Occupation j sits on the sector of ``phys`` with charge j * w; a bond
+    with l particles to its left carries the charge l * w.
+    """
+    if N < 0 or N > L * (d - 1):
+        raise ValueError("infeasible particle number")
+    total = omega(d, N, L)
+    gammas = []
+    lambdas = []
+    prev = [0]
+    for m in range(1, L + 1):
+        cur = [l for l in range(N + 1) if _split_count(d, N, L, m, l) > 0]
+        left = ChargeIndex(tuple((l * w, 1) for l in prev))
+        right = ChargeIndex(tuple((r * w, 1) for r in cur))
+        blocks = {}
+        for lpos, l in enumerate(prev):
+            for rpos, r in enumerate(cur):
+                j = r - l
+                if j < 0 or j > d - 1:
+                    continue
+                # squared site amplitude: conditional probability ratio
+                den = omega(d, N - l, L - m + 1) * omega(d, r, m)
+                if den == 0:
+                    continue
+                val = float(np.sqrt(total / den))
+                key = (lpos, phys.position(j * w), rpos)
+                blocks[key] = np.array([[[val]]], dtype=np.complex128)
+        gammas.append(SymmetricTensor((left, phys, right), blocks))
+        if m < L:
+            lambdas.append(
+                {l * w: np.array([float(np.sqrt(_split_count(d, N, L, m, l) / total))]) for l in cur}
+            )
+        prev = cur
+    return CanonicalMps(gammas, lambdas)
 
 
 def uniform_fock_superposition(N: int, L: int, d: int | None = None) -> CanonicalMps:
@@ -68,37 +99,7 @@ def uniform_fock_superposition(N: int, L: int, d: int | None = None) -> Canonica
     """
     if d is None:
         d = N + 1
-    if N < 0 or N > L * (d - 1):
-        raise ValueError("infeasible particle number")
-    phys = ChargeIndex.occupation(d)
-    gammas = []
-    lambdas = []
-    prev = [0]
-    for m in range(1, L + 1):
-        cur = _feasible(d, N, L, m)
-        left = ChargeIndex(tuple((l, 1) for l in prev))
-        right = ChargeIndex(tuple((r, 1) for r in cur))
-        blocks = {}
-        for lpos, l in enumerate(prev):
-            for rpos, r in enumerate(cur):
-                j = r - l
-                if j < 0 or j > d - 1:
-                    continue
-                # squared site amplitude: conditional probability ratio
-                num = omega(d, N, L)
-                den = omega(d, N - l, L - m + 1) * omega(d, r, m)
-                if den == 0:
-                    continue
-                g2 = Fraction(num, den)
-                val = float(np.sqrt(float(g2)))
-                blocks[(lpos, j, rpos)] = np.array([[[val]]], dtype=np.complex128)
-        gammas.append(SymmetricTensor((left, phys, right), blocks))
-        if m < L:
-            lambdas.append(
-                {l: np.array([float(np.sqrt(float(_lambda_sq(d, N, L, m, l))))]) for l in cur}
-            )
-        prev = cur
-    return CanonicalMps(gammas, lambdas)
+    return _uniform_chain(N, L, d, ChargeIndex.occupation(d), 1)
 
 
 def projector_superstate(N: int, L: int, d: int) -> SuperState:
@@ -109,26 +110,8 @@ def projector_superstate(N: int, L: int, d: int) -> SuperState:
     Every bond keeps one sector per particle count: l particles on both
     chains carry the label l * (w_in + w_out).
     """
-    state = uniform_fock_superposition(N, L, d)
     weights = mode_weights(CANONICAL, L, d)
-    phys = super_site_layout(d, weights)[0]
-    w = sum(weights)
-
-    def relabel(ix: ChargeIndex) -> ChargeIndex:
-        return ChargeIndex(tuple((l * w, dim) for l, dim in ix.sectors))
-
-    gammas = [
-        SymmetricTensor(
-            (relabel(g.indices[0]), phys, relabel(g.indices[2])),
-            {
-                (lpos, phys.position(j * w), rpos): blk
-                for (lpos, j, rpos), blk in g.blocks.items()
-            },
-        )
-        for g in state.gammas
-    ]
-    lambdas = [{l * w: v for l, v in lam.items()} for lam in state.lambdas]
-    mps = CanonicalMps(gammas, lambdas)
+    mps = _uniform_chain(N, L, d, super_site_layout(d, weights)[0], sum(weights))
     return SuperState(
         mps,
         L,
@@ -176,10 +159,11 @@ def projector_osee(N: int, L: int, d: int, m: int) -> float:
         raise ValueError("bond out of range")
     if N < 0 or N > L * (d - 1):
         raise ValueError("infeasible particle number")
-    total = 0.0
+    total = omega(d, N, L)
+    entropy = 0.0
     for l in range(N + 1):
-        p = _lambda_sq(d, N, L, m, l)
-        if p > 0:
-            pf = float(p)
-            total -= pf * np.log2(pf)
-    return float(total)
+        count = _split_count(d, N, L, m, l)
+        if count > 0:
+            p = count / total
+            entropy -= p * np.log2(p)
+    return float(entropy)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from mpodyn.charge_tensor import (
     global_truncation,
     scale_axis,
     SymmetricTensor,
+    truncated_split,
 )
 
 
@@ -153,6 +156,20 @@ class TestBlockSvd:
         with pytest.raises(ValueError, match="both sides"):
             block_svd(make_random_three_leg(rng), n_row, TruncationPolicy(None, 0.0))
 
+    def test_cut_must_fall_on_the_first_or_last_bond(self, rng):
+        phys = ChargeIndex.occupation(2)
+        blocks = {
+            (0, i, j, i + j): rng.normal(size=(1, 1, 1, 1)) for i in range(2) for j in range(2)
+        }
+        legs = (ChargeIndex.trivial(), phys, phys, ChargeIndex.occupation(3))
+        four = SymmetricTensor(legs, blocks)
+        with pytest.raises(ValueError, match="first or the last bond"):
+            block_svd(four, 2, TruncationPolicy(None, 0.0))
+        for n_row in (1, 3):
+            left, values, right, _, _ = block_svd(four, n_row, TruncationPolicy(None, 0.0))
+            rebuilt = contract(scale_axis(left, n_row, values), right)
+            assert np.max(np.abs(rebuilt.densify() - four.densify())) < 1e-12
+
     def test_normalized_spectrum(self, rng):
         t = make_random_three_leg(rng)
         _, values, _, kept, discarded = block_svd(t, 2, TruncationPolicy(4, 0.0))
@@ -276,3 +293,120 @@ def test_global_truncation_matches_entry_sort_bit_for_bit(rng):
         cases += 1
     assert cases > 300
 
+
+
+def _block_svd_by_zero_filled_assembly(t, n_row, policy):
+    """Reference: ``block_svd`` as first written, for any cut, placing each
+    block into a zero-filled matrix of its row charge and cutting both
+    factors back into blocks (all-zero pieces dropped)."""
+    groups = {}
+    for key in sorted(t.blocks):
+        rk, ck = key[:n_row], key[n_row:]
+        q = sum(ix.charges[p] for ix, p in zip(t.indices, rk))
+        block = t.blocks[key]
+        rows, cols, parts = groups.setdefault(q, ({}, {}, []))
+        rows[rk], cols[ck] = block.shape[:n_row], block.shape[n_row:]
+        parts.append((rk, ck, block))
+
+    def layout(shapes):
+        order, start, acc = sorted(shapes.items()), {}, 0
+        for key, dims in order:
+            start[key] = acc
+            acc += math.prod(dims)
+        return order, start, acc
+
+    def cut(mat, blocks, axis):
+        start = 0
+        for key, dims in blocks:
+            size = math.prod(dims)
+            piece = mat[start : start + size] if axis == 0 else mat[:, start : start + size]
+            start += size
+            if piece.any():
+                shape = dims + mat.shape[1:] if axis == 0 else mat.shape[:1] + dims
+                yield key, piece.reshape(shape)
+
+    sectors, orders = {}, {}
+    for q, (rows, cols, parts) in groups.items():
+        row_order, row_start, nrows = layout(rows)
+        col_order, col_start, ncols = layout(cols)
+        mat = np.zeros((nrows, ncols), dtype=np.complex128)
+        for rk, ck, block in parts:
+            r0, c0 = row_start[rk], col_start[ck]
+            nr, nc = math.prod(block.shape[:n_row]), math.prod(block.shape[n_row:])
+            mat[r0 : r0 + nr, c0 : c0 + nc] = block.reshape(nr, nc)
+        sectors[q], orders[q] = mat, (row_order, col_order)
+
+    bond, values, us, vhs, kept_norm, discarded_norm = truncated_split(sectors, policy)
+    left_blocks, right_blocks = {}, {}
+    for pos, (q, u, vh) in enumerate(zip(bond.charges, us, vhs)):
+        rows, cols = orders[q]
+        for rk, part in cut(u, rows, 0):
+            left_blocks[rk + (pos,)] = part
+        for ck, part in cut(vh, cols, 1):
+            right_blocks[(pos,) + ck] = part
+    left = SymmetricTensor(t.indices[:n_row] + (bond,), left_blocks)
+    right = SymmetricTensor((bond,) + t.indices[n_row:], right_blocks)
+    return left, values, right, kept_norm, discarded_norm
+
+
+def _assert_same_split(got, want):
+    for a, b in ((got[0], want[0]), (got[2], want[2])):
+        assert a.indices == b.indices
+        assert list(a.blocks) == list(b.blocks)
+        for key in a.blocks:
+            assert np.array_equal(a.blocks[key], b.blocks[key])
+    assert list(got[1]) == list(want[1])
+    for q in got[1]:
+        assert np.array_equal(got[1][q], want[1][q])
+    assert got[3] == want[3] and got[4] == want[4]
+
+
+def _zero_block_links():
+    """Two small links, one per cut, each storing an all-zero block whose
+    stacked matrix is [[1, 0], [0, 2], [0, 0]] or its transpose."""
+    phys = ChargeIndex.occupation(3)
+    # cut at the last bond: rows (l, p) with l + p = 1 stacked above each other
+    left = ChargeIndex(((-1, 1), (0, 1), (1, 1)))
+    rows = {
+        (0, 2, 0): [[[1, 0]]],
+        (1, 1, 0): [[[0, 2]]],
+        (2, 0, 0): [[[0, 0]]],
+    }
+    last = SymmetricTensor((left, phys, ChargeIndex(((1, 2),))), rows)
+    # cut at the first bond: columns (p, r) with r = p stacked side by side
+    right = ChargeIndex(((0, 1), (1, 1), (2, 1)))
+    cols = {
+        (0, 0, 0): [[[1]], [[0]]],
+        (0, 1, 1): [[[0]], [[2]]],
+        (0, 2, 2): [[[0]], [[0]]],
+    }
+    first = SymmetricTensor((ChargeIndex(((0, 2),)), phys, right), cols)
+    return [(last, 2), (first, 1)]
+
+
+def test_block_svd_matches_zero_filled_assembly_bit_for_bit(rng):
+    policies = [TruncationPolicy(None, 0.0), TruncationPolicy(3, 0.0), TruncationPolicy(None, 0.5)]
+    cases = []
+    for _ in range(20):
+        three = make_random_three_leg(rng)
+        cases += [(three, 1), (three, 2), (make_random_two_leg(rng, three.indices[2]), 1)]
+    for t, n_row in cases:
+        for policy in policies:
+            _assert_same_split(
+                block_svd(t, n_row, policy), _block_svd_by_zero_filled_assembly(t, n_row, policy)
+            )
+
+
+def test_block_svd_drops_an_exactly_zero_factor_block():
+    exact = TruncationPolicy(None, 0.0)
+    for t, n_row in _zero_block_links():
+        left, values, right, kept, discarded = got = block_svd(t, n_row, exact)
+        _assert_same_split(got, _block_svd_by_zero_filled_assembly(t, n_row, exact))
+        assert np.array_equal(descending(values), [2.0, 1.0])
+        # the stored zero block leaves no block in the stacked factor
+        if n_row == 2:
+            assert [key[:2] for key in left.blocks] == [(0, 2), (1, 1)]
+        else:
+            assert [key[1:] for key in right.blocks] == [(0, 0), (1, 1)]
+        rebuilt = contract(scale_axis(left, n_row, values), right)
+        assert np.array_equal(rebuilt.densify(), t.densify())

@@ -126,6 +126,29 @@ class TestSimulate:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize(
+        "flag,value,other",
+        [
+            ("--tmax", "inf", ["--dt", "0.25"]),
+            ("--tmax", "nan", ["--dt", "0.25"]),
+            ("--dt", "nan", ["--tmax", "1"]),
+            ("--dt", "inf", ["--tmax", "1"]),
+        ],
+    )
+    def test_non_finite_time_exit_code(self, tmp_path, capsys, command, flag, value, other):
+        out = tmp_path / "x.csv"
+        run = ["--method", "grand-canonical"] if command == "simulate" else ["--run", "method=brute"]
+        rc = main(
+            [command, "--length", "4", "--site", "2", flag, value, "--output", str(out)]
+            + other
+            + run
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{flag} must be finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_density_particle_number_must_match_psi0(self, tmp_path, capsys, command):
         # psi0 = 0101 holds two bosons; --n 3 would be recorded but not run
         out = tmp_path / "x.csv"
@@ -348,6 +371,16 @@ class TestOracleCheck:
         assert rc == 2
         err = capsys.readouterr().err
         assert "site out of range" in err and "Traceback" not in err
+
+    def test_density_occupation_beyond_local_dimension(self, capsys):
+        rc = main(
+            [
+                "oracle-check", "--suite", "density", "--length", "2", "--psi0", "22",
+                "--site", "1", "--tmax", "0.25",
+            ]
+        )
+        assert rc == 2
+        assert "outside 0..1" in capsys.readouterr().err
 
     def test_default_site_beyond_short_chain(self, capsys):
         # the default --site 3 does not exist on two sites

@@ -57,6 +57,11 @@ class TestSchedule:
         for sub in ("even", "odd"):
             assert abs(sum(st.coefficient for st in s.stages if st.sublattice == sub) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("dt", [0.0, -0.1, float("nan"), float("inf")])
+    def test_step_must_be_finite_and_positive(self, dt):
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            make_schedule(4, dt)
+
     def test_unsupported_order(self):
         with pytest.raises(ValueError, match="unsupported order"):
             make_schedule(3, 0.1)
@@ -185,6 +190,26 @@ class TestEvolve:
         with pytest.raises(ValueError, match="t_max"):
             evolve(s, spec, make_schedule(2, 0.25), -1.0, UNRESTRICTED)
 
+    @pytest.mark.parametrize("t_max", [float("inf"), float("nan")])
+    def test_non_finite_t_max_rejected(self, t_max):
+        spec = ModelSpec.xxz(4, 0.5)
+        s = lift_product_operator(embed_factor(sigma_z_local(), 2, 4))
+        with pytest.raises(ValueError, match="t_max must be finite"):
+            evolve(s, spec, make_schedule(2, 0.25), t_max, UNRESTRICTED)
+
+    def test_end_time_is_the_last_time(self):
+        spec = ModelSpec.xxz(4, 0.5)
+        s = lift_product_operator(embed_factor(sigma_z_local(), 2, 4))
+        seen = []
+        log = evolve(
+            s, spec, make_schedule(2, 0.25), 0.5, UNRESTRICTED,
+            observer=lambda t, st, lg: seen.append(lg.end_time),
+        )
+        assert seen == [0.0, 0.25, 0.5] and log.end_time == 0.5
+        assert EvolutionLog().end_time is None
+        with pytest.raises(AttributeError):
+            log.end_time = 1.0
+
     def test_budget_termination(self):
         L = 8
         spec = ModelSpec.xxz(L, 0.8)
@@ -255,6 +280,23 @@ class TestCheckpoint:
         assert log2.termination_reason == log.termination_reason
         assert len(log2.records) == len(log.records)
         assert np.max(np.abs(target.densify() - s.densify())) < 1e-12
+
+    def test_end_time_is_not_stored_and_older_sidecars_load(self, tmp_path):
+        spec = ModelSpec.xxz(4, 0.5)
+        s = lift_product_operator(embed_factor(sigma_z_local(), 2, 4))
+        log = evolve(s, spec, make_schedule(2, 0.1), 0.3, UNRESTRICTED)
+        prefix = str(tmp_path / "ckpt")
+        save_checkpoint(prefix, s, log, 0.3)
+        with open(prefix + ".json") as fh:
+            meta = json.load(fh)
+        assert "end_time" not in meta["log"]
+        # older sidecars still carry the key; it is ignored on load
+        meta["log"]["end_time"] = 99.0
+        with open(prefix + ".json", "w") as fh:
+            json.dump(meta, fh)
+        _, log2, _ = load_checkpoint(prefix)
+        assert log2.times == log.times
+        assert log2.end_time == log.end_time == log.times[-1]
 
     def test_canonical_superstate_round_trip(self, tmp_path):
         # the charge weights are not stored: they follow from mode, L and d on load

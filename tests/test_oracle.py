@@ -1,6 +1,7 @@
 from math import comb
 
 import numpy as np
+import pytest
 
 from mpodyn import oracle
 from mpodyn.models import ModelSpec, SIGMA_X, SIGMA_Y, SIGMA_Z
@@ -112,6 +113,11 @@ class TestStatevector:
         v = oracle.fock_statevector([1, 0, 2], 3)
         assert v[1 + 0 * 3 + 2 * 9] == 1.0
         assert np.sum(np.abs(v)) == 1.0
+
+    @pytest.mark.parametrize("occupations", [[2, 0, 0], [0, -1, 1], [0, 0, 5]])
+    def test_occupation_outside_local_dimension_rejected(self, occupations):
+        with pytest.raises(ValueError, match="outside 0..1"):
+            oracle.fock_statevector(occupations, 2)
 
     def test_krylov_propagator_matches_eigh(self):
         H = oracle.dense_hamiltonian(ModelSpec.xxz(4, 0.8)).entries

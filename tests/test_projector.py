@@ -8,10 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpodyn import oracle
+from mpodyn.charge_tensor import ChargeIndex, SymmetricTensor
+from mpodyn.mps_core import CanonicalMps
 from mpodyn.models import SIGMA_Z, annihilator_local, identity_local, sigma_z_local
-from mpodyn.operator_space import GRAND_CANONICAL, embed_factor, lift_product_operator
+from mpodyn.operator_space import (
+    CANONICAL,
+    GRAND_CANONICAL,
+    embed_factor,
+    lift_product_operator,
+    mode_weights,
+    super_site_layout,
+)
 from mpodyn.projector import (
-    _lambda_sq,
+    _split_count,
     omega,
     project_operator,
     projector_osee,
@@ -75,9 +84,9 @@ class TestLambdaWeights:
     def test_exact_normalization(self, d, N, L):
         if N > L * (d - 1):
             return
+        # the squared Schmidt values count_l / Omega_d(N, L) sum to one exactly
         for m in range(1, L):
-            total = sum(_lambda_sq(d, N, L, m, l) for l in range(N + 1))
-            assert total == Fraction(1)
+            assert sum(_split_count(d, N, L, m, l) for l in range(N + 1)) == omega(d, N, L)
 
 
 class TestUniformSuperposition:
@@ -225,3 +234,88 @@ class TestProjectorOsee:
     def test_infeasible_particle_number(self, N):
         with pytest.raises(ValueError, match="infeasible particle number"):
             projector_osee(N, 4, 2, 2)
+
+
+def _uniform_by_fractions(N, L, d):
+    """Reference: the uniform superposition as first written, with every
+    ratio an exact ``Fraction`` and charges counted in particles."""
+    phys = ChargeIndex.occupation(d)
+    gammas, lambdas, prev = [], [], [0]
+    for m in range(1, L + 1):
+        cur = [l for l in range(N + 1) if omega(d, l, m) > 0 and omega(d, N - l, L - m) > 0]
+        left = ChargeIndex(tuple((l, 1) for l in prev))
+        right = ChargeIndex(tuple((r, 1) for r in cur))
+        blocks = {}
+        for lpos, l in enumerate(prev):
+            for rpos, r in enumerate(cur):
+                j = r - l
+                den = omega(d, N - l, L - m + 1) * omega(d, r, m)
+                if 0 <= j <= d - 1 and den:
+                    val = float(np.sqrt(float(Fraction(omega(d, N, L), den))))
+                    blocks[(lpos, j, rpos)] = np.array([[[val]]], dtype=np.complex128)
+        gammas.append(SymmetricTensor((left, phys, right), blocks))
+        if m < L:
+            lambdas.append({
+                l: np.array([float(np.sqrt(float(Fraction(
+                    omega(d, l, m) * omega(d, N - l, L - m), omega(d, N, L)
+                ))))])
+                for l in cur
+            })
+        prev = cur
+    return CanonicalMps(gammas, lambdas)
+
+
+def _projector_by_relabel(N, L, d):
+    """Reference: the projector chain as first written, a second pass that
+    copies the uniform superposition into canonical labels."""
+    state = _uniform_by_fractions(N, L, d)
+    weights = mode_weights(CANONICAL, L, d)
+    phys = super_site_layout(d, weights)[0]
+    w = sum(weights)
+
+    def relabel(ix):
+        return ChargeIndex(tuple((l * w, dim) for l, dim in ix.sectors))
+
+    gammas = [
+        SymmetricTensor(
+            (relabel(g.indices[0]), phys, relabel(g.indices[2])),
+            {(lpos, phys.position(j * w), rpos): blk for (lpos, j, rpos), blk in g.blocks.items()},
+        )
+        for g in state.gammas
+    ]
+    return CanonicalMps(gammas, [{l * w: v for l, v in lam.items()} for lam in state.lambdas])
+
+
+def _assert_same_chain(got, want):
+    assert len(got.gammas) == len(want.gammas)
+    for a, b in zip(got.gammas, want.gammas):
+        assert a.indices == b.indices
+        assert list(a.blocks) == list(b.blocks)
+        for key in a.blocks:
+            assert np.array_equal(a.blocks[key], b.blocks[key])
+    assert [list(lam) for lam in got.lambdas] == [list(lam) for lam in want.lambdas]
+    for lam, ref in zip(got.lambdas, want.lambdas):
+        for q in lam:
+            assert np.array_equal(lam[q], ref[q])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("L", range(1, 7))
+def test_one_pass_chains_match_fractions_and_relabel_bit_for_bit(L, d):
+    for N in range(L * (d - 1) + 1):
+        _assert_same_chain(uniform_fock_superposition(N, L, d), _uniform_by_fractions(N, L, d))
+        ps = projector_superstate(N, L, d)
+        _assert_same_chain(ps.mps, _projector_by_relabel(N, L, d))
+        assert ps.prefactor == float(np.sqrt(omega(d, N, L)))
+
+
+@pytest.mark.parametrize("d,L", [(2, 40), (3, 12)])
+def test_projector_osee_matches_fractions_bit_for_bit(d, L):
+    for N in range(L * (d - 1) + 1):
+        for m in (1, L // 3, L // 2, L - 1):
+            want = 0.0
+            for l in range(N + 1):
+                p = Fraction(omega(d, l, m) * omega(d, N - l, L - m), omega(d, N, L))
+                if p > 0:
+                    want -= float(p) * np.log2(float(p))
+            assert projector_osee(N, L, d, m) == float(want)
