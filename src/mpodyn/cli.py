@@ -201,6 +201,8 @@ def cmd_oracle_check(args) -> int:
 
     if not 1 <= args.site <= args.length:
         raise ValueError("site out of range")
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
     spec = (
         ModelSpec.xxz(args.length, args.delta)
         if args.model == "xxz"
@@ -209,7 +211,6 @@ def cmd_oracle_check(args) -> int:
     schedule = make_schedule(4, args.dt)
     policy = TruncationPolicy(None, 1e-12)
     report = {}
-    failed = False
     if args.suite == "itac":
         H = oracle.dense_hamiltonian(spec).entries
         obs_mat = (
@@ -244,12 +245,10 @@ def cmd_oracle_check(args) -> int:
                 vt = oracle.dense_statevector_evolve(H, v0, t)
                 devs.append(abs(v - vt.conj() @ (nmat @ vt)))
             report[f"density_{method}"] = max(devs)
+    passed = {name: dev <= args.tol for name, dev in report.items()}  # a NaN deviation fails
     for name, dev in report.items():
-        status = "ok" if dev <= args.tol else "FAIL"
-        if dev > args.tol:
-            failed = True
-        print(f"{name}: max deviation {dev:.3e} [{status}]")
-    return 1 if failed else 0
+        print(f"{name}: max deviation {dev:.3e} [{'ok' if passed[name] else 'FAIL'}]")
+    return 0 if all(passed.values()) else 1
 
 
 def cmd_compare(args) -> int:

@@ -14,10 +14,18 @@ target superstate and records a caller's ``measure(state)`` together with
 the per-step accumulated cutoff, maximum OSEE and bond dimension.
 ``itac_series``, ``local_density_series`` and the command line's ``osee``
 observable each build a target and a measure and call it.
+
+Evolving with grand-canonical labels and projecting afterwards reads every
+C_N from one run: ``itac_canonical`` then pairs the state with P_N O P_N of
+the fixed t = 0 reference.  That projection is built once per (reference,
+N) and kept while the reference is alive; it is rebuilt when the
+reference changes (a new MPS object, a site or spectrum replaced by a
+gate, or a new prefactor, mode or delta_n).
 """
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -76,16 +84,52 @@ def itac_grand_canonical(evolved: SuperState, reference: SuperState) -> complex:
     return hs_trace_pair(evolved, reference) / evolved.d**evolved.L
 
 
+# reference -> (its MPS, sites and spectra; its scalars; {N: P_N reference P_N})
+_projections: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _projected_reference(reference: SuperState, N: int) -> SuperState:
+    """``project_operator(reference, N)``, built once while the reference is unchanged."""
+    mps = reference.mps
+    # a gate changes a CanonicalMps only by replacing a site object or a spectrum dict
+    parts = (mps,) if mps is None else (mps, *mps._sites, *mps.lambdas)
+    scalars = (reference.prefactor, reference.mode, reference.delta_n)
+    cached = _projections.get(reference)
+    if cached is None or cached[1] != scalars or any(x is not y for x, y in zip(cached[0], parts)):
+        cached = _projections[reference] = (parts, scalars, {})
+    by_n = cached[2]
+    if N not in by_n:
+        by_n[N] = project_operator(reference, N)
+    return by_n[N]
+
+
 def itac_canonical(evolved: SuperState, reference: SuperState, N: int) -> complex:
     """Sector autocorrelation; works from either evolution order.
 
     When ``evolved`` carries canonical labels it is the projected,
     time-evolved operator and pairs directly with the unprojected
-    reference; when it carries grand-canonical labels the projection is
-    applied to the reference instead.  Raises ``ValueError`` for an N
-    outside 0..L(d-1), or one that a canonical-labelled operator was not
-    projected onto (its right bond carries the input particle number).
+    reference; otherwise the projection P_N reference P_N is paired with
+    it instead.  That projection is built on the first call for a
+    (reference, N) and reused until the reference changes: a different
+    ``mps`` object, a site or spectrum of it replaced (as a gate does),
+    or a different prefactor, mode or delta_n.  A dropped reference drops
+    its projections.
+
+    Raises ``ValueError`` before building anything for a reference whose
+    L or d differ from the evolved state's, for a reference to be
+    projected that does not carry grand-canonical labels, for an N
+    outside 0..L(d-1), or for an N that a canonical-labelled operator was
+    not projected onto (its right bond carries the input particle number).
     """
+    if (reference.L, reference.d) != (evolved.L, evolved.d):
+        raise ValueError(
+            f"reference has L = {reference.L}, d = {reference.d}; "
+            f"the evolved operator has L = {evolved.L}, d = {evolved.d}"
+        )
+    if evolved.mode != CANONICAL and reference.mode != GRAND_CANONICAL:
+        raise ValueError(
+            f"reference to project must carry grand-canonical labels, not {reference.mode}"
+        )
     if not 0 <= N <= evolved.L * (evolved.d - 1):
         raise ValueError("infeasible particle number")
     norm = omega(evolved.d, N, evolved.L)
@@ -95,7 +139,7 @@ def itac_canonical(evolved: SuperState, reference: SuperState, N: int) -> comple
         if not evolved.is_zero and evolved.mps.total_charge != want:
             raise ValueError(f"operator is not projected onto N = {N}")
         return hs_trace_pair(evolved, reference) / norm
-    return hs_trace_pair(evolved, project_operator(reference, N)) / norm
+    return hs_trace_pair(evolved, _projected_reference(reference, N)) / norm
 
 
 def ensemble_relation_check(g: TimeSeries, c_by_n: dict[int, TimeSeries]) -> float:

@@ -1,10 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mpodyn import cli
+from mpodyn import cli, oracle
 from mpodyn.charge_tensor import TruncationPolicy
 from mpodyn.cli import METHODS, RUN_KEYS, RunConfig, build_parser, main
 from mpodyn.evolution import evolve, make_schedule
@@ -387,6 +391,31 @@ class TestOracleCheck:
         rc = main(["oracle-check", "--suite", "density", "--length", "2", "--tmax", "0.25"])
         assert rc == 2
         assert "site out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-6"])
+    def test_bad_tolerance_exit_code(self, capsys, tol):
+        rc = main(["oracle-check", "--length", "4", "--tmax", "0.25", f"--tol={tol}"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--tol" in err and "Traceback" not in err
+
+    def test_nan_deviation_fails(self, capsys, monkeypatch):
+        # one comparison decides both the printed status and the exit code
+        monkeypatch.setattr(oracle, "dense_itac", lambda *args: float("nan"))
+        monkeypatch.setattr(oracle, "dense_sector_itac", lambda *args: float("nan"))
+        rc = main(["oracle-check", "--length", "4", "--tmax", "0.25"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "[ok]" not in out and out.count("[FAIL]") == 4
+
+    def test_runs_as_module(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mpodyn", "oracle-check", "--length", "4", "--tmax", "0.25"],
+            capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "itac_grand_canonical" in proc.stdout and "FAIL" not in proc.stdout
 
 
 class TestCompare:

@@ -1,7 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from mpodyn import oracle
+from mpodyn import observables, oracle
 from mpodyn.charge_tensor import TruncationPolicy
 from mpodyn.evolution import evolve, make_schedule
 from mpodyn.models import ModelSpec, SIGMA_Z, sigma_z_local
@@ -21,8 +24,10 @@ from mpodyn.operator_space import (
     CANONICAL,
     GRAND_CANONICAL,
     embed_factor,
+    hs_trace_pair,
     lift_product_operator,
 )
+from mpodyn.projector import omega, project_operator
 
 UNRESTRICTED = TruncationPolicy(None, 0.0)
 EXACTISH = TruncationPolicy(None, 1e-12)
@@ -125,6 +130,100 @@ class TestCanonical:
         s1 = itac_series(spec, 3, CANONICAL, sched, EXACTISH, 1.0, N=2)
         s2 = itac_series(spec, 3, CANONICAL, sched, EXACTISH, 1.0, N=4)
         assert np.max(np.abs(s1.values - s2.values)) < 1e-8
+
+
+def fresh_itac_canonical(evolved, reference, N):
+    """The evolve-then-project value with the projection built anew per call."""
+    projected = project_operator(reference, N)
+    return hs_trace_pair(evolved, projected) / omega(evolved.d, N, evolved.L)
+
+
+@pytest.fixture
+def projection_calls(monkeypatch):
+    """Counts the projections ``itac_canonical`` builds."""
+    calls = []
+    original = observables.project_operator
+
+    def counted(op, N):
+        calls.append(N)
+        return original(op, N)
+
+    monkeypatch.setattr(observables, "project_operator", counted)
+    return calls
+
+
+class TestProjectedReferenceCache:
+    L = 4
+
+    def setup_method(self):
+        self.spec = ModelSpec.xxz(self.L, 0.8)
+        self.sched = make_schedule(4, 1 / 8)
+        self.ref = lift_product_operator(embed_factor(sigma_z_local(), 2, self.L))
+
+    def test_one_projection_per_sector(self, projection_calls):
+        L, ref = self.L, self.ref
+        values, fresh = [], []
+
+        def observer(t, state, log):
+            values.append([itac_canonical(state, ref, N) for N in range(L + 1)])
+            fresh.append([fresh_itac_canonical(state, ref, N) for N in range(L + 1)])
+
+        evolve(ref.copy(), self.spec, self.sched, 0.5, TruncationPolicy(4, 0.0), observer=observer)
+        assert len(values) == 5
+        assert sorted(projection_calls) == list(range(L + 1))
+        # bitwise, not within a tolerance: the cache only skips rebuilding
+        assert values == fresh
+
+    def test_changed_reference_is_projected_again(self, projection_calls):
+        state, ref, N = self.ref.copy(), self.ref, 2
+        evolve(state, self.spec, self.sched, 0.25, EXACTISH)
+        itac_canonical(state, ref, N)
+        itac_canonical(state, ref, N)
+        assert len(projection_calls) == 1
+        # a gate replaces sites and spectra of the reference's own MPS
+        evolve(ref, self.spec, self.sched, 0.125, EXACTISH)
+        assert itac_canonical(state, ref, N) == fresh_itac_canonical(state, ref, N)
+        assert len(projection_calls) == 2
+        ref.prefactor *= 2.0
+        assert itac_canonical(state, ref, N) == fresh_itac_canonical(state, ref, N)
+        assert len(projection_calls) == 3
+        before = itac_canonical(state, ref, N)
+        ref.mps.lambdas[1] = {q: 0.5 * v for q, v in ref.mps.lambdas[1].items()}
+        after = itac_canonical(state, ref, N)
+        assert after == fresh_itac_canonical(state, ref, N) and after != before
+        assert len(projection_calls) == 4
+        # a copy shares every site but is its own reference
+        assert itac_canonical(state, ref.copy(), N) == itac_canonical(state, ref, N)
+        assert len(projection_calls) == 5
+
+    def test_dropped_reference_leaves_the_cache(self):
+        ref = lift_product_operator(embed_factor(sigma_z_local(), 3, self.L))
+        itac_canonical(ref.copy(), ref, 2)
+        projected = weakref.ref(observables._projections[ref][2][2])
+        size = len(observables._projections)
+        del ref
+        gc.collect()
+        assert len(observables._projections) == size - 1
+        assert projected() is None
+
+    def test_shape_mismatch_rejected_before_projecting(self, projection_calls):
+        state = lift_product_operator(embed_factor(sigma_z_local(), 2, 4))
+        ref = lift_product_operator(embed_factor(sigma_z_local(), 2, 3))
+        with pytest.raises(ValueError, match="reference has L = 3"):
+            itac_canonical(state, ref, 1)
+        assert projection_calls == []
+
+    @pytest.mark.parametrize("mode", [BRUTE, CANONICAL])
+    def test_reference_without_grand_canonical_labels_rejected(self, projection_calls, mode):
+        factors = embed_factor(sigma_z_local(), 2, 4)
+        state = lift_product_operator(factors)
+        if mode == CANONICAL:
+            ref = project_operator(factors, 2)
+        else:
+            ref = lift_product_operator(factors, mode=BRUTE)
+        with pytest.raises(ValueError, match=f"reference to project .* not {mode}"):
+            itac_canonical(state, ref, 2)
+        assert projection_calls == []
 
 
 class TestEnsembleRelation:
