@@ -11,12 +11,14 @@ chain.  All other entries are exactly zero and never stored.  Blocks are
 complex double precision, row-major.
 
 ``contract`` is the chain product (last leg of one tensor against the
-first leg of the next).  ``block_svd`` cuts a tensor at the first or the
-last bond and decomposes it one sector of that bond at a time; the new
-bond charge is the sum of the row charges ("particles to the left of the
-cut"), so both factors are chain tensors again.  Its SVD-and-truncate
-step, ``truncated_split``, is shared with the two-site gate kernel in
-``mps_core``.
+first leg of the next).  :class:`SectorMatrices` is the one sector-matrix
+form of a (bond-in, physical, bond-out) link: one dense matrix per sector
+of a bond leg.  ``block_svd`` cuts a link at either bond leg by splitting
+those matrices; the new bond charge is the sum of the row charges
+("particles to the left of the cut"), so both factors are chain tensors
+again.  Its SVD-and-truncate step, ``truncated_split``, and its zero-block
+cut, ``drop_zero_blocks``, are shared with the two-site gate kernel in
+``mps_core``, which stores every site as ``SectorMatrices``.
 
 A bond spectrum is a plain ``dict`` mapping bond charge to that sector's
 descending singular values.  Which values survive a cut is decided only
@@ -26,7 +28,6 @@ first, then in sector order.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -280,31 +281,15 @@ def _svd_dense(mat: np.ndarray):
         return scipy_svd(mat, full_matrices=False, lapack_driver="gesvd")
 
 
-def _cut(mat: np.ndarray, blocks: list, axis: int):
-    """Split ``mat`` along ``axis`` into ``blocks`` (``(key, dims)`` in order).
-
-    Yields ``(key, piece)`` with the piece's ``axis`` unfolded to ``dims``;
-    all-zero pieces are skipped.
-    """
-    sizes = [math.prod(dims) for _, dims in blocks]
-    starts = np.cumsum([0] + sizes[:-1])
-    nonzero = np.logical_or.reduceat(mat.any(axis=1 - axis), starts)
-    for (key, dims), start, size, keep in zip(blocks, starts, sizes, nonzero):
-        if keep:
-            if axis == 0:
-                yield key, mat[start : start + size].reshape(dims + mat.shape[1:])
-            else:
-                yield key, mat[:, start : start + size].reshape(mat.shape[:1] + dims)
-
-
 def truncated_split(sectors: dict[int, np.ndarray], policy: TruncationPolicy):
     """Blockwise truncated SVD of sector matrices.
 
     ``sectors`` maps each new bond charge ``q`` to its matrix.  Each
     charge's matrix is decomposed independently (in parallel over
-    ``MPODYN_THREADS`` threads), and :func:`global_truncation` picks the
-    kept values.  Which row and column blocks a matrix stacks is the
-    caller's business; the factors come back bare.
+    ``MPODYN_THREADS`` threads: a positive integer, 1 when unset or
+    empty), and :func:`global_truncation` picks the kept values.  Which
+    row and column blocks a matrix stacks is the caller's business; the
+    factors come back bare.
 
     Returns the new bond index, the kept (unnormalized) values per charge,
     the kept ``U[:, :k]`` and ``V^dagger[:k]`` of each kept charge in bond
@@ -315,7 +300,10 @@ def truncated_split(sectors: dict[int, np.ndarray], policy: TruncationPolicy):
         return q, _svd_dense(sectors[q])
 
     qs = sorted(sectors)
-    nthreads = int(os.environ.get(THREADS_ENV, "1") or "1")
+    raw = os.environ.get(THREADS_ENV) or "1"
+    if not (raw.strip().isdigit() and int(raw) > 0):
+        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
+    nthreads = int(raw)
     if nthreads > 1 and len(qs) > 1:
         with ThreadPoolExecutor(max_workers=nthreads) as pool:
             svds = dict(pool.map(_decompose, qs))
@@ -338,59 +326,202 @@ def truncated_split(sectors: dict[int, np.ndarray], policy: TruncationPolicy):
     return bond, values, us, vhs, kept_norm, discarded_norm
 
 
+def drop_zero_blocks(mats, leg: int, charges, keys, sizes, bond: ChargeIndex):
+    """The stacked factor of a split, less its dropped and all-zero blocks.
+
+    ``mats`` are the kept ``U[:, :k]`` (``leg == 2``, blocks as rows) or
+    ``V^dagger[:k]`` (``leg == 0``, blocks as columns) of each charge of the
+    new ``bond``, in bond order.  Block j of the split's sector matrices has
+    charge ``charges[j]``, key ``keys[:, j]`` ((l, p) or (p, r)) and
+    ``sizes[j]`` rows (columns); blocks are grouped by ascending charge.
+    Returns the cut matrices and the (l, p, r) key of every block they
+    stack, with bond positions on the bond leg.
+    """
+    axis = 0 if leg == 2 else 1
+    kept_charges = np.array(bond.charges)
+    pos = np.searchsorted(kept_charges, charges)
+    kept = kept_charges.take(pos, mode="clip") == charges
+    pos, keys, sizes = pos[kept], keys[:, kept], sizes[kept]
+    nonzero = np.concatenate([mat.any(axis=1 - axis) for mat in mats])
+    keep = np.logical_or.reduceat(nonzero, np.cumsum(sizes) - sizes)
+    if not keep.all():
+        lines = np.repeat(keep, sizes)
+        ends = np.cumsum([mat.shape[axis] for mat in mats])
+        mats = [
+            np.compress(lines[end - mat.shape[axis] : end], mat, axis=axis)
+            for mat, end in zip(mats, ends.tolist())
+        ]
+        keys, pos = keys[:, keep], pos[keep]
+    return mats, np.vstack((keys, pos) if leg == 2 else (pos, keys))
+
+
 def block_svd(
     t: SymmetricTensor,
     n_row: int,
     policy: TruncationPolicy,
 ) -> tuple[SymmetricTensor, dict[int, np.ndarray], SymmetricTensor, float, float]:
-    """Truncated SVD of the chain link ``t`` cut at its first or last bond.
+    """Truncated SVD of the chain link ``t`` (bond-in, physical, bond-out) cut at a bond.
 
-    ``n_row`` is 1 (the cut falls on the first bond) or ``t.ndim - 1``
-    (the last bond).  Each sector of the cut bond is one matrix: its
-    blocks are stacked in sorted key order along the other axis.  Each
-    matrix is decomposed independently by :func:`truncated_split`; the
-    kept values are the globally largest ``min(chi_max, available)``
-    across all of them, chosen by :func:`global_truncation`.  Returns
-    ``(left, values, right, kept_norm, discarded_norm)``: ``values`` maps
-    each new bond charge to its kept (unnormalized) singular values, so
-    ``left @ diag(values) @ right`` is the truncated input.
+    ``n_row`` is 1 (the cut falls on the bond-in leg) or 2 (the bond-out
+    leg).  The link's :class:`SectorMatrices` on that leg are split by
+    :func:`truncated_split` and the stacked factor is cut by
+    :func:`drop_zero_blocks`; the bond-side factor has orthonormal columns
+    (rows), so it is one block per kept charge.  Returns ``(left, values,
+    right, kept_norm, discarded_norm)``: ``values`` maps each new bond
+    charge to its kept (unnormalized) singular values, so ``left @
+    diag(values) @ right`` is the truncated input.
     """
-    if not 0 < n_row < t.ndim:
+    if t.ndim != 3:
+        raise ValueError("block_svd cuts (bond-in, physical, bond-out) links only")
+    if n_row not in (1, 2):
         raise ValueError("the cut must leave legs on both sides")
-    if n_row not in (1, t.ndim - 1):
-        raise ValueError("the cut must fall on the first or the last bond")
-
-    if not t.blocks or all(not np.any(blk) for blk in t.blocks.values()):
+    leg = 2 if n_row == 2 else 0
+    site = SectorMatrices.from_tensor(t).on_leg(leg)
+    if not site.flat.any():
         raise ZeroNormError("zero norm")
-
-    # at the first bond the blocks of a sector sit side by side, at the last
-    # one above each other; the new bond charge is the row charge either way
-    axis = 1 if n_row == 1 else 0
-    groups: dict[int, tuple[tuple, list, list]] = {}
-    for key in sorted(t.blocks):
-        if not t._conserves(key):
-            raise ChargeMismatchError("charge mismatch")
-        rk, ck = key[:n_row], key[n_row:]
-        q = sum(ix.charges[p] for ix, p in zip(t.indices, rk))
-        block = t.blocks[key]
-        dims = block.shape[n_row:] if axis else block.shape[:n_row]
-        _, stacked, pieces = groups.setdefault(q, (rk if axis else ck, [], []))
-        stacked.append((ck if axis else rk, dims))
-        pieces.append(block.reshape(math.prod(block.shape[:n_row]), -1))
-
-    sectors = {q: np.concatenate(pieces, axis=axis) for q, (_, _, pieces) in groups.items()}
+    cut_ix = t.indices[leg]
+    sectors = {cut_ix.charges[c]: mat for c, _, mat in site.matrices()}
     bond, values, us, vhs, kept_norm, discarded_norm = truncated_split(sectors, policy)
-    left_blocks: dict[tuple[int, ...], np.ndarray] = {}
-    right_blocks: dict[tuple[int, ...], np.ndarray] = {}
-    # the bond-side factor has orthonormal columns (rows), so it is one nonzero block
-    for pos, (q, u, vh) in enumerate(zip(bond.charges, us, vhs)):
-        bond_key, stacked, _ = groups[q]
-        if axis:
-            left_blocks[bond_key + (pos,)] = u
-            right_blocks.update(((pos,) + ck, part) for ck, part in _cut(vh, stacked, 1))
+
+    (dl, dp, dr), (l, p, r) = site._dims(), site.keys
+    two, sizes = (site.keys[:2], dl[l] * dp[p]) if leg == 2 else (site.keys[1:], dp[p] * dr[r])
+    charges = np.array(cut_ix.charges)[site.keys[leg]]
+    mats, keys = drop_zero_blocks(us if leg == 2 else vhs, leg, charges, two, sizes, bond)
+    indices = t.indices[:2] + (bond,) if leg == 2 else (bond,) + t.indices[1:]
+    flat = np.concatenate([mat.reshape(-1) for mat in mats])
+    stacked = SectorMatrices(indices, leg, keys, flat).tensor()
+    sec = [cut_ix.position(q) for q in bond.charges]
+    if leg == 2:
+        right = SymmetricTensor((bond, cut_ix), {(b, s): vh for b, (s, vh) in enumerate(zip(sec, vhs))})
+        return stacked, values, right, kept_norm, discarded_norm
+    left = SymmetricTensor((cut_ix, bond), {(s, b): u for b, (s, u) in enumerate(zip(sec, us))})
+    return left, values, stacked, kept_norm, discarded_norm
+
+
+class SectorMatrices:
+    """One chain link (l, p, r) stored as one dense matrix per sector of a bond leg.
+
+    ``leg == 2`` is the left-factor layout, that of ``U``: one matrix per
+    bond-out sector r, its rows the (l, p) blocks in sorted order, each
+    block's rows (a, i) in C order.  ``leg == 0`` is the right-factor
+    layout, that of ``V^dagger``: one matrix per bond-in sector l, its
+    columns the (p, r) blocks in sorted order, each block's columns (i, b)
+    in C order.  The matrices follow one another in ``flat`` by sector,
+    each in C order, and ``keys`` is the (l, p, r) of every block in that
+    order.  Nothing is written after construction, so copies of a state
+    share these objects; the block view is built at most once.
+    """
+
+    __slots__ = ("indices", "leg", "keys", "flat", "_tensor")
+
+    def __init__(self, indices, leg: int, keys: np.ndarray, flat: np.ndarray):
+        self.indices, self.leg, self.keys, self.flat = tuple(indices), leg, keys, flat
+        self._tensor: SymmetricTensor | None = None
+
+    @classmethod
+    def from_tensor(cls, t: SymmetricTensor) -> "SectorMatrices":
+        """Left-factor layout of a block tensor's stored blocks.
+
+        Every block's shape and charge rule are checked.  The block view
+        is ``t`` itself.
+        """
+        if t.ndim != 3:
+            raise ValueError("a chain link has legs (bond-in, physical, bond-out)")
+        order = sorted(t.blocks, key=lambda k: (k[2], k[0], k[1]))
+        keys = np.array(order, dtype=np.intp).reshape(len(order), 3).T
+        flat = np.concatenate([t.blocks[k].reshape(-1) for k in order] or [np.zeros(0, complex)])
+        site = cls(t.indices, 2, keys, flat)
+        (dl, dp, dr), (l, p, r) = site._dims(), keys
+        shapes = np.array([t.blocks[k].shape for k in order], dtype=np.intp).reshape(len(order), 3)
+        if not np.array_equal(shapes.T, np.stack((dl[l], dp[p], dr[r]))):
+            raise ChargeMismatchError("block shapes do not match the sector dimensions")
+        ql, qp, qr = (np.array(ix.charges) for ix in t.indices)
+        if np.any(ql[l] + qp[p] != qr[r]):
+            raise ChargeMismatchError("charge mismatch")
+        site._tensor = t
+        return site
+
+    def _dims(self) -> list[np.ndarray]:
+        return [np.array(ix.dims, dtype=np.intp) for ix in self.indices]
+
+    def matrices(self) -> list[tuple[int, int, np.ndarray]]:
+        """(sector, first stacked row or column, matrix) of every sector matrix.
+
+        Stacked rows (left-factor layout) or columns (right-factor layout)
+        are counted across all matrices in order.
+        """
+        dl, dp, dr = self._dims()
+        l, p, r = self.keys
+        if self.leg == 2:
+            sec, stacked, other = r, dl[l] * dp[p], dr
         else:
-            left_blocks.update((rk + (pos,), part) for rk, part in _cut(u, stacked, 0))
-            right_blocks[(pos,) + bond_key] = vh
-    left = SymmetricTensor(t.indices[:n_row] + (bond,), left_blocks)
-    right = SymmetricTensor((bond,) + t.indices[n_row:], right_blocks)
-    return left, values, right, kept_norm, discarded_norm
+            sec, stacked, other = l, dp[p] * dr[r], dl
+        count = np.bincount(sec, stacked, len(other)).astype(np.intp)
+        out, at, first = [], 0, 0
+        for c in np.flatnonzero(count).tolist():
+            n, o = int(count[c]), int(other[c])
+            shape = (n, o) if self.leg == 2 else (o, n)
+            out.append((c, first, self.flat[at : at + n * o].reshape(shape)))
+            at += n * o
+            first += n
+        return out
+
+    def on_leg(self, leg: int) -> "SectorMatrices":
+        """The same link in the layout of ``leg``, made by one index-array permutation."""
+        if leg == self.leg:
+            return self
+        l, p, r = self.keys
+        keys2 = self.keys if self.leg == 2 else self.keys[:, np.lexsort((p, l, r))]
+        to0, at0 = _right_layout_positions(keys2, *self._dims())
+        if self.leg == 2:
+            flat = np.empty_like(self.flat)
+            flat[at0] = self.flat
+            return SectorMatrices(self.indices, 0, keys2[:, to0], flat)
+        return SectorMatrices(self.indices, 2, keys2, self.flat[at0])
+
+    def tensor(self) -> SymmetricTensor:
+        """Block view: the tensor :meth:`from_tensor` converted, else the
+        blocks in layout order, row slices of the matrices (views of
+        ``flat``) in the left-factor layout and column slices in the other."""
+        if self._tensor is None:
+            dl, dp, dr = (ix.dims for ix in self.indices)
+            mats = {c: mat for c, _, mat in self.matrices()}
+            at, blocks = dict.fromkeys(mats, 0), {}
+            for l, p, r in self.keys.T.tolist():
+                c, n = (r, dl[l] * dp[p]) if self.leg == 2 else (l, dp[p] * dr[r])
+                part = mats[c][at[c] : at[c] + n] if self.leg == 2 else mats[c][:, at[c] : at[c] + n]
+                blocks[(l, p, r)] = part.reshape(dl[l], dp[p], dr[r])
+                at[c] += n
+            self._tensor = SymmetricTensor(self.indices, blocks)
+        return self._tensor
+
+
+def _right_layout_positions(keys2: np.ndarray, dl, dp, dr) -> tuple[np.ndarray, np.ndarray]:
+    """Right-factor block order and position of every left-factor entry in it.
+
+    ``keys2`` is the (l, p, r) of every block in left-factor order.
+    Returns the permutation of blocks into right-factor order and, for
+    every entry of the left-factor ``flat``, its position in the
+    right-factor one.  The b entries of one row (a, i) of a block are
+    contiguous in both layouts, so positions are computed per run.
+    """
+    l, p, r = keys2
+    to0 = np.lexsort((r, p, l))
+    width = dp[p] * dr[r]
+    ncols = np.bincount(l, width, len(dl)).astype(np.intp)
+    col_at = np.empty_like(width)
+    col_at[to0] = np.cumsum(width[to0]) - width[to0] - (np.cumsum(ncols) - ncols)[l[to0]]
+    sec_at = np.cumsum(dl * ncols) - dl * ncols
+    blk, row = ragged(dl[l] * dp[p])
+    a, i = np.divmod(row, dp[p][blk])
+    lb, run_len = l[blk], dr[r][blk]
+    start = sec_at[lb] + a * ncols[lb] + col_at[blk] + i * run_len
+    pos = np.repeat(start - (np.cumsum(run_len) - run_len), run_len)
+    pos += np.arange(len(pos))
+    return to0, pos
+
+
+def ragged(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Owner and offset within it of every entry of blocks of ``sizes`` laid end to end."""
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    return owner, np.arange(len(owner)) - (np.cumsum(sizes) - sizes)[owner]

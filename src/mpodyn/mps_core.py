@@ -7,17 +7,13 @@ left, so the leftmost bond is a trivial charge-0 sector and the rightmost
 carries the total charge of a charge-definite state;
 ``CanonicalMps.total_charge`` reads it from there and is not stored.
 
-Each site is one immutable object: the block tensor it was built from,
-until a gate updates it, and then the sector matrices the gate stored,
-one dense matrix per charge of the bond leg the gate kernel contracts
-over.  The left-factor layout is that of ``U`` in a split: one matrix per
-bond-out charge, its rows the (l, p) blocks stacked in order.  The
-right-factor layout is that of ``V^dagger``: one matrix per bond-in
-charge, its columns the (p, r) blocks.  A site keeps the layout its last
-update produced; the other one is made by one index-array permutation
-when a gate needs it.  Everything outside the kernel (``canonicalize``,
-composition, observers, ``save_mps``) reads ``charge_tensor`` block
-tensors: stored matrices build their block view once, on first read.
+Every site is one immutable ``charge_tensor.SectorMatrices``: block
+tensors are converted once, when a state is built, and a gate stores the
+matrices its split produced, in the left-factor (``U``) layout for site m
+and the right-factor (``V^dagger``) layout for site m+1.  A gate makes the
+other layout by one index-array permutation when it needs it.  Everything
+outside the kernel (``canonicalize``, composition, observers,
+``save_mps``) reads block views, built once per site.
 
 Nothing writes a stored block, matrix or spectrum array after
 construction, so ``CanonicalMps.copy`` copies the site list and the
@@ -35,8 +31,8 @@ two-site amplitudes, one matmul per gate band (two-site charge) applies
 the gate, and index arrays computed per run of contiguous entries move
 the amplitudes between the layouts.  The kernel and :func:`canonicalize`
 (through ``block_svd``) share ``charge_tensor.truncated_split`` for the
-sector SVDs and the truncation; it returns bare factors, and each caller
-keeps its own record of the blocks its matrices stack.
+sector SVDs and the truncation and ``charge_tensor.drop_zero_blocks`` for
+the zero-block cut; the kernel adds only the outer-value divide.
 
 Open boundaries only: the outer bonds are one-dimensional.  Singular
 values below ``LAMBDA_FLOOR`` are dropped outright; restoring Vidal form
@@ -54,11 +50,14 @@ import numpy as np
 from .charge_tensor import (
     ChargeIndex,
     ChargeMismatchError,
+    SectorMatrices,
     SymmetricTensor,
     TruncationPolicy,
     ZeroNormError,
     block_svd,
     contract,
+    drop_zero_blocks,
+    ragged,
     scale_axis,
     truncated_split,
 )
@@ -82,16 +81,14 @@ class CanonicalMps:
     ``lambdas[m-1]`` holds the singular values of interior bond ``m``
     (1-based, between sites m and m+1) as a mapping charge -> descending
     values; the grouping matches the sector order of the adjacent bond
-    legs.  Each Gamma is one immutable site object, a block tensor or
-    sector matrices (see the module docstring); ``gammas`` gives block
-    views of them.
+    legs.  Each Gamma is stored as immutable ``SectorMatrices`` (see the
+    module docstring); ``gammas`` gives their block views.
     """
 
     def __init__(self, gammas: list[SymmetricTensor], lambdas: list[dict[int, np.ndarray]]):
         if len(lambdas) != len(gammas) - 1:
             raise ValueError("need exactly one singular vector per interior bond")
-        # a site is the block tensor it was built from until a gate stores matrices
-        self._sites: list[SymmetricTensor | _SectorMatrices] = list(gammas)
+        self._sites = [SectorMatrices.from_tensor(g) for g in gammas]
         self.lambdas = [
             {int(q): np.asarray(v, dtype=np.float64) for q, v in lam.items()}
             for lam in lambdas
@@ -100,15 +97,7 @@ class CanonicalMps:
     @property
     def gammas(self) -> list[SymmetricTensor]:
         """Block views of the Gammas; a stored site builds its view once."""
-        return [self._view(i) for i in range(self.L)]
-
-    def _view(self, i: int) -> SymmetricTensor:
-        site = self._sites[i]
-        return site.tensor() if isinstance(site, _SectorMatrices) else site
-
-    def _matrices(self, i: int) -> "_SectorMatrices":
-        site = self._sites[i]
-        return site if isinstance(site, _SectorMatrices) else _SectorMatrices.from_tensor(site)
+        return [site.tensor() for site in self._sites]
 
     @property
     def L(self) -> int:
@@ -191,7 +180,7 @@ class CanonicalMps:
         """
         if not 1 <= m <= self.L - 1:
             raise ValueError("bond out of range")
-        g1, g2 = self._matrices(m - 1).on_leg(2), self._matrices(m).on_leg(0)
+        g1, g2 = self._sites[m - 1].on_leg(2), self._sites[m].on_leg(0)
         (lix, phys1, cix), (_, phys2, rix) = g1.indices, g2.indices
         if gate.index.sectors != phys1.sectors or gate.index.sectors != phys2.sectors:
             raise ChargeMismatchError("charge mismatch")
@@ -260,7 +249,7 @@ class CanonicalMps:
 
         The chain product of these tensors is the state.
         """
-        g = self._view(m - 1)
+        g = self._sites[m - 1].tensor()
         return scale_axis(g, 2, self.lambda_at(m)) if m < self.L else g
 
     def site_tensor_dense(self, m: int) -> np.ndarray:
@@ -280,7 +269,7 @@ class CanonicalMps:
             if abs(total - 1.0) > 1e-10:
                 raise AssertionError(f"bond {m}: sum lambda^2 = {total}")
         for m in range(1, self.L + 1):
-            a = scale_axis(self._view(m - 1), 0, self.lambda_at(m - 1)).densify()
+            a = scale_axis(self._sites[m - 1].tensor(), 0, self.lambda_at(m - 1)).densify()
             right_env = np.einsum("akb,akc->bc", a.conj(), a)
             if not np.allclose(right_env, np.eye(a.shape[2]), atol=atol):
                 raise AssertionError(f"site {m}: right orthogonality violated")
@@ -288,118 +277,6 @@ class CanonicalMps:
             left_env = np.einsum("akc,bkc->ab", b, b.conj())
             if not np.allclose(left_env, np.eye(b.shape[0]), atol=atol):
                 raise AssertionError(f"site {m}: left orthogonality violated")
-
-
-class _SectorMatrices:
-    """One Gamma (l, p, r) stored as one dense matrix per sector of a bond leg.
-
-    ``leg == 2`` is the left-factor layout, that of ``U``: one matrix per
-    bond-out sector r, its rows the (l, p) blocks in sorted order, each
-    block's rows (a, i) in C order.  ``leg == 0`` is the right-factor
-    layout, that of ``V^dagger``: one matrix per bond-in sector l, its
-    columns the (p, r) blocks in sorted order, each block's columns (i, b)
-    in C order.  The matrices follow one another in ``flat`` by sector,
-    each in C order, and ``keys`` is the (l, p, r) of every block in that
-    order.  Nothing is written after construction, so copies of a state
-    share these objects; the block view is built once, on first read.
-    """
-
-    __slots__ = ("indices", "leg", "keys", "flat", "_tensor")
-
-    def __init__(self, indices, leg: int, keys: np.ndarray, flat: np.ndarray):
-        self.indices, self.leg, self.keys, self.flat = tuple(indices), leg, keys, flat
-        self._tensor: SymmetricTensor | None = None
-
-    @classmethod
-    def from_tensor(cls, t: SymmetricTensor) -> "_SectorMatrices":
-        """Left-factor layout of a block tensor's stored blocks."""
-        order = sorted(t.blocks, key=lambda k: (k[2], k[0], k[1]))
-        keys = np.array(order, dtype=np.intp).reshape(-1, 3).T
-        flat = np.concatenate([t.blocks[k].reshape(-1) for k in order] or [np.zeros(0, complex)])
-        site = cls(t.indices, 2, keys, flat)
-        dl, dp, dr = site._dims()
-        if flat.size != int(np.sum(dl[keys[0]] * dp[keys[1]] * dr[keys[2]])):
-            raise ChargeMismatchError("block shapes do not match the sector dimensions")
-        return site
-
-    def _dims(self) -> list[np.ndarray]:
-        return [np.array(ix.dims, dtype=np.intp) for ix in self.indices]
-
-    def matrices(self) -> list[tuple[int, int, np.ndarray]]:
-        """(sector, first stacked row or column, matrix) of every sector matrix.
-
-        Stacked rows (left-factor layout) or columns (right-factor layout)
-        are counted across all matrices in order.
-        """
-        dl, dp, dr = self._dims()
-        l, p, r = self.keys
-        if self.leg == 2:
-            sec, stacked, other = r, dl[l] * dp[p], dr
-        else:
-            sec, stacked, other = l, dp[p] * dr[r], dl
-        count = np.bincount(sec, stacked, len(other)).astype(np.intp)
-        out, at, first = [], 0, 0
-        for c in np.flatnonzero(count).tolist():
-            n, o = int(count[c]), int(other[c])
-            shape = (n, o) if self.leg == 2 else (o, n)
-            out.append((c, first, self.flat[at : at + n * o].reshape(shape)))
-            at += n * o
-            first += n
-        return out
-
-    def on_leg(self, leg: int) -> "_SectorMatrices":
-        """The same Gamma in the layout of ``leg``, made by one index-array permutation."""
-        if leg == self.leg:
-            return self
-        l, p, r = self.keys
-        keys2 = self.keys if self.leg == 2 else self.keys[:, np.lexsort((p, l, r))]
-        to0, at0 = _right_layout_positions(keys2, *self._dims())
-        if self.leg == 2:
-            flat = np.empty_like(self.flat)
-            flat[at0] = self.flat
-            return _SectorMatrices(self.indices, 0, keys2[:, to0], flat)
-        return _SectorMatrices(self.indices, 2, keys2, self.flat[at0])
-
-    def tensor(self) -> SymmetricTensor:
-        """Block view, blocks in layout order; left-factor blocks share ``flat``."""
-        if self._tensor is None:
-            site = self.on_leg(2)
-            dl, dp, dr = (ix.dims for ix in self.indices)
-            blocks, at = {}, 0
-            for l, p, r in site.keys.T.tolist():
-                shape = (dl[l], dp[p], dr[r])
-                n = shape[0] * shape[1] * shape[2]
-                blocks[(l, p, r)] = site.flat[at : at + n].reshape(shape)
-                at += n
-            if self.leg == 0:
-                blocks = dict(sorted(blocks.items()))
-            self._tensor = SymmetricTensor(self.indices, blocks)
-        return self._tensor
-
-
-def _right_layout_positions(keys2: np.ndarray, dl, dp, dr) -> tuple[np.ndarray, np.ndarray]:
-    """Right-factor block order and position of every left-factor entry in it.
-
-    ``keys2`` is the (l, p, r) of every block in left-factor order.
-    Returns the permutation of blocks into right-factor order and, for
-    every entry of the left-factor ``flat``, its position in the
-    right-factor one.  The b entries of one row (a, i) of a block are
-    contiguous in both layouts, so positions are computed per run.
-    """
-    l, p, r = keys2
-    to0 = np.lexsort((r, p, l))
-    width = dp[p] * dr[r]
-    ncols = np.bincount(l, width, len(dl)).astype(np.intp)
-    col_at = np.empty_like(width)
-    col_at[to0] = np.cumsum(width[to0]) - width[to0] - (np.cumsum(ncols) - ncols)[l[to0]]
-    sec_at = np.cumsum(dl * ncols) - dl * ncols
-    blk, row = _ragged(dl[l] * dp[p])
-    a, i = np.divmod(row, dp[p][blk])
-    lb, run_len = l[blk], dr[r][blk]
-    start = sec_at[lb] + a * ncols[lb] + col_at[blk] + i * run_len
-    pos = np.repeat(start - (np.cumsum(run_len) - run_len), run_len)
-    pos += np.arange(len(pos))
-    return to0, pos
 
 
 def _outer_values(lam: dict[int, np.ndarray], ix: ChargeIndex, outer, dp, leg: int) -> np.ndarray:
@@ -412,40 +289,21 @@ def _outer_values(lam: dict[int, np.ndarray], ix: ChargeIndex, outer, dp, leg: i
     """
     values = np.concatenate([lam[q] for q in ix.charges])
     dout = np.array(ix.dims, dtype=np.intp)[outer]
-    blk, t = _ragged(dout * dp)
+    blk, t = ragged(dout * dp)
     inner = t // dp[blk] if leg == 2 else t % dout[blk]
     return values[np.array(ix.offsets, dtype=np.intp)[outer][blk] + inner]
 
 
-def _factor_site(indices, leg: int, mats, blocks, lam: dict[int, np.ndarray]) -> _SectorMatrices:
+def _factor_site(indices, leg: int, mats, blocks, lam: dict[int, np.ndarray]) -> SectorMatrices:
     """New site from the kept ``U[:, :k]`` (``leg == 2``) or ``V^dagger[:k]``
-    (``leg == 0``) of each new bond charge, in bond order.
-
-    ``blocks`` is ``(charge, keys, dims)`` of every row (column) block of
-    the split's sector matrices, grouped by ascending charge, as
-    ``_BandLayout.gather`` returns it; the blocks of charges the cut
-    dropped are skipped.  All-zero row (column) blocks are left out, as
-    ``block_svd`` leaves them out, and the outer bond's values are divided
-    out of the rows (columns), which restores Vidal form.
+    (``leg == 0``) of each new bond charge, cut by ``drop_zero_blocks`` as
+    ``block_svd`` cuts, with the outer bond's values divided out of its rows
+    (columns), which restores Vidal form.  ``blocks`` is what
+    ``_BandLayout.gather`` returns for the rows (columns).
     """
-    axis = 0 if leg == 2 else 1
-    kept_charges = np.array(indices[2 if leg == 2 else 0].charges)
     charge, keys, dims = blocks
-    bond = np.searchsorted(kept_charges, charge)
-    kept = kept_charges.take(bond, mode="clip") == charge
-    bond, keys, sizes = bond[kept], keys[:, kept], dims[:, kept].prod(axis=0)
-    # the zero test of block_svd's cut, for all charges at once
-    nonzero = np.concatenate([mat.any(axis=1 - axis) for mat in mats])
-    keep = np.logical_or.reduceat(nonzero, np.cumsum(sizes) - sizes)
-    if not keep.all():
-        lines = np.repeat(keep, sizes)
-        ends = np.cumsum([mat.shape[axis] for mat in mats])
-        mats = [
-            np.compress(lines[end - mat.shape[axis] : end], mat, axis=axis)
-            for mat, end in zip(mats, ends.tolist())
-        ]
-        keys, bond = keys[:, keep], bond[keep]
-    keys = np.vstack((keys, bond) if leg == 2 else (bond, keys))
+    mats, keys = drop_zero_blocks(mats, leg, charge, keys, dims.prod(axis=0), indices[leg])
+    axis = 0 if leg == 2 else 1
     outer = keys[0] if leg == 2 else keys[2]
     dp = np.array(indices[1].dims, dtype=np.intp)[keys[1]]
     weights = _outer_values(lam, indices[0 if leg == 2 else 2], outer, dp, leg)
@@ -457,13 +315,7 @@ def _factor_site(indices, leg: int, mats, blocks, lam: dict[int, np.ndarray]) ->
         np.divide(mat, w[:, None] if leg == 2 else w, out=flat[at : at + mat.size].reshape(mat.shape))
         at += mat.size
         first += n
-    return _SectorMatrices(indices, leg, keys, flat)
-
-
-def _ragged(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Owner and offset within it of every entry of blocks of ``sizes`` laid end to end."""
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    return owner, np.arange(len(owner)) - (np.cumsum(sizes) - sizes)[owner]
+    return SectorMatrices(indices, leg, keys, flat)
 
 
 class _BandLayout:
@@ -517,9 +369,9 @@ class _BandLayout:
         rsec, rl, rp = rows
         csec, cp, cr = cols
         rsize = self.dl[rl] * self.dp[rp]
-        rblk, rin = _ragged(rsize)
+        rblk, rin = ragged(rsize)
         a, i1 = np.divmod(rin, self.dp[rp][rblk])
-        sblk, i2 = _ragged(self.dp[cp])  # one column segment per (column block, i2)
+        sblk, i2 = ragged(self.dp[cp])  # one column segment per (column block, i2)
         slen = self.dr[cr][sblk]
         nrows = np.bincount(rsec, rsize, nsectors).astype(np.intp)
         ncols = np.bincount(csec, self.dp[cp] * self.dr[cr], nsectors).astype(np.intp)
@@ -531,7 +383,7 @@ class _BandLayout:
         row_at = entry_first[row_sec] + (np.arange(len(rblk)) - row_first[row_sec]) * ncols[row_sec]
         seg_at = np.cumsum(slen) - slen - col_first[csec[sblk]]
 
-        run_sec, run_at = _ragged(nrows * nsegs)
+        run_sec, run_at = ragged(nrows * nsegs)
         run_row, run_seg = np.divmod(run_at, nsegs[run_sec])
         run_row += row_first[run_sec]
         run_seg += seg_first[run_sec]
@@ -752,8 +604,11 @@ def save_mps(path: str, mps: CanonicalMps) -> None:
 def load_mps(path: str) -> CanonicalMps:
     """Read a :func:`save_mps` checkpoint.
 
-    Older files also carry per-leg ``direction`` and a ``total_charge``
-    key; both are ignored (the total charge follows from the right bond).
+    Neighbouring sites must agree on their bond and each spectrum must
+    have its bond's charges and sector lengths; a file that breaks either
+    raises ``ValueError`` naming the bond.  Older files also carry per-leg
+    ``direction`` and a ``total_charge`` key; both are ignored (the total
+    charge follows from the right bond).
     """
     with np.load(path) as data:
         meta = json.loads(bytes(data["__meta__"]).decode())
@@ -773,4 +628,11 @@ def load_mps(path: str) -> CanonicalMps:
             {q: data[f"lam{m}/{q}"] for q in meta["lambda_charges"][m]}
             for m in range(L - 1)
         ]
-    return CanonicalMps(gammas, lambdas)
+    mps = CanonicalMps(gammas, lambdas)
+    for m, lam in enumerate(mps.lambdas, start=1):
+        bond = mps.bond_index(m)
+        if mps._sites[m].indices[0] != bond:
+            raise ValueError(f"{path}: sites {m} and {m + 1} disagree on bond {m}")
+        if [(q, len(v)) for q, v in sorted(lam.items())] != list(bond.sectors):
+            raise ValueError(f"{path}: the spectrum of bond {m} does not match its sectors")
+    return mps

@@ -118,24 +118,28 @@ class TestContract:
             contract(a, a)
 
 
+def bond_to_bond(ix: ChargeIndex, blocks: dict) -> SymmetricTensor:
+    """Link (ix, trivial physical leg, ix) whose (p, p) block is ``blocks[p]``."""
+    return SymmetricTensor(
+        (ix, ChargeIndex.trivial(), ix),
+        {(p, 0, p): np.asarray(m, dtype=complex)[:, None, :] for p, m in blocks.items()},
+    )
+
+
 class TestBlockSvd:
     def test_identity_two_values(self):
-        ix = ChargeIndex(((0, 2),))
-        t = SymmetricTensor((ix, ix), {(0, 0): np.eye(2, dtype=complex)})
-        _, values, _, _, discarded = block_svd(t, 1, TruncationPolicy(2, 0.0))
-        assert np.allclose(descending(values), [1.0, 1.0])
-        assert discarded == 0.0
+        t = bond_to_bond(ChargeIndex(((0, 2),)), {0: np.eye(2)})
+        for n_row in (1, 2):
+            _, values, _, _, discarded = block_svd(t, n_row, TruncationPolicy(2, 0.0))
+            assert np.allclose(descending(values), [1.0, 1.0])
+            assert discarded == 0.0
 
     def test_global_top_chi_across_blocks(self):
-        ix = ChargeIndex(((0, 1), (1, 2)))
-        blocks = {
-            (0, 0): np.array([[0.9]], dtype=complex),
-            (1, 1): np.diag([0.8, 0.1]).astype(complex),
-        }
-        t = SymmetricTensor((ix, ix), blocks)
-        _, values, _, _, discarded = block_svd(t, 1, TruncationPolicy(2, 0.0))
-        assert np.allclose(descending(values), [0.9, 0.8])
-        assert np.allclose(discarded, 0.1)
+        t = bond_to_bond(ChargeIndex(((0, 1), (1, 2))), {0: [[0.9]], 1: np.diag([0.8, 0.1])})
+        for n_row in (1, 2):
+            _, values, _, _, discarded = block_svd(t, n_row, TruncationPolicy(2, 0.0))
+            assert np.allclose(descending(values), [0.9, 0.8])
+            assert np.allclose(discarded, 0.1)
 
     def test_reconstruction_matches_dense_svd(self, rng):
         t = make_random_three_leg(rng)
@@ -156,19 +160,18 @@ class TestBlockSvd:
         with pytest.raises(ValueError, match="both sides"):
             block_svd(make_random_three_leg(rng), n_row, TruncationPolicy(None, 0.0))
 
-    def test_cut_must_fall_on_the_first_or_last_bond(self, rng):
+    def test_rejects_a_link_without_three_legs(self, rng):
         phys = ChargeIndex.occupation(2)
         blocks = {
             (0, i, j, i + j): rng.normal(size=(1, 1, 1, 1)) for i in range(2) for j in range(2)
         }
         legs = (ChargeIndex.trivial(), phys, phys, ChargeIndex.occupation(3))
         four = SymmetricTensor(legs, blocks)
-        with pytest.raises(ValueError, match="first or the last bond"):
-            block_svd(four, 2, TruncationPolicy(None, 0.0))
-        for n_row in (1, 3):
-            left, values, right, _, _ = block_svd(four, n_row, TruncationPolicy(None, 0.0))
-            rebuilt = contract(scale_axis(left, n_row, values), right)
-            assert np.max(np.abs(rebuilt.densify() - four.densify())) < 1e-12
+        two = SymmetricTensor((phys, phys), {(0, 0): np.ones((1, 1)), (1, 1): np.ones((1, 1))})
+        for t in (four, two):
+            for n_row in range(1, t.ndim):
+                with pytest.raises(ValueError, match="links only"):
+                    block_svd(t, n_row, TruncationPolicy(None, 0.0))
 
     def test_normalized_spectrum(self, rng):
         t = make_random_three_leg(rng)
@@ -185,15 +188,17 @@ class TestBlockSvd:
 
     def test_zero_tensor_raises(self):
         ix = ChargeIndex(((0, 2),))
-        t = SymmetricTensor((ix, ix), {(0, 0): np.zeros((2, 2))})
-        with pytest.raises(ZeroNormError, match="zero norm"):
-            block_svd(t, 1, TruncationPolicy(2, 0.0))
+        for t in (bond_to_bond(ix, {0: np.zeros((2, 2))}), bond_to_bond(ix, {})):
+            for n_row in (1, 2):
+                with pytest.raises(ZeroNormError, match="zero norm"):
+                    block_svd(t, n_row, TruncationPolicy(2, 0.0))
 
     def test_inconsistent_grading_raises(self, rng):
         ix = ChargeIndex(((0, 2), (1, 2)))
-        t = SymmetricTensor((ix, ix), {(0, 1): rng.normal(size=(2, 2))})
-        with pytest.raises(ChargeMismatchError, match="charge mismatch"):
-            block_svd(t, 1, TruncationPolicy(2, 0.0))
+        t = SymmetricTensor((ix, ChargeIndex.trivial(), ix), {(0, 0, 1): rng.normal(size=(2, 1, 2))})
+        for n_row in (1, 2):
+            with pytest.raises(ChargeMismatchError, match="charge mismatch"):
+                block_svd(t, n_row, TruncationPolicy(2, 0.0))
 
     def test_deterministic_under_thread_count(self, rng, monkeypatch):
         t = make_random_three_leg(rng)
@@ -205,6 +210,22 @@ class TestBlockSvd:
             assert np.array_equal(values1[q], values2[q])
         for key in left1.blocks:
             assert np.array_equal(left1.blocks[key], left2.blocks[key])
+
+
+class TestThreadSetting:
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", " "])
+    def test_must_be_a_positive_integer(self, rng, monkeypatch, value):
+        monkeypatch.setenv("MPODYN_THREADS", value)
+        with pytest.raises(ValueError, match="MPODYN_THREADS must be a positive integer"):
+            block_svd(make_random_three_leg(rng), 2, TruncationPolicy(None, 0.0))
+
+    @pytest.mark.parametrize("value", [None, "", "1", "2", " 3 "])
+    def test_accepted_values(self, rng, monkeypatch, value):
+        if value is None:
+            monkeypatch.delenv("MPODYN_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("MPODYN_THREADS", value)
+        block_svd(make_random_three_leg(rng), 2, TruncationPolicy(None, 0.0))
 
 
 class TestGlobalTruncation:
@@ -384,17 +405,54 @@ def _zero_block_links():
     return [(last, 2), (first, 1)]
 
 
+def make_random_link(rng):
+    """Chain link (l, p, r) with random sectors; some allowed blocks are not
+    stored, some are stored exactly zero, and r may have a sector no block
+    reaches."""
+
+    def sectors(charges):
+        return ChargeIndex(tuple((int(q), int(rng.integers(1, 4))) for q in sorted(charges)))
+
+    left = sectors(rng.choice(5, size=rng.integers(1, 4), replace=False))
+    phys = sectors(range(int(rng.integers(2, 4))))
+    sums = sorted({ql + qp for ql in left.charges for qp in phys.charges})
+    right = sectors(set(rng.choice(sums, size=rng.integers(1, len(sums) + 1), replace=False)) | {9})
+    blocks = {}
+    for (lp, ld), (pp, pd), (rp, rd) in (
+        ((a, left.dims[a]), (b, phys.dims[b]), (c, right.dims[c]))
+        for a in range(left.nsectors)
+        for b in range(phys.nsectors)
+        for c in range(right.nsectors)
+        if left.charges[a] + phys.charges[b] == right.charges[c]
+    ):
+        if rng.random() < 0.8:
+            shape = (ld, pd, rd)
+            blk = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            blocks[(lp, pp, rp)] = blk if rng.random() > 0.15 else np.zeros(shape)
+    return SymmetricTensor((left, phys, right), blocks)
+
+
 def test_block_svd_matches_zero_filled_assembly_bit_for_bit(rng):
-    policies = [TruncationPolicy(None, 0.0), TruncationPolicy(3, 0.0), TruncationPolicy(None, 0.5)]
-    cases = []
-    for _ in range(20):
-        three = make_random_three_leg(rng)
-        cases += [(three, 1), (three, 2), (make_random_two_leg(rng, three.indices[2]), 1)]
-    for t, n_row in cases:
-        for policy in policies:
-            _assert_same_split(
-                block_svd(t, n_row, policy), _block_svd_by_zero_filled_assembly(t, n_row, policy)
-            )
+    policies = [
+        TruncationPolicy(None, 0.0),
+        TruncationPolicy(3, 0.0),
+        TruncationPolicy(1, 0.0),
+        TruncationPolicy(None, 0.5),
+    ]
+    cases = 0
+    for i in range(80):
+        three = make_random_link(rng) if i % 4 else make_random_three_leg(rng)
+        for n_row in (1, 2):
+            for policy in policies:
+                try:
+                    want = _block_svd_by_zero_filled_assembly(three, n_row, policy)
+                except ZeroNormError:
+                    with pytest.raises(ZeroNormError):
+                        block_svd(three, n_row, policy)
+                    continue
+                _assert_same_split(block_svd(three, n_row, policy), want)
+                cases += 1
+    assert cases > 500
 
 
 def test_block_svd_drops_an_exactly_zero_factor_block():

@@ -69,6 +69,19 @@ class TestSimulate:
         header, rows = read_csv(out)
         assert abs(float(rows[0][1]) - 1.0) < 1e-10  # site 2 starts occupied
 
+    @pytest.mark.parametrize("threads", ["abc", "0", "-2"])
+    def test_bad_thread_setting_exit_code(self, tmp_path, capsys, monkeypatch, threads):
+        monkeypatch.setenv("MPODYN_THREADS", threads)
+        rc = main(
+            [
+                "simulate", "--model", "xxz", "--length", "4", "--method", "grand-canonical",
+                "--observable", "itac", "--site", "2", "--dt", "0.1", "--tmax", "0.2",
+                "--output", str(tmp_path / "x.csv"),
+            ]
+        )
+        assert rc == 2
+        assert f"MPODYN_THREADS must be a positive integer, got '{threads}'" in capsys.readouterr().err
+
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         rc = main(
             [

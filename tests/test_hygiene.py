@@ -127,9 +127,10 @@ def test_detects_names_in_method():
 
 def test_gate_kernel_works_on_sector_matrices_only():
     # the per-block path (block tensors, per-block restore, per-block cut) stays out
-    # of the kernel: it stacks, cuts and restores whole sector matrices
+    # of the kernel: it stacks, cuts and restores whole sector matrices, and never
+    # converts between them and block tensors
     names = method_names((SRC / "mps_core.py").read_text(), "CanonicalMps", "apply_two_site_gate")
-    assert not {"SymmetricTensor", "scale_axis", "_cut"} & names
+    assert not {"SymmetricTensor", "scale_axis", "_cut", "from_tensor", "tensor"} & names
 
 
 def test_detects_unused_private_helper():

@@ -6,13 +6,14 @@ import pytest
 from mpodyn import mps_core
 from mpodyn.charge_tensor import (
     ChargeMismatchError,
+    SectorMatrices,
     SymmetricTensor,
     TruncationPolicy,
     ZeroNormError,
     scale_axis,
 )
 from mpodyn.evolution import evolve, make_schedule
-from mpodyn.mps_core import CanonicalMps, from_fock, load_mps, save_mps
+from mpodyn.mps_core import CanonicalMps, canonicalize, from_fock, load_mps, save_mps
 from mpodyn.models import BondGate, ModelSpec, bond_gate, super_gate
 from mpodyn.observables import build_observable_superstate
 from mpodyn.operator_space import CANONICAL, GRAND_CANONICAL, identity_superstate, mode_weights
@@ -70,6 +71,22 @@ def _assert_stored_blocks_valid(t) -> None:
 
 
 SUPER_MODES = pytest.mark.parametrize("mode", [CANONICAL, GRAND_CANONICAL])
+
+
+def _two_branch_state() -> CanonicalMps:
+    """(|0101> + 2|1010>) / sqrt(5), site 1 first; both branches hold one
+    particle on sites 1-2, so bond 2 is one charge-1 sector of dimension 2."""
+    phys = ChargeIndex.occupation(2)
+    b1, b2, b3 = ChargeIndex(((0, 1), (1, 1))), ChargeIndex(((1, 2),)), ChargeIndex(((1, 1), (2, 1)))
+    links = [
+        ((ChargeIndex.trivial(), phys, b1), {(0, 0, 0): [[[1]]], (0, 1, 1): [[[2]]]}),
+        ((b1, phys, b2), {(0, 1, 0): [[[1, 0]]], (1, 0, 0): [[[0, 1]]]}),
+        ((b2, phys, b3), {(0, 0, 0): [[[1]], [[0]]], (0, 1, 1): [[[0]], [[1]]]}),
+        ((b3, phys, ChargeIndex.trivial(2)), {(0, 1, 0): [[[1]]], (1, 0, 0): [[[1]]]}),
+    ]
+    mps, norm = canonicalize([SymmetricTensor(legs, blocks) for legs, blocks in links])
+    assert abs(norm - np.sqrt(5)) < 1e-14
+    return mps
 
 
 class TestFromFock:
@@ -259,6 +276,24 @@ class TestGateApplication:
                 for part in np.split(mat, np.cumsum(col_sizes)[:-1], axis=1):
                     assert part.any()
 
+    def test_capped_split_drops_an_all_zero_block(self):
+        psi = _two_branch_state()
+        want = np.zeros(16)
+        want[[10, 5]] = np.array([1.0, 2.0]) / np.sqrt(5)  # |0101>, |1010>
+        assert np.allclose(psi.to_statevector(), want, atol=1e-14)
+        # the split at bond 2 is diag(1, 2) / sqrt(5) over the row blocks
+        # (l=0, p=1) and (l=1, p=0); a cap of one keeps the 2, so the kept U
+        # is exactly zero on the (l=0, p=1) block, which must not be stored
+        identity = BondGate(np.eye(4, dtype=complex), ChargeIndex.occupation(2))
+        rec = psi.apply_two_site_gate(2, identity, TruncationPolicy(1, 0.0))
+        assert abs(rec.nu - 2 / np.sqrt(5)) < 1e-14 and rec.chi_used == 1
+        assert list(psi.gammas[1].blocks) == [(1, 0, 0)]
+        for g in psi.gammas:
+            _assert_stored_blocks_valid(g)
+        want = np.zeros(16)
+        want[5] = 1.0
+        assert np.allclose(psi.to_statevector(), want, atol=1e-14)
+
     @SUPER_MODES
     def test_capped_super_gate_keeps_largest_values(self, mode):
         spec, s = _evolved_superstate(mode)
@@ -391,6 +426,12 @@ class TestSectorMatrixStorage:
         assert np.array_equal(s_back.densify(), s.densify())
 
 
+def _checkpoint_arrays(path) -> dict[str, tuple]:
+    """dtype, shape and bytes of every array in a checkpoint, by name."""
+    with np.load(path) as data:
+        return {name: (data[name].dtype, data[name].shape, data[name].tobytes()) for name in data.files}
+
+
 def _snapshot(x, path) -> tuple:
     """Dense form, spectra and checkpoint arrays of a state or superstate, as bytes."""
     mps = getattr(x, "mps", x)
@@ -415,6 +456,102 @@ def _state_of_kind(kind: str):
         for m in range(4, 0, -1):
             x.apply_two_site_gate(m, random_conserving_gate(3, rng), UNRESTRICTED)
     return x
+
+
+class TestOneSiteType:
+    @pytest.mark.parametrize("kind", ["block_built", "superstate", "swept_right_to_left"])
+    def test_block_tensors_in_stored_matrices_out(self, kind, tmp_path):
+        # inputs with their blocks in sorted, reversed and layout order
+        mps = getattr(_state_of_kind(kind), "mps", _state_of_kind(kind))
+        for order in (sorted, lambda keys: sorted(keys, reverse=True), list):
+            inputs = [
+                SymmetricTensor(g.indices, {k: g.blocks[k].copy() for k in order(g.blocks)})
+                for g in mps.gammas
+            ]
+            built = CanonicalMps(inputs, mps.lambdas)
+            assert all(type(site) is SectorMatrices for site in built._sites)
+            for g, want in zip(built.gammas, inputs):
+                assert g.indices == want.indices
+                assert list(g.blocks) == list(want.blocks)
+                for key, blk in want.blocks.items():
+                    got = g.blocks[key]
+                    assert (got.dtype, got.shape) == (blk.dtype, blk.shape)
+                    assert got.tobytes() == blk.tobytes()
+
+    @pytest.mark.parametrize("kind", ["block_built", "superstate", "swept_right_to_left"])
+    def test_save_load_save_keeps_every_byte(self, kind, tmp_path):
+        mps = getattr(_state_of_kind(kind), "mps", _state_of_kind(kind))
+        first, second = tmp_path / "a.npz", tmp_path / "b.npz"
+        save_mps(str(first), mps)
+        back = load_mps(str(first))
+        assert all(type(site) is SectorMatrices for site in back._sites)
+        save_mps(str(second), back)
+        assert _checkpoint_arrays(first) == _checkpoint_arrays(second)
+
+
+def _tampered(path, out, edit) -> str:
+    """A copy of checkpoint ``path`` with ``edit(meta, arrays)`` applied."""
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    meta = json.loads(bytes(arrays["__meta__"]).decode())
+    edit(meta, arrays)
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez_compressed(out, **arrays)
+    return str(out)
+
+
+class TestLoadRejectsMalformedFiles:
+    @pytest.fixture
+    def saved(self, rng, tmp_path):
+        psi = random_charge_mps(5, 3, [0, 2, 1, 0, 1], rng)
+        path = tmp_path / "state.npz"
+        save_mps(str(path), psi)
+        return psi, path
+
+    def test_spectrum_value_moved_between_sectors(self, saved, tmp_path):
+        psi, path = saved
+        m, lam = next((m, lam) for m, lam in enumerate(psi.lambdas) if any(len(v) > 1 for v in lam.values()))
+        q_from = next(q for q, v in lam.items() if len(v) > 1)
+        q_to = next(q for q in lam if q != q_from)
+
+        def move_one_value(meta, arrays):
+            src, dst = arrays[f"lam{m}/{q_from}"], arrays[f"lam{m}/{q_to}"]
+            arrays[f"lam{m}/{q_from}"], arrays[f"lam{m}/{q_to}"] = src[:-1], np.append(dst, src[-1])
+
+        bad = _tampered(path, tmp_path / "bad.npz", move_one_value)
+        with pytest.raises(ValueError, match=f"spectrum of bond {m + 1} does not match"):
+            load_mps(bad)
+
+    def test_spectrum_with_a_missing_charge(self, saved, tmp_path):
+        psi, path = saved
+        m = next(m for m, lam in enumerate(psi.lambdas) if len(lam) > 1)
+
+        def drop_a_charge(meta, arrays):
+            q = meta["lambda_charges"][m].pop()
+            del arrays[f"lam{m}/{q}"]
+
+        with pytest.raises(ValueError, match=f"spectrum of bond {m + 1} does not match"):
+            load_mps(_tampered(path, tmp_path / "bad.npz", drop_a_charge))
+
+    def test_neighbouring_sites_disagree_on_a_bond(self, saved, tmp_path):
+        _, path = saved
+
+        def extra_sector(meta, arrays):
+            # site 3's bond-in leg gains a sector no block uses
+            meta["indices"][3 * 2]["sectors"].append([99, 1])
+
+        with pytest.raises(ValueError, match="sites 2 and 3 disagree on bond 2"):
+            load_mps(_tampered(path, tmp_path / "bad.npz", extra_sector))
+
+    def test_block_of_the_wrong_shape(self, saved, tmp_path):
+        _, path = saved
+
+        def reshape_a_block(meta, arrays):
+            name = next(n for n in arrays if n.startswith("g2/") and arrays[n].shape[0] != arrays[n].shape[2])
+            arrays[name] = arrays[name].transpose(2, 1, 0)
+
+        with pytest.raises(ChargeMismatchError, match="block shapes do not match"):
+            load_mps(_tampered(path, tmp_path / "bad.npz", reshape_a_block))
 
 
 class TestCopiesShareImmutableValues:
