@@ -128,22 +128,9 @@ class SymmetricTensor:
     def shape(self) -> tuple[int, ...]:
         return tuple(ix.dim for ix in self.indices)
 
-    def _conserves(self, key: tuple[int, ...]) -> bool:
-        *rest, last = (ix.charges[pos] for ix, pos in zip(self.indices, key))
-        return sum(rest) == last
-
     def validate(self) -> None:
         """Check shapes and the charge selection rule for every stored block."""
-        for key, blk in self.blocks.items():
-            if len(key) != self.ndim:
-                raise ChargeMismatchError("charge mismatch")
-            want = tuple(ix.dims[pos] for ix, pos in zip(self.indices, key))
-            if blk.shape != want:
-                raise ChargeMismatchError(
-                    f"block {key} has shape {blk.shape}, sectors require {want}"
-                )
-            if not self._conserves(key):
-                raise ChargeMismatchError("charge mismatch")
+        checked_keys(self.indices, list(self.blocks), [blk.shape for blk in self.blocks.values()])
 
     def scale(self, factor: complex) -> "SymmetricTensor":
         return SymmetricTensor(self.indices, {k: blk * factor for k, blk in self.blocks.items()})
@@ -164,6 +151,26 @@ class SymmetricTensor:
             )
             out[sl] = blk
         return out
+
+
+def checked_keys(indices, keys, shapes) -> np.ndarray:
+    """Per-leg sector positions of blocks, as an (ndim, nblocks) array.
+
+    Raises unless every block has one position per leg, the shape its
+    sectors select, and a last-leg charge equal to the sum of the other
+    legs' charges.
+    """
+    n = len(indices)
+    if any(len(key) != n for key in keys):
+        raise ChargeMismatchError("charge mismatch")
+    pos = np.array(keys, dtype=np.intp).reshape(len(keys), n).T
+    want = zip(*(np.array(ix.dims)[p].tolist() for ix, p in zip(indices, pos)))
+    if list(shapes) != list(want):
+        raise ChargeMismatchError("block shapes do not match the sector dimensions")
+    *rest, last = (np.array(ix.charges)[p] for ix, p in zip(indices, pos))
+    if np.any(sum(rest) != last):
+        raise ChargeMismatchError("charge mismatch")
+    return pos
 
 
 def scale_axis(
@@ -301,7 +308,7 @@ def truncated_split(sectors: dict[int, np.ndarray], policy: TruncationPolicy):
 
     qs = sorted(sectors)
     raw = os.environ.get(THREADS_ENV) or "1"
-    if not (raw.strip().isdigit() and int(raw) > 0):
+    if not (raw.strip().isdecimal() and int(raw) > 0):
         raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
     nthreads = int(raw)
     if nthreads > 1 and len(qs) > 1:
@@ -428,16 +435,9 @@ class SectorMatrices:
         if t.ndim != 3:
             raise ValueError("a chain link has legs (bond-in, physical, bond-out)")
         order = sorted(t.blocks, key=lambda k: (k[2], k[0], k[1]))
-        keys = np.array(order, dtype=np.intp).reshape(len(order), 3).T
+        keys = checked_keys(t.indices, order, [t.blocks[k].shape for k in order])
         flat = np.concatenate([t.blocks[k].reshape(-1) for k in order] or [np.zeros(0, complex)])
         site = cls(t.indices, 2, keys, flat)
-        (dl, dp, dr), (l, p, r) = site._dims(), keys
-        shapes = np.array([t.blocks[k].shape for k in order], dtype=np.intp).reshape(len(order), 3)
-        if not np.array_equal(shapes.T, np.stack((dl[l], dp[p], dr[r]))):
-            raise ChargeMismatchError("block shapes do not match the sector dimensions")
-        ql, qp, qr = (np.array(ix.charges) for ix in t.indices)
-        if np.any(ql[l] + qp[p] != qr[r]):
-            raise ChargeMismatchError("charge mismatch")
         site._tensor = t
         return site
 

@@ -20,8 +20,8 @@ its particle-number change (delta_n), pinned by densify tests.
 
 Composing an operator onto the out-chain of a superstate has one
 implementation, ``out_chain_compose``, which works block by block on the
-stored blocks of both chains; ``apply_out_chain`` lifts a single-site
-operator to a product MPO and calls it.
+stored blocks of both chains; ``apply_out_chain`` lifts a whole product
+operator, given as its per-site factor list, and calls it once.
 """
 
 from __future__ import annotations
@@ -117,9 +117,6 @@ class LocalOperator:
     def dagger(self) -> "LocalOperator":
         delta = None if self.delta_n is None else -self.delta_n
         return LocalOperator(self.d, self.entries.conj().T, delta)
-
-    def is_identity(self, atol: float = 1e-14) -> bool:
-        return bool(np.allclose(self.entries, np.eye(self.d), atol=atol))
 
 
 class SuperState:
@@ -255,16 +252,16 @@ def embed_factor(op: LocalOperator, site: int, L: int) -> list[LocalOperator]:
     return factors
 
 
-def apply_out_chain(op: LocalOperator, m: int, s: SuperState) -> SuperState:
-    """Compose a single-site operator onto the out-chain at site m (1-based).
+def apply_out_chain(factors: list[LocalOperator], s: SuperState) -> SuperState:
+    """Compose a product operator onto the out-chain of ``s`` in one pass.
 
-    The densified result is ``op_at_m @ densify(s)``; the particle-number
-    change grows by the operator's.  ``op`` must carry a definite charge,
-    in every mode.
+    ``factors`` holds one factor per site (site 1 first; pass
+    :func:`embed_factor` for a single-site operator).  The densified result
+    is ``O @ densify(s)`` with O the product; the particle-number change
+    grows by the sum of the factors'.  Every factor must share ``s``'s d
+    and carry a definite charge, in every mode.
     """
-    if op.d != s.d:
-        raise ValueError("shape mismatch")
-    return out_chain_compose(lift_product_operator(embed_factor(op, m, s.L)), s)
+    return out_chain_compose(lift_product_operator(factors), s)
 
 
 def hs_trace_pair(a: SuperState, b: SuperState) -> complex:

@@ -25,7 +25,6 @@ from .charge_tensor import ChargeIndex, SymmetricTensor
 from .mps_core import CanonicalMps
 from .operator_space import (
     CANONICAL,
-    LocalOperator,
     SuperState,
     apply_out_chain,
     mode_weights,
@@ -76,8 +75,6 @@ def _uniform_chain(N: int, L: int, d: int, phys: ChargeIndex, w: int) -> Canonic
                     continue
                 # squared site amplitude: conditional probability ratio
                 den = omega(d, N - l, L - m + 1) * omega(d, r, m)
-                if den == 0:
-                    continue
                 val = float(np.sqrt(total / den))
                 key = (lpos, phys.position(j * w), rpos)
                 blocks[key] = np.array([[[val]]], dtype=np.complex128)
@@ -125,31 +122,27 @@ def projector_superstate(N: int, L: int, d: int) -> SuperState:
 def project_operator(op, N: int) -> SuperState:
     """Sandwich an operator between fixed-number projectors: P_{N-dn} op P_N.
 
-    ``op`` is either a per-site factor list or a grand-canonical SuperState.
-    An infeasible output sector yields the flagged zero superstate rather
+    ``op`` is either a per-site factor list or a grand-canonical SuperState;
+    either is composed onto the projector superstate exactly once.  An
+    infeasible output sector yields the flagged zero superstate rather
     than an error.
     """
     if isinstance(op, SuperState):
         L, d, delta = op.L, op.d, op.delta_n
+        compose = out_chain_compose
     else:
-        factors: list[LocalOperator] = list(op)
-        L, d = len(factors), factors[0].d
-        deltas = [f.delta_n for f in factors]
+        op = list(op)
+        if not op:
+            raise ValueError("need at least one factor")
+        L, d = len(op), op[0].d
+        deltas = [f.delta_n for f in op]
         delta = None if None in deltas else sum(deltas)
+        compose = apply_out_chain
     if delta is None:
         raise ValueError("indefinite charge")
     if N < 0 or N > L * (d - 1) or N - delta < 0 or N - delta > L * (d - 1):
         return SuperState.zero(L, d, CANONICAL, delta)
-    result = projector_superstate(N, L, d)
-    if isinstance(op, SuperState):
-        return out_chain_compose(op, result)
-    for m, f in enumerate(factors, start=1):
-        if f.is_identity():
-            continue
-        result = apply_out_chain(f, m, result)
-        if result.is_zero:
-            break
-    return result
+    return compose(op, projector_superstate(N, L, d))
 
 
 def projector_osee(N: int, L: int, d: int, m: int) -> float:

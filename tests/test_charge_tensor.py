@@ -7,6 +7,7 @@ from mpodyn.charge_tensor import (
     ChargeIndex,
     ChargeMismatchError,
     TruncationPolicy,
+    SectorMatrices,
     ZeroNormError,
     block_svd,
     contract,
@@ -87,6 +88,54 @@ class TestValidate:
         # so only its charge is wrong
         bad = dict(t.blocks)
         bad[(1, 0, 2)] = np.ones((3, 1, t.indices[2].dims[2]))
+        with pytest.raises(ChargeMismatchError, match="charge mismatch"):
+            SymmetricTensor(t.indices, bad).validate()
+
+    @staticmethod
+    def _per_block_verdict(t):
+        """Reference: the rule checked one block at a time, shapes first."""
+        for key, blk in t.blocks.items():
+            if blk.shape != tuple(ix.dims[p] for ix, p in zip(t.indices, key)):
+                return "block shapes do not match"
+        for key in t.blocks:
+            *rest, last = (ix.charges[p] for ix, p in zip(t.indices, key))
+            if sum(rest) != last:
+                return "charge mismatch"
+        return None
+
+    def test_vectorized_rule_matches_per_block_loop(self, rng):
+        verdicts = set()
+        for trial in range(300):
+            n = 1 + trial % 4
+            indices = tuple(
+                ChargeIndex(tuple(
+                    (int(q), int(rng.integers(1, 3)))
+                    for q in np.sort(rng.choice(np.arange(-3, 4), rng.integers(1, 4), replace=False))
+                ))
+                for _ in range(n)
+            )
+            keys = {tuple(int(rng.integers(ix.nsectors)) for ix in indices) for _ in range(4)}
+            blocks = {}
+            for key in keys:
+                shape = [ix.dims[p] for ix, p in zip(indices, key)]
+                if rng.random() < 0.1:
+                    shape[int(rng.integers(n))] += 1
+                blocks[key] = np.ones(shape, dtype=complex)
+            t = SymmetricTensor(indices, blocks)
+            want = self._per_block_verdict(t)
+            verdicts.add(want)
+            for check in [t.validate] + ([lambda: SectorMatrices.from_tensor(t)] if n == 3 else []):
+                if want is None:
+                    check()
+                else:
+                    with pytest.raises(ChargeMismatchError, match=want):
+                        check()
+        assert verdicts == {None, "block shapes do not match", "charge mismatch"}
+
+    def test_rejects_a_key_without_one_position_per_leg(self, rng):
+        t = make_random_three_leg(rng)
+        bad = dict(t.blocks)
+        bad[(0, 0)] = np.ones((2, 1))
         with pytest.raises(ChargeMismatchError, match="charge mismatch"):
             SymmetricTensor(t.indices, bad).validate()
 
@@ -213,7 +262,7 @@ class TestBlockSvd:
 
 
 class TestThreadSetting:
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", " "])
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", " ", "²"])
     def test_must_be_a_positive_integer(self, rng, monkeypatch, value):
         monkeypatch.setenv("MPODYN_THREADS", value)
         with pytest.raises(ValueError, match="MPODYN_THREADS must be a positive integer"):

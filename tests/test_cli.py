@@ -69,7 +69,7 @@ class TestSimulate:
         header, rows = read_csv(out)
         assert abs(float(rows[0][1]) - 1.0) < 1e-10  # site 2 starts occupied
 
-    @pytest.mark.parametrize("threads", ["abc", "0", "-2"])
+    @pytest.mark.parametrize("threads", ["abc", "0", "-2", "²"])
     def test_bad_thread_setting_exit_code(self, tmp_path, capsys, monkeypatch, threads):
         monkeypatch.setenv("MPODYN_THREADS", threads)
         rc = main(

@@ -157,16 +157,16 @@ class TestLift:
 class TestApplyOutChain:
     def test_number_on_identity(self):
         one = identity_superstate(3, 2)
-        s = apply_out_chain(number_local(2), 2, one)
+        s = apply_out_chain(embed_factor(number_local(2), 2, 3), one)
         expected = oracle.site_operator(np.diag([0.0, 1.0]), 2, 3)
         assert np.max(np.abs(s.densify() - expected)) < 1e-12
         assert s.delta_n == 0
 
     def test_annihilate_then_create(self):
         one = identity_superstate(2, 2)
-        s = apply_out_chain(annihilator_local(2), 1, one)
+        s = apply_out_chain(embed_factor(annihilator_local(2), 1, 2), one)
         assert s.delta_n == 1
-        s = apply_out_chain(creator_local(2), 1, s)
+        s = apply_out_chain(embed_factor(creator_local(2), 1, 2), s)
         assert s.delta_n == 0
         amat = boson_annihilator(2)
         expected = oracle.site_operator(amat.conj().T @ amat, 1, 2)
@@ -174,7 +174,7 @@ class TestApplyOutChain:
 
     def test_sigma_z_on_projector(self):
         ps = projector_superstate(1, 3, 2)
-        s = apply_out_chain(sigma_z_local(), 2, ps)
+        s = apply_out_chain(embed_factor(sigma_z_local(), 2, 3), ps)
         assert s.delta_n == 0
         P = np.diag(oracle.sector_indicator(3, 2, 1).astype(float))
         expected = P @ oracle.site_operator(SIGMA_Z, 2, 3) @ P
@@ -182,14 +182,39 @@ class TestApplyOutChain:
 
     def test_annihilator_kills_vacuum_projector(self):
         ps = projector_superstate(0, 2, 2)
-        s = apply_out_chain(annihilator_local(2), 1, ps)
+        s = apply_out_chain(embed_factor(annihilator_local(2), 1, 2), ps)
         assert s.is_zero
 
     def test_indefinite_charge_rejected_in_brute_mode(self):
         one = identity_superstate(3, 2, BRUTE)
         sigma_x = LocalOperator.from_matrix(np.array([[0, 1], [1, 0]]))
         with pytest.raises(ChargeMismatchError, match="indefinite charge"):
-            apply_out_chain(sigma_x, 2, one)
+            apply_out_chain(embed_factor(sigma_x, 2, 3), one)
+
+    def test_product_of_several_factors_in_one_pass(self):
+        d, L = 3, 4
+        factors = [annihilator_local(d), identity_local(d), creator_local(d), number_local(d)]
+        s = apply_out_chain(factors, identity_superstate(L, d))
+        assert s.delta_n == 0
+        a = boson_annihilator(d)
+        expected = (
+            oracle.site_operator(a, 1, L)
+            @ oracle.site_operator(a.conj().T, 3, L)
+            @ oracle.site_operator(a.conj().T @ a, 4, L)
+        )
+        assert np.max(np.abs(s.densify() - expected)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "factors, match",
+        [
+            ([], "need at least one factor"),
+            ([sigma_z_local(), identity_local(3)], "shape mismatch"),
+            ([identity_local(2)] * 2, "shape mismatch"),
+        ],
+    )
+    def test_rejects_malformed_factor_lists(self, factors, match):
+        with pytest.raises(ValueError, match=match):
+            apply_out_chain(factors, identity_superstate(3, 2))
 
 
 def _evolved(op, site, L, d, mode=GRAND_CANONICAL):

@@ -7,10 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpodyn import oracle
+from mpodyn import oracle, operator_space, projector
 from mpodyn.charge_tensor import ChargeIndex, SymmetricTensor
 from mpodyn.mps_core import CanonicalMps
-from mpodyn.models import SIGMA_Z, annihilator_local, identity_local, sigma_z_local
+from mpodyn.models import (
+    SIGMA_Z,
+    annihilator_local,
+    creator_local,
+    identity_local,
+    number_local,
+    sigma_z_local,
+)
 from mpodyn.operator_space import (
     CANONICAL,
     GRAND_CANONICAL,
@@ -201,6 +208,50 @@ class TestProjectOperator:
         s = project_operator(embed_factor(sigma_z_local(), 2, 4), 2)
         dense = s.densify()
         assert np.max(np.abs(dense - dense.conj().T)) < 1e-12
+
+    @pytest.mark.parametrize("n_factors", [0, 1, 3])
+    def test_composes_once_per_projection(self, monkeypatch, n_factors):
+        d, L = 3, 4
+        factors = [identity_local(d)] * L
+        factors[:n_factors] = [annihilator_local(d), creator_local(d), number_local(d)][:n_factors]
+        calls = []
+        compose = operator_space.out_chain_compose
+
+        def counted(op_s, target):
+            calls.append(1)
+            return compose(op_s, target)
+
+        monkeypatch.setattr(operator_space, "out_chain_compose", counted)
+        monkeypatch.setattr(projector, "out_chain_compose", counted)
+        for N in range(1, L * (d - 1)):
+            calls.clear()
+            project_operator(factors, N)
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("delta", [0, 1, -1])
+    def test_product_operator_matches_dense_sandwich(self, d, delta):
+        a, n, one = annihilator_local(d), number_local(d), identity_local(d)
+        adag = creator_local(d)
+        factors = {0: [a, one, adag, n], 1: [a, n, one, n], -1: [n, adag, adag, a]}[delta]
+        L = len(factors)
+        dense_op = np.eye(d**L)
+        for m, f in enumerate(factors, start=1):
+            dense_op = dense_op @ oracle.site_operator(f.entries, m, L)
+        for N in range(L * (d - 1) + 1):
+            s = project_operator(factors, N)
+            assert s.delta_n == delta
+            P_in = np.diag(oracle.sector_indicator(L, d, N).astype(float))
+            P_out = np.diag(oracle.sector_indicator(L, d, N - delta).astype(float))
+            assert np.max(np.abs(s.densify() - P_out @ dense_op @ P_in)) < 1e-12
+
+    def test_mixed_local_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            project_operator([sigma_z_local(), identity_local(3)], 1)
+
+    def test_empty_factor_list_rejected(self):
+        with pytest.raises(ValueError, match="need at least one factor"):
+            project_operator([], 0)
 
 
 class TestProjectorOsee:
