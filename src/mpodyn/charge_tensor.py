@@ -450,34 +450,33 @@ class SectorMatrices:
         Stacked rows (left-factor layout) or columns (right-factor layout)
         are counted across all matrices in order.
         """
-        dl, dp, dr = self._dims()
+        return [
+            (c, first, self.flat[at : at + shape[0] * shape[1]].reshape(shape))
+            for c, first, at, shape in sector_shapes(self.keys, self.leg, self._dims())
+        ]
+
+    def relayout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Block keys in the other layout and the runs that gather ``flat`` into it.
+
+        Structure only: entry j of the other layout's ``flat`` is
+        ``flat[j + shift[k]]``, j in run k (see :func:`run_positions`).
+        Returns ``(keys, shift, length)``.
+        """
         l, p, r = self.keys
-        if self.leg == 2:
-            sec, stacked, other = r, dl[l] * dp[p], dr
-        else:
-            sec, stacked, other = l, dp[p] * dr[r], dl
-        count = np.bincount(sec, stacked, len(other)).astype(np.intp)
-        out, at, first = [], 0, 0
-        for c in np.flatnonzero(count).tolist():
-            n, o = int(count[c]), int(other[c])
-            shape = (n, o) if self.leg == 2 else (o, n)
-            out.append((c, first, self.flat[at : at + n * o].reshape(shape)))
-            at += n * o
-            first += n
-        return out
+        keys2 = self.keys if self.leg == 2 else self.keys[:, np.lexsort((p, l, r))]
+        to0, start, length = _right_layout_runs(keys2, *self._dims())
+        first = np.cumsum(length) - length  # each run's start in the left-factor flat
+        if self.leg == 0:
+            return keys2, start - first, length
+        order = np.argsort(start)
+        return keys2[:, to0], (first - start)[order], length[order]
 
     def on_leg(self, leg: int) -> "SectorMatrices":
         """The same link in the layout of ``leg``, made by one index-array permutation."""
         if leg == self.leg:
             return self
-        l, p, r = self.keys
-        keys2 = self.keys if self.leg == 2 else self.keys[:, np.lexsort((p, l, r))]
-        to0, at0 = _right_layout_positions(keys2, *self._dims())
-        if self.leg == 2:
-            flat = np.empty_like(self.flat)
-            flat[at0] = self.flat
-            return SectorMatrices(self.indices, 0, keys2[:, to0], flat)
-        return SectorMatrices(self.indices, 2, keys2, self.flat[at0])
+        keys, shift, length = self.relayout()
+        return SectorMatrices(self.indices, leg, keys, self.flat[run_positions(shift, length)])
 
     def tensor(self) -> SymmetricTensor:
         """Block view: the tensor :meth:`from_tensor` converted, else the
@@ -496,14 +495,36 @@ class SectorMatrices:
         return self._tensor
 
 
-def _right_layout_positions(keys2: np.ndarray, dl, dp, dr) -> tuple[np.ndarray, np.ndarray]:
-    """Right-factor block order and position of every left-factor entry in it.
+def sector_shapes(keys: np.ndarray, leg: int, dims) -> list[tuple[int, int, int, tuple[int, int]]]:
+    """(sector, first stacked row or column, first entry, shape) of every sector matrix.
 
-    ``keys2`` is the (l, p, r) of every block in left-factor order.
-    Returns the permutation of blocks into right-factor order and, for
-    every entry of the left-factor ``flat``, its position in the
-    right-factor one.  The b entries of one row (a, i) of a block are
-    contiguous in both layouts, so positions are computed per run.
+    ``keys`` are the (l, p, r) blocks of a link in the layout of ``leg``
+    (see :class:`SectorMatrices`) and ``dims`` its legs' sector dimensions.
+    """
+    dl, dp, dr = dims
+    l, p, r = keys
+    if leg == 2:
+        sec, stacked, other = r, dl[l] * dp[p], dr
+    else:
+        sec, stacked, other = l, dp[p] * dr[r], dl
+    count = np.bincount(sec, stacked, len(other)).astype(np.intp)
+    out, at, first = [], 0, 0
+    for c in np.flatnonzero(count).tolist():
+        n, o = int(count[c]), int(other[c])
+        out.append((c, first, at, (n, o) if leg == 2 else (o, n)))
+        at += n * o
+        first += n
+    return out
+
+
+def _right_layout_runs(keys2: np.ndarray, dl, dp, dr) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Right-factor block order and where the runs of a left-factor ``flat`` go in it.
+
+    ``keys2`` is the (l, p, r) of every block in left-factor order.  The b
+    entries of one row (a, i) of a block form a run, contiguous in both
+    layouts.  Returns the permutation of blocks into right-factor order
+    and, per run in left-factor order, its start in the right-factor
+    ``flat`` and its length.
     """
     l, p, r = keys2
     to0 = np.lexsort((r, p, l))
@@ -515,10 +536,14 @@ def _right_layout_positions(keys2: np.ndarray, dl, dp, dr) -> tuple[np.ndarray, 
     blk, row = ragged(dl[l] * dp[p])
     a, i = np.divmod(row, dp[p][blk])
     lb, run_len = l[blk], dr[r][blk]
-    start = sec_at[lb] + a * ncols[lb] + col_at[blk] + i * run_len
-    pos = np.repeat(start - (np.cumsum(run_len) - run_len), run_len)
+    return to0, sec_at[lb] + a * ncols[lb] + col_at[blk] + i * run_len, run_len
+
+
+def run_positions(shift: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """``shift[k] + j`` for every entry j of runs of ``length`` laid end to end."""
+    pos = np.repeat(shift, length)
     pos += np.arange(len(pos))
-    return to0, pos
+    return pos
 
 
 def ragged(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ outside the kernel (``canonicalize``, composition, observers,
 
 Nothing writes a stored block, matrix or spectrum array after
 construction, so ``CanonicalMps.copy`` copies the site list and the
-spectrum dicts and shares the arrays.
+spectrum dicts and shares the arrays (and the gate plans, below).
 
 Bond spectra are plain dicts, bond charge -> descending values (see
 ``charge_tensor``); which values a cut keeps is decided only by
@@ -28,11 +28,16 @@ Two-site gates are ``models.BondGate`` objects, applied by one kernel for
 every conservation mode, :meth:`CanonicalMps.apply_two_site_gate`.  It
 works on matrices only: one matmul per centre bond sector builds the
 two-site amplitudes, one matmul per gate band (two-site charge) applies
-the gate, and index arrays computed per run of contiguous entries move
-the amplitudes between the layouts.  The kernel and :func:`canonicalize`
-(through ``block_svd``) share ``charge_tensor.truncated_split`` for the
-sector SVDs and the truncation and ``charge_tensor.drop_zero_blocks`` for
-the zero-block cut; the kernel adds only the outer-value divide.
+the gate, and index arrays move the amplitudes between the layouts.
+Those index arrays form a gate plan (``_GatePlan``), built from charge
+structure alone and holding only integers, positions stored per run of
+contiguous entries.  Its key is both sites' indices, layout and block
+keys, not the gate; each bond keeps its last two plans on the state,
+most recent first, so a gate whose bond looks as it did one or two gates
+ago only moves values.  The kernel and :func:`canonicalize` (through
+``block_svd``) share ``charge_tensor.truncated_split`` for the sector
+SVDs and the truncation and ``charge_tensor.drop_zero_blocks`` for the
+zero-block cut; the kernel adds only the outer-value divide.
 
 Open boundaries only: the outer bonds are one-dimensional.  Singular
 values below ``LAMBDA_FLOOR`` are dropped outright; restoring Vidal form
@@ -58,7 +63,9 @@ from .charge_tensor import (
     contract,
     drop_zero_blocks,
     ragged,
+    run_positions,
     scale_axis,
+    sector_shapes,
     truncated_split,
 )
 
@@ -93,6 +100,7 @@ class CanonicalMps:
             {int(q): np.asarray(v, dtype=np.float64) for q, v in lam.items()}
             for lam in lambdas
         ]
+        self._plans: list[list[tuple[tuple, _GatePlan]]] = [[] for _ in self.lambdas]
 
     @property
     def gammas(self) -> list[SymmetricTensor]:
@@ -137,10 +145,15 @@ class CanonicalMps:
         return max(self.bond_dimension(m) for m in range(self.L + 1))
 
     def copy(self) -> "CanonicalMps":
-        """Independent state sharing the immutable sites and spectrum arrays."""
+        """Independent state sharing the immutable sites, spectrum arrays and gate plans.
+
+        A bond's plan list is replaced, never changed, so the copy and
+        the original keep their plans apart from here on.
+        """
         out = CanonicalMps.__new__(CanonicalMps)
         out._sites = list(self._sites)
         out.lambdas = [dict(lam) for lam in self.lambdas]
+        out._plans = list(self._plans)
         return out
 
     # -- spectra and entropies ------------------------------------------------
@@ -162,11 +175,12 @@ class CanonicalMps:
     def apply_two_site_gate(self, m, gate, policy: TruncationPolicy) -> TruncationRecord:
         """Apply a charge-conserving ``BondGate`` at bond m (1..L-1), in place.
 
-        Works on sector matrices only.  Site m is taken in the left-factor
-        layout and site m+1 in the right-factor layout; for each centre
-        sector c their matrices, with the outer and centre singular values
-        multiplied into rows and columns, give every amplitude through c
-        in one matmul.  The products are scattered into one matrix per
+        Works on sector matrices only, and moves them with the index arrays
+        of the bond's gate plan (:meth:`_gate_plan`).  Site m is taken in
+        the left-factor layout and site m+1 in the right-factor layout; for
+        each centre sector c their matrices, with the outer and centre
+        singular values multiplied into rows and columns, give every
+        amplitude through c in one matmul.  The products are scattered into one matrix per
         gate band q (``BondGate.band_table``): rows are the band's fused
         pair basis, columns every (l, r) pair of bond charge difference q.
         The band block acts on it with one matmul.  The gated amplitudes
@@ -180,46 +194,34 @@ class CanonicalMps:
         """
         if not 1 <= m <= self.L - 1:
             raise ValueError("bond out of range")
-        g1, g2 = self._sites[m - 1].on_leg(2), self._sites[m].on_leg(0)
-        (lix, phys1, cix), (_, phys2, rix) = g1.indices, g2.indices
+        s1, s2 = self._sites[m - 1], self._sites[m]
+        (lix, phys1, cix), (_, phys2, rix) = s1.indices, s2.indices
         if gate.index.sectors != phys1.sectors or gate.index.sectors != phys2.sectors:
             raise ChargeMismatchError("charge mismatch")
         lam_l, lam_c, lam_r = (self.lambda_at(k) for k in (m - 1, m, m + 1))
-        dp = np.array(phys1.dims, dtype=np.intp)
+        bands = gate.band_table()
+        plan = self._gate_plan(m, s1, s2, bands)
+        layout = plan.layout
 
-        left = {c: (first, mat) for c, first, mat in g1.matrices()}
-        right = {c: (first, mat) for c, first, mat in g2.matrices()}
-        centres = sorted(left.keys() & right.keys())
-        # (sector, l, p1) of every row block and (sector, p2, r) of every column block
-        sector_of = np.full(cix.nsectors, -1, dtype=np.intp)
-        sector_of[centres] = np.arange(len(centres))
-        lk = g1.keys[:, sector_of[g1.keys[2]] >= 0]
-        rk = g2.keys[:, sector_of[g2.keys[0]] >= 0]
-        rows = np.stack((sector_of[lk[2]], lk[0], lk[1]))
-        cols = np.stack((sector_of[rk[0]], rk[1], rk[2]))
-
-        # the (l, r) pairs joined through some centre sector are the band columns
-        left_of = np.zeros((lix.nsectors, len(centres)), dtype=np.intp)
-        left_of[rows[1], rows[0]] = 1
-        right_of = np.zeros((len(centres), rix.nsectors), dtype=np.intp)
-        right_of[cols[0], cols[2]] = 1
-        layout = _BandLayout(gate.band_table(), lix, phys1, rix, left_of @ right_of > 0)
-        pos = layout.positions(rows, cols, len(centres))[0]
-        # outer singular values of every row of g1 and every column of g2
-        w_left = _outer_values(lam_l, lix, g1.keys[0], dp[g1.keys[1]], 2)
-        w_right = _outer_values(lam_r, rix, g2.keys[2], dp[g2.keys[1]], 0)
+        f1, f2 = (
+            s.flat if move is None else s.flat[run_positions(*move)] for s, move in zip((s1, s2), plan.moves)
+        )
+        # outer values into the rows of f1 and the columns of f2, centre values into the columns of f1
+        (outer1, shift1, len1), (outer2, shift2, len2) = plan.weights
+        f1 = (f1 * np.repeat(_outer_values(lam_l, lix, outer1), len1)) * _outer_values(
+            lam_c, cix, run_positions(shift1, len1)
+        )
+        f2 = f2 * _outer_values(lam_r, rix, outer2[run_positions(shift2, len2)])
         flat = np.zeros(layout.size, dtype=np.complex128)
+        pos = run_positions(*plan.scatter)
         at = 0
-        for c in centres:
-            (r0, a), (c0, b) = left[c], right[c]
-            a_mat = (a * w_left[r0 : r0 + a.shape[0], None]) * lam_c[cix.charges[c]]
-            b_mat = b * w_right[c0 : c0 + b.shape[1]]
-            n = a_mat.shape[0] * b_mat.shape[1]
-            flat[pos[at : at + n]] = (a_mat @ b_mat).reshape(-1)
-            at += n
+        for a0, (nr, k), b0, (_, nc) in plan.centres:
+            a, b = f1[a0 : a0 + nr * k].reshape(nr, k), f2[b0 : b0 + k * nc].reshape(k, nc)
+            flat[pos[at : at + nr * nc]] = (a @ b).reshape(-1)
+            at += nr * nc
         # each stage's buffers go before the next one allocates
-        del pos
-        gated = layout.apply_bands(flat)
+        del pos, f1, f2
+        gated = layout.apply_bands(flat, bands)
         del flat
         sectors, row_blocks, col_blocks = layout.gather(gated)
         del gated
@@ -241,6 +243,21 @@ class CanonicalMps:
             discarded_weight=discarded_norm,
             chi_used=bond.dim,
         )
+
+    def _gate_plan(self, m: int, s1: SectorMatrices, s2: SectorMatrices, bands) -> "_GatePlan":
+        """Bond m's plan for the structure of sites ``s1`` and ``s2``.
+
+        The key is both sites' indices, layout and block keys.  A bond
+        keeps its last two plans, most recent first; on a miss the plan is
+        built and the older one goes.
+        """
+        key = tuple(x for s in (s1, s2) for x in (s.indices, s.leg, s.keys.tobytes()))
+        plans = self._plans[m - 1]
+        plan = next((p for k, p in plans if k == key), None)
+        if plan is None:
+            plan = _GatePlan(s1, s2, bands)
+        self._plans[m - 1] = [(key, plan)] + [e for e in plans if e[0] != key][:1]
+        return plan
 
     # -- site views ------------------------------------------------------------
 
@@ -279,19 +296,23 @@ class CanonicalMps:
                 raise AssertionError(f"site {m}: left orthogonality violated")
 
 
-def _outer_values(lam: dict[int, np.ndarray], ix: ChargeIndex, outer, dp, leg: int) -> np.ndarray:
-    """Singular values of outer bond ``ix`` for every stacked row or column.
+def _outer_index(ix: ChargeIndex, outer, dp, leg: int) -> np.ndarray:
+    """Position in bond ``ix``'s values of the outer value of every stacked row or column.
 
     ``outer`` is each block's sector on ``ix`` and ``dp`` its physical
     dimension, blocks in stacking order.  Row (a, i) of a left-factor
     block (``leg == 2``) gets lambda[a]; column (i, b) of a right-factor
     block (``leg == 0``) gets lambda[b].
     """
-    values = np.concatenate([lam[q] for q in ix.charges])
     dout = np.array(ix.dims, dtype=np.intp)[outer]
     blk, t = ragged(dout * dp)
     inner = t // dp[blk] if leg == 2 else t % dout[blk]
-    return values[np.array(ix.offsets, dtype=np.intp)[outer][blk] + inner]
+    return np.array(ix.offsets, dtype=np.intp)[outer][blk] + inner
+
+
+def _outer_values(lam: dict[int, np.ndarray], ix: ChargeIndex, index: np.ndarray) -> np.ndarray:
+    """Bond ``ix``'s values at the positions of :func:`_outer_index`."""
+    return np.concatenate([lam[q] for q in ix.charges])[index]
 
 
 def _factor_site(indices, leg: int, mats, blocks, lam: dict[int, np.ndarray]) -> SectorMatrices:
@@ -303,19 +324,85 @@ def _factor_site(indices, leg: int, mats, blocks, lam: dict[int, np.ndarray]) ->
     """
     charge, keys, dims = blocks
     mats, keys = drop_zero_blocks(mats, leg, charge, keys, dims.prod(axis=0), indices[leg])
-    axis = 0 if leg == 2 else 1
-    outer = keys[0] if leg == 2 else keys[2]
+    outer_ix = indices[0 if leg == 2 else 2]
     dp = np.array(indices[1].dims, dtype=np.intp)[keys[1]]
-    weights = _outer_values(lam, indices[0 if leg == 2 else 2], outer, dp, leg)
-    flat = np.empty(sum(mat.size for mat in mats), dtype=np.complex128)
-    at = first = 0
-    for mat in mats:
-        n = mat.shape[axis]
-        w = weights[first : first + n]
-        np.divide(mat, w[:, None] if leg == 2 else w, out=flat[at : at + mat.size].reshape(mat.shape))
-        at += mat.size
-        first += n
+    weights = _outer_values(lam, outer_ix, _outer_index(outer_ix, keys[0] if leg == 2 else keys[2], dp, leg))
+    shapes = np.array([mat.shape for mat in mats], dtype=np.intp).reshape(-1, 2)
+    flat = np.concatenate(mats or [np.zeros(0, complex)], axis=None)
+    if leg == 2:  # every row's value, once per entry of the row
+        flat /= np.repeat(weights, np.repeat(shapes[:, 1], shapes[:, 0]))
+    else:  # every column's value, once per row of its matrix
+        flat /= weights[run_positions(*_row_runs(shapes, np.cumsum(shapes[:, 1]) - shapes[:, 1]))]
     return SectorMatrices(indices, leg, keys, flat)
+
+
+class _GatePlan:
+    """Index arrays of a gate update at one bond structure; the kernel moves values only.
+
+    Built from the two sites' charge structure and the band table's pair
+    layout, never from amplitudes, spectra or gate matrices, and holds
+    only integers, so every gate at a bond with this structure shares it.
+
+    - ``moves``: for a site not stored in the layout the kernel reads
+      (left-factor for site m, right-factor for site m+1), the runs of
+      :meth:`SectorMatrices.relayout`, else ``None``;
+    - ``centres``: per centre bond sector, the first entry and shape of
+      site m's and of site m+1's matrix;
+    - ``weights``: for site m, the :func:`_outer_index` of every stacked
+      row and per matrix row the run over its centre sector's values; for
+      site m+1, the :func:`_outer_index` of every stacked column and per
+      matrix row the run over those columns;
+    - ``scatter``: the runs (shift, length) that put the centre products
+      into the band buffer;
+    - ``layout``: the :class:`_BandLayout`.
+    """
+
+    __slots__ = ("moves", "centres", "weights", "scatter", "layout")
+
+    def __init__(self, s1: SectorMatrices, s2: SectorMatrices, bands):
+        (lix, phys, cix), (_, _, rix) = s1.indices, s2.indices
+        moved = [None if s.leg == leg else s.relayout() for s, leg in ((s1, 2), (s2, 0))]
+        k1, k2 = (s.keys if r is None else r[0] for s, r in zip((s1, s2), moved))
+        self.moves = [None if r is None else r[1:] for r in moved]
+        dims1, dims2 = ([np.array(ix.dims, dtype=np.intp) for ix in s.indices] for s in (s1, s2))
+        left, right = sector_shapes(k1, 2, dims1), sector_shapes(k2, 0, dims2)
+        at_left, at_right = ({c: (at, shape) for c, _, at, shape in mats} for mats in (left, right))
+        centres = sorted(at_left.keys() & at_right.keys())
+        self.centres = [at_left[c] + at_right[c] for c in centres]
+        # (sector, l, p1) of every row block and (sector, p2, r) of every column block
+        sector_of = np.full(cix.nsectors, -1, dtype=np.intp)
+        sector_of[centres] = np.arange(len(centres))
+        lk = k1[:, sector_of[k1[2]] >= 0]
+        rk = k2[:, sector_of[k2[0]] >= 0]
+        rows = np.stack((sector_of[lk[2]], lk[0], lk[1]))
+        cols = np.stack((sector_of[rk[0]], rk[1], rk[2]))
+
+        # the (l, r) pairs joined through some centre sector are the band columns
+        left_of = np.zeros((lix.nsectors, len(centres)), dtype=np.intp)
+        left_of[rows[1], rows[0]] = 1
+        right_of = np.zeros((len(centres), rix.nsectors), dtype=np.intp)
+        right_of[cols[0], cols[2]] = 1
+        self.layout = _BandLayout(bands, lix, phys, rix, left_of @ right_of > 0)
+        self.scatter = self.layout.positions(rows, cols, len(centres))[0::3]
+        # each matrix row of site m runs over its centre sector's values, of site m+1
+        # over its stacked columns
+        dp, offsets = dims1[1], np.array(cix.offsets, dtype=np.intp)
+        shapes1, shapes2 = (
+            np.array([m[3] for m in mats], dtype=np.intp).reshape(-1, 2) for mats in (left, right)
+        )
+        self.weights = (
+            (_outer_index(lix, k1[0], dp[k1[1]], 2), *_row_runs(shapes1, offsets[[m[0] for m in left]])),
+            (_outer_index(rix, k2[2], dp[k2[1]], 0), *_row_runs(shapes2, [m[1] for m in right])),
+        )
+
+
+def _row_runs(shapes: np.ndarray, base) -> tuple[np.ndarray, np.ndarray]:
+    """Runs (shift, length) that give ``base[j]`` plus the column for every entry of
+    matrices of ``shapes`` laid end to end, each in C order, one run per row of
+    matrix j (see ``charge_tensor.run_positions``)."""
+    row_of = np.repeat(np.arange(len(shapes)), shapes[:, 0])
+    length = shapes[row_of, 1]
+    return np.asarray(base, dtype=np.intp)[row_of] - (np.cumsum(length) - length), length
 
 
 class _BandLayout:
@@ -326,15 +413,16 @@ class _BandLayout:
     ``charge(r) - charge(l) == q``, pairs in sorted order.  The band
     matrices are stored one after another in one flat buffer of ``size``
     entries, followed by ``pad`` zeros that stand in for amplitudes of
-    (l, r) pairs no band holds.
+    (l, r) pairs no band holds.  ``bands`` holds each band's charge, start,
+    dimension and column count; the gate's matrices are read per call.
+    The structure half of :meth:`gather` is built here too.
     """
 
     def __init__(self, bands, lix: ChargeIndex, phys: ChargeIndex, rix: ChargeIndex, joined):
         self.dl, self.dp, self.dr = (np.array(ix.dims, dtype=np.intp) for ix in (lix, phys, rix))
-        self.ql, self.qp, self.qr = (np.array(ix.charges) for ix in (lix, phys, rix))
-        self.joined = joined
+        ql, qp, qr = (np.array(ix.charges) for ix in (lix, phys, rix))
         pl, pr = np.nonzero(joined)
-        pq = self.qr[pr] - self.ql[pl]
+        pq = qr[pr] - ql[pl]
         order = np.argsort(pq, kind="stable")
         pl, pr, pq = pl[order], pr[order], pq[order]
         width = self.dl[pl] * self.dr[pr]
@@ -351,20 +439,38 @@ class _BandLayout:
             for s1, s2, off in band.pairs:
                 self.base[s1, s2] = start + off * nc
                 self.ncols[s1, s2] = nc
-            self.bands.append((band.matrix, start, band.dim, nc))
+            self.bands.append((q, start, band.dim, nc))
             start += band.dim * nc
         self.size, self.pad = start, int(self.dr.max())
 
+        # gather: every (l, p1) row and (p2, r) column of a joined l or r, by new bond charge
+        lsel = np.flatnonzero(joined.any(axis=1))
+        rsel = np.flatnonzero(joined.any(axis=0))
+        row_l, row_p = np.repeat(lsel, nsec), np.tile(np.arange(nsec), len(lsel))
+        col_p, col_r = np.repeat(np.arange(nsec), len(rsel)), np.tile(rsel, nsec)
+        row_q = ql[row_l] + qp[row_p]
+        col_q = qr[col_r] - qp[col_p]
+        self.charges = np.intersect1d(row_q, col_q)
+        order, at = _by_charge(row_q, self.charges)
+        self.rows = np.stack((at, row_l[order], row_p[order]))
+        order, at = _by_charge(col_q, self.charges)
+        self.cols = np.stack((at, col_p[order], col_r[order]))
+        self.row_dims = np.stack((self.dl[self.rows[1]], self.dp[self.rows[2]]))
+        self.col_dims = np.stack((self.dp[self.cols[1]], self.dr[self.cols[2]]))
+        shift, rb, cb, run_len = self.positions(self.rows, self.cols, len(self.charges))
+        self.runs = (shift, run_len, rb, cb, np.cumsum(run_len) - run_len)
+
     def positions(self, rows, cols, nsectors: int):
-        """Buffer position of every entry of a list of sector matrices.
+        """Buffer positions of every entry of a list of sector matrices, by run.
 
         ``rows`` is (sector, l, p1) per row block and ``cols`` is
         (sector, p2, r) per column block, each in layout order; a row block
         spans (a, i1) in C order and a column block (i2, b).  Sector
         matrices follow one another, each in C order.  The b columns of one
         (row, column block, i2) form a run that is contiguous in both
-        layouts, so positions are computed per run.  Returns the positions
-        and the row block, column block and length of every run.
+        layouts.  Returns the shift of every run (see
+        ``charge_tensor.run_positions``), its row block, its column block
+        and its length.
         """
         rsec, rl, rp = rows
         csec, cp, cr = cols
@@ -398,18 +504,17 @@ class _BandLayout:
         )
         band_at[start < 0] = self.size
         run_len = slen[run_seg]
-        shift = band_at - row_at[run_row] - seg_at[run_seg]
-        pos = np.repeat(shift, run_len)
-        pos += np.arange(len(pos))
-        return pos, rb, cb, run_len
+        return band_at - row_at[run_row] - seg_at[run_seg], rb, cb, run_len
 
-    def apply_bands(self, flat: np.ndarray) -> np.ndarray:
-        """Each band block times its matrix in ``flat``, followed by ``pad`` zeros."""
+    def apply_bands(self, flat: np.ndarray, bands) -> np.ndarray:
+        """Each band block of ``flat`` times its matrix in ``bands``
+        (``BondGate.band_table``), followed by ``pad`` zeros."""
         out = np.empty(self.size + self.pad, dtype=np.complex128)
         out[self.size :] = 0.0
-        for matrix, start, dim, nc in self.bands:
+        for q, start, dim, nc in self.bands:
             stop = start + dim * nc
-            np.matmul(matrix, flat[start:stop].reshape(dim, nc), out=out[start:stop].reshape(dim, nc))
+            block = flat[start:stop].reshape(dim, nc)
+            np.matmul(bands[q].matrix, block, out=out[start:stop].reshape(dim, nc))
         return out
 
     def gather(self, gated: np.ndarray):
@@ -422,42 +527,27 @@ class _BandLayout:
         ascending charge and sorted within a matrix; a row or column block
         whose amplitudes are all zero is left out.
         """
-        nsec = len(self.qp)
-        lsel = np.flatnonzero(self.joined.any(axis=1))
-        rsel = np.flatnonzero(self.joined.any(axis=0))
-        row_l, row_p = np.repeat(lsel, nsec), np.tile(np.arange(nsec), len(lsel))
-        col_p, col_r = np.repeat(np.arange(nsec), len(rsel)), np.tile(rsel, nsec)
-        row_q = self.ql[row_l] + self.qp[row_p]
-        col_q = self.qr[col_r] - self.qp[col_p]
-        charges = np.intersect1d(row_q, col_q)
-        order, at = _by_charge(row_q, charges)
-        rows = (at, row_l[order], row_p[order])
-        order, at = _by_charge(col_q, charges)
-        cols = (at, col_p[order], col_r[order])
-        pos, rb, cb, run_len = self.positions(rows, cols, len(charges))
-        values = gated[pos]
-        hit = np.logical_or.reduceat(values != 0, np.cumsum(run_len) - run_len)
-        row_hit = np.zeros(len(rows[0]), dtype=bool)
+        shift, run_len, rb, cb, run_first = self.runs
+        values = gated[run_positions(shift, run_len)]
+        hit = np.logical_or.reduceat(values != 0, run_first)
+        row_hit = np.zeros(self.rows.shape[1], dtype=bool)
         row_hit[rb[hit]] = True
-        col_hit = np.zeros(len(cols[0]), dtype=bool)
+        col_hit = np.zeros(self.cols.shape[1], dtype=bool)
         col_hit[cb[hit]] = True
         values = values[np.repeat(row_hit[rb] & col_hit[cb], run_len)]
 
-        rsec, rl, rp = (v[row_hit] for v in rows)
-        csec, cp, cr = (v[col_hit] for v in cols)
-        row_dims = np.stack((self.dl[rl], self.dp[rp]))
-        col_dims = np.stack((self.dp[cp], self.dr[cr]))
-        n = len(charges)
-        nrows = np.bincount(rsec, row_dims.prod(axis=0), n).astype(np.intp).tolist()
-        ncols = np.bincount(csec, col_dims.prod(axis=0), n).astype(np.intp).tolist()
+        rows, row_dims = self.rows[:, row_hit], self.row_dims[:, row_hit]
+        cols, col_dims = self.cols[:, col_hit], self.col_dims[:, col_hit]
+        n = len(self.charges)
+        nrows = np.bincount(rows[0], row_dims.prod(axis=0), n).astype(np.intp).tolist()
+        ncols = np.bincount(cols[0], col_dims.prod(axis=0), n).astype(np.intp).tolist()
         sectors, at = {}, 0
-        for q, nr, nc in zip(charges.tolist(), nrows, ncols):
+        for q, nr, nc in zip(self.charges.tolist(), nrows, ncols):
             if nr:
                 sectors[q] = values[at : at + nr * nc].reshape(nr, nc)
                 at += nr * nc
-        rows = (charges[rsec], np.stack((rl, rp)), row_dims)
-        cols = (charges[csec], np.stack((cp, cr)), col_dims)
-        return sectors, rows, cols
+        row_blocks = (self.charges[rows[0]], rows[1:], row_dims)
+        return sectors, row_blocks, (self.charges[cols[0]], cols[1:], col_dims)
 
 
 def _by_charge(q: np.ndarray, charges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

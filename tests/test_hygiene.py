@@ -125,11 +125,46 @@ def test_detects_names_in_method():
         method_names(src, "A", "h")
 
 
+def kernel_names(source: str, roots: list[tuple[str, str]]) -> set[str]:
+    """What :func:`names_read` finds in methods ``roots`` (class, method) of a source
+    and in every module-level function or class they name, transitively."""
+    defs = {
+        node.name: node
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    names = set().union(*(method_names(source, cls, method) for cls, method in roots))
+    seen: set[str] = set()
+    while todo := (names & defs.keys()) - seen:
+        for name in todo:
+            names |= names_read(ast.unparse(defs[name]))
+        seen |= todo
+    return names
+
+
+def test_detects_names_in_kernel_helpers():
+    src = (
+        "class A:\n    def f(self, t):\n        return _plan(t)\n"
+        "def _plan(t):\n    return _Layout(t)\n"
+        "class _Layout:\n    def __init__(self, t):\n        self.v = t.tensor()\n"
+        "def _unrelated():\n    return scale_axis\n"
+    )
+    names = kernel_names(src, [("A", "f")])
+    assert {"_plan", "_Layout", "tensor"} <= names
+    assert "scale_axis" not in names
+
+
+# the kernel, its plan lookup and everything they reach in mps_core: the plan
+# builder (``_GatePlan``), ``_BandLayout``, ``_factor_site`` and their helpers
+KERNEL_ROOTS = [("CanonicalMps", "apply_two_site_gate"), ("CanonicalMps", "_gate_plan")]
+
+
 def test_gate_kernel_works_on_sector_matrices_only():
     # the per-block path (block tensors, per-block restore, per-block cut) stays out
     # of the kernel: it stacks, cuts and restores whole sector matrices, and never
-    # converts between them and block tensors
-    names = method_names((SRC / "mps_core.py").read_text(), "CanonicalMps", "apply_two_site_gate")
+    # converts between them and block tensors, neither per gate nor in a plan
+    names = kernel_names((SRC / "mps_core.py").read_text(), KERNEL_ROOTS)
+    assert {"_GatePlan", "_BandLayout", "_factor_site"} <= names
     assert not {"SymmetricTensor", "scale_axis", "_cut", "from_tensor", "tensor"} & names
 
 

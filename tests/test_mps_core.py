@@ -33,12 +33,12 @@ def _identity_plus_off_band(eps: float) -> np.ndarray:
     return dense
 
 
-def _swap_gate() -> BondGate:
-    swap = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            swap[j * 2 + i, i * 2 + j] = 1.0
-    return BondGate(swap, ChargeIndex.occupation(2))
+def _swap_gate(d: int = 2) -> BondGate:
+    swap = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            swap[j * d + i, i * d + j] = 1.0
+    return BondGate(swap, ChargeIndex.occupation(d))
 
 
 def _evolved_superstate(mode: str):
@@ -426,6 +426,174 @@ class TestSectorMatrixStorage:
         assert np.array_equal(s_back.densify(), s.densify())
 
 
+def _plan_target(kind: str):
+    """A run that revisits bond structures: its target, model and truncation policy."""
+    if kind == "bose_hubbard_state":
+        spec = ModelSpec.bose_hubbard(5, 3, 4.0)
+        return from_fock([1, 0, 2, 0, 1], 3), spec, TruncationPolicy(None, 1e-10)
+    if kind == "capped_grand_canonical":
+        spec = ModelSpec.xxz(8, 0.8)
+        return build_observable_superstate(spec, 4, GRAND_CANONICAL), spec, TruncationPolicy(6, 0.0)
+    spec = ModelSpec.bose_hubbard(4, 3, 4.0)
+    return build_observable_superstate(spec, 2, CANONICAL, 4), spec, UNRESTRICTED
+
+
+def _stored(mps: CanonicalMps) -> list:
+    """Every stored site's indices, layout, keys and matrices, and every spectrum, in a row."""
+    out = []
+    for s in mps._sites:
+        out += [(s.indices, s.leg), s.keys, s.flat]
+    for lam in mps.lambdas:
+        for q in sorted(lam):
+            out += [q, lam[q]]
+    return out
+
+
+def _assert_same_stored(a: list, b: list) -> None:
+    assert len(a) == len(b)
+    for u, v in zip(a, b):
+        if isinstance(u, np.ndarray):
+            assert u.dtype == v.dtype and np.array_equal(u, v)
+        else:
+            assert u == v
+
+
+def _fock_superposition(configs, coeffs, d: int) -> CanonicalMps:
+    """sum_k coeffs[k] |configs[k]>, all of one total charge, canonicalized from a
+    chain whose interior bonds hold one state per term, grouped by the term's
+    charge left of the bond."""
+    L, phys = len(configs[0]), ChargeIndex.occupation(d)
+    left = np.cumsum([[0, *c] for c in configs], axis=1)
+    bonds = []  # per bond: its index and every term's (sector, position) on it
+    for m in range(L + 1):
+        q = left[:, m].tolist()
+        if m in (0, L):
+            bonds.append((ChargeIndex.trivial(q[0]), [(0, 0)] * len(q)))
+            continue
+        charges = sorted(set(q))
+        at = [(charges.index(x), q[:k].count(x)) for k, x in enumerate(q)]
+        bonds.append((ChargeIndex(tuple((x, q.count(x)) for x in charges)), at))
+    links = []
+    for m in range(L):
+        (lix, lat), (rix, rat) = bonds[m], bonds[m + 1]
+        blocks = {}
+        for k, c in enumerate(configs):
+            (ls, li), (rs, ri) = lat[k], rat[k]
+            key = (ls, phys.position(c[m]), rs)
+            blk = blocks.setdefault(key, np.zeros((lix.dims[ls], 1, rix.dims[rs]), dtype=complex))
+            blk[li, 0, ri] = coeffs[k] if m == 0 else 1.0
+        links.append(SymmetricTensor((lix, phys, rix), blocks))
+    return canonicalize(links)[0]
+
+
+def _build_a_plan_per_gate(monkeypatch) -> None:
+    """Make every gate build its own plan, so nothing is reused."""
+    monkeypatch.setattr(
+        CanonicalMps, "_gate_plan", lambda self, m, s1, s2, bands: mps_core._GatePlan(s1, s2, bands)
+    )
+
+
+@pytest.fixture
+def plan_builds(monkeypatch) -> list:
+    """Records every gate plan built while the test runs."""
+    built = []
+
+    class Counted(mps_core._GatePlan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(mps_core, "_GatePlan", Counted)
+    return built
+
+
+def _plan_values(obj) -> list:
+    """Every value a gate plan holds, walked down to arrays and scalars."""
+    if isinstance(obj, (list, tuple)):
+        return [x for item in obj for x in _plan_values(item)]
+    if isinstance(obj, mps_core._GatePlan):
+        return _plan_values([getattr(obj, name) for name in mps_core._GatePlan.__slots__])
+    if isinstance(obj, mps_core._BandLayout):
+        return _plan_values(list(vars(obj).values()))
+    return [obj]
+
+
+class TestGatePlans:
+    KINDS = ["bose_hubbard_state", "capped_grand_canonical", "canonical_superstate"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_plan_reuse_is_bit_invisible(self, kind, monkeypatch, plan_builds):
+        runs = []
+        for fresh in (False, True):
+            if fresh:
+                _build_a_plan_per_gate(monkeypatch)
+            target, spec, policy = _plan_target(kind)
+            del plan_builds[:]
+            log = evolve(target, spec, make_schedule(4, 0.25), 1.0, policy)
+            runs.append((_stored(getattr(target, "mps", target)), len(plan_builds), len(log.records)))
+        (reused, built, gates), (fresh, built_fresh, gates_fresh) = runs
+        assert built < gates and built_fresh == gates_fresh == gates
+        if kind == "capped_grand_canonical":
+            assert log.accumulated_cutoff > 0
+        _assert_same_stored(reused, fresh)
+
+    @pytest.mark.parametrize(
+        "configs, gates",
+        [
+            ([(0, 1, 1, 0), (0, 1, 0, 1), (1, 0, 0, 1)], "2i 2s 3s 1s 2s 2i 3s 3s"),
+            ([(0, 0, 1, 1), (1, 0, 0, 1), (1, 1, 0, 0)], "3s 1i 1s 3i 3s 3i 1s 3s"),
+        ],
+        ids=["site_in_the_other_layout", "site_with_other_blocks"],
+    )
+    def test_each_bond_structure_gets_its_own_plan(self, configs, gates, monkeypatch, plan_builds):
+        # exact swaps (s) and identities (i) on a Fock superposition bring a bond
+        # back to a structure that differs from one it holds a plan for only in
+        # one site's layout (first case) or one site's blocks (second case)
+        d = 3
+        ops = {"s": _swap_gate(d), "i": BondGate(np.eye(d * d, dtype=complex), ChargeIndex.occupation(d))}
+        runs = []
+        for fresh in (False, True):
+            if fresh:
+                _build_a_plan_per_gate(monkeypatch)
+            psi = _fock_superposition(configs, [1.0, 2.0j, -3.0], d)
+            del plan_builds[:]
+            for m, op in gates.split():
+                psi.apply_two_site_gate(int(m), ops[op], UNRESTRICTED)
+            runs.append((_stored(psi), len(plan_builds)))
+        (reused, built), (fresh, built_fresh) = runs
+        assert built < built_fresh == len(gates.split())
+        _assert_same_stored(reused, fresh)
+
+    def test_hit_path_is_thread_independent(self, monkeypatch, plan_builds):
+        spec, s = _evolved_superstate(GRAND_CANONICAL)
+        gate = super_gate(bond_gate(spec, 2, 0.37), s.weights)
+        runs = []
+        for threads in ("1", "3"):
+            monkeypatch.setenv("MPODYN_THREADS", threads)
+            x = s.copy()
+            for _ in range(2):
+                x.mps.apply_two_site_gate(2, gate, UNRESTRICTED)
+            built = len(plan_builds)
+            x.mps.apply_two_site_gate(2, gate, UNRESTRICTED)
+            assert len(plan_builds) == built  # the third gate reuses the second's plan
+            runs.append(_stored(x.mps))
+        _assert_same_stored(*runs)
+
+    def test_a_bond_keeps_at_most_two_integer_plans(self):
+        spec, s = _evolved_superstate(GRAND_CANONICAL)
+        evolve(s, spec, make_schedule(4, 0.2), 0.4, UNRESTRICTED)
+        plans = s.mps._plans
+        assert len(plans) == spec.L - 1
+        assert all(len(bond) <= 2 for bond in plans) and any(len(bond) == 2 for bond in plans)
+        for bond in plans:
+            for _, plan in bond:
+                values = _plan_values(plan)
+                arrays = [v for v in values if isinstance(v, np.ndarray)]
+                assert arrays and all(v.dtype.kind in "iu" for v in arrays)
+                others = [v for v in values if not isinstance(v, np.ndarray)]
+                assert all(v is None or isinstance(v, int) for v in others)
+
+
 def _checkpoint_arrays(path) -> dict[str, tuple]:
     """dtype, shape and bytes of every array in a checkpoint, by name."""
     with np.load(path) as data:
@@ -576,6 +744,40 @@ class TestCopiesShareImmutableValues:
             spectra = [{q: v.tobytes() for q, v in s.lambdas[m - 1].items()} for s in (x_mps, y_mps)]
             assert spectra[0] != spectra[1]
         assert _snapshot(x, tmp_path / "x.npz") == _snapshot(twin, tmp_path / "twin.npz")
+
+    @pytest.mark.parametrize("kind", ["swept_left_to_right", "swept_right_to_left", "superstate"])
+    def test_gating_a_copy_with_inherited_plans(self, kind, tmp_path, monkeypatch):
+        # a copy shares the original's plans; its gates reuse them, and neither
+        # the original's sites nor its plan lists move
+        spec = ModelSpec.bose_hubbard(4, 3, 4.0)
+
+        def sweeps(x):
+            mps = getattr(x, "mps", x)
+            rng = np.random.default_rng(11)
+            for m in [*range(1, mps.L), *range(mps.L - 1, 0, -1)] * 2:
+                if kind == "superstate":
+                    gate = super_gate(bond_gate(spec, m, 0.37), x.weights)
+                else:
+                    gate = random_conserving_gate(3, rng)
+                mps.apply_two_site_gate(m, gate, UNRESTRICTED)
+
+        x, twin = _state_of_kind(kind), _state_of_kind(kind)
+        x_mps = getattr(x, "mps", x)
+        plans = [list(bond) for bond in x_mps._plans]
+        assert any(plans)
+        y = x.copy()
+        lookup, used = CanonicalMps._gate_plan, []
+        monkeypatch.setattr(CanonicalMps, "_gate_plan", lambda *args: used.append(lookup(*args)) or used[-1])
+        sweeps(y)
+        inherited = {id(plan) for bond in plans for _, plan in bond}
+        assert any(id(plan) in inherited for plan in used)
+        assert [[(k, id(p)) for k, p in bond] for bond in x_mps._plans] == [
+            [(k, id(p)) for k, p in bond] for bond in plans
+        ]
+        assert _snapshot(x, tmp_path / "x.npz") == _snapshot(twin, tmp_path / "twin.npz")
+        y_twin = _state_of_kind(kind)
+        sweeps(y_twin)
+        assert _snapshot(y, tmp_path / "y.npz") == _snapshot(y_twin, tmp_path / "y_twin.npz")
 
     def test_canonicalize_leaves_its_input_unchanged(self, rng, tmp_path):
         x = random_charge_mps(5, 3, [0, 2, 1, 0, 1], rng)
