@@ -31,7 +31,8 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -87,17 +88,32 @@ class ChargeIndex:
     @cached_property
     def offsets(self) -> tuple[int, ...]:
         """Dense offset of each sector when the leg is laid out sector by sector."""
-        out, acc = [], 0
-        for _, dim in self.sectors:
-            out.append(acc)
-            acc += dim
-        return tuple(out)
+        return tuple(accumulate(self.dims, initial=0))[:-1]
 
     def position(self, charge: int) -> int:
-        for pos, (q, _) in enumerate(self.sectors):
-            if q == charge:
-                return pos
-        raise KeyError(f"no sector with charge {charge}")
+        if charge not in self.charges:
+            raise KeyError(f"no sector with charge {charge}")
+        return self.charges.index(charge)
+
+
+@lru_cache(maxsize=None)
+def pair_bands(index: ChargeIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bands of the two-site space of leg ``index``, one per pair charge q1 + q2.
+
+    Returns the band charges, ascending; each band's dimension; and the
+    (nsectors, nsectors) offset of every sector pair (s1, s2) in its band's
+    basis, which is its sector pairs in sorted order, each spanning (i1, i2)
+    in C order.  Cached per leg, so the arrays are shared: never write them.
+    """
+    q, d = np.array(index.charges, dtype=np.int64), np.array(index.dims, dtype=np.intp)
+    charges, band = np.unique(np.add.outer(q, q).ravel(), return_inverse=True)
+    size = np.outer(d, d).ravel()
+    dims = np.bincount(band, size, len(charges)).astype(np.intp)
+    # pairs come in sorted order, and a stable sort by band keeps that order in each band
+    order = np.argsort(band, kind="stable")
+    offsets = np.empty_like(size)
+    offsets[order] = np.cumsum(size[order]) - size[order] - (np.cumsum(dims) - dims)[band[order]]
+    return charges, dims, offsets.reshape(len(q), len(q))
 
 
 @dataclass
@@ -227,17 +243,18 @@ def contract(a: SymmetricTensor, b: SymmetricTensor) -> SymmetricTensor:
 class TruncationPolicy:
     """Bond truncation budget: hard cap on kept values plus an absolute floor.
 
-    ``chi_max=None`` means no cap.
+    ``chi_max=None`` means no cap, else an integer >= 1; the floor is finite and >= 0.
     """
 
     chi_max: int | None = None
     singular_value_floor: float = 0.0
 
     def __post_init__(self):
-        if self.chi_max is not None and self.chi_max < 1:
-            raise ValueError("chi_max must be >= 1")
-        if self.singular_value_floor < 0:
-            raise ValueError("singular_value_floor must be >= 0")
+        chi, floor = self.chi_max, self.singular_value_floor
+        if chi is not None and (isinstance(chi, bool) or not isinstance(chi, (int, np.integer)) or chi < 1):
+            raise ValueError(f"chi_max must be None or an integer >= 1, got {chi!r}")
+        if not 0 <= floor < np.inf:  # also false for nan
+            raise ValueError(f"singular_value_floor must be finite and >= 0, got {floor!r}")
 
 
 def global_truncation(

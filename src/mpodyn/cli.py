@@ -101,7 +101,7 @@ class RunConfig:
         if not os.path.isdir(os.path.dirname(os.path.abspath(self.output))):
             raise ValueError(f"no directory for --output {self.output}")
         if self.n_sector is not None:
-            if self.observable == "density" and self.n_sector != sum(int(c) for c in self.psi0):
+            if self.observable == "density" and self.n_sector != sum(_occupations(self.psi0)):
                 raise ValueError("--n differs from the particle number of psi0")
             if self.observable != "density" and self.method != CANONICAL:
                 raise ValueError(f"--n needs --method canonical for {self.observable}")
@@ -116,6 +116,13 @@ class RunConfig:
     def record(self) -> dict:
         """The config as a sidecar stores it; ``local_dim`` is the model's own (XXZ: 2)."""
         return dict(dataclasses.asdict(self), local_dim=self.model_spec().d)
+
+
+def _occupations(psi0: str) -> list[int]:
+    """The occupations of a ``--psi0`` string, one digit per site, site 1 first."""
+    if not (psi0.isascii() and psi0.isdigit()):
+        raise ValueError(f"--psi0 takes digits, one occupation per site, got {psi0!r}")
+    return [int(c) for c in psi0]
 
 
 def _write_rows(path: str, rows: list[tuple], header: str) -> None:
@@ -156,7 +163,7 @@ def _run_series(cfg: RunConfig) -> TimeSeries:
             spec, cfg.site, cfg.method, schedule, policy, cfg.t_max, cfg.cutoff_budget, cfg.n_sector
         )
     if cfg.observable == "density":
-        psi0 = [int(c) for c in cfg.psi0]
+        psi0 = _occupations(cfg.psi0)
         return local_density_series(
             spec, psi0, cfg.site, cfg.method, schedule, policy, cfg.t_max, cfg.cutoff_budget
         )
@@ -232,7 +239,7 @@ def cmd_oracle_check(args) -> int:
             ]
             report[f"itac_canonical_N{N}"] = max(devs)
     else:
-        psi0 = [int(c) for c in (args.psi0 or ("01" * spec.L)[: spec.L])]
+        psi0 = _occupations(args.psi0 or ("01" * spec.L)[: spec.L])
         H = sparse.csr_matrix(oracle.dense_hamiltonian(spec).entries)
         v0 = oracle.fock_statevector(psi0, spec.d)
         nmat = oracle.site_operator(np.diag(np.arange(spec.d, dtype=float)), args.site, spec.L)
@@ -261,7 +268,10 @@ def cmd_compare(args) -> int:
             if key not in RUN_KEYS:
                 raise ValueError(f"unknown run key {key!r}")
             field, parse, label = RUN_KEYS[key]
-            changes[field] = parse(val)
+            try:
+                changes[field] = parse(val)
+            except (KeyError, ValueError):
+                raise ValueError(f"--run item {item!r}: {val!r} is not a valid {key}") from None
             labels.append(label(val))
         cfg = dataclasses.replace(base, **changes)
         cfg.validate()
@@ -291,8 +301,9 @@ def cmd_fit(args) -> int:
     times, re = [], []
     with open(args.input) as fh:
         header = fh.readline().strip().split(",")
-        t_col = header.index("t")
-        re_col = header.index("re")
+        if missing := [col for col in ("t", "re") if col not in header]:
+            raise ValueError(f"{args.input} has no column {' or '.join(map(repr, missing))}")
+        t_col, re_col = header.index("t"), header.index("re")
         for line in fh:
             parts = line.strip().split(",")
             times.append(float(parts[t_col]))

@@ -6,7 +6,10 @@ number conservation.  Two-site dense matrices are indexed with the left
 site as the slow (most significant) index, matching ``numpy.kron`` order.
 
 Gate exponentials are computed per charge block by Hermitian
-eigendecomposition, which keeps every block exactly unitary.
+eigendecomposition, which keeps every block exactly unitary.  A
+``BondGate`` slices its band blocks (one per two-site charge) once, when
+it is built, on the band bases of ``charge_tensor.pair_bands``; the gate
+kernel's plans in ``mps_core`` place amplitudes on the same bases.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charge_tensor import ChargeIndex, ChargeMismatchError
+from .charge_tensor import ChargeIndex, ChargeMismatchError, pair_bands
 from .operator_space import LocalOperator, super_site_layout
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -105,21 +108,6 @@ def bond_hamiltonian(spec: ModelSpec, m: int) -> np.ndarray:
     return hop + w_left * np.kron(onsite, np.eye(d)) + w_right * np.kron(np.eye(d), onsite)
 
 
-@dataclass
-class GateBand:
-    """Gate restricted to one two-site charge value.
-
-    ``pairs`` lists the participating (sector1, sector2) combinations with
-    their offset inside the band's fused basis (sector1 slow, then the
-    in-sector positions in C order); ``matrix`` is the dense gate block on
-    that basis.
-    """
-
-    pairs: list[tuple[int, int, int]]
-    dim: int
-    matrix: np.ndarray
-
-
 class BondGate:
     """Two-site gate with charge-conserving block structure.
 
@@ -128,7 +116,8 @@ class BondGate:
     positions to dense basis positions.  The constructor raises
     ``ChargeMismatchError`` when an entry between two-site basis states of
     different total charge exceeds 1e-12 in absolute value, so every
-    ``band_table`` block holds the whole gate.
+    ``band_table`` block holds the whole gate.  It slices the band blocks
+    once, on the bases of ``charge_tensor.pair_bands``.
     """
 
     def __init__(self, dense: np.ndarray, index: ChargeIndex, perm: np.ndarray | None = None):
@@ -138,48 +127,29 @@ class BondGate:
         D = index.dim
         if self.dense.shape != (D * D, D * D):
             raise ValueError("gate matrix has wrong shape")
-        site_q = np.empty(D, dtype=np.int64)
-        site_q[self.perm] = np.repeat(index.charges, index.dims)
-        pair_q = (site_q[:, None] + site_q[None, :]).ravel()
-        if np.any(np.abs(self.dense[pair_q[:, None] != pair_q[None, :]]) > CHARGE_ATOL):
+        layout_q = np.repeat(np.array(index.charges, dtype=np.int64), index.dims)
+        pair_q = np.add.outer(layout_q, layout_q).ravel()
+        # the gate with rows and columns in two-site layout order (j1, j2)
+        dense_at = np.add.outer(self.perm * D, self.perm).ravel()
+        laid = self.dense[np.ix_(dense_at, dense_at)]
+        if np.any(np.abs(laid[pair_q[:, None] != pair_q[None, :]]) > CHARGE_ATOL):
             raise ChargeMismatchError("charge mismatch")
-        self._bands: dict[int, GateBand] | None = None
+        charges, dims, offsets = pair_bands(index)
+        start = np.cumsum(dims) - dims
+        sector = np.repeat(np.arange(index.nsectors), index.dims)
+        inner = np.arange(D) - np.array(index.offsets, dtype=np.intp)[sector]
+        in_band = offsets[np.ix_(sector, sector)] + np.outer(inner, np.array(index.dims)[sector]) + inner
+        # the layout pair at every position of the band bases laid end to end
+        basis = np.argsort(start[np.searchsorted(charges, pair_q)] + in_band.ravel())
+        self._bands = {q: laid[np.ix_(b, b)] for q, b in zip(charges.tolist(), np.split(basis, start[1:]))}
 
     @property
     def d(self) -> int:
         return self.index.dim
 
-    def band_table(self) -> dict[int, GateBand]:
-        """Per two-site charge, the fused pair basis and the dense gate block."""
-        if self._bands is not None:
-            return self._bands
-        index, perm = self.index, self.perm
-        D = index.dim
-        offsets = index.offsets
-        bands: dict[int, dict] = {}
-        for s1 in range(index.nsectors):
-            for s2 in range(index.nsectors):
-                q = index.charges[s1] + index.charges[s2]
-                b = bands.setdefault(q, {"pairs": [], "idx": [], "dim": 0})
-                off = b["dim"]
-                b["pairs"].append((s1, s2, off))
-                d1, d2 = index.dims[s1], index.dims[s2]
-                for a in range(d1):
-                    k1 = perm[offsets[s1] + a]
-                    for c in range(d2):
-                        k2 = perm[offsets[s2] + c]
-                        b["idx"].append(k1 * D + k2)
-                b["dim"] += d1 * d2
-        table = {}
-        for q, b in bands.items():
-            idx = np.array(b["idx"], dtype=np.intp)
-            table[q] = GateBand(
-                pairs=b["pairs"],
-                dim=b["dim"],
-                matrix=self.dense[np.ix_(idx, idx)],
-            )
-        self._bands = table
-        return table
+    def band_table(self) -> dict[int, np.ndarray]:
+        """Per two-site charge, the gate block on that band's basis (``pair_bands``)."""
+        return self._bands
 
 
 def _blockwise_expm(h: np.ndarray, charges: np.ndarray, dt_fraction: float) -> np.ndarray:

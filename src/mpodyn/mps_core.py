@@ -29,12 +29,13 @@ every conservation mode, :meth:`CanonicalMps.apply_two_site_gate`.  It
 works on matrices only: one matmul per centre bond sector builds the
 two-site amplitudes, one matmul per gate band (two-site charge) applies
 the gate, and index arrays move the amplitudes between the layouts.
-Those index arrays form a gate plan (``_GatePlan``), built from charge
-structure alone and holding only integers, positions stored per run of
-contiguous entries.  Its key is both sites' indices, layout and block
-keys, not the gate; each bond keeps its last two plans on the state,
-most recent first, so a gate whose bond looks as it did one or two gates
-ago only moves values.  The kernel and :func:`canonicalize` (through
+Those index arrays form a gate plan (``_GatePlan``), built from the two
+sites' charge structure alone (bands from ``charge_tensor.pair_bands``)
+and holding only integers, positions stored per run of contiguous
+entries.  Its key is what it is built from, both sites' indices, layout
+and block keys, not the gate; each bond keeps its last two plans on the
+state, most recent first, so a gate whose bond looks as it did one or two
+gates ago only moves values.  The kernel and :func:`canonicalize` (through
 ``block_svd``) share ``charge_tensor.truncated_split`` for the sector
 SVDs and the truncation and ``charge_tensor.drop_zero_blocks`` for the
 zero-block cut; the kernel adds only the outer-value divide.
@@ -62,6 +63,7 @@ from .charge_tensor import (
     block_svd,
     contract,
     drop_zero_blocks,
+    pair_bands,
     ragged,
     run_positions,
     scale_axis,
@@ -199,8 +201,7 @@ class CanonicalMps:
         if gate.index.sectors != phys1.sectors or gate.index.sectors != phys2.sectors:
             raise ChargeMismatchError("charge mismatch")
         lam_l, lam_c, lam_r = (self.lambda_at(k) for k in (m - 1, m, m + 1))
-        bands = gate.band_table()
-        plan = self._gate_plan(m, s1, s2, bands)
+        plan = self._gate_plan(m, s1, s2)
         layout = plan.layout
 
         f1, f2 = (
@@ -221,7 +222,7 @@ class CanonicalMps:
             at += nr * nc
         # each stage's buffers go before the next one allocates
         del pos, f1, f2
-        gated = layout.apply_bands(flat, bands)
+        gated = layout.apply_bands(flat, gate.band_table())
         del flat
         sectors, row_blocks, col_blocks = layout.gather(gated)
         del gated
@@ -244,18 +245,18 @@ class CanonicalMps:
             chi_used=bond.dim,
         )
 
-    def _gate_plan(self, m: int, s1: SectorMatrices, s2: SectorMatrices, bands) -> "_GatePlan":
+    def _gate_plan(self, m: int, s1: SectorMatrices, s2: SectorMatrices) -> "_GatePlan":
         """Bond m's plan for the structure of sites ``s1`` and ``s2``.
 
-        The key is both sites' indices, layout and block keys.  A bond
-        keeps its last two plans, most recent first; on a miss the plan is
-        built and the older one goes.
+        The key is both sites' indices, layout and block keys, all that
+        :class:`_GatePlan` reads.  A bond keeps its last two plans, most
+        recent first; on a miss the plan is built and the older one goes.
         """
         key = tuple(x for s in (s1, s2) for x in (s.indices, s.leg, s.keys.tobytes()))
         plans = self._plans[m - 1]
         plan = next((p for k, p in plans if k == key), None)
         if plan is None:
-            plan = _GatePlan(s1, s2, bands)
+            plan = _GatePlan(s1, s2)
         self._plans[m - 1] = [(key, plan)] + [e for e in plans if e[0] != key][:1]
         return plan
 
@@ -339,9 +340,9 @@ def _factor_site(indices, leg: int, mats, blocks, lam: dict[int, np.ndarray]) ->
 class _GatePlan:
     """Index arrays of a gate update at one bond structure; the kernel moves values only.
 
-    Built from the two sites' charge structure and the band table's pair
-    layout, never from amplitudes, spectra or gate matrices, and holds
-    only integers, so every gate at a bond with this structure shares it.
+    Built from the two sites' charge structure alone (bands from
+    ``charge_tensor.pair_bands``), never from amplitudes, spectra or gates,
+    and holds only integers, so every gate at a bond with this structure shares it.
 
     - ``moves``: for a site not stored in the layout the kernel reads
       (left-factor for site m, right-factor for site m+1), the runs of
@@ -359,7 +360,7 @@ class _GatePlan:
 
     __slots__ = ("moves", "centres", "weights", "scatter", "layout")
 
-    def __init__(self, s1: SectorMatrices, s2: SectorMatrices, bands):
+    def __init__(self, s1: SectorMatrices, s2: SectorMatrices):
         (lix, phys, cix), (_, _, rix) = s1.indices, s2.indices
         moved = [None if s.leg == leg else s.relayout() for s, leg in ((s1, 2), (s2, 0))]
         k1, k2 = (s.keys if r is None else r[0] for s, r in zip((s1, s2), moved))
@@ -382,7 +383,7 @@ class _GatePlan:
         left_of[rows[1], rows[0]] = 1
         right_of = np.zeros((len(centres), rix.nsectors), dtype=np.intp)
         right_of[cols[0], cols[2]] = 1
-        self.layout = _BandLayout(bands, lix, phys, rix, left_of @ right_of > 0)
+        self.layout = _BandLayout(lix, phys, rix, left_of @ right_of > 0)
         self.scatter = self.layout.positions(rows, cols, len(centres))[0::3]
         # each matrix row of site m runs over its centre sector's values, of site m+1
         # over its stacked columns
@@ -408,8 +409,8 @@ def _row_runs(shapes: np.ndarray, base) -> tuple[np.ndarray, np.ndarray]:
 class _BandLayout:
     """Where each two-site amplitude of a gate update sits in the band matrices.
 
-    Band q's matrix has the rows (p1, p2, i1, i2) of ``band.pairs`` and the
-    columns (l, r, a, b) for every joined (l, r) pair with
+    Band q's matrix has the rows (p1, p2, i1, i2) of its ``pair_bands`` basis
+    and the columns (l, r, a, b) for every joined (l, r) pair with
     ``charge(r) - charge(l) == q``, pairs in sorted order.  The band
     matrices are stored one after another in one flat buffer of ``size``
     entries, followed by ``pad`` zeros that stand in for amplitudes of
@@ -418,7 +419,7 @@ class _BandLayout:
     The structure half of :meth:`gather` is built here too.
     """
 
-    def __init__(self, bands, lix: ChargeIndex, phys: ChargeIndex, rix: ChargeIndex, joined):
+    def __init__(self, lix: ChargeIndex, phys: ChargeIndex, rix: ChargeIndex, joined):
         self.dl, self.dp, self.dr = (np.array(ix.dims, dtype=np.intp) for ix in (lix, phys, rix))
         ql, qp, qr = (np.array(ix.charges) for ix in (lix, phys, rix))
         pl, pr = np.nonzero(joined)
@@ -430,22 +431,21 @@ class _BandLayout:
         before = np.cumsum(width) - width
         self.colstart = np.full(joined.shape, -1, dtype=np.intp)
         self.colstart[pl, pr] = before - np.repeat(before[first], count)
-        nsec = phys.nsectors
-        self.base = np.zeros((nsec, nsec), dtype=np.intp)
-        self.ncols = np.zeros((nsec, nsec), dtype=np.intp)
-        self.bands, start = [], 0
-        for q, nc in zip(band_qs.tolist(), np.add.reduceat(width, first).tolist()):
-            band = bands[q]
-            for s1, s2, off in band.pairs:
-                self.base[s1, s2] = start + off * nc
-                self.ncols[s1, s2] = nc
-            self.bands.append((q, start, band.dim, nc))
-            start += band.dim * nc
-        self.size, self.pad = start, int(self.dr.max())
+        charges, dims, offsets = pair_bands(phys)
+        used = np.searchsorted(charges, band_qs)
+        ncols = np.zeros(len(charges), dtype=np.intp)  # a band no joined pair reaches gets none
+        ncols[used] = np.add.reduceat(width, first)
+        room = dims * ncols
+        start = np.cumsum(room) - room
+        band = np.searchsorted(charges, np.add.outer(qp, qp))
+        self.base, self.ncols = start[band] + offsets * ncols[band], ncols[band]
+        self.bands = list(zip(*(x[used].tolist() for x in (charges, start, dims, ncols))))
+        self.size, self.pad = int(room.sum()), int(self.dr.max())
 
         # gather: every (l, p1) row and (p2, r) column of a joined l or r, by new bond charge
         lsel = np.flatnonzero(joined.any(axis=1))
         rsel = np.flatnonzero(joined.any(axis=0))
+        nsec = phys.nsectors
         row_l, row_p = np.repeat(lsel, nsec), np.tile(np.arange(nsec), len(lsel))
         col_p, col_r = np.repeat(np.arange(nsec), len(rsel)), np.tile(rsel, nsec)
         row_q = ql[row_l] + qp[row_p]
@@ -514,7 +514,7 @@ class _BandLayout:
         for q, start, dim, nc in self.bands:
             stop = start + dim * nc
             block = flat[start:stop].reshape(dim, nc)
-            np.matmul(bands[q].matrix, block, out=out[start:stop].reshape(dim, nc))
+            np.matmul(bands[q], block, out=out[start:stop].reshape(dim, nc))
         return out
 
     def gather(self, gated: np.ndarray):

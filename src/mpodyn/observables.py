@@ -30,7 +30,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .charge_tensor import TruncationPolicy
 from .evolution import TrotterSchedule, evolve
@@ -301,6 +300,8 @@ def fit_itac(series: TimeSeries, window: tuple[float, float]) -> tuple[FitParams
     t0 at the window start.  Returns canonicalized parameters (B >= 0, t0
     folded into one oscillation period) and the root-mean-square residual.
     """
+    from scipy.optimize import least_squares  # SciPy loads only when a fit runs
+
     t_lo, t_hi = window
     mask = (series.times >= t_lo) & (series.times <= t_hi)
     t = series.times[mask]

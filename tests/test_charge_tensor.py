@@ -12,6 +12,7 @@ from mpodyn.charge_tensor import (
     block_svd,
     contract,
     global_truncation,
+    pair_bands,
     scale_axis,
     SymmetricTensor,
     truncated_split,
@@ -60,6 +61,21 @@ class TestChargeIndex:
         ix = ChargeIndex(((0, 2), (2, 3)))
         assert ix.dim == 5
         assert ix.offsets == (0, 2)
+
+    def test_pair_bands_by_hand(self):
+        # pairs (0,0): charge 0, 1 state; (0,1) and (1,0): charge 1, 2 states each,
+        # (0,1) first; (1,1): charge 2, 4 states
+        charges, dims, offsets = pair_bands(ChargeIndex(((0, 1), (1, 2))))
+        assert charges.tolist() == [0, 1, 2]
+        assert dims.tolist() == [1, 4, 4]
+        assert offsets.tolist() == [[0, 0], [2, 0]]
+
+    def test_pair_bands_with_a_charge_gap(self):
+        # charges 0, 2, 3: the charge pairs (0,2) and (2,0) fill band 2, (0,3) and (3,0) band 3
+        charges, dims, offsets = pair_bands(ChargeIndex(((0, 2), (2, 1), (3, 3))))
+        assert charges.tolist() == [0, 2, 3, 4, 5, 6]
+        assert dims.tolist() == [4, 4, 12, 1, 6, 9]
+        assert offsets.tolist() == [[0, 0, 0], [2, 0, 0], [6, 3, 0]]
 
 
 class TestDensify:
@@ -259,6 +275,22 @@ class TestBlockSvd:
             assert np.array_equal(values1[q], values2[q])
         for key in left1.blocks:
             assert np.array_equal(left1.blocks[key], left2.blocks[key])
+
+
+class TestTruncationPolicy:
+    @pytest.mark.parametrize("chi", [2.5, True, False, 0, -3, "4", np.float64(4.0)])
+    def test_chi_max_must_be_a_positive_integer(self, chi):
+        with pytest.raises(ValueError, match="chi_max"):
+            TruncationPolicy(chi)
+
+    @pytest.mark.parametrize("floor", [math.nan, math.inf, -math.inf, -1e-3])
+    def test_floor_must_be_finite_and_non_negative(self, floor):
+        with pytest.raises(ValueError, match="singular_value_floor"):
+            TruncationPolicy(None, floor)
+
+    @pytest.mark.parametrize("chi", [None, 1, 64, np.int64(8)])
+    def test_accepted_values(self, chi):
+        assert TruncationPolicy(chi, 1e-10).chi_max == chi
 
 
 class TestThreadSetting:

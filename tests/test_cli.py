@@ -224,6 +224,23 @@ class TestSimulate:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("psi0", ["01a1", "0 1", "", "-101"])
+    def test_psi0_must_be_digits(self, tmp_path, capsys, command, psi0):
+        out = tmp_path / "x.csv"
+        run = ["--method", "grand-canonical"] if command == "simulate" else ["--run", "method=brute"]
+        rc = main(
+            [
+                command, "--length", "4", "--site", "2", "--observable", "density",
+                f"--psi0={psi0}", "--tmax", "0.25", "--output", str(out),
+            ]
+            + run
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--psi0 takes digits" in err and repr(psi0) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_missing_output_directory_rejected_before_the_run(
         self, tmp_path, capsys, monkeypatch, command
     ):
@@ -399,6 +416,11 @@ class TestOracleCheck:
         assert rc == 2
         assert "outside 0..1" in capsys.readouterr().err
 
+    def test_psi0_must_be_digits(self, capsys):
+        rc = main(["oracle-check", "--suite", "density", "--length", "4", "--psi0", "01a1"])
+        assert rc == 2
+        assert "--psi0 takes digits" in capsys.readouterr().err
+
     def test_default_site_beyond_short_chain(self, capsys):
         # the default --site 3 does not exist on two sites
         rc = main(["oracle-check", "--suite", "density", "--length", "2", "--tmax", "0.25"])
@@ -456,6 +478,17 @@ class TestCompare:
             assert abs(float(row[1]) - float(row[5])) < 1e-8
 
 
+    @pytest.mark.parametrize("item", ["chi=abc", "n=2.5", "method=exact", "method=canonical,chi="])
+    def test_bad_run_value_names_the_item(self, tmp_path, capsys, item):
+        out = tmp_path / "cmp.csv"
+        rc = main(["compare", "--length", "4", "--site", "2", "--output", str(out), "--run", item])
+        assert rc == 2
+        err = capsys.readouterr().err
+        bad = item.split(",")[-1]
+        assert f"--run item {bad!r}" in err and "is not a valid" in err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_xxz_sidecar_records_model_local_dim(tmp_path, command):
     # XXZ sites are spin-1/2 whatever --d says; the sidecar must say what ran
@@ -487,6 +520,14 @@ class TestFitCommand:
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["kappa"] + 0.62) < 1e-6
         assert abs(payload["A"] - 1.3) < 1e-6
+
+    @pytest.mark.parametrize("header, missing", [("time,re,im", "'t'"), ("t,real", "'re'"), ("x", "'t' or 're'")])
+    def test_missing_column_names_column_and_file(self, tmp_path, capsys, header, missing):
+        path = tmp_path / "series.csv"
+        path.write_text(header + "\n1,2,3\n")
+        rc = main(["fit", "--input", str(path), "--t-lo", "1", "--t-hi", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {path} has no column {missing}\n"
 
     def test_missing_input_exit_code(self, tmp_path, capsys):
         rc = main(["fit", "--input", str(tmp_path / "missing.csv"), "--t-lo", "1", "--t-hi", "2"])

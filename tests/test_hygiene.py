@@ -1,9 +1,12 @@
 """Source hygiene: every name a package module imports is used in it, every
-module-level private function or class is read somewhere in it, and every
+module-level private function or class is read somewhere in it, every
 module-level public function or class is named somewhere in the package,
-its tests or the benchmark."""
+its tests or the benchmark, and importing the package loads no SciPy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -204,3 +207,14 @@ def corpus_names() -> set[str]:
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unnamed_public_definitions(path, corpus_names):
     assert unnamed_public_definitions(path.read_text(), corpus_names) == []
+
+
+def test_import_loads_no_scipy():
+    # SciPy is imported where it is used (fits, the SVD fallback, the dense oracle)
+    code = "import sys, mpodyn; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from mpodyn import oracle
-from mpodyn.charge_tensor import ChargeIndex, ChargeMismatchError
+from mpodyn.charge_tensor import ChargeIndex, ChargeMismatchError, pair_bands
 from mpodyn.models import (
     BondGate,
     ModelSpec,
@@ -17,10 +17,12 @@ from mpodyn.models import (
 )
 from mpodyn.operator_space import (
     BRUTE,
+    CANONICAL,
     GRAND_CANONICAL,
     embed_factor,
     lift_product_operator,
     mode_weights,
+    super_site_layout,
 )
 from mpodyn.charge_tensor import TruncationPolicy
 
@@ -179,6 +181,58 @@ class TestSuperGate:
             sg = super_gate(g, weights)
             pair_q = (site_q[:, None] + site_q[None, :]).ravel()
             assert np.max(np.abs(sg.dense[pair_q[:, None] != pair_q[None, :]])) <= 1e-12
-            band_sq = sum(np.sum(np.abs(b.matrix) ** 2) for b in sg.band_table().values())
+            band_sq = sum(np.sum(np.abs(b) ** 2) for b in sg.band_table().values())
             total_sq = np.sum(np.abs(sg.dense) ** 2)
             assert abs(band_sq - total_sq) <= 1e-12 * total_sq
+
+
+def _bands_by_loops(dense, index, perm):
+    """Per two-site charge the gate block, and every sector pair's offset in its
+    band's basis, built one sector pair and one state at a time: pairs (s1, s2)
+    in sorted order, each spanning (i1, i2)."""
+    D = index.dim
+    bases: dict[int, list] = {}
+    offsets = np.zeros((index.nsectors, index.nsectors), dtype=np.intp)
+    for s1 in range(index.nsectors):
+        for s2 in range(index.nsectors):
+            idx = bases.setdefault(index.charges[s1] + index.charges[s2], [])
+            offsets[s1, s2] = len(idx)
+            for a in range(index.dims[s1]):
+                k1 = perm[index.offsets[s1] + a]
+                for c in range(index.dims[s2]):
+                    idx.append(k1 * D + perm[index.offsets[s2] + c])
+    return {q: dense[np.ix_(idx, idx)] for q, idx in bases.items()}, offsets
+
+
+def _distinct_conserving_matrix(index, perm) -> np.ndarray:
+    """Two-site matrix with a different value at every charge-conserving entry,
+    so any misplaced row or column of a band shows."""
+    site_q = np.empty(index.dim, dtype=np.int64)
+    site_q[perm] = np.repeat(index.charges, index.dims)
+    pair_q = np.add.outer(site_q, site_q).ravel()
+    n = len(pair_q)
+    values = np.arange(1, n * n + 1).reshape(n, n) * (1.0 - 0.5j)
+    return np.where(pair_q[:, None] == pair_q[None, :], values, 0.0)
+
+
+BAND_LEGS = [("occupation", d) for d in (2, 3, 4, 5)] + [
+    (mode, d) for mode in (BRUTE, GRAND_CANONICAL, CANONICAL) for d in (2, 3)
+]
+
+
+@pytest.mark.parametrize("leg, d", BAND_LEGS, ids=[f"{leg}-d{d}" for leg, d in BAND_LEGS])
+def test_bands_match_the_per_sector_loop(leg, d):
+    if leg == "occupation":
+        index, perm = ChargeIndex.occupation(d), np.arange(d)
+    else:
+        index, _, perm = super_site_layout(d, mode_weights(leg, 4, d))
+    dense = _distinct_conserving_matrix(index, perm)
+    got = BondGate(dense, index, perm).band_table()
+    want, want_offsets = _bands_by_loops(dense, index, perm)
+    assert got.keys() == want.keys()
+    for q in want:
+        assert np.array_equal(got[q], want[q]), q
+    charges, dims, offsets = pair_bands(index)
+    assert charges.tolist() == sorted(want)
+    assert dims.tolist() == [len(want[q]) for q in sorted(want)]
+    assert np.array_equal(offsets, want_offsets)

@@ -488,9 +488,7 @@ def _fock_superposition(configs, coeffs, d: int) -> CanonicalMps:
 
 def _build_a_plan_per_gate(monkeypatch) -> None:
     """Make every gate build its own plan, so nothing is reused."""
-    monkeypatch.setattr(
-        CanonicalMps, "_gate_plan", lambda self, m, s1, s2, bands: mps_core._GatePlan(s1, s2, bands)
-    )
+    monkeypatch.setattr(CanonicalMps, "_gate_plan", lambda self, m, s1, s2: mps_core._GatePlan(s1, s2))
 
 
 @pytest.fixture
