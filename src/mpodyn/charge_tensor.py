@@ -96,23 +96,31 @@ class ChargeIndex:
         return self.charges.index(charge)
 
 
+def group_by_charge(q: np.ndarray, size: np.ndarray):
+    """Lay items of charges ``q`` and sizes ``size`` out one group per charge, ascending,
+    in their given order inside a group: the layout of every fused leg, whose items are
+    its sector pairs in sorted order, each spanning (i1, i2) in C order.  Returns the
+    group charges, each group's total size, and each item's group and offset in it."""
+    charges, group = np.unique(q, return_inverse=True)
+    totals = np.bincount(group, size, len(charges)).astype(np.intp)
+    # a stable sort by group keeps the given order inside each group
+    order = np.argsort(group, kind="stable")
+    offset = np.empty(len(group), dtype=np.intp)
+    offset[order] = np.cumsum(size[order]) - size[order] - (np.cumsum(totals) - totals)[group[order]]
+    return charges, totals, group, offset
+
+
 @lru_cache(maxsize=None)
 def pair_bands(index: ChargeIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The bands of the two-site space of leg ``index``, one per pair charge q1 + q2.
 
     Returns the band charges, ascending; each band's dimension; and the
     (nsectors, nsectors) offset of every sector pair (s1, s2) in its band's
-    basis, which is its sector pairs in sorted order, each spanning (i1, i2)
-    in C order.  Cached per leg, so the arrays are shared: never write them.
+    basis (:func:`group_by_charge`).  Cached per leg, so the arrays are
+    shared: never write them.
     """
     q, d = np.array(index.charges, dtype=np.int64), np.array(index.dims, dtype=np.intp)
-    charges, band = np.unique(np.add.outer(q, q).ravel(), return_inverse=True)
-    size = np.outer(d, d).ravel()
-    dims = np.bincount(band, size, len(charges)).astype(np.intp)
-    # pairs come in sorted order, and a stable sort by band keeps that order in each band
-    order = np.argsort(band, kind="stable")
-    offsets = np.empty_like(size)
-    offsets[order] = np.cumsum(size[order]) - size[order] - (np.cumsum(dims) - dims)[band[order]]
+    charges, dims, _, offsets = group_by_charge(np.add.outer(q, q).ravel(), np.outer(d, d).ravel())
     return charges, dims, offsets.reshape(len(q), len(q))
 
 

@@ -100,12 +100,15 @@ class RunConfig:
             raise ValueError(f"--psi0 is read only by the density observable, not {self.observable}")
         if not os.path.isdir(os.path.dirname(os.path.abspath(self.output))):
             raise ValueError(f"no directory for --output {self.output}")
+        # the model and the policy check their own fields, before any run starts
+        spec = self.model_spec()
+        TruncationPolicy(self.chi, 0.0)
         if self.n_sector is not None:
             if self.observable == "density" and self.n_sector != sum(_occupations(self.psi0)):
                 raise ValueError("--n differs from the particle number of psi0")
             if self.observable != "density" and self.method != CANONICAL:
                 raise ValueError(f"--n needs --method canonical for {self.observable}")
-            if not 0 <= self.n_sector <= self.length * (self.model_spec().d - 1):
+            if not 0 <= self.n_sector <= self.length * (spec.d - 1):
                 raise ValueError("infeasible particle number")
 
     def model_spec(self) -> ModelSpec:

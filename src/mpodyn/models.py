@@ -58,7 +58,7 @@ def identity_local(d: int) -> LocalOperator:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Model family plus couplings; ``d`` is the local dimension."""
+    """Model family plus finite couplings; ``d`` is the local dimension."""
 
     kind: str
     L: int
@@ -72,6 +72,9 @@ class ModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.d < 2 or self.L < 2:
             raise ValueError("need d >= 2 and L >= 2")
+        for name in ("delta", "hopping", "interaction"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
     @classmethod
     def xxz(cls, L: int, delta: float) -> "ModelSpec":

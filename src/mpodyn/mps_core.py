@@ -29,16 +29,17 @@ every conservation mode, :meth:`CanonicalMps.apply_two_site_gate`.  It
 works on matrices only: one matmul per centre bond sector builds the
 two-site amplitudes, one matmul per gate band (two-site charge) applies
 the gate, and index arrays move the amplitudes between the layouts.
-Those index arrays form a gate plan (``_GatePlan``), built from the two
-sites' charge structure alone (bands from ``charge_tensor.pair_bands``)
-and holding only integers, positions stored per run of contiguous
-entries.  Its key is what it is built from, both sites' indices, layout
-and block keys, not the gate; each bond keeps its last two plans on the
-state, most recent first, so a gate whose bond looks as it did one or two
-gates ago only moves values.  The kernel and :func:`canonicalize` (through
-``block_svd``) share ``charge_tensor.truncated_split`` for the sector
-SVDs and the truncation and ``charge_tensor.drop_zero_blocks`` for the
-zero-block cut; the kernel adds only the outer-value divide.
+Those index arrays are one gate plan (``_GatePlan``), built from the two
+sites' charge structure alone, band rows and columns both laid out by
+``charge_tensor.group_by_charge``, and holding only integers, positions
+stored per run of contiguous entries.  Its key is what it is built from,
+both sites' indices, layout and block keys, not the gate; each bond keeps
+its last two plans on the state, most recent first, so a gate whose bond
+looks as it did one or two gates ago only moves values.  The kernel and
+:func:`canonicalize` (through ``block_svd``) share
+``charge_tensor.truncated_split`` for the sector SVDs and the truncation
+and ``charge_tensor.drop_zero_blocks`` for the zero-block cut; the kernel
+adds only the outer-value divide.
 
 Open boundaries only: the outer bonds are one-dimensional.  Singular
 values below ``LAMBDA_FLOOR`` are dropped outright; restoring Vidal form
@@ -63,6 +64,7 @@ from .charge_tensor import (
     block_svd,
     contract,
     drop_zero_blocks,
+    group_by_charge,
     pair_bands,
     ragged,
     run_positions,
@@ -202,7 +204,6 @@ class CanonicalMps:
             raise ChargeMismatchError("charge mismatch")
         lam_l, lam_c, lam_r = (self.lambda_at(k) for k in (m - 1, m, m + 1))
         plan = self._gate_plan(m, s1, s2)
-        layout = plan.layout
 
         f1, f2 = (
             s.flat if move is None else s.flat[run_positions(*move)] for s, move in zip((s1, s2), plan.moves)
@@ -213,7 +214,7 @@ class CanonicalMps:
             lam_c, cix, run_positions(shift1, len1)
         )
         f2 = f2 * _outer_values(lam_r, rix, outer2[run_positions(shift2, len2)])
-        flat = np.zeros(layout.size, dtype=np.complex128)
+        flat = np.zeros(plan.size, dtype=np.complex128)
         pos = run_positions(*plan.scatter)
         at = 0
         for a0, (nr, k), b0, (_, nc) in plan.centres:
@@ -222,9 +223,9 @@ class CanonicalMps:
             at += nr * nc
         # each stage's buffers go before the next one allocates
         del pos, f1, f2
-        gated = layout.apply_bands(flat, gate.band_table())
+        gated = plan.apply_bands(flat, gate.band_table())
         del flat
-        sectors, row_blocks, col_blocks = layout.gather(gated)
+        sectors, row_blocks, col_blocks = plan.gather(gated)
         del gated
 
         floor = max(policy.singular_value_floor, LAMBDA_FLOOR)
@@ -321,7 +322,7 @@ def _factor_site(indices, leg: int, mats, blocks, lam: dict[int, np.ndarray]) ->
     (``leg == 0``) of each new bond charge, cut by ``drop_zero_blocks`` as
     ``block_svd`` cuts, with the outer bond's values divided out of its rows
     (columns), which restores Vidal form.  ``blocks`` is what
-    ``_BandLayout.gather`` returns for the rows (columns).
+    ``_GatePlan.gather`` returns for the rows (columns).
     """
     charge, keys, dims = blocks
     mats, keys = drop_zero_blocks(mats, leg, charge, keys, dims.prod(axis=0), indices[leg])
@@ -340,9 +341,16 @@ def _factor_site(indices, leg: int, mats, blocks, lam: dict[int, np.ndarray]) ->
 class _GatePlan:
     """Index arrays of a gate update at one bond structure; the kernel moves values only.
 
-    Built from the two sites' charge structure alone (bands from
-    ``charge_tensor.pair_bands``), never from amplitudes, spectra or gates,
-    and holds only integers, so every gate at a bond with this structure shares it.
+    Built from the two sites' charge structure alone, never from
+    amplitudes, spectra or gates, and holds only integers, so every gate at
+    a bond with this structure shares it.
+
+    Band q's matrix has the rows (p1, p2, i1, i2) of its
+    ``charge_tensor.pair_bands`` basis and the columns (l, r, a, b) of every
+    joined (l, r) pair with ``charge(r) - charge(l) == q``, pairs laid out by
+    ``charge_tensor.group_by_charge``.  The band matrices follow one another
+    in one flat buffer of ``size`` entries, then ``pad`` zeros that stand in
+    for amplitudes of (l, r) pairs no band holds.
 
     - ``moves``: for a site not stored in the layout the kernel reads
       (left-factor for site m, right-factor for site m+1), the runs of
@@ -355,10 +363,13 @@ class _GatePlan:
       matrix row the run over those columns;
     - ``scatter``: the runs (shift, length) that put the centre products
       into the band buffer;
-    - ``layout``: the :class:`_BandLayout`.
+    - ``bands``: each band's charge, start, dimension and column count; the
+      gate's matrices are read per call;
+    - the rest: what :meth:`positions` and :meth:`gather` read.
     """
 
-    __slots__ = ("moves", "centres", "weights", "scatter", "layout")
+    __slots__ = ("moves", "centres", "weights", "scatter", "bands", "size", "pad", "dl", "dp", "dr",
+                 "colstart", "base", "ncols", "charges", "rows", "cols", "row_dims", "col_dims", "runs")
 
     def __init__(self, s1: SectorMatrices, s2: SectorMatrices):
         (lix, phys, cix), (_, _, rix) = s1.indices, s2.indices
@@ -383,64 +394,24 @@ class _GatePlan:
         left_of[rows[1], rows[0]] = 1
         right_of = np.zeros((len(centres), rix.nsectors), dtype=np.intp)
         right_of[cols[0], cols[2]] = 1
-        self.layout = _BandLayout(lix, phys, rix, left_of @ right_of > 0)
-        self.scatter = self.layout.positions(rows, cols, len(centres))[0::3]
-        # each matrix row of site m runs over its centre sector's values, of site m+1
-        # over its stacked columns
-        dp, offsets = dims1[1], np.array(cix.offsets, dtype=np.intp)
-        shapes1, shapes2 = (
-            np.array([m[3] for m in mats], dtype=np.intp).reshape(-1, 2) for mats in (left, right)
-        )
-        self.weights = (
-            (_outer_index(lix, k1[0], dp[k1[1]], 2), *_row_runs(shapes1, offsets[[m[0] for m in left]])),
-            (_outer_index(rix, k2[2], dp[k2[1]], 0), *_row_runs(shapes2, [m[1] for m in right])),
-        )
-
-
-def _row_runs(shapes: np.ndarray, base) -> tuple[np.ndarray, np.ndarray]:
-    """Runs (shift, length) that give ``base[j]`` plus the column for every entry of
-    matrices of ``shapes`` laid end to end, each in C order, one run per row of
-    matrix j (see ``charge_tensor.run_positions``)."""
-    row_of = np.repeat(np.arange(len(shapes)), shapes[:, 0])
-    length = shapes[row_of, 1]
-    return np.asarray(base, dtype=np.intp)[row_of] - (np.cumsum(length) - length), length
-
-
-class _BandLayout:
-    """Where each two-site amplitude of a gate update sits in the band matrices.
-
-    Band q's matrix has the rows (p1, p2, i1, i2) of its ``pair_bands`` basis
-    and the columns (l, r, a, b) for every joined (l, r) pair with
-    ``charge(r) - charge(l) == q``, pairs in sorted order.  The band
-    matrices are stored one after another in one flat buffer of ``size``
-    entries, followed by ``pad`` zeros that stand in for amplitudes of
-    (l, r) pairs no band holds.  ``bands`` holds each band's charge, start,
-    dimension and column count; the gate's matrices are read per call.
-    The structure half of :meth:`gather` is built here too.
-    """
-
-    def __init__(self, lix: ChargeIndex, phys: ChargeIndex, rix: ChargeIndex, joined):
-        self.dl, self.dp, self.dr = (np.array(ix.dims, dtype=np.intp) for ix in (lix, phys, rix))
+        joined = left_of @ right_of > 0
+        self.dl, self.dp, self.dr = dl, dp, dr = dims1[0], dims1[1], dims2[2]
         ql, qp, qr = (np.array(ix.charges) for ix in (lix, phys, rix))
         pl, pr = np.nonzero(joined)
-        pq = qr[pr] - ql[pl]
-        order = np.argsort(pq, kind="stable")
-        pl, pr, pq = pl[order], pr[order], pq[order]
-        width = self.dl[pl] * self.dr[pr]
-        band_qs, first, count = np.unique(pq, return_index=True, return_counts=True)
-        before = np.cumsum(width) - width
+        band_qs, band_ncols, _, colstart = group_by_charge(qr[pr] - ql[pl], dl[pl] * dr[pr])
         self.colstart = np.full(joined.shape, -1, dtype=np.intp)
-        self.colstart[pl, pr] = before - np.repeat(before[first], count)
-        charges, dims, offsets = pair_bands(phys)
+        self.colstart[pl, pr] = colstart
+        charges, dims, pair_at = pair_bands(phys)
         used = np.searchsorted(charges, band_qs)
         ncols = np.zeros(len(charges), dtype=np.intp)  # a band no joined pair reaches gets none
-        ncols[used] = np.add.reduceat(width, first)
+        ncols[used] = band_ncols
         room = dims * ncols
         start = np.cumsum(room) - room
         band = np.searchsorted(charges, np.add.outer(qp, qp))
-        self.base, self.ncols = start[band] + offsets * ncols[band], ncols[band]
+        self.base, self.ncols = start[band] + pair_at * ncols[band], ncols[band]
         self.bands = list(zip(*(x[used].tolist() for x in (charges, start, dims, ncols))))
-        self.size, self.pad = int(room.sum()), int(self.dr.max())
+        self.size, self.pad = int(room.sum()), int(dr.max())
+        self.scatter = self.positions(rows, cols, len(centres))[0::3]
 
         # gather: every (l, p1) row and (p2, r) column of a joined l or r, by new bond charge
         lsel = np.flatnonzero(joined.any(axis=1))
@@ -455,10 +426,21 @@ class _BandLayout:
         self.rows = np.stack((at, row_l[order], row_p[order]))
         order, at = _by_charge(col_q, self.charges)
         self.cols = np.stack((at, col_p[order], col_r[order]))
-        self.row_dims = np.stack((self.dl[self.rows[1]], self.dp[self.rows[2]]))
-        self.col_dims = np.stack((self.dp[self.cols[1]], self.dr[self.cols[2]]))
+        self.row_dims = np.stack((dl[self.rows[1]], dp[self.rows[2]]))
+        self.col_dims = np.stack((dp[self.cols[1]], dr[self.cols[2]]))
         shift, rb, cb, run_len = self.positions(self.rows, self.cols, len(self.charges))
         self.runs = (shift, run_len, rb, cb, np.cumsum(run_len) - run_len)
+
+        # each matrix row of site m runs over its centre sector's values, of site m+1
+        # over its stacked columns
+        offsets = np.array(cix.offsets, dtype=np.intp)
+        shapes1, shapes2 = (
+            np.array([m[3] for m in mats], dtype=np.intp).reshape(-1, 2) for mats in (left, right)
+        )
+        self.weights = (
+            (_outer_index(lix, k1[0], dp[k1[1]], 2), *_row_runs(shapes1, offsets[[m[0] for m in left]])),
+            (_outer_index(rix, k2[2], dp[k2[1]], 0), *_row_runs(shapes2, [m[1] for m in right])),
+        )
 
     def positions(self, rows, cols, nsectors: int):
         """Buffer positions of every entry of a list of sector matrices, by run.
@@ -548,6 +530,15 @@ class _BandLayout:
                 at += nr * nc
         row_blocks = (self.charges[rows[0]], rows[1:], row_dims)
         return sectors, row_blocks, (self.charges[cols[0]], cols[1:], col_dims)
+
+
+def _row_runs(shapes: np.ndarray, base) -> tuple[np.ndarray, np.ndarray]:
+    """Runs (shift, length) that give ``base[j]`` plus the column for every entry of
+    matrices of ``shapes`` laid end to end, each in C order, one run per row of
+    matrix j (see ``charge_tensor.run_positions``)."""
+    row_of = np.repeat(np.arange(len(shapes)), shapes[:, 0])
+    length = shapes[row_of, 1]
+    return np.asarray(base, dtype=np.intp)[row_of] - (np.cumsum(length) - length), length
 
 
 def _by_charge(q: np.ndarray, charges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -36,6 +36,7 @@ from .charge_tensor import (
     ChargeMismatchError,
     SymmetricTensor,
     ZeroNormError,
+    group_by_charge,
 )
 from . import mps_core
 from .mps_core import CanonicalMps
@@ -293,27 +294,16 @@ def expectation_in_state(s: SuperState, psi: CanonicalMps) -> complex:
     return complex(s.prefactor * env[0, 0, 0])
 
 
-def _merged_pair_index(
-    ix_t: ChargeIndex, ix_o: ChargeIndex, w_out: int
-) -> tuple[ChargeIndex, dict[tuple[int, int], tuple[int, int]]]:
-    """Bond index of a composed chain: sector pairs grouped by combined charge,
-    qt - w_out*qo for a target charge qt and a grand-canonical operator's qo.
-
-    Returns the merged index and, per (t-sector, o-sector) pair, the target
-    (merged sector position, offset inside it).
-    """
-    pairs = []
-    for pt, (qt, dt) in enumerate(ix_t.sectors):
-        for po, (qo, do) in enumerate(ix_o.sectors):
-            pairs.append((qt - w_out * qo, pt, po, dt * do))
-    charges = sorted({q for q, _, _, _ in pairs})
-    dims = {q: 0 for q in charges}
-    placement: dict[tuple[int, int], tuple[int, int]] = {}
-    for q, pt, po, size in sorted(pairs, key=lambda e: (e[0], e[1], e[2])):
-        placement[(pt, po)] = (charges.index(q), dims[q])
-        dims[q] += size
-    merged = ChargeIndex(tuple((q, dims[q]) for q in charges))
-    return merged, placement
+def _merged_pair_index(ix_t: ChargeIndex, ix_o: ChargeIndex, w_out: int):
+    """Bond index of a composed chain, its (t-sector, o-sector) pairs laid out by
+    ``group_by_charge`` on the combined charge qt - w_out*qo (a target charge qt, a
+    grand-canonical operator's qo), and two (nt, no) tables, nested lists: each
+    pair's merged sector position and its offset inside that sector."""
+    (qt, dt), (qo, do) = (np.array(ix.sectors, dtype=np.int64).T for ix in (ix_t, ix_o))
+    q = np.subtract.outer(qt, w_out * qo)
+    charges, dims, sec, off = group_by_charge(q.ravel(), np.outer(dt, do).ravel())
+    merged = ChargeIndex(tuple(zip(charges.tolist(), dims.tolist())))
+    return merged, sec.reshape(q.shape).tolist(), off.reshape(q.shape).tolist()
 
 
 def out_chain_compose(op_s: SuperState, target: SuperState) -> SuperState:
@@ -343,19 +333,19 @@ def out_chain_compose(op_s: SuperState, target: SuperState) -> SuperState:
     state_pos = {ji: (sec, p) for sec, lst in enumerate(t_states) for p, ji in enumerate(lst)}
 
     site_tensors = []
-    left_ix, left_place = _merged_pair_index(
+    left_ix, left_sec, left_off = _merged_pair_index(
         target.mps.bond_index(0), op_s.mps.bond_index(0), w_out
     )
     for m in range(1, L + 1):
-        right_ix, right_place = _merged_pair_index(
+        right_ix, right_sec, right_off = _merged_pair_index(
             target.mps.bond_index(m), op_s.mps.bond_index(m), w_out
         )
         tt, to = target.mps.site_tensor(m), op_s.mps.site_tensor(m)
         blocks: dict[tuple[int, int, int], np.ndarray] = {}
         for (pt, st, pt2), bt in tt.blocks.items():
             for (po, so, po2), bo in to.blocks.items():
-                lsec, loff = left_place[(pt, po)]
-                rsec, roff = right_place[(pt2, po2)]
+                lsec, loff = left_sec[pt][po], left_off[pt][po]
+                rsec, roff = right_sec[pt2][po2], right_off[pt2][po2]
                 rows, cols = bt.shape[0] * bo.shape[0], bt.shape[2] * bo.shape[2]
                 for p, (j, i) in enumerate(t_states[st]):
                     for q, (i_o, x) in enumerate(o_states[so]):
@@ -378,7 +368,7 @@ def out_chain_compose(op_s: SuperState, target: SuperState) -> SuperState:
         )
         composed.validate()
         site_tensors.append(composed)
-        left_ix, left_place = right_ix, right_place
+        left_ix, left_sec, left_off = right_ix, right_sec, right_off
 
     try:
         new_mps, factor = mps_core.canonicalize(site_tensors)

@@ -12,6 +12,7 @@ from mpodyn.charge_tensor import (
     block_svd,
     contract,
     global_truncation,
+    group_by_charge,
     pair_bands,
     scale_axis,
     SymmetricTensor,
@@ -76,6 +77,32 @@ class TestChargeIndex:
         assert charges.tolist() == [0, 2, 3, 4, 5, 6]
         assert dims.tolist() == [4, 4, 12, 1, 6, 9]
         assert offsets.tolist() == [[0, 0, 0], [2, 0, 0], [6, 3, 0]]
+
+
+class TestGroupByCharge:
+    def test_charge_gap(self):
+        # no item has charge 3 or 4: the groups are 2 then 5, each in item order
+        charges, totals, group, offset = group_by_charge(np.array([5, 2, 5, 2]), np.array([3, 1, 2, 4]))
+        assert charges.tolist() == [2, 5]
+        assert totals.tolist() == [5, 5]
+        assert group.tolist() == [1, 0, 1, 0]
+        assert offset.tolist() == [0, 0, 3, 1]
+
+    def test_single_group(self):
+        charges, totals, group, offset = group_by_charge(np.array([-1, -1, -1]), np.array([2, 3, 1]))
+        assert charges.tolist() == [-1]
+        assert totals.tolist() == [6]
+        assert group.tolist() == [0, 0, 0]
+        assert offset.tolist() == [0, 2, 5]
+
+    def test_order_is_kept_inside_a_group(self):
+        # the same items listed in another order take other places in their groups
+        q, size = np.array([1, 0, 1, 1, 0]), np.array([2, 1, 3, 1, 4])
+        charges, totals, group, offset = group_by_charge(q, size)
+        assert (charges.tolist(), totals.tolist()) == ([0, 1], [5, 6])
+        assert offset.tolist() == [0, 0, 2, 5, 1]
+        rev = group_by_charge(q[::-1], size[::-1])[3]
+        assert rev[::-1].tolist() == [4, 4, 1, 0, 0]
 
 
 class TestDensify:

@@ -166,6 +166,36 @@ class TestSimulate:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize(
+        "model,flag,value",
+        [
+            ("xxz", "--delta", "nan"),
+            ("xxz", "--delta", "-inf"),
+            ("bose-hubbard", "--interaction", "inf"),
+            ("bose-hubbard", "--hopping", "nan"),
+        ],
+    )
+    def test_non_finite_coupling_names_the_field(
+        self, tmp_path, capsys, monkeypatch, command, model, flag, value
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "_run_series", lambda cfg: calls.append(cfg))
+        out = tmp_path / "x.csv"
+        run = ["--method", "grand-canonical"] if command == "simulate" else ["--run", "method=brute"]
+        rc = main(
+            [
+                command, "--model", model, "--d", "3", "--length", "4", "--site", "2",
+                "--observable", "density", "--psi0", "0101", "--dt", "0.25", "--tmax", "0.25",
+                f"{flag}={value}", "--output", str(out),
+            ]
+            + run
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{flag[2:]} must be finite" in err and "Traceback" not in err
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_density_particle_number_must_match_psi0(self, tmp_path, capsys, command):
         # psi0 = 0101 holds two bosons; --n 3 would be recorded but not run
         out = tmp_path / "x.csv"
@@ -421,6 +451,22 @@ class TestOracleCheck:
         assert rc == 2
         assert "--psi0 takes digits" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args,field",
+        [
+            (["--delta", "nan"], "delta"),
+            (
+                ["--suite", "density", "--model", "bose-hubbard", "--d", "3", "--interaction", "inf"],
+                "interaction",
+            ),
+        ],
+    )
+    def test_non_finite_coupling_names_the_field(self, capsys, args, field):
+        rc = main(["oracle-check", "--length", "4", "--tmax", "0.25"] + args)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{field} must be finite" in err and "Traceback" not in err
+
     def test_default_site_beyond_short_chain(self, capsys):
         # the default --site 3 does not exist on two sites
         rc = main(["oracle-check", "--suite", "density", "--length", "2", "--tmax", "0.25"])
@@ -487,6 +533,21 @@ class TestCompare:
         bad = item.split(",")[-1]
         assert f"--run item {bad!r}" in err and "is not a valid" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("chi", ["0", "-2"])
+    def test_bad_chi_in_a_later_run_stops_before_any_run(self, tmp_path, capsys, monkeypatch, chi):
+        calls = []
+        monkeypatch.setattr(cli, "_run_series", lambda cfg: calls.append(cfg))
+        out = tmp_path / "cmp.csv"
+        rc = main(
+            [
+                "compare", "--length", "8", "--site", "4", "--tmax", "3", "--dt", "0.25",
+                "--output", str(out), "--run", "chi=32", "--run", f"chi={chi}",
+            ]
+        )
+        assert rc == 2
+        assert f"chi_max must be None or an integer >= 1, got {chi}" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])

@@ -158,7 +158,7 @@ def test_detects_names_in_kernel_helpers():
 
 
 # the kernel, its plan lookup and everything they reach in mps_core: the plan
-# builder (``_GatePlan``), ``_BandLayout``, ``_factor_site`` and their helpers
+# builder (``_GatePlan``), ``_factor_site`` and their helpers
 KERNEL_ROOTS = [("CanonicalMps", "apply_two_site_gate"), ("CanonicalMps", "_gate_plan")]
 
 
@@ -167,7 +167,7 @@ def test_gate_kernel_works_on_sector_matrices_only():
     # of the kernel: it stacks, cuts and restores whole sector matrices, and never
     # converts between them and block tensors, neither per gate nor in a plan
     names = kernel_names((SRC / "mps_core.py").read_text(), KERNEL_ROOTS)
-    assert {"_GatePlan", "_BandLayout", "_factor_site"} <= names
+    assert {"_GatePlan", "_factor_site"} <= names
     assert not {"SymmetricTensor", "scale_axis", "_cut", "from_tensor", "tensor"} & names
 
 

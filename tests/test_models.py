@@ -31,6 +31,15 @@ from conftest import random_conserving_gate
 UNRESTRICTED = TruncationPolicy(None, 0.0)
 
 
+class TestModelSpec:
+    @pytest.mark.parametrize("field", ["delta", "hopping", "interaction"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_coupling_names_the_field(self, field, value):
+        for kind, d in (("xxz", 2), ("bose_hubbard", 3)):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                ModelSpec(kind, 4, d, **{field: value})
+
+
 class TestBondHamiltonian:
     def test_xxz_flip_flop_amplitude(self):
         h = bond_hamiltonian(ModelSpec.xxz(4, 0.0), 1)

@@ -248,14 +248,14 @@ class TestGateApplication:
 
     def test_sector_matrices_have_no_zero_row_or_column_block(self, monkeypatch):
         seen = []
-        gather = mps_core._BandLayout.gather
+        gather = mps_core._GatePlan.gather
 
-        def spy(layout, gated):
-            out = gather(layout, gated)
+        def spy(plan, gated):
+            out = gather(plan, gated)
             seen.append(out)
             return out
 
-        monkeypatch.setattr(mps_core._BandLayout, "gather", spy)
+        monkeypatch.setattr(mps_core._GatePlan, "gather", spy)
         # swaps on a Fock state leave most (l, p1) x (p2, r) blocks zero
         psi = from_fock([0, 1, 1, 0], 2)
         for m in (1, 2, 3):
@@ -511,8 +511,6 @@ def _plan_values(obj) -> list:
         return [x for item in obj for x in _plan_values(item)]
     if isinstance(obj, mps_core._GatePlan):
         return _plan_values([getattr(obj, name) for name in mps_core._GatePlan.__slots__])
-    if isinstance(obj, mps_core._BandLayout):
-        return _plan_values(list(vars(obj).values()))
     return [obj]
 
 

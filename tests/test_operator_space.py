@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mpodyn import oracle
-from mpodyn.charge_tensor import ChargeMismatchError, SymmetricTensor, TruncationPolicy
+from mpodyn.charge_tensor import ChargeIndex, ChargeMismatchError, SymmetricTensor, TruncationPolicy
 from mpodyn.evolution import evolve, make_schedule
 from mpodyn.models import (
     SIGMA_Z,
@@ -16,6 +16,7 @@ from mpodyn.models import (
 )
 from mpodyn.mps_core import CanonicalMps, from_fock
 from mpodyn.operator_space import (
+    _merged_pair_index,
     BRUTE,
     CANONICAL,
     GRAND_CANONICAL,
@@ -270,6 +271,41 @@ class TestOutChainCompose:
         target = make_target()
         with pytest.raises(ChargeMismatchError, match="charge mismatch"):
             out_chain_compose(_charge_breaking_operator(target.L), target)
+
+
+def _merged_pair_loop(ix_t, ix_o, w_out):
+    """The per-pair loop ``_merged_pair_index`` replaced: the merged index and
+    {(pt, po): (merged sector, offset)}."""
+    pairs = []
+    for pt, (qt, dt) in enumerate(ix_t.sectors):
+        for po, (qo, do) in enumerate(ix_o.sectors):
+            pairs.append((qt - w_out * qo, pt, po, dt * do))
+    charges = sorted({q for q, _, _, _ in pairs})
+    dims = {q: 0 for q in charges}
+    placement = {}
+    for q, pt, po, size in sorted(pairs, key=lambda e: (e[0], e[1], e[2])):
+        placement[(pt, po)] = (charges.index(q), dims[q])
+        dims[q] += size
+    return ChargeIndex(tuple((q, dims[q]) for q in charges)), placement
+
+
+def _random_bond(rng):
+    charges = np.sort(rng.choice(np.arange(-4, 7), size=rng.integers(1, 6), replace=False))
+    return ChargeIndex(tuple((int(q), int(rng.integers(1, 5))) for q in charges))
+
+
+# 0, -1 and 1 are the out-weights of brute, grand-canonical and canonical targets
+@pytest.mark.parametrize("w_out", [0, -1, 1])
+def test_merged_pair_index_matches_the_pair_loop(rng, w_out):
+    for _ in range(25):
+        ix_t, ix_o = _random_bond(rng), _random_bond(rng)
+        merged, sec, off = _merged_pair_index(ix_t, ix_o, w_out)
+        want, placement = _merged_pair_loop(ix_t, ix_o, w_out)
+        assert merged == want
+        assert all(isinstance(x, int) for q, n in merged.sectors for x in (q, n))
+        assert np.shape(sec) == np.shape(off) == (ix_t.nsectors, ix_o.nsectors)
+        pairs = np.ndindex(ix_t.nsectors, ix_o.nsectors)
+        assert {(pt, po): (sec[pt][po], off[pt][po]) for pt, po in pairs} == placement
 
 
 class TestTraces:
