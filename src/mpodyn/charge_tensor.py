@@ -29,7 +29,6 @@ first, then in sector order.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -337,6 +336,8 @@ def truncated_split(sectors: dict[int, np.ndarray], policy: TruncationPolicy):
         raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
     nthreads = int(raw)
     if nthreads > 1 and len(qs) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # the pool loads only when used
+
         with ThreadPoolExecutor(max_workers=nthreads) as pool:
             svds = dict(pool.map(_decompose, qs))
     else:

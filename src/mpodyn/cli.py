@@ -3,7 +3,8 @@
 Subcommands: ``simulate``, ``projector-osee``, ``oracle-check``, ``compare``,
 ``fit``.  Every simulate run writes one CSV with header
 ``t,re,im,accumulated_cutoff,max_osee,chi_max_used`` plus a JSON sidecar
-holding the full config, library version, and the termination reason.
+holding the config (with only the couplings the model reads), library
+version, and the termination reason.
 Floats are emitted with 17 significant digits so CSV bodies are
 byte-stable across reruns of the same config; timestamps live only in the
 sidecar.
@@ -27,7 +28,6 @@ import sys
 import time
 
 import numpy as np
-from scipy import sparse
 
 from . import __version__
 from .charge_tensor import TruncationPolicy
@@ -59,6 +59,10 @@ RUN_KEYS = {
     "chi": ("chi", int, "chi{}".format),
     "n": ("n_sector", int, "N{}".format),
 }
+
+
+# the couplings each --model passes to its Hamiltonian; the other coupling flags are ignored
+COUPLINGS = {"xxz": ("delta",), "bose-hubbard": ("hopping", "interaction")}
 
 
 @dataclasses.dataclass
@@ -112,13 +116,17 @@ class RunConfig:
                 raise ValueError("infeasible particle number")
 
     def model_spec(self) -> ModelSpec:
+        couplings = {name: getattr(self, name) for name in COUPLINGS[self.model]}
         if self.model == "xxz":
-            return ModelSpec.xxz(self.length, self.delta)
-        return ModelSpec.bose_hubbard(self.length, self.local_dim, self.interaction, self.hopping)
+            return ModelSpec.xxz(self.length, **couplings)
+        return ModelSpec.bose_hubbard(self.length, self.local_dim, **couplings)
 
     def record(self) -> dict:
-        """The config as a sidecar stores it; ``local_dim`` is the model's own (XXZ: 2)."""
-        return dict(dataclasses.asdict(self), local_dim=self.model_spec().d)
+        """The config as a sidecar stores it: ``local_dim`` is the model's own (XXZ: 2),
+        and of the couplings only those the model reads."""
+        unread = set().union(*COUPLINGS.values()) - set(COUPLINGS[self.model])
+        config = {k: v for k, v in dataclasses.asdict(self).items() if k not in unread}
+        return dict(config, local_dim=self.model_spec().d)
 
 
 def _occupations(psi0: str) -> list[int]:
@@ -207,6 +215,8 @@ def cmd_projector_osee(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    from scipy import sparse
+
     from . import oracle
 
     if not 1 <= args.site <= args.length:
@@ -326,7 +336,7 @@ def _config_from_args(args) -> RunConfig:
 
 def _add_run_args(p, with_method=True):
     """One flag per RunConfig field; compare sets ``method``/``n_sector`` per --run."""
-    p.add_argument("--model", choices=["xxz", "bose-hubbard"], default="xxz")
+    p.add_argument("--model", choices=list(COUPLINGS), default="xxz")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--d", dest="local_dim", type=int, default=2, help="local dimension (bosons)")
     p.add_argument("--delta", type=float, default=0.0, help="spin anisotropy")

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import expm_multiply
 
 from .models import ModelSpec
 
@@ -41,8 +39,10 @@ def site_operator(op: np.ndarray, m: int, L: int) -> np.ndarray:
     return np.kron(np.eye(d ** (L - m)), np.kron(op, np.eye(d ** (m - 1))))
 
 
-def _sparse_site(op: np.ndarray, m: int, L: int) -> sparse.csr_matrix:
-    """:func:`site_operator` as a sparse matrix, for building H term by term."""
+def _sparse_site(op: np.ndarray, m: int, L: int):
+    """:func:`site_operator` as a SciPy CSR matrix, for building H term by term."""
+    from scipy import sparse  # SciPy loads only when a dense Hamiltonian is built
+
     d = op.shape[0]
     return sparse.kron(
         sparse.identity(d ** (L - m)), sparse.kron(op, sparse.identity(d ** (m - 1))), format="csr"
@@ -145,5 +145,8 @@ def dense_sector_itac(H: np.ndarray, O: np.ndarray, t: float, L: int, d: int, N:
 
 def dense_statevector_evolve(H, psi: np.ndarray, t: float) -> np.ndarray:
     """exp(-iHt) |psi> with a sparse Krylov propagator; ``H`` may be dense or sparse."""
+    from scipy import sparse
+    from scipy.sparse.linalg import expm_multiply
+
     sp = sparse.csr_matrix(H)
     return expm_multiply(-1j * t * sp, psi.astype(np.complex128))

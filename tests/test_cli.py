@@ -567,6 +567,41 @@ def test_xxz_sidecar_records_model_local_dim(tmp_path, command):
     assert sidecar["config"]["local_dim"] == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize(
+    "model, flags, recorded, unread",
+    [
+        (
+            "bose-hubbard",
+            ["--d", "3", "--hopping", "0.5", "--interaction", "2", "--delta", "nan"],
+            {"hopping": 0.5, "interaction": 2.0},
+            ["delta"],
+        ),
+        (
+            "xxz",
+            ["--delta", "0.8", "--hopping", "5", "--interaction", "7"],
+            {"delta": 0.8},
+            ["hopping", "interaction"],
+        ),
+    ],
+    ids=["bose-hubbard", "xxz"],
+)
+def test_sidecar_records_only_the_couplings_the_model_reads(
+    tmp_path, command, model, flags, recorded, unread
+):
+    # a coupling the model never reads must not look as if it reached H
+    out = tmp_path / "run.csv"
+    args = [
+        command, "--model", model, *flags, "--length", "4", "--site", "2",
+        "--dt", "0.25", "--tmax", "0.25", "--output", str(out),
+    ]
+    run = ["--method", "canonical", "--n", "2"] if command == "simulate" else ["--run", "method=canonical,n=2"]
+    assert main(args + run) == 0
+    config = json.loads((tmp_path / "run.csv.json").read_text())["config"]
+    assert {name: config[name] for name in recorded} == recorded
+    assert not set(unread) & config.keys()
+
+
 class TestFitCommand:
     def test_fit_round_trip(self, tmp_path, capsys):
         t = np.linspace(1.0, 9.0, 80)

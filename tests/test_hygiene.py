@@ -1,7 +1,8 @@
 """Source hygiene: every name a package module imports is used in it, every
 module-level private function or class is read somewhere in it, every
 module-level public function or class is named somewhere in the package,
-its tests or the benchmark, and importing the package loads no SciPy."""
+its tests or the benchmark, and importing the package, its oracle or its command
+line loads neither SciPy nor the SVD thread pool."""
 
 import ast
 import os
@@ -209,12 +210,28 @@ def test_no_unnamed_public_definitions(path, corpus_names):
     assert unnamed_public_definitions(path.read_text(), corpus_names) == []
 
 
-def test_import_loads_no_scipy():
-    # SciPy is imported where it is used (fits, the SVD fallback, the dense oracle)
-    code = "import sys, mpodyn; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def loaded_packages(module: str, env: dict) -> list[str]:
+    """Top-level packages among ``scipy`` and ``concurrent`` that ``import module`` loads."""
+    code = (
+        f"import sys, {module}; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'concurrent'}))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True, text=True, timeout=120, env={**env, "PYTHONPATH": str(SRC.parent)},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return ast.literal_eval(proc.stdout.strip())
+
+
+@pytest.mark.parametrize("module", ["mpodyn", "mpodyn.oracle", "mpodyn.cli"])
+def test_import_loads_no_scipy(module):
+    # SciPy is imported in the functions that call it: fits, the SVD fallback,
+    # building or propagating with a dense oracle, and ``oracle-check``
+    assert "scipy" not in loaded_packages(module, dict(os.environ))
+
+
+def test_import_loads_no_thread_pool():
+    # the SVD thread pool is imported only by a split that runs on threads
+    env = {k: v for k, v in os.environ.items() if k != "MPODYN_THREADS"}
+    assert "concurrent" not in loaded_packages("mpodyn", env)
