@@ -317,8 +317,12 @@ def cmd_fit(args) -> int:
         if missing := [col for col in ("t", "re") if col not in header]:
             raise ValueError(f"{args.input} has no column {' or '.join(map(repr, missing))}")
         t_col, re_col = header.index("t"), header.index("re")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue  # blank lines, a trailing one too, hold no row
             parts = line.strip().split(",")
+            if len(parts) < len(header):
+                raise ValueError(f"{args.input} line {lineno} has {len(parts)} of {len(header)} columns")
             times.append(float(parts[t_col]))
             re.append(float(parts[re_col]))
     series = TimeSeries(np.array(times), np.array(re, dtype=complex), {})

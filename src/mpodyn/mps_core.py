@@ -561,16 +561,6 @@ def dense_chain(site_tensors) -> np.ndarray:
     return vec[:, 0]
 
 
-def overlap_step(env: np.ndarray, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
-    """Extend the overlap environment <a|b> by one site: sum env[a,b] ta*[a,k,c] tb[b,k,d].
-
-    ``ta`` and ``tb`` are dense (chi_l, D, chi_r) site tensors in the same
-    physical order; the contraction is done pairwise.
-    """
-    half = np.tensordot(env, ta.conj(), axes=(0, 0))  # (b, k, c)
-    return np.tensordot(half, tb, axes=([0, 1], [0, 1]))
-
-
 def von_neumann_entropy(values: dict[int, np.ndarray]) -> float:
     """Entropy in bits of the squared values of a bond spectrum."""
     p = np.concatenate([values[q] ** 2 for q in sorted(values)])

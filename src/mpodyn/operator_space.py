@@ -22,6 +22,10 @@ Composing an operator onto the out-chain of a superstate has one
 implementation, ``out_chain_compose``, which works block by block on the
 stored blocks of both chains; ``apply_out_chain`` lifts a whole product
 operator, given as its per-site factor list, and calls it once.
+
+The observers, ``hs_trace_pair`` and ``expectation_in_state``, are
+transfer sweeps over stored blocks and bond spectra: they pair any two
+modes, build no dense site, and their memory grows with chi, not chi^2 d^2.
 """
 
 from __future__ import annotations
@@ -173,14 +177,6 @@ class SuperState:
             return [0.0] * (self.L - 1)
         return self.mps.entropy_profile()
 
-    def site_dense_k(self, m: int) -> np.ndarray:
-        """Site tensor as a dense (chi_l, d*d, chi_r) array in k = j*d+i order."""
-        t = self.mps.site_tensor_dense(m)
-        perm = super_site_layout(self.d, self.weights)[2]
-        out = np.empty_like(t)
-        out[:, perm, :] = t
-        return out
-
     def densify(self) -> np.ndarray:
         """Dense operator matrix, occupation basis, site 1 fastest-varying."""
         d, L = self.d, self.L
@@ -188,7 +184,8 @@ class SuperState:
             raise ValueError("operator too large to densify")
         if self.is_zero:
             return np.zeros((d**L, d**L), dtype=np.complex128)
-        vec = mps_core.dense_chain(self.site_dense_k(m) for m in range(1, L + 1))
+        at = np.argsort(super_site_layout(d, self.weights)[2])  # k = j*d + i -> layout position
+        vec = mps_core.dense_chain(self.mps.site_tensor_dense(m)[:, at, :] for m in range(1, L + 1))
         arr = vec.reshape((d, d) * L)  # axes (j_L, i_L, ..., j_1, i_1)
         perm = list(range(1, 2 * L, 2)) + list(range(0, 2 * L, 2))
         return arr.transpose(perm).reshape(d**L, d**L) * self.prefactor
@@ -265,33 +262,88 @@ def apply_out_chain(factors: list[LocalOperator], s: SuperState) -> SuperState:
     return out_chain_compose(lift_product_operator(factors), s)
 
 
+def _by_state(t: SymmetricTensor, states) -> dict[int, dict]:
+    """A site's stored blocks as bond-in sector -> state -> (bond-out sector, its (chi_l,
+    chi_r) slice); ``states[p][x]`` names the state at position x of physical sector p."""
+    out: dict[int, dict] = {}
+    for (l, p, r), blk in t.blocks.items():
+        out.setdefault(l, {}).update((state, (r, blk[:, x, :])) for x, state in enumerate(states[p]))
+    return out
+
+
+def _sweep(chains: list[CanonicalMps], step) -> complex:
+    """Transfer sweep: ``step(m, env)`` maps the environment (bond m-1 sector of each
+    chain -> block) to bond m's, whose values are then multiplied into each axis.  The
+    chain ends are one-dimensional, so the last environment holds one number, or none."""
+    n = len(chains)
+    env = {(0,) * n: np.ones((1,) * n, dtype=np.complex128)}
+    for m in range(1, chains[0].L + 1):
+        env = step(m, env)
+        spectra = [[c.lambda_at(m)[q] for q in c.bond_index(m).charges] for c in chains]
+        for key, blk in env.items():
+            for axis, (lam, pos) in enumerate(zip(spectra, key)):
+                blk *= lam[pos].reshape((-1,) + (1,) * (n - 1 - axis))
+    return complex(env[(0,) * n].reshape(-1)[0]) if env else 0j
+
+
 def hs_trace_pair(a: SuperState, b: SuperState) -> complex:
-    """Tr[A^dagger B] as the superstate inner product; works across modes."""
+    """Tr[A^dagger B] as the superstate inner product; works across modes.
+
+    The sweep's environment holds E^dagger, E the partial overlap <a|b>, per
+    (b, a) bond sector pair; the slices of a state (j, i) in both add
+    B^dagger (E^dagger A), so no ``a`` block is conjugated.
+    """
     if a.L != b.L or a.d != b.d:
         raise ValueError("shape mismatch")
     if a.is_zero or b.is_zero:
         return 0.0 + 0.0j
-    env = np.ones((1, 1), dtype=np.complex128)
-    for m in range(1, a.L + 1):
-        env = mps_core.overlap_step(env, a.site_dense_k(m), b.site_dense_k(m))
-    return complex(np.conj(a.prefactor) * b.prefactor * env[0, 0])
+    states_a, states_b = (super_site_layout(a.d, x.weights)[1] for x in (a, b))
+    sites_a, sites_b = a.mps.gammas, b.mps.gammas
+
+    def step(m, env):
+        left_a, left_b = _by_state(sites_a[m - 1], states_a), _by_state(sites_b[m - 1], states_b)
+        new = {}
+        for (lb, la), f in env.items():
+            at_b = left_b.get(lb, {})
+            for ji, (ra, blk_a) in left_a.get(la, {}).items():
+                if ji in at_b:
+                    rb, blk_b = at_b[ji]
+                    part = blk_b.conj().T @ (f @ blk_a)
+                    new[rb, ra] = new[rb, ra] + part if (rb, ra) in new else part
+        return new
+
+    overlap = np.conj(_sweep([b.mps, a.mps], step))
+    return complex(np.conj(a.prefactor) * b.prefactor * overlap)
 
 
 def expectation_in_state(s: SuperState, psi: CanonicalMps) -> complex:
-    """<psi|O|psi>: in-chain contracts with |psi>, out-chain with <psi|."""
+    """<psi|O|psi>: in-chain contracts with |psi>, out-chain with <psi|.
+
+    The sweep's environment is keyed by (s, <psi|, |psi>) bond sectors; the
+    slice of a state (j, i) of ``s`` joins those of |psi> at j and <psi| at i.
+    """
     if s.L != psi.L or psi.site_dims != [s.d] * s.L:
         raise ValueError("shape mismatch")
     if s.is_zero:
         return 0.0 + 0.0j
-    env = np.ones((1, 1, 1), dtype=np.complex128)
-    for m in range(1, s.L + 1):
-        so = s.site_dense_k(m)
-        so = so.reshape(so.shape[0], s.d, s.d, so.shape[2])  # (alpha, j, i, alpha')
-        tp = psi.site_tensor_dense(m)
-        env = np.tensordot(env, so, axes=(0, 0))  # (a, b, j, i, y)
-        env = np.tensordot(env, tp.conj(), axes=([0, 3], [0, 1]))  # (b, j, y, c)
-        env = np.tensordot(env, tp, axes=([0, 1], [0, 1]))  # (y, c, d)
-    return complex(s.prefactor * env[0, 0, 0])
+    states = super_site_layout(s.d, s.weights)[1]
+    sites_s, sites_psi = s.mps.gammas, psi.gammas
+
+    def step(m, env):
+        ix = psi.phys_indices[m - 1]  # occupation x sits at position x of the physical leg
+        left_psi = _by_state(sites_psi[m - 1], [range(o, o + n) for o, n in zip(ix.offsets, ix.dims)])
+        left_s, new = _by_state(sites_s[m - 1], states), {}
+        for (ls, lc, lk), e in env.items():
+            bra, ket = left_psi.get(lc, {}), left_psi.get(lk, {})
+            for (j, i), (rs, blk) in left_s.get(ls, {}).items():
+                if i in bra and j in ket:
+                    (rc, pc), (rk, pk) = bra[i], ket[j]
+                    x = (blk.T @ e.reshape(len(e), -1)).reshape(-1, e.shape[2]) @ pk  # (rs c, rk)
+                    x = pc.conj().T @ x.reshape(blk.shape[1], e.shape[1], -1)  # (rs, rc, rk)
+                    new[rs, rc, rk] = new[rs, rc, rk] + x if (rs, rc, rk) in new else x
+        return new
+
+    return complex(s.prefactor * _sweep([s.mps, psi, psi], step))
 
 
 def _merged_pair_index(ix_t: ChargeIndex, ix_o: ChargeIndex, w_out: int):

@@ -625,6 +625,22 @@ class TestFitCommand:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {path} has no column {missing}\n"
 
+    def test_short_row_names_file_line_and_columns(self, tmp_path, capsys):
+        path = tmp_path / "series.csv"
+        path.write_text("t,re,im\n1,0.5,0\n2,0.4\n3,0.3,0\n")
+        rc = main(["fit", "--input", str(path), "--t-lo", "1", "--t-hi", "3"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {path} line 3 has 2 of 3 columns\n"
+
+    def test_blank_lines_are_skipped(self, tmp_path, capsys):
+        t = np.linspace(1.0, 9.0, 40)
+        rows = [f"{ti},{1.3 * ti**-0.62},0\n" for ti in t]
+        path = tmp_path / "series.csv"
+        path.write_text("t,re,im\n" + "".join(rows[:20]) + "\n" + "".join(rows[20:]) + "\n")
+        rc = main(["fit", "--input", str(path), "--t-lo", "1.0", "--t-hi", "9.0"])
+        assert rc == 0
+        assert abs(json.loads(capsys.readouterr().out)["kappa"] + 0.62) < 1e-6
+
     def test_missing_input_exit_code(self, tmp_path, capsys):
         rc = main(["fit", "--input", str(tmp_path / "missing.csv"), "--t-lo", "1", "--t-hi", "2"])
         assert rc == 2
