@@ -95,17 +95,22 @@ class ChargeIndex:
         return self.charges.index(charge)
 
 
-def group_by_charge(q: np.ndarray, size: np.ndarray):
+def group_by_charge(q: np.ndarray, size: np.ndarray, charges: np.ndarray | None = None):
     """Lay items of charges ``q`` and sizes ``size`` out one group per charge, ascending,
     in their given order inside a group: the layout of every fused leg, whose items are
-    its sector pairs in sorted order, each spanning (i1, i2) in C order.  Returns the
-    group charges, each group's total size, and each item's group and offset in it."""
-    charges, group = np.unique(q, return_inverse=True)
+    its sector pairs in sorted order, each spanning (i1, i2) in C order.  The groups are
+    the distinct ``q``, or the ascending ``charges`` when given (each ``q`` among them; a
+    group may then be empty).  Returns the group charges, each group's total size, and
+    each item's group and offset in it."""
+    if charges is None:
+        charges, group = np.unique(q, return_inverse=True)
+    else:
+        group = charges.searchsorted(q)
     totals = np.bincount(group, size, len(charges)).astype(np.intp)
     # a stable sort by group keeps the given order inside each group
-    order = np.argsort(group, kind="stable")
+    order = group.argsort(kind="stable")
     offset = np.empty(len(group), dtype=np.intp)
-    offset[order] = np.cumsum(size[order]) - size[order] - (np.cumsum(totals) - totals)[group[order]]
+    offset[order] = starts(size[order]) - starts(totals)[group[order]]
     return charges, totals, group, offset
 
 
@@ -278,7 +283,7 @@ def global_truncation(
     qs = sorted(values_by_q)
     sizes = [len(values_by_q[q]) for q in qs]
     values = np.concatenate([values_by_q[q] for q in qs]).astype(np.float64, copy=False)
-    sector = np.repeat(np.arange(len(qs)), sizes)
+    sector = np.arange(len(qs)).repeat(sizes)
     # values are laid out by charge, then position, so the index ranks (charge, position)
     order = np.lexsort((np.arange(len(values)), -values))
 
@@ -299,7 +304,7 @@ def global_truncation(
 
 
 def _running_sum(x: np.ndarray) -> float:
-    return float(np.cumsum(x)[-1]) if len(x) else 0.0
+    return float(x.cumsum()[-1]) if len(x) else 0.0
 
 
 def _svd_dense(mat: np.ndarray):
@@ -360,32 +365,44 @@ def truncated_split(sectors: dict[int, np.ndarray], policy: TruncationPolicy):
 
 
 def drop_zero_blocks(mats, leg: int, charges, keys, sizes, bond: ChargeIndex):
-    """The stacked factor of a split, less its dropped and all-zero blocks.
+    """The stacked factor of a split, less its dropped and all-zero blocks, as one flat array.
 
     ``mats`` are the kept ``U[:, :k]`` (``leg == 2``, blocks as rows) or
     ``V^dagger[:k]`` (``leg == 0``, blocks as columns) of each charge of the
     new ``bond``, in bond order.  Block j of the split's sector matrices has
     charge ``charges[j]``, key ``keys[:, j]`` ((l, p) or (p, r)) and
     ``sizes[j]`` rows (columns); blocks are grouped by ascending charge.
-    Returns the cut matrices and the (l, p, r) key of every block they
-    stack, with bond positions on the bond leg.
+    The whole factor is tested at once: a ``reduceat`` over the rows of
+    ``U``, a scatter of the nonzero entries of ``V^dagger`` onto columns.
+    Returns the cut matrices as one :class:`SectorMatrices` ``flat``, the
+    (l, p, r) key of every block it stacks, with bond positions on the bond
+    leg, and the row (column) of every entry, counted over all blocks given.
     """
-    axis = 0 if leg == 2 else 1
     kept_charges = np.array(bond.charges)
-    pos = np.searchsorted(kept_charges, charges)
+    pos = kept_charges.searchsorted(charges)
     kept = kept_charges.take(pos, mode="clip") == charges
+    given = kept.repeat(sizes)
+    lines = given.nonzero()[0]  # the given line of each stacked one
     pos, keys, sizes = pos[kept], keys[:, kept], sizes[kept]
-    nonzero = np.concatenate([mat.any(axis=1 - axis) for mat in mats])
-    keep = np.logical_or.reduceat(nonzero, np.cumsum(sizes) - sizes)
+    shapes = np.array([mat.shape for mat in mats], dtype=np.intp)
+    flat = np.concatenate(mats, axis=None)
+    nonzero = flat != 0
+    if leg == 2:  # a row of U is one run of entries
+        length = shapes[:, 1].repeat(shapes[:, 0])
+        line = lines.repeat(length)
+        hit = np.logical_or.reduceat(nonzero, starts(length))
+    else:  # a column of V^dagger is one entry in every row of its matrix
+        line = run_positions(*row_runs(shapes, lines[starts(shapes[:, 1])]))
+        hit = np.zeros(len(given), dtype=bool)
+        hit[line[nonzero]] = True
+        hit = hit[lines]
+    keep = np.logical_or.reduceat(hit, starts(sizes))
     if not keep.all():
-        lines = np.repeat(keep, sizes)
-        ends = np.cumsum([mat.shape[axis] for mat in mats])
-        mats = [
-            np.compress(lines[end - mat.shape[axis] : end], mat, axis=axis)
-            for mat, end in zip(mats, ends.tolist())
-        ]
+        given[lines] = keep.repeat(sizes)
+        entry = given[line]
+        flat, line = flat[entry], line[entry]
         keys, pos = keys[:, keep], pos[keep]
-    return mats, np.vstack((keys, pos) if leg == 2 else (pos, keys))
+    return flat, np.vstack((keys, pos) if leg == 2 else (pos, keys)), line
 
 
 def block_svd(
@@ -413,15 +430,14 @@ def block_svd(
     if not site.flat.any():
         raise ZeroNormError("zero norm")
     cut_ix = t.indices[leg]
-    sectors = {cut_ix.charges[c]: mat for c, _, mat in site.matrices()}
+    sectors = {cut_ix.charges[c]: mat for c, mat in site.matrices()}
     bond, values, us, vhs, kept_norm, discarded_norm = truncated_split(sectors, policy)
 
     (dl, dp, dr), (l, p, r) = site._dims(), site.keys
     two, sizes = (site.keys[:2], dl[l] * dp[p]) if leg == 2 else (site.keys[1:], dp[p] * dr[r])
     charges = np.array(cut_ix.charges)[site.keys[leg]]
-    mats, keys = drop_zero_blocks(us if leg == 2 else vhs, leg, charges, two, sizes, bond)
+    flat, keys, _ = drop_zero_blocks(us if leg == 2 else vhs, leg, charges, two, sizes, bond)
     indices = t.indices[:2] + (bond,) if leg == 2 else (bond,) + t.indices[1:]
-    flat = np.concatenate([mat.reshape(-1) for mat in mats])
     stacked = SectorMatrices(indices, leg, keys, flat).tensor()
     sec = [cut_ix.position(q) for q in bond.charges]
     if leg == 2:
@@ -470,31 +486,41 @@ class SectorMatrices:
     def _dims(self) -> list[np.ndarray]:
         return [np.array(ix.dims, dtype=np.intp) for ix in self.indices]
 
-    def matrices(self) -> list[tuple[int, int, np.ndarray]]:
-        """(sector, first stacked row or column, matrix) of every sector matrix.
-
-        Stacked rows (left-factor layout) or columns (right-factor layout)
-        are counted across all matrices in order.
-        """
-        return [
-            (c, first, self.flat[at : at + shape[0] * shape[1]].reshape(shape))
-            for c, first, at, shape in sector_shapes(self.keys, self.leg, self._dims())
-        ]
+    def matrices(self) -> list[tuple[int, np.ndarray]]:
+        """(sector, matrix) of every sector matrix, in order."""
+        (dl, dp, dr), (l, p, r) = self._dims(), self.keys
+        sec, stacked, other = (r, dl[l] * dp[p], dr) if self.leg == 2 else (l, dp[p] * dr[r], dl)
+        count = np.bincount(sec, stacked, len(other)).astype(np.intp)
+        out, at = [], 0
+        for c in np.flatnonzero(count).tolist():
+            n, o = int(count[c]), int(other[c])
+            out.append((c, self.flat[at : at + n * o].reshape((n, o) if self.leg == 2 else (o, n))))
+            at += n * o
+        return out
 
     def relayout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Block keys in the other layout and the runs that gather ``flat`` into it.
 
         Structure only: entry j of the other layout's ``flat`` is
-        ``flat[j + shift[k]]``, j in run k (see :func:`run_positions`).
-        Returns ``(keys, shift, length)``.
+        ``flat[j + shift[k]]``, j in run k (see :func:`run_positions`).  The
+        (i, b) entries of one bond-in row a of a block form a run, contiguous
+        in both layouts.  Returns ``(keys, shift, length)``.
         """
-        l, p, r = self.keys
+        (dl, dp, dr), (l, p, r) = self._dims(), self.keys
         keys2 = self.keys if self.leg == 2 else self.keys[:, np.lexsort((p, l, r))]
-        to0, start, length = _right_layout_runs(keys2, *self._dims())
-        first = np.cumsum(length) - length  # each run's start in the left-factor flat
+        l, p, r = keys2  # left-factor order; ``to0`` puts blocks in right-factor order
+        to0 = np.lexsort((r, p, l))
+        width = dp[p] * dr[r]
+        ncols = np.bincount(l, width, len(dl)).astype(np.intp)
+        col_at = np.empty_like(width)
+        col_at[to0] = starts(width[to0]) - starts(ncols)[l[to0]]
+        blk, a = ragged(dl[l])
+        lb, length = l[blk], width[blk]
+        # each run's start in the right-factor and in the left-factor flat
+        start, first = starts(dl * ncols)[lb] + a * ncols[lb] + col_at[blk], starts(length)
         if self.leg == 0:
             return keys2, start - first, length
-        order = np.argsort(start)
+        order = start.argsort()
         return keys2[:, to0], (first - start)[order], length[order]
 
     def on_leg(self, leg: int) -> "SectorMatrices":
@@ -510,7 +536,7 @@ class SectorMatrices:
         ``flat``) in the left-factor layout and column slices in the other."""
         if self._tensor is None:
             dl, dp, dr = (ix.dims for ix in self.indices)
-            mats = {c: mat for c, _, mat in self.matrices()}
+            mats = dict(self.matrices())
             at, blocks = dict.fromkeys(mats, 0), {}
             for l, p, r in self.keys.T.tolist():
                 c, n = (r, dl[l] * dp[p]) if self.leg == 2 else (l, dp[p] * dr[r])
@@ -521,58 +547,28 @@ class SectorMatrices:
         return self._tensor
 
 
-def sector_shapes(keys: np.ndarray, leg: int, dims) -> list[tuple[int, int, int, tuple[int, int]]]:
-    """(sector, first stacked row or column, first entry, shape) of every sector matrix.
-
-    ``keys`` are the (l, p, r) blocks of a link in the layout of ``leg``
-    (see :class:`SectorMatrices`) and ``dims`` its legs' sector dimensions.
-    """
-    dl, dp, dr = dims
-    l, p, r = keys
-    if leg == 2:
-        sec, stacked, other = r, dl[l] * dp[p], dr
-    else:
-        sec, stacked, other = l, dp[p] * dr[r], dl
-    count = np.bincount(sec, stacked, len(other)).astype(np.intp)
-    out, at, first = [], 0, 0
-    for c in np.flatnonzero(count).tolist():
-        n, o = int(count[c]), int(other[c])
-        out.append((c, first, at, (n, o) if leg == 2 else (o, n)))
-        at += n * o
-        first += n
-    return out
-
-
-def _right_layout_runs(keys2: np.ndarray, dl, dp, dr) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Right-factor block order and where the runs of a left-factor ``flat`` go in it.
-
-    ``keys2`` is the (l, p, r) of every block in left-factor order.  The b
-    entries of one row (a, i) of a block form a run, contiguous in both
-    layouts.  Returns the permutation of blocks into right-factor order
-    and, per run in left-factor order, its start in the right-factor
-    ``flat`` and its length.
-    """
-    l, p, r = keys2
-    to0 = np.lexsort((r, p, l))
-    width = dp[p] * dr[r]
-    ncols = np.bincount(l, width, len(dl)).astype(np.intp)
-    col_at = np.empty_like(width)
-    col_at[to0] = np.cumsum(width[to0]) - width[to0] - (np.cumsum(ncols) - ncols)[l[to0]]
-    sec_at = np.cumsum(dl * ncols) - dl * ncols
-    blk, row = ragged(dl[l] * dp[p])
-    a, i = np.divmod(row, dp[p][blk])
-    lb, run_len = l[blk], dr[r][blk]
-    return to0, sec_at[lb] + a * ncols[lb] + col_at[blk] + i * run_len, run_len
+def row_runs(shapes: np.ndarray, base) -> tuple[np.ndarray, np.ndarray]:
+    """Runs (shift, length) that give ``base[j]`` plus the column for every entry of
+    matrices of ``shapes`` laid end to end, each in C order, one run per row of
+    matrix j (see :func:`run_positions`)."""
+    row_of = np.arange(len(shapes)).repeat(shapes[:, 0])
+    length = shapes[row_of, 1]
+    return base[row_of] - starts(length), length
 
 
 def run_positions(shift: np.ndarray, length: np.ndarray) -> np.ndarray:
     """``shift[k] + j`` for every entry j of runs of ``length`` laid end to end."""
-    pos = np.repeat(shift, length)
+    pos = shift.repeat(length)
     pos += np.arange(len(pos))
     return pos
 
 
 def ragged(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Owner and offset within it of every entry of blocks of ``sizes`` laid end to end."""
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    return owner, np.arange(len(owner)) - (np.cumsum(sizes) - sizes)[owner]
+    owner = np.arange(len(sizes)).repeat(sizes)
+    return owner, np.arange(len(owner)) - starts(sizes)[owner]
+
+
+def starts(sizes: np.ndarray) -> np.ndarray:
+    """Where each of blocks of ``sizes`` laid end to end starts."""
+    return sizes.cumsum() - sizes

@@ -96,6 +96,8 @@ class RunConfig:
             raise ValueError(f"--dt must be finite and positive, got {self.dt}")
         if not (math.isfinite(self.t_max) and self.t_max >= 0):
             raise ValueError(f"--tmax must be finite and >= 0, got {self.t_max}")
+        if not math.isfinite(self.t_max / self.dt):
+            raise ValueError(f"--tmax / --dt must be finite, got {self.t_max} / {self.dt}")
         if not 0 < self.cutoff_budget <= 1:
             raise ValueError("budget must be in (0, 1]")
         if self.observable == "density" and self.psi0 is None:
@@ -286,9 +288,11 @@ def cmd_compare(args) -> int:
             except (KeyError, ValueError):
                 raise ValueError(f"--run item {item!r}: {val!r} is not a valid {key}") from None
             labels.append(label(val))
-        cfg = dataclasses.replace(base, **changes)
+        cfg, label = dataclasses.replace(base, **changes), "_".join(labels)
         cfg.validate()
-        runs.append(("_".join(labels), cfg))
+        if label in (done for done, _ in runs):
+            raise ValueError(f"--run {spec_str!r} repeats the run {label}")
+        runs.append((label, cfg))
     serieses = [(label, _run_series(cfg)) for label, cfg in runs]
     n_common = min(len(s.times) for _, s in serieses)
     header = "t," + ",".join(f"{label}_re,{label}_im" for label, _ in serieses)

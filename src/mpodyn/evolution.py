@@ -133,6 +133,8 @@ def evolve(
     """
     if not (math.isfinite(t_max) and t_max >= 0):
         raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
+    if not math.isfinite(t_max / schedule.dt):
+        raise ValueError(f"t_max / dt must be finite, got {t_max} / {schedule.dt}")
     if not 0.0 < cutoff_budget <= 1.0:
         raise ValueError("cutoff_budget must be in (0, 1]")
     is_super = isinstance(target, SuperState)

@@ -38,8 +38,9 @@ its last two plans on the state, most recent first, so a gate whose bond
 looks as it did one or two gates ago only moves values.  The kernel and
 :func:`canonicalize` (through ``block_svd``) share
 ``charge_tensor.truncated_split`` for the sector SVDs and the truncation
-and ``charge_tensor.drop_zero_blocks`` for the zero-block cut; the kernel
-adds only the outer-value divide.
+and ``charge_tensor.drop_zero_blocks`` for the zero-block cut, which tests
+a whole stacked factor at once and returns it as one flat array; the
+kernel adds only the outer-value divide, at positions its plan holds.
 
 Open boundaries only: the outer bonds are one-dimensional.  Singular
 values below ``LAMBDA_FLOOR`` are dropped outright; restoring Vidal form
@@ -67,9 +68,10 @@ from .charge_tensor import (
     group_by_charge,
     pair_bands,
     ragged,
+    row_runs,
     run_positions,
     scale_axis,
-    sector_shapes,
+    starts,
     truncated_split,
 )
 
@@ -202,7 +204,11 @@ class CanonicalMps:
         (lix, phys1, cix), (_, phys2, rix) = s1.indices, s2.indices
         if gate.index.sectors != phys1.sectors or gate.index.sectors != phys2.sectors:
             raise ChargeMismatchError("charge mismatch")
-        lam_l, lam_c, lam_r = (self.lambda_at(k) for k in (m - 1, m, m + 1))
+        # each bond's values, sectors in bond order
+        vl, vc, vr = (
+            np.concatenate([self.lambda_at(k)[q] for q in ix.charges])
+            for k, ix in zip((m - 1, m, m + 1), (lix, cix, rix))
+        )
         plan = self._gate_plan(m, s1, s2)
 
         f1, f2 = (
@@ -210,14 +216,12 @@ class CanonicalMps:
         )
         # outer values into the rows of f1 and the columns of f2, centre values into the columns of f1
         (outer1, shift1, len1), (outer2, shift2, len2) = plan.weights
-        f1 = (f1 * np.repeat(_outer_values(lam_l, lix, outer1), len1)) * _outer_values(
-            lam_c, cix, run_positions(shift1, len1)
-        )
-        f2 = f2 * _outer_values(lam_r, rix, outer2[run_positions(shift2, len2)])
+        f1 = (f1 * vl[outer1].repeat(len1)) * vc[run_positions(shift1, len1)]
+        f2 = f2 * vr[outer2[run_positions(shift2, len2)]]
         flat = np.zeros(plan.size, dtype=np.complex128)
         pos = run_positions(*plan.scatter)
         at = 0
-        for a0, (nr, k), b0, (_, nc) in plan.centres:
+        for a0, nr, k, b0, nc in plan.centres:
             a, b = f1[a0 : a0 + nr * k].reshape(nr, k), f2[b0 : b0 + k * nc].reshape(k, nc)
             flat[pos[at : at + nr * nc]] = (a @ b).reshape(-1)
             at += nr * nc
@@ -236,8 +240,8 @@ class CanonicalMps:
         except ZeroNormError as exc:
             raise ZeroNormError("state annihilated") from exc
 
-        self._sites[m - 1] = _factor_site((lix, phys1, bond), 2, us, row_blocks, lam_l)
-        self._sites[m] = _factor_site((bond, phys2, rix), 0, vhs, col_blocks, lam_r)
+        self._sites[m - 1] = _factor_site((lix, phys1, bond), 2, us, row_blocks, vl)
+        self._sites[m] = _factor_site((bond, phys2, rix), 0, vhs, col_blocks, vr)
         self.lambdas[m - 1] = {q: v / kept_norm for q, v in values.items()}
         return TruncationRecord(
             bond=m,
@@ -299,42 +303,28 @@ class CanonicalMps:
 
 
 def _outer_index(ix: ChargeIndex, outer, dp, leg: int) -> np.ndarray:
-    """Position in bond ``ix``'s values of the outer value of every stacked row or column.
-
-    ``outer`` is each block's sector on ``ix`` and ``dp`` its physical
-    dimension, blocks in stacking order.  Row (a, i) of a left-factor
-    block (``leg == 2``) gets lambda[a]; column (i, b) of a right-factor
-    block (``leg == 0``) gets lambda[b].
-    """
+    """Position in bond ``ix``'s values of the outer value of every stacked row or column:
+    lambda[a] for row (a, i) of a left-factor block (``leg == 2``), lambda[b] for column
+    (i, b) of a right-factor one.  ``outer`` is each block's sector on ``ix`` and ``dp``
+    its physical dimension, blocks in stacking order."""
     dout = np.array(ix.dims, dtype=np.intp)[outer]
     blk, t = ragged(dout * dp)
     inner = t // dp[blk] if leg == 2 else t % dout[blk]
     return np.array(ix.offsets, dtype=np.intp)[outer][blk] + inner
 
 
-def _outer_values(lam: dict[int, np.ndarray], ix: ChargeIndex, index: np.ndarray) -> np.ndarray:
-    """Bond ``ix``'s values at the positions of :func:`_outer_index`."""
-    return np.concatenate([lam[q] for q in ix.charges])[index]
-
-
-def _factor_site(indices, leg: int, mats, blocks, lam: dict[int, np.ndarray]) -> SectorMatrices:
+def _factor_site(indices, leg: int, mats, blocks, values: np.ndarray) -> SectorMatrices:
     """New site from the kept ``U[:, :k]`` (``leg == 2``) or ``V^dagger[:k]``
     (``leg == 0``) of each new bond charge, cut by ``drop_zero_blocks`` as
-    ``block_svd`` cuts, with the outer bond's values divided out of its rows
-    (columns), which restores Vidal form.  ``blocks`` is what
-    ``_GatePlan.gather`` returns for the rows (columns).
+    ``block_svd`` cuts, with the outer bond's ``values`` (all sectors, in
+    bond order) divided out of its rows (columns), which restores Vidal
+    form.  ``blocks`` is what ``_GatePlan.gather`` returns for the rows
+    (columns); its last field is every row's (column's) position in
+    ``values``.
     """
-    charge, keys, dims = blocks
-    mats, keys = drop_zero_blocks(mats, leg, charge, keys, dims.prod(axis=0), indices[leg])
-    outer_ix = indices[0 if leg == 2 else 2]
-    dp = np.array(indices[1].dims, dtype=np.intp)[keys[1]]
-    weights = _outer_values(lam, outer_ix, _outer_index(outer_ix, keys[0] if leg == 2 else keys[2], dp, leg))
-    shapes = np.array([mat.shape for mat in mats], dtype=np.intp).reshape(-1, 2)
-    flat = np.concatenate(mats or [np.zeros(0, complex)], axis=None)
-    if leg == 2:  # every row's value, once per entry of the row
-        flat /= np.repeat(weights, np.repeat(shapes[:, 1], shapes[:, 0]))
-    else:  # every column's value, once per row of its matrix
-        flat /= weights[run_positions(*_row_runs(shapes, np.cumsum(shapes[:, 1]) - shapes[:, 1]))]
+    charge, keys, dims, outer = blocks
+    flat, keys, line = drop_zero_blocks(mats, leg, charge, keys, dims.prod(axis=0), indices[leg])
+    flat /= values[outer][line]
     return SectorMatrices(indices, leg, keys, flat)
 
 
@@ -355,8 +345,9 @@ class _GatePlan:
     - ``moves``: for a site not stored in the layout the kernel reads
       (left-factor for site m, right-factor for site m+1), the runs of
       :meth:`SectorMatrices.relayout`, else ``None``;
-    - ``centres``: per centre bond sector, the first entry and shape of
-      site m's and of site m+1's matrix;
+    - ``centres``: per centre bond sector, the first entry and the rows and
+      columns of site m's matrix, then the first entry and columns of site
+      m+1's (its rows are site m's columns);
     - ``weights``: for site m, the :func:`_outer_index` of every stacked
       row and per matrix row the run over its centre sector's values; for
       site m+1, the :func:`_outer_index` of every stacked column and per
@@ -365,82 +356,93 @@ class _GatePlan:
       into the band buffer;
     - ``bands``: each band's charge, start, dimension and column count; the
       gate's matrices are read per call;
+    - ``lines``: for every row of the gathered matrices its block and the
+      position of its outer (left bond) value, then the same for every
+      column (right bond), the values :func:`_factor_site` divides out;
     - the rest: what :meth:`positions` and :meth:`gather` read.
     """
 
     __slots__ = ("moves", "centres", "weights", "scatter", "bands", "size", "pad", "dl", "dp", "dr",
-                 "colstart", "base", "ncols", "charges", "rows", "cols", "row_dims", "col_dims", "runs")
+                 "colstart", "base", "ncols", "charges", "rows", "cols", "row_dims", "col_dims", "runs",
+                 "lines")
 
     def __init__(self, s1: SectorMatrices, s2: SectorMatrices):
         (lix, phys, cix), (_, _, rix) = s1.indices, s2.indices
         moved = [None if s.leg == leg else s.relayout() for s, leg in ((s1, 2), (s2, 0))]
         k1, k2 = (s.keys if r is None else r[0] for s, r in zip((s1, s2), moved))
         self.moves = [None if r is None else r[1:] for r in moved]
-        dims1, dims2 = ([np.array(ix.dims, dtype=np.intp) for ix in s.indices] for s in (s1, s2))
-        left, right = sector_shapes(k1, 2, dims1), sector_shapes(k2, 0, dims2)
-        at_left, at_right = ({c: (at, shape) for c, _, at, shape in mats} for mats in (left, right))
-        centres = sorted(at_left.keys() & at_right.keys())
-        self.centres = [at_left[c] + at_right[c] for c in centres]
+        dl, dp, dc, dr = (np.array(ix.dims, dtype=np.intp) for ix in (lix, phys, cix, rix))
+        self.dl, self.dp, self.dr = dl, dp, dr
+        ql, qp, qr = (np.array(ix.charges) for ix in (lix, phys, rix))
+        # centre sector c: site m's matrix is n1[c] x dc[c], site m+1's dc[c] x n2[c]
+        n1 = np.bincount(k1[2], dl[k1[0]] * dp[k1[1]], len(dc)).astype(np.intp)
+        n2 = np.bincount(k2[0], dp[k2[1]] * dr[k2[2]], len(dc)).astype(np.intp)
+        at1, at2 = starts(n1 * dc), starts(n2 * dc)
+        centres = (n1 * n2).nonzero()[0]
+        self.centres = list(zip(*(x[centres].tolist() for x in (at1, n1, dc, at2, n2))))
+        # each matrix row of site m runs over its centre sector's values, of site m+1
+        # over its stacked columns
+        c1, c2 = n1.nonzero()[0], n2.nonzero()[0]
+        self.weights = (
+            (_outer_index(lix, k1[0], dp[k1[1]], 2), *row_runs(np.array((n1, dc)).T[c1], starts(dc)[c1])),
+            (_outer_index(rix, k2[2], dp[k2[1]], 0), *row_runs(np.array((dc, n2)).T[c2], starts(n2)[c2])),
+        )
         # (sector, l, p1) of every row block and (sector, p2, r) of every column block
-        sector_of = np.full(cix.nsectors, -1, dtype=np.intp)
+        sector_of = np.full(len(dc), -1, dtype=np.intp)
         sector_of[centres] = np.arange(len(centres))
         lk = k1[:, sector_of[k1[2]] >= 0]
         rk = k2[:, sector_of[k2[0]] >= 0]
-        rows = np.stack((sector_of[lk[2]], lk[0], lk[1]))
-        cols = np.stack((sector_of[rk[0]], rk[1], rk[2]))
+        rows = np.array((sector_of[lk[2]], lk[0], lk[1]))
+        cols = np.array((sector_of[rk[0]], rk[1], rk[2]))
 
         # the (l, r) pairs joined through some centre sector are the band columns
-        left_of = np.zeros((lix.nsectors, len(centres)), dtype=np.intp)
+        left_of = np.zeros((len(dl), len(centres)), dtype=np.intp)
         left_of[rows[1], rows[0]] = 1
-        right_of = np.zeros((len(centres), rix.nsectors), dtype=np.intp)
+        right_of = np.zeros((len(centres), len(dr)), dtype=np.intp)
         right_of[cols[0], cols[2]] = 1
         joined = left_of @ right_of > 0
-        self.dl, self.dp, self.dr = dl, dp, dr = dims1[0], dims1[1], dims2[2]
-        ql, qp, qr = (np.array(ix.charges) for ix in (lix, phys, rix))
-        pl, pr = np.nonzero(joined)
-        band_qs, band_ncols, _, colstart = group_by_charge(qr[pr] - ql[pl], dl[pl] * dr[pr])
+        pl, pr = joined.nonzero()
+        charges, dims, pair_at = pair_bands(phys)
+        band = charges.searchsorted(np.add.outer(qp, qp))
+        # a band no joined pair reaches gets no columns
+        _, ncols, _, colstart = group_by_charge(qr[pr] - ql[pl], dl[pl] * dr[pr], charges)
         self.colstart = np.full(joined.shape, -1, dtype=np.intp)
         self.colstart[pl, pr] = colstart
-        charges, dims, pair_at = pair_bands(phys)
-        used = np.searchsorted(charges, band_qs)
-        ncols = np.zeros(len(charges), dtype=np.intp)  # a band no joined pair reaches gets none
-        ncols[used] = band_ncols
         room = dims * ncols
-        start = np.cumsum(room) - room
-        band = np.searchsorted(charges, np.add.outer(qp, qp))
+        start = starts(room)
         self.base, self.ncols = start[band] + pair_at * ncols[band], ncols[band]
+        used = ncols.nonzero()[0]
         self.bands = list(zip(*(x[used].tolist() for x in (charges, start, dims, ncols))))
         self.size, self.pad = int(room.sum()), int(dr.max())
-        self.scatter = self.positions(rows, cols, len(centres))[0::3]
 
         # gather: every (l, p1) row and (p2, r) column of a joined l or r, by new bond charge
-        lsel = np.flatnonzero(joined.any(axis=1))
-        rsel = np.flatnonzero(joined.any(axis=0))
-        nsec = phys.nsectors
-        row_l, row_p = np.repeat(lsel, nsec), np.tile(np.arange(nsec), len(lsel))
-        col_p, col_r = np.repeat(np.arange(nsec), len(rsel)), np.tile(rsel, nsec)
-        row_q = ql[row_l] + qp[row_p]
-        col_q = qr[col_r] - qp[col_p]
-        self.charges = np.intersect1d(row_q, col_q)
-        order, at = _by_charge(row_q, self.charges)
-        self.rows = np.stack((at, row_l[order], row_p[order]))
-        order, at = _by_charge(col_q, self.charges)
-        self.cols = np.stack((at, col_p[order], col_r[order]))
-        self.row_dims = np.stack((dl[self.rows[1]], dp[self.rows[2]]))
-        self.col_dims = np.stack((dp[self.cols[1]], dr[self.cols[2]]))
-        shift, rb, cb, run_len = self.positions(self.rows, self.cols, len(self.charges))
-        self.runs = (shift, run_len, rb, cb, np.cumsum(run_len) - run_len)
-
-        # each matrix row of site m runs over its centre sector's values, of site m+1
-        # over its stacked columns
-        offsets = np.array(cix.offsets, dtype=np.intp)
-        shapes1, shapes2 = (
-            np.array([m[3] for m in mats], dtype=np.intp).reshape(-1, 2) for mats in (left, right)
+        lsel = joined.any(axis=1).nonzero()[0]
+        rsel = joined.any(axis=0).nonzero()[0]
+        row_q = (ql[lsel, None] + qp).ravel()  # (l, p1) in sorted order
+        col_q = (qr[rsel] - qp[:, None]).ravel()  # (p2, r) in sorted order
+        self.charges, (order, at), (corder, cat) = _by_common_charge(row_q, col_q)
+        row_l, row_p = np.divmod(order, len(qp))
+        self.rows = np.array((at, lsel[row_l], row_p))
+        col_p, col_r = np.divmod(corder, len(rsel))
+        self.cols = np.array((cat, col_p, rsel[col_r]))
+        self.row_dims = np.array((dl[self.rows[1]], dp[self.rows[2]]))
+        self.col_dims = np.array((dp[self.cols[1]], dr[self.cols[2]]))
+        # one positions call for the centre products (scatter) and the gathered
+        # matrices, which follow them as sectors len(centres) onwards
+        nc, nrb, ncb, later = len(centres), rows.shape[1], cols.shape[1], [[len(centres)], [0], [0]]
+        (shift, rb, cb, run_len), (rblk, a), (sblk, slen) = self.positions(
+            np.hstack((rows, self.rows + later)), np.hstack((cols, self.cols + later)), nc + len(self.charges)
         )
-        self.weights = (
-            (_outer_index(lix, k1[0], dp[k1[1]], 2), *_row_runs(shapes1, offsets[[m[0] for m in left]])),
-            (_outer_index(rix, k2[2], dp[k2[1]], 0), *_row_runs(shapes2, [m[1] for m in right])),
-        )
+        n = rb.searchsorted(nrb)  # the scatter's runs come first
+        self.scatter, run_len = (shift[:n], run_len[:n]), run_len[n:]
+        # a gathered entry's position counts from the first gathered entry
+        self.runs = (shift[n:] + self.scatter[1].sum(), run_len, rb[n:] - nrb, cb[n:] - ncb, starts(run_len))
+        # the block of every gathered row (column) and the position of its outer bond value
+        r0, s0 = rblk.searchsorted(nrb), sblk.searchsorted(ncb)
+        rblk, a, sblk, slen = rblk[r0:] - nrb, a[r0:], sblk[s0:] - ncb, slen[s0:]
+        off_l, off_r = (np.array(ix.offsets, dtype=np.intp) for ix in (lix, rix))
+        self.lines = (rblk, off_l[self.rows[1]][rblk] + a, sblk.repeat(slen),
+                      run_positions(off_r[self.cols[2]][sblk] - starts(slen), slen))
 
     def positions(self, rows, cols, nsectors: int):
         """Buffer positions of every entry of a list of sector matrices, by run.
@@ -450,9 +452,10 @@ class _GatePlan:
         spans (a, i1) in C order and a column block (i2, b).  Sector
         matrices follow one another, each in C order.  The b columns of one
         (row, column block, i2) form a run that is contiguous in both
-        layouts.  Returns the shift of every run (see
-        ``charge_tensor.run_positions``), its row block, its column block
-        and its length.
+        layouts.  Returns, per run, its shift (see
+        ``charge_tensor.run_positions``), row block, column block and length;
+        per row, its block and a; and per column segment (column block, i2),
+        its block and length.
         """
         rsec, rl, rp = rows
         csec, cp, cr = cols
@@ -464,12 +467,12 @@ class _GatePlan:
         nrows = np.bincount(rsec, rsize, nsectors).astype(np.intp)
         ncols = np.bincount(csec, self.dp[cp] * self.dr[cr], nsectors).astype(np.intp)
         nsegs = np.bincount(csec, self.dp[cp], nsectors).astype(np.intp)
-        row_first, col_first, seg_first = (np.cumsum(n) - n for n in (nrows, ncols, nsegs))
-        entry_first = np.cumsum(nrows * ncols) - nrows * ncols
+        row_first, col_first, seg_first = starts(nrows), starts(ncols), starts(nsegs)
+        entry_first = starts(nrows * ncols)
         # where each row and each segment starts inside its sector matrix
         row_sec = rsec[rblk]
         row_at = entry_first[row_sec] + (np.arange(len(rblk)) - row_first[row_sec]) * ncols[row_sec]
-        seg_at = np.cumsum(slen) - slen - col_first[csec[sblk]]
+        seg_at = starts(slen) - col_first[csec[sblk]]
 
         run_sec, run_at = ragged(nrows * nsegs)
         run_row, run_seg = np.divmod(run_at, nsegs[run_sec])
@@ -478,15 +481,11 @@ class _GatePlan:
         rb, cb = rblk[run_row], sblk[run_seg]
         p1, p2 = rp[rb], cp[cb]
         start = self.colstart[rl[rb], cr[cb]]
-        band_at = (
-            self.base[p1, p2]
-            + self.ncols[p1, p2] * (i1[run_row] * self.dp[p2] + i2[run_seg])
-            + start
-            + a[run_row] * slen[run_seg]
-        )
+        band_at = self.base[p1, p2] + self.ncols[p1, p2] * (i1[run_row] * self.dp[p2] + i2[run_seg])
+        band_at += start + a[run_row] * slen[run_seg]
         band_at[start < 0] = self.size
         run_len = slen[run_seg]
-        return band_at - row_at[run_row] - seg_at[run_seg], rb, cb, run_len
+        return (band_at - row_at[run_row] - seg_at[run_seg], rb, cb, run_len), (rblk, a), (sblk, slen)
 
     def apply_bands(self, flat: np.ndarray, bands) -> np.ndarray:
         """Each band block of ``flat`` times its matrix in ``bands``
@@ -503,20 +502,20 @@ class _GatePlan:
         """``truncated_split`` sectors of the gated amplitudes, by new bond charge.
 
         Returns the matrices, as a dict charge -> matrix, and the row and
-        column blocks of all of them, each as ``(charge, keys, dims)``:
+        column blocks of all of them, each as ``(charge, keys, dims, outer)``:
         block j of a matrix stacks the (l, p1) rows or (p2, r) columns
-        ``keys[:, j]`` of dimensions ``dims[:, j]``.  Blocks are grouped by
-        ascending charge and sorted within a matrix; a row or column block
-        whose amplitudes are all zero is left out.
+        ``keys[:, j]`` of dimensions ``dims[:, j]``, and ``outer`` is the
+        outer bond value's position of every stacked row or column.  Blocks
+        are grouped by ascending charge and sorted within a matrix; a row or
+        column block whose amplitudes are all zero is left out.
         """
         shift, run_len, rb, cb, run_first = self.runs
         values = gated[run_positions(shift, run_len)]
         hit = np.logical_or.reduceat(values != 0, run_first)
-        row_hit = np.zeros(self.rows.shape[1], dtype=bool)
-        row_hit[rb[hit]] = True
-        col_hit = np.zeros(self.cols.shape[1], dtype=bool)
-        col_hit[cb[hit]] = True
-        values = values[np.repeat(row_hit[rb] & col_hit[cb], run_len)]
+        row_hit = np.bincount(rb[hit], minlength=self.rows.shape[1]) > 0
+        col_hit = np.bincount(cb[hit], minlength=self.cols.shape[1]) > 0
+        if not (row_hit.all() and col_hit.all()):
+            values = values[(row_hit[rb] & col_hit[cb]).repeat(run_len)]
 
         rows, row_dims = self.rows[:, row_hit], self.row_dims[:, row_hit]
         cols, col_dims = self.cols[:, col_hit], self.col_dims[:, col_hit]
@@ -528,28 +527,26 @@ class _GatePlan:
             if nr:
                 sectors[q] = values[at : at + nr * nc].reshape(nr, nc)
                 at += nr * nc
-        row_blocks = (self.charges[rows[0]], rows[1:], row_dims)
-        return sectors, row_blocks, (self.charges[cols[0]], cols[1:], col_dims)
+        row_blk, row_outer, col_blk, col_outer = self.lines
+        row_blocks = (self.charges[rows[0]], rows[1:], row_dims, row_outer[row_hit[row_blk]])
+        return sectors, row_blocks, (self.charges[cols[0]], cols[1:], col_dims, col_outer[col_hit[col_blk]])
 
 
-def _row_runs(shapes: np.ndarray, base) -> tuple[np.ndarray, np.ndarray]:
-    """Runs (shift, length) that give ``base[j]`` plus the column for every entry of
-    matrices of ``shapes`` laid end to end, each in C order, one run per row of
-    matrix j (see ``charge_tensor.run_positions``)."""
-    row_of = np.repeat(np.arange(len(shapes)), shapes[:, 0])
-    length = shapes[row_of, 1]
-    return np.asarray(base, dtype=np.intp)[row_of] - (np.cumsum(length) - length), length
-
-
-def _by_charge(q: np.ndarray, charges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entries whose charge is in ``charges``, grouped by charge, order kept within a
-    group, and the position of each one's charge in ``charges``."""
-    order = np.argsort(q, kind="stable")
-    q = q[order]
-    at = np.searchsorted(charges, q)
-    hit = at < len(charges)
-    hit[hit] = charges[at[hit]] == q[hit]
-    return order[hit], at[hit]
+def _by_common_charge(row_q: np.ndarray, col_q: np.ndarray):
+    """The charges both ``row_q`` and ``col_q`` hold, ascending, and for each array its
+    entries of those charges, grouped by charge with their order kept inside a group,
+    with the position of each one's charge."""
+    lo = min(row_q.min(), col_q.min())
+    row_q, col_q = row_q - lo, col_q - lo
+    n = max(row_q.max(), col_q.max()) + 1
+    common = (np.bincount(row_q, minlength=n) > 0) & (np.bincount(col_q, minlength=n) > 0)
+    at = common.cumsum() - 1
+    out = [common.nonzero()[0] + lo]
+    for q in (row_q, col_q):
+        order = q.argsort(kind="stable")
+        order = order[common[q[order]]]
+        out.append((order, at[q[order]]))
+    return out
 
 
 def dense_chain(site_tensors) -> np.ndarray:

@@ -265,6 +265,26 @@ class TestBlockSvd:
                 with pytest.raises(ValueError, match="links only"):
                     block_svd(t, n_row, TruncationPolicy(None, 0.0))
 
+    @pytest.mark.parametrize(
+        "n_row, legs, zero",
+        [
+            (2, (ChargeIndex(((0, 1), (1, 1))), ChargeIndex.occupation(2), ChargeIndex.trivial(1)), (1, 0, 0)),
+            (1, (ChargeIndex.trivial(), ChargeIndex.occupation(2), ChargeIndex(((0, 1), (1, 1)))), (0, 1, 1)),
+        ],
+        ids=["rows", "columns"],
+    )
+    def test_all_zero_block_is_not_stored(self, n_row, legs, zero):
+        # the cut bond has one sector whose matrix stacks a 0.6 block and an
+        # all-zero block; the stacked factor keeps only the first
+        kept = (0, 1, 0) if n_row == 2 else (0, 0, 0)
+        t = SymmetricTensor(legs, {kept: np.full((1, 1, 1), 0.6), zero: np.zeros((1, 1, 1))})
+        left, values, right, _, _ = block_svd(t, n_row, TruncationPolicy(None, 0.0))
+        stacked = left if n_row == 2 else right
+        stacked.validate()
+        assert [key[:2] if n_row == 2 else key[1:] for key in stacked.blocks] == [kept[:2] if n_row == 2 else kept[1:]]
+        rebuilt = contract(scale_axis(left, n_row, values), right)
+        assert np.max(np.abs(rebuilt.densify() - t.densify())) < 1e-15
+
     def test_normalized_spectrum(self, rng):
         t = make_random_three_leg(rng)
         _, values, _, kept, discarded = block_svd(t, 2, TruncationPolicy(4, 0.0))

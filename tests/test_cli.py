@@ -166,6 +166,18 @@ class TestSimulate:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_overflowing_step_count_exit_code(self, tmp_path, capsys, command):
+        out = tmp_path / "x.csv"
+        run = ["--method", "grand-canonical"] if command == "simulate" else ["--run", "method=brute"]
+        rc = main(
+            [command, "--length", "4", "--site", "2", "--tmax", "1e10", "--dt", "5e-324", "--output", str(out)]
+            + run
+        )
+        assert rc == 2
+        assert "--tmax / --dt must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
     @pytest.mark.parametrize(
         "model,flag,value",
         [
@@ -547,6 +559,22 @@ class TestCompare:
         )
         assert rc == 2
         assert f"chi_max must be None or an integer >= 1, got {chi}" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "runs, label",
+        [(["chi=4", "chi=4"], "chi4"), (["method=grand-canonical", "method=grand_canonical"], "grand_canonical")],
+        ids=["same-item", "method-spellings"],
+    )
+    def test_repeated_run_stops_before_any_run(self, tmp_path, capsys, monkeypatch, runs, label):
+        calls = []
+        monkeypatch.setattr(cli, "_run_series", lambda cfg: calls.append(cfg))
+        out = tmp_path / "cmp.csv"
+        args = ["compare", "--length", "4", "--site", "2", "--output", str(out)]
+        rc = main(args + [x for run in runs for x in ("--run", run)])
+        assert rc == 2
+        assert f"repeats the run {label}" in capsys.readouterr().err
         assert calls == [] and not out.exists()
 
 

@@ -197,6 +197,13 @@ class TestEvolve:
         with pytest.raises(ValueError, match="t_max must be finite"):
             evolve(s, spec, make_schedule(2, 0.25), t_max, UNRESTRICTED)
 
+    def test_overflowing_step_count_rejected(self):
+        # 1e10 / 5e-324 overflows to inf, so the step count has no integer value
+        spec = ModelSpec.xxz(4, 0.5)
+        s = lift_product_operator(embed_factor(sigma_z_local(), 2, 4))
+        with pytest.raises(ValueError, match="t_max / dt must be finite"):
+            evolve(s, spec, make_schedule(2, 5e-324), 1e10, UNRESTRICTED)
+
     def test_end_time_is_the_last_time(self):
         spec = ModelSpec.xxz(4, 0.5)
         s = lift_product_operator(embed_factor(sigma_z_local(), 2, 4))

@@ -10,6 +10,7 @@ from mpodyn.charge_tensor import (
     SymmetricTensor,
     TruncationPolicy,
     ZeroNormError,
+    block_svd,
     scale_axis,
 )
 from mpodyn.evolution import evolve, make_schedule
@@ -265,7 +266,7 @@ class TestGateApplication:
             for m in range(1, spec.L):
                 s.mps.apply_two_site_gate(m, super_gate(bond_gate(spec, m, 0.37), s.weights), UNRESTRICTED)
         assert seen
-        for sectors, (row_q, _, row_dims), (col_q, _, col_dims) in seen:
+        for sectors, (row_q, _, row_dims, _), (col_q, _, col_dims, _) in seen:
             assert sorted(sectors) == np.unique(row_q).tolist() == np.unique(col_q).tolist()
             for q, mat in sectors.items():
                 row_sizes = row_dims[:, row_q == q].prod(axis=0)
@@ -293,6 +294,50 @@ class TestGateApplication:
         want = np.zeros(16)
         want[5] = 1.0
         assert np.allclose(psi.to_statevector(), want, atol=1e-14)
+
+    def test_capped_split_drops_an_all_zero_column_block(self):
+        # the mirror of the row case above: the kept V^dagger of the same split
+        # is exactly zero on the (p2=0, r=0) column block of |0101>'s branch
+        psi = _two_branch_state()
+        identity = BondGate(np.eye(4, dtype=complex), ChargeIndex.occupation(2))
+        psi.apply_two_site_gate(2, identity, TruncationPolicy(1, 0.0))
+        assert psi._sites[2].leg == 0  # stored as the right factor of the split
+        assert list(psi.gammas[2].blocks) == [(0, 1, 1)]
+        for g in psi.gammas:
+            _assert_stored_blocks_valid(g)
+
+    def test_canonicalize_drops_an_all_zero_column_block(self, monkeypatch):
+        # |011> + |110> with a stored all-zero (l=1, p=0, r=0) block at site 2: the
+        # right-to-left sweep splits site 2 at bond 1, where the matrix of charge 1
+        # stacks that zero block beside the |110> block; no split of either sweep
+        # may store an all-zero block in its stacked factor
+        cuts = []
+
+        def spy(t, n_row, policy):
+            out = block_svd(t, n_row, policy)
+            cuts.append((n_row, out[0] if n_row == 2 else out[2]))
+            return out
+
+        monkeypatch.setattr(mps_core, "block_svd", spy)
+        phys, b1, b2 = ChargeIndex.occupation(2), ChargeIndex(((0, 1), (1, 1))), ChargeIndex(((1, 1), (2, 1)))
+        one, zero = np.ones((1, 1, 1)), np.zeros((1, 1, 1))
+        links = [
+            ((ChargeIndex.trivial(), phys, b1), {(0, 0, 0): one, (0, 1, 1): one}),
+            ((b1, phys, b2), {(0, 1, 0): one, (1, 0, 0): zero, (1, 1, 1): one}),
+            ((b2, phys, ChargeIndex.trivial(2)), {(0, 1, 0): one, (1, 0, 0): one}),
+        ]
+        mps, norm = canonicalize([SymmetricTensor(legs, blocks) for legs, blocks in links])
+        assert abs(norm - np.sqrt(2)) < 1e-14
+        assert [n for n, _ in cuts] == [1, 1, 2, 2]
+        for _, stacked in cuts:
+            _assert_stored_blocks_valid(stacked)
+        assert (1, 0, 0) not in mps.gammas[1].blocks
+        for g in mps.gammas:
+            _assert_stored_blocks_valid(g)
+        mps.assert_canonical()
+        want = np.zeros(8)
+        want[[6, 3]] = 2**-0.5  # site 1 fastest: |011> -> 6, |110> -> 3
+        assert np.allclose(mps.to_statevector(), want, atol=1e-14)
 
     @SUPER_MODES
     def test_capped_super_gate_keeps_largest_values(self, mode):
