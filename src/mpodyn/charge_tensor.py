@@ -8,7 +8,8 @@ charge sectors).  A dense block may be nonzero only when
 
 so a bond charge counts the charge accumulated from the left end of the
 chain.  All other entries are exactly zero and never stored.  Blocks are
-complex double precision, row-major.
+complex double precision, kept as given when they already are: a block
+view of stored sector matrices is a (possibly strided) view of them.
 
 ``contract`` is the chain product (last leg of one tensor against the
 first leg of the next).  :class:`SectorMatrices` is the one sector-matrix
@@ -144,7 +145,7 @@ class SymmetricTensor:
     def __post_init__(self):
         self.indices = tuple(self.indices)
         self.blocks = {
-            key: np.ascontiguousarray(np.asarray(blk, dtype=np.complex128))
+            key: np.asarray(blk, dtype=np.complex128)
             for key, blk in self.blocks.items()
         }
 
@@ -317,6 +318,14 @@ def _svd_dense(mat: np.ndarray):
         return scipy_svd(mat, full_matrices=False, lapack_driver="gesvd")
 
 
+@lru_cache(maxsize=None)
+def _thread_count(raw: str) -> int:
+    """``MPODYN_THREADS`` as a positive integer, parsed once per distinct value."""
+    if not (raw.strip().isdecimal() and int(raw) > 0):
+        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
 def truncated_split(sectors: dict[int, np.ndarray], policy: TruncationPolicy):
     """Blockwise truncated SVD of sector matrices.
 
@@ -336,10 +345,7 @@ def truncated_split(sectors: dict[int, np.ndarray], policy: TruncationPolicy):
         return q, _svd_dense(sectors[q])
 
     qs = sorted(sectors)
-    raw = os.environ.get(THREADS_ENV) or "1"
-    if not (raw.strip().isdecimal() and int(raw) > 0):
-        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    nthreads = int(raw)
+    nthreads = _thread_count(os.environ.get(THREADS_ENV) or "1")
     if nthreads > 1 and len(qs) > 1:
         from concurrent.futures import ThreadPoolExecutor  # the pool loads only when used
 
@@ -376,7 +382,8 @@ def drop_zero_blocks(mats, leg: int, charges, keys, sizes, bond: ChargeIndex):
     ``U``, a scatter of the nonzero entries of ``V^dagger`` onto columns.
     Returns the cut matrices as one :class:`SectorMatrices` ``flat``, the
     (l, p, r) key of every block it stacks, with bond positions on the bond
-    leg, and the row (column) of every entry, counted over all blocks given.
+    leg, and the row and the column of every entry: on the blocks' side
+    counted over all blocks given, on the bond's side its bond position.
     """
     kept_charges = np.array(bond.charges)
     pos = kept_charges.searchsorted(charges)
@@ -390,9 +397,11 @@ def drop_zero_blocks(mats, leg: int, charges, keys, sizes, bond: ChargeIndex):
     if leg == 2:  # a row of U is one run of entries
         length = shapes[:, 1].repeat(shapes[:, 0])
         line = lines.repeat(length)
+        across = run_positions(*row_runs(shapes, starts(shapes[:, 1])))
         hit = np.logical_or.reduceat(nonzero, starts(length))
     else:  # a column of V^dagger is one entry in every row of its matrix
         line = run_positions(*row_runs(shapes, lines[starts(shapes[:, 1])]))
+        across = np.arange(shapes[:, 0].sum()).repeat(shapes[:, 1].repeat(shapes[:, 0]))
         hit = np.zeros(len(given), dtype=bool)
         hit[line[nonzero]] = True
         hit = hit[lines]
@@ -400,9 +409,11 @@ def drop_zero_blocks(mats, leg: int, charges, keys, sizes, bond: ChargeIndex):
     if not keep.all():
         given[lines] = keep.repeat(sizes)
         entry = given[line]
-        flat, line = flat[entry], line[entry]
+        flat, line, across = flat[entry], line[entry], across[entry]
         keys, pos = keys[:, keep], pos[keep]
-    return flat, np.vstack((keys, pos) if leg == 2 else (pos, keys)), line
+    if leg == 2:
+        return flat, np.vstack((keys, pos)), (line, across)
+    return flat, np.vstack((pos, keys)), (across, line)
 
 
 def block_svd(
@@ -532,8 +543,9 @@ class SectorMatrices:
 
     def tensor(self) -> SymmetricTensor:
         """Block view: the tensor :meth:`from_tensor` converted, else the
-        blocks in layout order, row slices of the matrices (views of
-        ``flat``) in the left-factor layout and column slices in the other."""
+        blocks in layout order, row slices of the matrices in the
+        left-factor layout and column slices in the other, every one a
+        view of ``flat``."""
         if self._tensor is None:
             dl, dp, dr = (ix.dims for ix in self.indices)
             mats = dict(self.matrices())

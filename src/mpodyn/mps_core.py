@@ -1,10 +1,14 @@
-"""Canonical (Vidal) matrix product states over charge-graded sites.
+"""Right-canonical matrix product states over charge-graded sites.
 
-A state of L sites is a chain of Gamma tensors with legs (bond-in,
+A state of L sites is a chain of site tensors with legs (bond-in,
 physical, bond-out) plus per-interior-bond singular value vectors grouped
-by bond charge.  Bond charges count accumulated physical charge from the
-left, so the leftmost bond is a trivial charge-0 sector and the rightmost
-carries the total charge of a charge-definite state;
+by bond charge.  Each site is stored as B_m = Gamma_m lambda_m, the Vidal
+Gamma with its right bond's values multiplied in (lambda_L = 1), so every
+B is right-isometric, the chain product of the stored sites is the state,
+and every reader uses a site as stored; only this module moves the gauge
+(Hastings, arXiv:0903.3253).  Bond charges count accumulated physical
+charge from the left, so the leftmost bond is a trivial charge-0 sector
+and the rightmost carries the total charge of a charge-definite state;
 ``CanonicalMps.total_charge`` reads it from there and is not stored.
 
 Every site is one immutable ``charge_tensor.SectorMatrices``: block
@@ -39,13 +43,17 @@ looks as it did one or two gates ago only moves values.  The kernel and
 :func:`canonicalize` (through ``block_svd``) share
 ``charge_tensor.truncated_split`` for the sector SVDs and the truncation
 and ``charge_tensor.drop_zero_blocks`` for the zero-block cut, which tests
-a whole stacked factor at once and returns it as one flat array; the
-kernel adds only the outer-value divide, at positions its plan holds.
+a whole stacked factor at once and returns it as one flat array.  In B
+form the two-site amplitudes are lambda_{m-1} B_m B_{m+1}: the kernel
+multiplies the left bond's values into site m's rows, keeps ``V^dagger``
+as site m+1 untouched, and makes site m in one divide of ``U``, the left
+values out of its rows and the new values into its columns, at positions
+its plan holds.
 
 Open boundaries only: the outer bonds are one-dimensional.  Singular
-values below ``LAMBDA_FLOOR`` are dropped outright; restoring Vidal form
-after a two-site update divides by the outer singular values and this
-floor keeps that division stable.
+values below ``LAMBDA_FLOOR`` are dropped outright; a two-site update
+divides only site m's rows by the left bond's values, and this floor
+keeps that division stable.
 """
 
 from __future__ import annotations
@@ -68,7 +76,6 @@ from .charge_tensor import (
     group_by_charge,
     pair_bands,
     ragged,
-    row_runs,
     run_positions,
     scale_axis,
     starts,
@@ -89,19 +96,19 @@ class TruncationRecord:
 
 
 class CanonicalMps:
-    """Vidal-form MPS: Gamma tensors plus charge-labelled bond spectra.
+    """Right-canonical MPS: sites B = Gamma lambda plus charge-labelled bond spectra.
 
     ``lambdas[m-1]`` holds the singular values of interior bond ``m``
     (1-based, between sites m and m+1) as a mapping charge -> descending
     values; the grouping matches the sector order of the adjacent bond
-    legs.  Each Gamma is stored as immutable ``SectorMatrices`` (see the
-    module docstring); ``gammas`` gives their block views.
+    legs.  Each site is stored as immutable ``SectorMatrices`` (see the
+    module docstring); ``sites`` gives their block views.
     """
 
-    def __init__(self, gammas: list[SymmetricTensor], lambdas: list[dict[int, np.ndarray]]):
-        if len(lambdas) != len(gammas) - 1:
+    def __init__(self, sites: list[SymmetricTensor], lambdas: list[dict[int, np.ndarray]]):
+        if len(lambdas) != len(sites) - 1:
             raise ValueError("need exactly one singular vector per interior bond")
-        self._sites = [SectorMatrices.from_tensor(g) for g in gammas]
+        self._sites = [SectorMatrices.from_tensor(t) for t in sites]
         self.lambdas = [
             {int(q): np.asarray(v, dtype=np.float64) for q, v in lam.items()}
             for lam in lambdas
@@ -109,8 +116,8 @@ class CanonicalMps:
         self._plans: list[list[tuple[tuple, _GatePlan]]] = [[] for _ in self.lambdas]
 
     @property
-    def gammas(self) -> list[SymmetricTensor]:
-        """Block views of the Gammas; a stored site builds its view once."""
+    def sites(self) -> list[SymmetricTensor]:
+        """Block views of the sites; a stored site builds its view once."""
         return [site.tensor() for site in self._sites]
 
     @property
@@ -137,12 +144,11 @@ class CanonicalMps:
             return self._sites[0].indices[0]
         return self._sites[m - 1].indices[2]
 
-    def lambda_at(self, m: int) -> dict[int, np.ndarray]:
-        """Singular values at bond m (0..L); outer bonds return a unit weight."""
+    def _bond_values(self, m: int) -> np.ndarray:
+        """Bond m's values, all sectors in bond order; ones on the outer bonds."""
         if m == 0 or m == self.L:
-            ix = self.bond_index(m)
-            return {ix.charges[0]: np.array([1.0])}
-        return self.lambdas[m - 1]
+            return np.ones(self.bond_dimension(m))
+        return np.concatenate([self.lambdas[m - 1][q] for q in self.bond_index(m).charges])
 
     def bond_dimension(self, m: int) -> int:
         return self.bond_index(m).dim
@@ -184,40 +190,36 @@ class CanonicalMps:
         Works on sector matrices only, and moves them with the index arrays
         of the bond's gate plan (:meth:`_gate_plan`).  Site m is taken in
         the left-factor layout and site m+1 in the right-factor layout; for
-        each centre sector c their matrices, with the outer and centre
-        singular values multiplied into rows and columns, give every
-        amplitude through c in one matmul.  The products are scattered into one matrix per
+        each centre sector c their matrices, with the left bond's singular
+        values multiplied into site m's rows, give every amplitude through
+        c in one matmul.  The products are scattered into one matrix per
         gate band q (``BondGate.band_table``): rows are the band's fused
         pair basis, columns every (l, r) pair of bond charge difference q.
         The band block acts on it with one matmul.  The gated amplitudes
         are then gathered into one matrix per new bond charge, all-zero
         (l, p1) rows and (p2, r) columns left out, and split by
         ``truncated_split``.  The kept ``U`` and ``V^dagger`` become the new
-        sites as they are, less their all-zero blocks, with the outer
-        singular values divided out of their rows and columns (Vidal form).
+        sites less their all-zero blocks: site m+1 is ``V^dagger`` as it
+        is, and site m is ``U`` with the left bond's values divided out of
+        its rows and the new normalized values multiplied into its columns.
         The state is renormalized; the returned record carries the
         pre-normalization kept norm ``nu`` and the discarded weight.
         """
         if not 1 <= m <= self.L - 1:
             raise ValueError("bond out of range")
         s1, s2 = self._sites[m - 1], self._sites[m]
-        (lix, phys1, cix), (_, phys2, rix) = s1.indices, s2.indices
+        (lix, phys1, _), (_, phys2, rix) = s1.indices, s2.indices
         if gate.index.sectors != phys1.sectors or gate.index.sectors != phys2.sectors:
             raise ChargeMismatchError("charge mismatch")
-        # each bond's values, sectors in bond order
-        vl, vc, vr = (
-            np.concatenate([self.lambda_at(k)[q] for q in ix.charges])
-            for k, ix in zip((m - 1, m, m + 1), (lix, cix, rix))
-        )
+        vl = self._bond_values(m - 1)
         plan = self._gate_plan(m, s1, s2)
 
         f1, f2 = (
             s.flat if move is None else s.flat[run_positions(*move)] for s, move in zip((s1, s2), plan.moves)
         )
-        # outer values into the rows of f1 and the columns of f2, centre values into the columns of f1
-        (outer1, shift1, len1), (outer2, shift2, len2) = plan.weights
-        f1 = (f1 * vl[outer1].repeat(len1)) * vc[run_positions(shift1, len1)]
-        f2 = f2 * vr[outer2[run_positions(shift2, len2)]]
+        # theta = lambda_{m-1} B_m B_{m+1}: the left values into the rows of f1
+        outer, length = plan.outer
+        f1 = f1 * vl[outer].repeat(length)
         flat = np.zeros(plan.size, dtype=np.complex128)
         pos = run_positions(*plan.scatter)
         at = 0
@@ -240,9 +242,13 @@ class CanonicalMps:
         except ZeroNormError as exc:
             raise ZeroNormError("state annihilated") from exc
 
-        self._sites[m - 1] = _factor_site((lix, phys1, bond), 2, us, row_blocks, vl)
-        self._sites[m] = _factor_site((bond, phys2, rix), 0, vhs, col_blocks, vr)
-        self.lambdas[m - 1] = {q: v / kept_norm for q, v in values.items()}
+        lam = {q: v / kept_norm for q, v in values.items()}
+        self._sites[m - 1] = _factor_site((lix, phys1, bond), us, row_blocks, vl, lam)
+        # B_{m+1} = V^dagger, as cut
+        charge, keys, dims = col_blocks
+        flat, keys, _ = drop_zero_blocks(vhs, 0, charge, keys, dims.prod(axis=0), bond)
+        self._sites[m] = SectorMatrices((bond, phys2, rix), 0, keys, flat)
+        self.lambdas[m - 1] = lam
         return TruncationRecord(
             bond=m,
             nu=kept_norm,
@@ -268,12 +274,8 @@ class CanonicalMps:
     # -- site views ------------------------------------------------------------
 
     def site_tensor(self, m: int) -> SymmetricTensor:
-        """Gamma of site m (1..L) with the bond values to its right multiplied in.
-
-        The chain product of these tensors is the state.
-        """
-        g = self._sites[m - 1].tensor()
-        return scale_axis(g, 2, self.lambda_at(m)) if m < self.L else g
+        """Block view of site m (1..L), as stored; the chain product of the sites is the state."""
+        return self._sites[m - 1].tensor()
 
     def site_tensor_dense(self, m: int) -> np.ndarray:
         """Dense (chi_l, D, chi_r) :meth:`site_tensor` of site m, sector-layout ordering."""
@@ -286,46 +288,41 @@ class CanonicalMps:
         return dense_chain(self.site_tensor_dense(m) for m in range(1, self.L + 1))
 
     def assert_canonical(self, atol: float = 1e-8) -> None:
-        """Verify bond normalization and the left/right orthogonality conditions."""
+        """Verify bond normalization, B B^dagger = 1 at every site, and the left
+        condition sum lambda_{m-1}^2 B^dagger B = diag(lambda_m^2); nothing is divided."""
         for m in range(1, self.L):
             total = sum(np.sum(v**2) for v in self.lambdas[m - 1].values())
             if abs(total - 1.0) > 1e-10:
                 raise AssertionError(f"bond {m}: sum lambda^2 = {total}")
         for m in range(1, self.L + 1):
-            a = scale_axis(self._sites[m - 1].tensor(), 0, self.lambda_at(m - 1)).densify()
-            right_env = np.einsum("akb,akc->bc", a.conj(), a)
-            if not np.allclose(right_env, np.eye(a.shape[2]), atol=atol):
-                raise AssertionError(f"site {m}: right orthogonality violated")
             b = self.site_tensor_dense(m)
-            left_env = np.einsum("akc,bkc->ab", b, b.conj())
-            if not np.allclose(left_env, np.eye(b.shape[0]), atol=atol):
+            if not np.allclose(np.einsum("akc,bkc->ab", b, b.conj()), np.eye(b.shape[0]), atol=atol):
+                raise AssertionError(f"site {m}: right orthogonality violated")
+            left_env = np.einsum("a,akb,akc->bc", self._bond_values(m - 1) ** 2, b.conj(), b)
+            if not np.allclose(left_env, np.diag(self._bond_values(m) ** 2), atol=atol):
                 raise AssertionError(f"site {m}: left orthogonality violated")
 
 
-def _outer_index(ix: ChargeIndex, outer, dp, leg: int) -> np.ndarray:
-    """Position in bond ``ix``'s values of the outer value of every stacked row or column:
-    lambda[a] for row (a, i) of a left-factor block (``leg == 2``), lambda[b] for column
-    (i, b) of a right-factor one.  ``outer`` is each block's sector on ``ix`` and ``dp``
-    its physical dimension, blocks in stacking order."""
-    dout = np.array(ix.dims, dtype=np.intp)[outer]
-    blk, t = ragged(dout * dp)
-    inner = t // dp[blk] if leg == 2 else t % dout[blk]
-    return np.array(ix.offsets, dtype=np.intp)[outer][blk] + inner
+def _outer_index(ix: ChargeIndex, outer, dp) -> np.ndarray:
+    """Position in bond ``ix``'s values of lambda[a] for every stacked row (a, i) of
+    left-factor blocks; ``outer`` is each block's sector on ``ix`` and ``dp`` its
+    physical dimension, blocks in stacking order."""
+    blk, t = ragged(np.array(ix.dims, dtype=np.intp)[outer] * dp)
+    return np.array(ix.offsets, dtype=np.intp)[outer][blk] + t // dp[blk]
 
 
-def _factor_site(indices, leg: int, mats, blocks, values: np.ndarray) -> SectorMatrices:
-    """New site from the kept ``U[:, :k]`` (``leg == 2``) or ``V^dagger[:k]``
-    (``leg == 0``) of each new bond charge, cut by ``drop_zero_blocks`` as
-    ``block_svd`` cuts, with the outer bond's ``values`` (all sectors, in
-    bond order) divided out of its rows (columns), which restores Vidal
-    form.  ``blocks`` is what ``_GatePlan.gather`` returns for the rows
-    (columns); its last field is every row's (column's) position in
-    ``values``.
+def _factor_site(indices, us, blocks, left: np.ndarray, values: dict) -> SectorMatrices:
+    """Site m of a gate, B_m = U lambda_m / lambda_{m-1}: the kept ``U[:, :k]`` of
+    each new bond charge, cut by ``drop_zero_blocks`` as ``block_svd`` cuts, then
+    one divide by each entry's left value over its new value.  ``left`` holds the
+    left bond's values, all sectors in bond order, and ``values`` the new bond's
+    spectrum; ``blocks`` is what ``_GatePlan.gather`` returns for the rows, its
+    last field every row's position in ``left``.
     """
     charge, keys, dims, outer = blocks
-    flat, keys, line = drop_zero_blocks(mats, leg, charge, keys, dims.prod(axis=0), indices[leg])
-    flat /= values[outer][line]
-    return SectorMatrices(indices, leg, keys, flat)
+    flat, keys, (row, col) = drop_zero_blocks(us, 2, charge, keys, dims.prod(axis=0), indices[2])
+    flat /= left[outer][row] / np.concatenate(list(values.values()))[col]
+    return SectorMatrices(indices, 2, keys, flat)
 
 
 class _GatePlan:
@@ -348,21 +345,18 @@ class _GatePlan:
     - ``centres``: per centre bond sector, the first entry and the rows and
       columns of site m's matrix, then the first entry and columns of site
       m+1's (its rows are site m's columns);
-    - ``weights``: for site m, the :func:`_outer_index` of every stacked
-      row and per matrix row the run over its centre sector's values; for
-      site m+1, the :func:`_outer_index` of every stacked column and per
-      matrix row the run over those columns;
+    - ``outer``: for site m, the :func:`_outer_index` of every stacked row
+      and the length of every matrix row;
     - ``scatter``: the runs (shift, length) that put the centre products
       into the band buffer;
     - ``bands``: each band's charge, start, dimension and column count; the
       gate's matrices are read per call;
     - ``lines``: for every row of the gathered matrices its block and the
-      position of its outer (left bond) value, then the same for every
-      column (right bond), the values :func:`_factor_site` divides out;
+      position of its left bond value, which the kernel divides out;
     - the rest: what :meth:`positions` and :meth:`gather` read.
     """
 
-    __slots__ = ("moves", "centres", "weights", "scatter", "bands", "size", "pad", "dl", "dp", "dr",
+    __slots__ = ("moves", "centres", "outer", "scatter", "bands", "size", "pad", "dl", "dp", "dr",
                  "colstart", "base", "ncols", "charges", "rows", "cols", "row_dims", "col_dims", "runs",
                  "lines")
 
@@ -380,13 +374,7 @@ class _GatePlan:
         at1, at2 = starts(n1 * dc), starts(n2 * dc)
         centres = (n1 * n2).nonzero()[0]
         self.centres = list(zip(*(x[centres].tolist() for x in (at1, n1, dc, at2, n2))))
-        # each matrix row of site m runs over its centre sector's values, of site m+1
-        # over its stacked columns
-        c1, c2 = n1.nonzero()[0], n2.nonzero()[0]
-        self.weights = (
-            (_outer_index(lix, k1[0], dp[k1[1]], 2), *row_runs(np.array((n1, dc)).T[c1], starts(dc)[c1])),
-            (_outer_index(rix, k2[2], dp[k2[1]], 0), *row_runs(np.array((dc, n2)).T[c2], starts(n2)[c2])),
-        )
+        self.outer = _outer_index(lix, k1[0], dp[k1[1]]), dc.repeat(n1)
         # (sector, l, p1) of every row block and (sector, p2, r) of every column block
         sector_of = np.full(len(dc), -1, dtype=np.intp)
         sector_of[centres] = np.arange(len(centres))
@@ -430,19 +418,17 @@ class _GatePlan:
         # one positions call for the centre products (scatter) and the gathered
         # matrices, which follow them as sectors len(centres) onwards
         nc, nrb, ncb, later = len(centres), rows.shape[1], cols.shape[1], [[len(centres)], [0], [0]]
-        (shift, rb, cb, run_len), (rblk, a), (sblk, slen) = self.positions(
+        (shift, rb, cb, run_len), (rblk, a) = self.positions(
             np.hstack((rows, self.rows + later)), np.hstack((cols, self.cols + later)), nc + len(self.charges)
         )
         n = rb.searchsorted(nrb)  # the scatter's runs come first
         self.scatter, run_len = (shift[:n], run_len[:n]), run_len[n:]
         # a gathered entry's position counts from the first gathered entry
         self.runs = (shift[n:] + self.scatter[1].sum(), run_len, rb[n:] - nrb, cb[n:] - ncb, starts(run_len))
-        # the block of every gathered row (column) and the position of its outer bond value
-        r0, s0 = rblk.searchsorted(nrb), sblk.searchsorted(ncb)
-        rblk, a, sblk, slen = rblk[r0:] - nrb, a[r0:], sblk[s0:] - ncb, slen[s0:]
-        off_l, off_r = (np.array(ix.offsets, dtype=np.intp) for ix in (lix, rix))
-        self.lines = (rblk, off_l[self.rows[1]][rblk] + a, sblk.repeat(slen),
-                      run_positions(off_r[self.cols[2]][sblk] - starts(slen), slen))
+        # the block of every gathered row and the position of its left bond value
+        r0 = rblk.searchsorted(nrb)
+        rblk, a = rblk[r0:] - nrb, a[r0:]
+        self.lines = rblk, np.array(lix.offsets, dtype=np.intp)[self.rows[1]][rblk] + a
 
     def positions(self, rows, cols, nsectors: int):
         """Buffer positions of every entry of a list of sector matrices, by run.
@@ -454,8 +440,7 @@ class _GatePlan:
         (row, column block, i2) form a run that is contiguous in both
         layouts.  Returns, per run, its shift (see
         ``charge_tensor.run_positions``), row block, column block and length;
-        per row, its block and a; and per column segment (column block, i2),
-        its block and length.
+        and per row, its block and a.
         """
         rsec, rl, rp = rows
         csec, cp, cr = cols
@@ -485,7 +470,7 @@ class _GatePlan:
         band_at += start + a[run_row] * slen[run_seg]
         band_at[start < 0] = self.size
         run_len = slen[run_seg]
-        return (band_at - row_at[run_row] - seg_at[run_seg], rb, cb, run_len), (rblk, a), (sblk, slen)
+        return (band_at - row_at[run_row] - seg_at[run_seg], rb, cb, run_len), (rblk, a)
 
     def apply_bands(self, flat: np.ndarray, bands) -> np.ndarray:
         """Each band block of ``flat`` times its matrix in ``bands``
@@ -501,13 +486,14 @@ class _GatePlan:
     def gather(self, gated: np.ndarray):
         """``truncated_split`` sectors of the gated amplitudes, by new bond charge.
 
-        Returns the matrices, as a dict charge -> matrix, and the row and
-        column blocks of all of them, each as ``(charge, keys, dims, outer)``:
-        block j of a matrix stacks the (l, p1) rows or (p2, r) columns
-        ``keys[:, j]`` of dimensions ``dims[:, j]``, and ``outer`` is the
-        outer bond value's position of every stacked row or column.  Blocks
-        are grouped by ascending charge and sorted within a matrix; a row or
-        column block whose amplitudes are all zero is left out.
+        Returns the matrices, as a dict charge -> matrix, the row blocks of
+        all of them as ``(charge, keys, dims, outer)`` and the column blocks
+        as ``(charge, keys, dims)``: block j of a matrix stacks the (l, p1)
+        rows or (p2, r) columns ``keys[:, j]`` of dimensions ``dims[:, j]``,
+        and ``outer`` is the left bond value's position of every stacked
+        row.  Blocks are grouped by ascending charge and sorted within a
+        matrix; a row or column block whose amplitudes are all zero is left
+        out.
         """
         shift, run_len, rb, cb, run_first = self.runs
         values = gated[run_positions(shift, run_len)]
@@ -527,9 +513,9 @@ class _GatePlan:
             if nr:
                 sectors[q] = values[at : at + nr * nc].reshape(nr, nc)
                 at += nr * nc
-        row_blk, row_outer, col_blk, col_outer = self.lines
+        row_blk, row_outer = self.lines
         row_blocks = (self.charges[rows[0]], rows[1:], row_dims, row_outer[row_hit[row_blk]])
-        return sectors, row_blocks, (self.charges[cols[0]], cols[1:], col_dims, col_outer[col_hit[col_blk]])
+        return sectors, row_blocks, (self.charges[cols[0]], cols[1:], col_dims)
 
 
 def _by_common_charge(row_q: np.ndarray, col_q: np.ndarray):
@@ -592,7 +578,7 @@ def from_fock(occupations: list[int], d: int) -> CanonicalMps:
 
 
 def canonicalize(site_tensors: list[SymmetricTensor]) -> tuple[CanonicalMps, float]:
-    """Bring an arbitrary (bond-in, phys, bond-out) chain to Vidal form.
+    """Bring an arbitrary (bond-in, phys, bond-out) chain to right-canonical form.
 
     No cap on the bond dimension; values below ``LAMBDA_FLOOR`` are
     dropped.  Returns the canonical state and the norm of the input chain.
@@ -614,8 +600,8 @@ def canonicalize(site_tensors: list[SymmetricTensor]) -> tuple[CanonicalMps, flo
         carry = scale_axis(left, 1, values)
         tensors[m - 1] = contract(tensors[m - 1], carry)
 
-    # left-to-right sweep: extract Schmidt spectra and Gamma tensors
-    gammas: list[SymmetricTensor] = []
+    # left-to-right sweep: extract Schmidt spectra and the sites B = Gamma lambda
+    sites: list[SymmetricTensor] = []
     lambdas: list[dict[int, np.ndarray]] = []
     norm_val = None
     prev_lam: dict[int, np.ndarray] | None = None
@@ -627,16 +613,15 @@ def canonicalize(site_tensors: list[SymmetricTensor]) -> tuple[CanonicalMps, flo
                 raise ZeroNormError("zero norm")
         lam = {q: v / norm_val for q, v in values.items()}
         gamma = left if prev_lam is None else scale_axis(left, 0, prev_lam, inverse=True)
-        gammas.append(gamma)
+        sites.append(scale_axis(gamma, 2, lam))
         lambdas.append(lam)
         carry = scale_axis(right, 0, values)
         tensors[m + 1] = contract(carry, tensors[m + 1])
         prev_lam = lam
 
     last = tensors[L - 1].scale(1.0 / norm_val)
-    last = scale_axis(last, 0, prev_lam, inverse=True)
-    gammas.append(last)
-    return CanonicalMps(gammas, lambdas), norm_val
+    sites.append(scale_axis(last, 0, prev_lam, inverse=True))
+    return CanonicalMps(sites, lambdas), norm_val
 
 
 # -- serialization ---------------------------------------------------------------
@@ -645,24 +630,26 @@ def canonicalize(site_tensors: list[SymmetricTensor]) -> tuple[CanonicalMps, flo
 def save_mps(path: str, mps: CanonicalMps) -> None:
     """Write a self-describing .npz checkpoint of the state.
 
-    The container holds one array per stored block (named ``g{site}/{key}``),
-    one per bond spectrum sector (``lam{bond}/{charge}``), and a JSON header
-    with the charge layout.  See README for the format notes.
+    The container holds one array per stored block of the sites B = Gamma
+    lambda (named ``g{site}/{key}``), one per bond spectrum sector
+    (``lam{bond}/{charge}``), and a JSON header with the charge layout and
+    ``"form": "B"``.  See README for the format notes.
     """
     meta = {
         "L": mps.L,
+        "form": "B",
         "indices": [
-            {"sectors": [list(s) for s in g.indices[i].sectors]}
-            for g in mps.gammas
+            {"sectors": [list(s) for s in t.indices[i].sectors]}
+            for t in mps.sites
             for i in range(3)
         ],
-        "block_keys": [[list(k) for k in sorted(g.blocks)] for g in mps.gammas],
+        "block_keys": [[list(k) for k in sorted(t.blocks)] for t in mps.sites],
         "lambda_charges": [sorted(lam) for lam in mps.lambdas],
     }
     arrays = {"__meta__": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
-    for m, g in enumerate(mps.gammas):
-        for k in sorted(g.blocks):
-            arrays[f"g{m}/{','.join(map(str, k))}"] = g.blocks[k]
+    for m, t in enumerate(mps.sites):
+        for k in sorted(t.blocks):
+            arrays[f"g{m}/{','.join(map(str, k))}"] = t.blocks[k]
     for m, lam in enumerate(mps.lambdas):
         for q in sorted(lam):
             arrays[f"lam{m}/{q}"] = lam[q]
@@ -674,14 +661,16 @@ def load_mps(path: str) -> CanonicalMps:
 
     Neighbouring sites must agree on their bond and each spectrum must
     have its bond's charges and sector lengths; a file that breaks either
-    raises ``ValueError`` naming the bond.  Older files also carry per-leg
-    ``direction`` and a ``total_charge`` key; both are ignored (the total
-    charge follows from the right bond).
+    raises ``ValueError`` naming the bond.  A file without the ``form``
+    key holds Gammas, as files were written before the B form; each site
+    but the last then gets its right spectrum multiplied in.  Older files
+    also carry per-leg ``direction`` and a ``total_charge`` key; both are
+    ignored (the total charge follows from the right bond).
     """
     with np.load(path) as data:
         meta = json.loads(bytes(data["__meta__"]).decode())
         L = meta["L"]
-        gammas = []
+        sites = []
         for m in range(L):
             idx = tuple(
                 ChargeIndex(tuple(tuple(s) for s in meta["indices"][3 * m + i]["sectors"]))
@@ -691,16 +680,20 @@ def load_mps(path: str) -> CanonicalMps:
                 tuple(k): data[f"g{m}/{','.join(map(str, k))}"]
                 for k in meta["block_keys"][m]
             }
-            gammas.append(SymmetricTensor(idx, blocks))
+            sites.append(SymmetricTensor(idx, blocks))
         lambdas = [
             {q: data[f"lam{m}/{q}"] for q in meta["lambda_charges"][m]}
             for m in range(L - 1)
         ]
-    mps = CanonicalMps(gammas, lambdas)
+    mps = CanonicalMps(sites, lambdas)
     for m, lam in enumerate(mps.lambdas, start=1):
         bond = mps.bond_index(m)
         if mps._sites[m].indices[0] != bond:
             raise ValueError(f"{path}: sites {m} and {m + 1} disagree on bond {m}")
         if [(q, len(v)) for q, v in sorted(lam.items())] != list(bond.sectors):
             raise ValueError(f"{path}: the spectrum of bond {m} does not match its sectors")
+    if meta.get("form", "B") != "B":
+        raise ValueError(f"{path}: unknown site form {meta['form']!r}")
+    if "form" not in meta:
+        return CanonicalMps([scale_axis(t, 2, lam) for t, lam in zip(sites, lambdas)] + sites[-1:], lambdas)
     return mps

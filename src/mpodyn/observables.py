@@ -83,15 +83,15 @@ def itac_grand_canonical(evolved: SuperState, reference: SuperState) -> complex:
     return hs_trace_pair(evolved, reference) / evolved.d**evolved.L
 
 
-# reference -> (its MPS, sites and spectra; its scalars; {N: P_N reference P_N})
+# reference -> (its MPS and sites; its scalars; {N: P_N reference P_N})
 _projections: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _projected_reference(reference: SuperState, N: int) -> SuperState:
     """``project_operator(reference, N)``, built once while the reference is unchanged."""
     mps = reference.mps
-    # a gate changes a CanonicalMps only by replacing a site object or a spectrum dict
-    parts = (mps,) if mps is None else (mps, *mps._sites, *mps.lambdas)
+    # the stored sites are the state, and a gate changes them only by replacing site objects
+    parts = (mps,) if mps is None else (mps, *mps._sites)
     scalars = (reference.prefactor, reference.mode, reference.delta_n)
     cached = _projections.get(reference)
     if cached is None or cached[1] != scalars or any(x is not y for x, y in zip(cached[0], parts)):

@@ -24,8 +24,10 @@ stored blocks of both chains; ``apply_out_chain`` lifts a whole product
 operator, given as its per-site factor list, and calls it once.
 
 The observers, ``hs_trace_pair`` and ``expectation_in_state``, are
-transfer sweeps over stored blocks and bond spectra: they pair any two
-modes, build no dense site, and their memory grows with chi, not chi^2 d^2.
+transfer sweeps over the stored blocks as they are: a stored site is
+B = Gamma lambda (``mps_core``), so the chain product of the blocks is
+the state and no spectrum enters a sweep.  They pair any two modes,
+build no dense site, and their memory grows with chi, not chi^2 d^2.
 """
 
 from __future__ import annotations
@@ -271,48 +273,31 @@ def _by_state(t: SymmetricTensor, states) -> dict[int, dict]:
     return out
 
 
-def _sweep(chains: list[CanonicalMps], step) -> complex:
-    """Transfer sweep: ``step(m, env)`` maps the environment (bond m-1 sector of each
-    chain -> block) to bond m's, whose values are then multiplied into each axis.  The
-    chain ends are one-dimensional, so the last environment holds one number, or none."""
-    n = len(chains)
-    env = {(0,) * n: np.ones((1,) * n, dtype=np.complex128)}
-    for m in range(1, chains[0].L + 1):
-        env = step(m, env)
-        spectra = [[c.lambda_at(m)[q] for q in c.bond_index(m).charges] for c in chains]
-        for key, blk in env.items():
-            for axis, (lam, pos) in enumerate(zip(spectra, key)):
-                blk *= lam[pos].reshape((-1,) + (1,) * (n - 1 - axis))
-    return complex(env[(0,) * n].reshape(-1)[0]) if env else 0j
-
-
 def hs_trace_pair(a: SuperState, b: SuperState) -> complex:
     """Tr[A^dagger B] as the superstate inner product; works across modes.
 
-    The sweep's environment holds E^dagger, E the partial overlap <a|b>, per
-    (b, a) bond sector pair; the slices of a state (j, i) in both add
-    B^dagger (E^dagger A), so no ``a`` block is conjugated.
+    A transfer sweep over the stored sites: the environment holds E^dagger, E
+    the partial overlap <a|b>, per (b, a) bond sector pair; the slices of a
+    state (j, i) in both add B^dagger (E^dagger A), so no ``a`` block is
+    conjugated.  The chain ends are one-dimensional, so the last environment
+    holds one number, or none.
     """
     if a.L != b.L or a.d != b.d:
         raise ValueError("shape mismatch")
     if a.is_zero or b.is_zero:
         return 0.0 + 0.0j
     states_a, states_b = (super_site_layout(a.d, x.weights)[1] for x in (a, b))
-    sites_a, sites_b = a.mps.gammas, b.mps.gammas
-
-    def step(m, env):
-        left_a, left_b = _by_state(sites_a[m - 1], states_a), _by_state(sites_b[m - 1], states_b)
-        new = {}
-        for (lb, la), f in env.items():
+    env = {(0, 0): np.ones((1, 1), dtype=np.complex128)}
+    for site_a, site_b in zip(a.mps.sites, b.mps.sites):
+        left_a, left_b, old, env = _by_state(site_a, states_a), _by_state(site_b, states_b), env, {}
+        for (lb, la), f in old.items():
             at_b = left_b.get(lb, {})
             for ji, (ra, blk_a) in left_a.get(la, {}).items():
                 if ji in at_b:
                     rb, blk_b = at_b[ji]
                     part = blk_b.conj().T @ (f @ blk_a)
-                    new[rb, ra] = new[rb, ra] + part if (rb, ra) in new else part
-        return new
-
-    overlap = np.conj(_sweep([b.mps, a.mps], step))
+                    env[rb, ra] = env[rb, ra] + part if (rb, ra) in env else part
+    overlap = np.conj(sum(f.sum() for f in env.values()))
     return complex(np.conj(a.prefactor) * b.prefactor * overlap)
 
 
@@ -321,29 +306,27 @@ def expectation_in_state(s: SuperState, psi: CanonicalMps) -> complex:
 
     The sweep's environment is keyed by (s, <psi|, |psi>) bond sectors; the
     slice of a state (j, i) of ``s`` joins those of |psi> at j and <psi| at i.
+    The last environment holds one number, or none (see :func:`hs_trace_pair`).
     """
     if s.L != psi.L or psi.site_dims != [s.d] * s.L:
         raise ValueError("shape mismatch")
     if s.is_zero:
         return 0.0 + 0.0j
     states = super_site_layout(s.d, s.weights)[1]
-    sites_s, sites_psi = s.mps.gammas, psi.gammas
-
-    def step(m, env):
-        ix = psi.phys_indices[m - 1]  # occupation x sits at position x of the physical leg
-        left_psi = _by_state(sites_psi[m - 1], [range(o, o + n) for o, n in zip(ix.offsets, ix.dims)])
-        left_s, new = _by_state(sites_s[m - 1], states), {}
-        for (ls, lc, lk), e in env.items():
+    env = {(0, 0, 0): np.ones((1, 1, 1), dtype=np.complex128)}
+    for site_s, site_psi, ix in zip(s.mps.sites, psi.sites, psi.phys_indices):
+        # occupation x sits at position x of the physical leg
+        left_psi = _by_state(site_psi, [range(o, o + n) for o, n in zip(ix.offsets, ix.dims)])
+        left_s, old, env = _by_state(site_s, states), env, {}
+        for (ls, lc, lk), e in old.items():
             bra, ket = left_psi.get(lc, {}), left_psi.get(lk, {})
             for (j, i), (rs, blk) in left_s.get(ls, {}).items():
                 if i in bra and j in ket:
                     (rc, pc), (rk, pk) = bra[i], ket[j]
                     x = (blk.T @ e.reshape(len(e), -1)).reshape(-1, e.shape[2]) @ pk  # (rs c, rk)
                     x = pc.conj().T @ x.reshape(blk.shape[1], e.shape[1], -1)  # (rs, rc, rk)
-                    new[rs, rc, rk] = new[rs, rc, rk] + x if (rs, rc, rk) in new else x
-        return new
-
-    return complex(s.prefactor * _sweep([s.mps, psi, psi], step))
+                    env[rs, rc, rk] = env[rs, rc, rk] + x if (rs, rc, rk) in env else x
+    return complex(s.prefactor * sum(e.sum() for e in env.values()))
 
 
 def _merged_pair_index(ix_t: ChargeIndex, ix_o: ChargeIndex, w_out: int):

@@ -2,8 +2,9 @@
 
 The uniform superposition of all N-particle Fock states has a closed-form
 canonical MPS: the squared Schmidt value of finding l particles left of a
-bond is a ratio of occupancy counts, and the site tensors follow from the
-conditional probabilities.  Mapping every site through |j> -> |j><j| turns
+bond is a ratio of occupancy counts, and so is the square of every entry
+of a stored site B = Gamma lambda: the share of the completions right of
+the site that it starts.  Mapping every site through |j> -> |j><j| turns
 that state into the projector onto the N-particle sector, whose bond
 dimension is at most N + 1 and whose entanglement entropy is bounded by
 log2(N + 1).
@@ -11,13 +12,15 @@ log2(N + 1).
 One builder writes both chains, given the physical leg and a charge
 weight w: occupation j sits on the physical sector of charge j * w, and l
 particles left of a bond give it the charge l * w.  All counts are exact
-big integers, and each ratio is one correctly rounded integer division,
-so large systems do not lose precision to cancellation.
+big integers, counted over sites without recursion, and each ratio is
+one correctly rounded integer division, so large systems do not lose
+precision to cancellation.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -36,14 +39,22 @@ from .operator_space import (
 @lru_cache(maxsize=None)
 def omega(d: int, n: int, L: int) -> int:
     """Exact occupancy count Omega_d(n, L): ways to place n indistinguishable
-    particles on L sites with at most d-1 per site; 0 for infeasible n."""
+    particles on L sites with at most d-1 per site; 0 for infeasible n.
+
+    Counted site by site: ``counts[k]`` is Omega_d(k, sites so far), and a
+    new site adds 0..d-1 particles, so its counts are running sums over d
+    of the previous ones.
+    """
     if n < 0:
         return 0
     if d < 2 or L < 0:
         raise ValueError("need d >= 2 and L >= 0")
-    if L == 0:
-        return int(n == 0)
-    return sum(omega(d, n - j, L - 1) for j in range(min(n, d - 1) + 1))
+    if n > L * (d - 1):
+        return 0
+    counts = [1] + [0] * n
+    for _ in range(L):
+        counts = list(accumulate(c - gone for c, gone in zip(counts, [0] * d + counts)))
+    return counts[n]
 
 
 def _split_count(d: int, N: int, L: int, m: int, l: int) -> int:
@@ -52,7 +63,7 @@ def _split_count(d: int, N: int, L: int, m: int, l: int) -> int:
 
 
 def _uniform_chain(N: int, L: int, d: int, phys: ChargeIndex, w: int) -> CanonicalMps:
-    """Canonical MPS of the uniform N-particle superposition.
+    """Right-canonical MPS of the uniform N-particle superposition.
 
     Occupation j sits on the sector of ``phys`` with charge j * w; a bond
     with l particles to its left carries the charge l * w.
@@ -60,7 +71,7 @@ def _uniform_chain(N: int, L: int, d: int, phys: ChargeIndex, w: int) -> Canonic
     if N < 0 or N > L * (d - 1):
         raise ValueError("infeasible particle number")
     total = omega(d, N, L)
-    gammas = []
+    sites = []
     lambdas = []
     prev = [0]
     for m in range(1, L + 1):
@@ -73,18 +84,18 @@ def _uniform_chain(N: int, L: int, d: int, phys: ChargeIndex, w: int) -> Canonic
                 j = r - l
                 if j < 0 or j > d - 1:
                     continue
-                # squared site amplitude: conditional probability ratio
-                den = omega(d, N - l, L - m + 1) * omega(d, r, m)
-                val = float(np.sqrt(total / den))
+                # squared entry of B = Gamma lambda: the share of the completions
+                # right of bond m-1 that start with j particles on site m
+                val = float(np.sqrt(omega(d, N - r, L - m) / omega(d, N - l, L - m + 1)))
                 key = (lpos, phys.position(j * w), rpos)
                 blocks[key] = np.array([[[val]]], dtype=np.complex128)
-        gammas.append(SymmetricTensor((left, phys, right), blocks))
+        sites.append(SymmetricTensor((left, phys, right), blocks))
         if m < L:
             lambdas.append(
                 {l * w: np.array([float(np.sqrt(_split_count(d, N, L, m, l) / total))]) for l in cur}
             )
         prev = cur
-    return CanonicalMps(gammas, lambdas)
+    return CanonicalMps(sites, lambdas)
 
 
 def uniform_fock_superposition(N: int, L: int, d: int | None = None) -> CanonicalMps:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mpodyn import charge_tensor
 from mpodyn.charge_tensor import (
     ChargeIndex,
     ChargeMismatchError,
@@ -354,6 +355,16 @@ class TestThreadSetting:
         else:
             monkeypatch.setenv("MPODYN_THREADS", value)
         block_svd(make_random_three_leg(rng), 2, TruncationPolicy(None, 0.0))
+
+
+def test_thread_setting_is_parsed_once_per_value(rng, monkeypatch):
+    t = make_random_three_leg(rng)
+    monkeypatch.setenv("MPODYN_THREADS", "1")
+    block_svd(t, 2, TruncationPolicy(None, 0.0))
+    misses = charge_tensor._thread_count.cache_info().misses
+    for _ in range(3):
+        block_svd(t, 2, TruncationPolicy(None, 0.0))
+    assert charge_tensor._thread_count.cache_info().misses == misses
 
 
 class TestGlobalTruncation:

@@ -14,6 +14,7 @@ from mpodyn.cli import METHODS, RUN_KEYS, RunConfig, build_parser, main
 from mpodyn.evolution import evolve, make_schedule
 from mpodyn.models import ModelSpec
 from mpodyn.observables import build_observable_superstate
+from mpodyn.projector import projector_osee
 
 
 def read_csv(path):
@@ -360,6 +361,20 @@ class TestProjectorOsee:
         for n, s in zip(range(1, 21), vals):
             assert s <= np.log2(n + 1) + 1e-12
         assert all(b > a for a, b in zip(vals, vals[1:]))  # monotone up to L/2
+
+    def test_long_chain(self, tmp_path):
+        # occupancy counts at L = 3000 need no recursion as deep as the chain
+        out = tmp_path / "osee.csv"
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mpodyn", "projector-osee", "--length", "3000",
+             "--n-range", "1:2", "--bond", "1500", "--output", str(out)],
+            capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        header, rows = read_csv(out)
+        assert header == ["n", "osee"]
+        assert [(int(n), float(s)) for n, s in rows] == [(n, projector_osee(n, 3000, 2, 1500)) for n in (1, 2)]
 
     def test_infeasible_particle_number_exit_code(self, tmp_path, capsys):
         out = tmp_path / "osee.csv"

@@ -11,7 +11,6 @@ from mpodyn.charge_tensor import (
     TruncationPolicy,
     ZeroNormError,
     block_svd,
-    scale_axis,
 )
 from mpodyn.evolution import evolve, make_schedule
 from mpodyn.mps_core import CanonicalMps, canonicalize, from_fock, load_mps, save_mps
@@ -58,7 +57,7 @@ def _evolved_superstate(mode: str):
 def _dense_gated_two_site(mps: CanonicalMps, m: int, gate: BondGate) -> np.ndarray:
     """``gate`` on the outer-weighted two-site tensor of bond m, as a dense
     (chi_l * D, D * chi_r) matrix in sector-layout order."""
-    left = scale_axis(mps.site_tensor(m), 0, mps.lambda_at(m - 1)).densify()
+    left = mps.site_tensor_dense(m) * mps._bond_values(m - 1)[:, None, None]
     theta = np.einsum("axc,cyb->axyb", left, mps.site_tensor_dense(m + 1))
     D, p = gate.d, gate.perm
     layout_gate = gate.dense.reshape(D, D, D, D)[np.ix_(p, p, p, p)]
@@ -229,7 +228,7 @@ class TestGateApplication:
                 x = state.copy()
                 mps = getattr(x, "mps", x)  # a superstate or a plain state
                 mps.apply_two_site_gate(m, g, UNRESTRICTED)
-                for t in mps.gammas[m - 1 : m + 1]:
+                for t in mps.sites[m - 1 : m + 1]:
                     _assert_stored_blocks_valid(t)
                 dense = x.to_statevector() if mps is x else x.densify()
                 runs.append((dense, mps.lambdas[m - 1]))
@@ -266,7 +265,7 @@ class TestGateApplication:
             for m in range(1, spec.L):
                 s.mps.apply_two_site_gate(m, super_gate(bond_gate(spec, m, 0.37), s.weights), UNRESTRICTED)
         assert seen
-        for sectors, (row_q, _, row_dims, _), (col_q, _, col_dims, _) in seen:
+        for sectors, (row_q, _, row_dims, _), (col_q, _, col_dims) in seen:
             assert sorted(sectors) == np.unique(row_q).tolist() == np.unique(col_q).tolist()
             for q, mat in sectors.items():
                 row_sizes = row_dims[:, row_q == q].prod(axis=0)
@@ -288,8 +287,8 @@ class TestGateApplication:
         identity = BondGate(np.eye(4, dtype=complex), ChargeIndex.occupation(2))
         rec = psi.apply_two_site_gate(2, identity, TruncationPolicy(1, 0.0))
         assert abs(rec.nu - 2 / np.sqrt(5)) < 1e-14 and rec.chi_used == 1
-        assert list(psi.gammas[1].blocks) == [(1, 0, 0)]
-        for g in psi.gammas:
+        assert list(psi.sites[1].blocks) == [(1, 0, 0)]
+        for g in psi.sites:
             _assert_stored_blocks_valid(g)
         want = np.zeros(16)
         want[5] = 1.0
@@ -302,8 +301,8 @@ class TestGateApplication:
         identity = BondGate(np.eye(4, dtype=complex), ChargeIndex.occupation(2))
         psi.apply_two_site_gate(2, identity, TruncationPolicy(1, 0.0))
         assert psi._sites[2].leg == 0  # stored as the right factor of the split
-        assert list(psi.gammas[2].blocks) == [(0, 1, 1)]
-        for g in psi.gammas:
+        assert list(psi.sites[2].blocks) == [(0, 1, 1)]
+        for g in psi.sites:
             _assert_stored_blocks_valid(g)
 
     def test_canonicalize_drops_an_all_zero_column_block(self, monkeypatch):
@@ -331,8 +330,8 @@ class TestGateApplication:
         assert [n for n, _ in cuts] == [1, 1, 2, 2]
         for _, stacked in cuts:
             _assert_stored_blocks_valid(stacked)
-        assert (1, 0, 0) not in mps.gammas[1].blocks
-        for g in mps.gammas:
+        assert (1, 0, 0) not in mps.sites[1].blocks
+        for g in mps.sites:
             _assert_stored_blocks_valid(g)
         mps.assert_canonical()
         want = np.zeros(8)
@@ -391,6 +390,18 @@ class TestGateApplication:
         assert rec.chi_used <= 2
         assert abs(rec.nu**2 + rec.discarded_weight**2 - 1.0) < 1e-10
 
+    def test_right_site_is_isometric_next_to_a_tiny_bond_value(self, rng):
+        # a branch of weight 1e-13 puts a value of about 1e-13 on every interior bond
+        psi = _fock_superposition([(0, 1, 1, 0), (1, 0, 0, 1)], [1.0, 1e-13], 2)
+        assert all(min(np.concatenate(list(lam.values()))) <= 1e-12 for lam in psi.lambdas)
+        vec = psi.to_statevector()
+        g = random_conserving_gate(2, rng)
+        psi.apply_two_site_gate(2, g, UNRESTRICTED)
+        b = psi.site_tensor_dense(3)
+        assert np.max(np.abs(np.einsum("akc,bkc->ab", b, b.conj()) - np.eye(b.shape[0]))) < 1e-13
+        want = oracle.two_site_operator(g.dense, 2, 4, 2) @ vec
+        assert np.max(np.abs(psi.to_statevector() - want)) < 1e-13
+
     def test_annihilation_raises(self):
         # projector-style non-unitary gate that kills the state outright
         proj = np.zeros((4, 4), dtype=complex)
@@ -408,7 +419,7 @@ class TestSectorMatrixStorage:
 
         def read_every_site(t, target, log):
             mps = getattr(target, "mps", target)
-            for m, g in enumerate(mps.gammas, start=1):
+            for m, g in enumerate(mps.sites, start=1):
                 assert all(blk.any() for blk in g.blocks.values())
                 mps.site_tensor(m).densify()
 
@@ -437,6 +448,15 @@ class TestSectorMatrixStorage:
         assert s.mps.max_bond_dimension() > 3
         s.mps.assert_canonical()
 
+    def test_block_views_share_the_stored_matrices(self):
+        # a gate stores site m in one layout and site m+1 in the other; the block
+        # views of both, and of each site moved to the other layout, copy nothing
+        _, s = _evolved_superstate(GRAND_CANONICAL)
+        sites = s.mps._sites
+        assert {site.leg for site in sites} == {0, 2}
+        for site in sites + [site.on_leg(2 - site.leg) for site in sites]:
+            assert all(np.shares_memory(blk, site.flat) for blk in site.tensor().blocks.values())
+
     def test_checkpoint_of_gate_updated_state_holds_the_block_views(self, tmp_path):
         # after gates, sites sit in both sector-matrix layouts; the file must hold
         # exactly the block views: the same array names and bytes
@@ -446,7 +466,7 @@ class TestSectorMatrixStorage:
         save_mps(str(path), mps)
         want = {
             f"g{m}/{','.join(map(str, key))}": blk
-            for m, g in enumerate(mps.gammas)
+            for m, g in enumerate(mps.sites)
             for key, blk in g.blocks.items()
         }
         want.update(
@@ -459,7 +479,7 @@ class TestSectorMatrixStorage:
                 assert (stored.dtype, stored.shape) == (arr.dtype, arr.shape)
                 assert stored.tobytes() == arr.tobytes()
         back = load_mps(str(path))
-        for g_back, g in zip(back.gammas, mps.gammas):
+        for g_back, g in zip(back.sites, mps.sites):
             assert g_back.indices == g.indices and g_back.blocks.keys() == g.blocks.keys()
             assert all(g_back.blocks[k].tobytes() == g.blocks[k].tobytes() for k in g.blocks)
         assert all(
@@ -675,11 +695,11 @@ class TestOneSiteType:
         for order in (sorted, lambda keys: sorted(keys, reverse=True), list):
             inputs = [
                 SymmetricTensor(g.indices, {k: g.blocks[k].copy() for k in order(g.blocks)})
-                for g in mps.gammas
+                for g in mps.sites
             ]
             built = CanonicalMps(inputs, mps.lambdas)
             assert all(type(site) is SectorMatrices for site in built._sites)
-            for g, want in zip(built.gammas, inputs):
+            for g, want in zip(built.sites, inputs):
                 assert g.indices == want.indices
                 assert list(g.blocks) == list(want.blocks)
                 for key, blk in want.blocks.items():
@@ -822,7 +842,7 @@ class TestCopiesShareImmutableValues:
 
     def test_canonicalize_leaves_its_input_unchanged(self, rng, tmp_path):
         x = random_charge_mps(5, 3, [0, 2, 1, 0, 1], rng)
-        chain = x.gammas  # a non-canonical chain of the stored sites' views
+        chain = x.sites  # a non-canonical chain of the stored sites' views
         blocks = [{k: blk.tobytes() for k, blk in g.blocks.items()} for g in chain]
         before = _snapshot(x, tmp_path / "before.npz")
         mps_core.canonicalize(chain)
@@ -853,6 +873,37 @@ class TestSerialization:
             meta = json.loads(bytes(data["__meta__"]).decode())
         assert "total_charge" not in meta
         assert all(set(entry) == {"sectors"} for entry in meta["indices"])
+        assert meta["form"] == "B"
+
+    def test_loads_a_file_of_gammas(self, rng, tmp_path):
+        # a file as written before the B form: every site but the last holds
+        # Gamma = B / lambda, and the header has no "form" key
+        psi = random_charge_mps(5, 3, [0, 2, 1, 0, 1], rng)
+        path = tmp_path / "state.npz"
+        save_mps(str(path), psi)
+
+        def to_gammas(meta, arrays):
+            del meta["form"]
+            for name in [n for n in arrays if n.startswith("g")]:
+                m, key = int(name[1 : name.index("/")]), name[name.index("/") + 1 :]
+                if m < psi.L - 1:
+                    r = int(key.split(",")[2])
+                    lam = psi.lambdas[m][psi.bond_index(m + 1).charges[r]]
+                    arrays[name] = arrays[name] / lam
+
+        back = load_mps(_tampered(path, tmp_path / "gammas.npz", to_gammas))
+        assert np.max(np.abs(back.to_statevector() - psi.to_statevector())) < 1e-14
+        back.assert_canonical(atol=1e-12)
+
+    def test_unknown_site_form_rejected(self, rng, tmp_path):
+        path = tmp_path / "state.npz"
+        save_mps(str(path), random_charge_mps(4, 2, [0, 1, 1, 0], rng))
+
+        def other_form(meta, arrays):
+            meta["form"] = "A"
+
+        with pytest.raises(ValueError, match="unknown site form 'A'"):
+            load_mps(_tampered(path, tmp_path / "bad.npz", other_form))
 
     def test_loads_files_with_directions_and_total_charge(self, tmp_path):
         # a two-site, one-particle state in the older layout, written by hand:
@@ -885,7 +936,7 @@ class TestSerialization:
         spectrum = psi.schmidt_spectrum(1)
         assert spectrum.keys() == {0, 1}
         assert spectrum[0].tolist() == [0.6] and spectrum[1].tolist() == [0.8]
-        for g in psi.gammas:
+        for g in psi.sites:
             g.validate()
         # site 1 is the fastest index: |j1=1, j2=0> is entry 1, |j1=0, j2=1> entry 2
         assert np.array_equal(psi.to_statevector(), np.array([0, 0.8, 0.6, 0]))

@@ -230,12 +230,12 @@ def _charge_breaking_operator(L):
     """Lifted annihilator whose site block sits in the creator's sector; its bonds say +1."""
     site = min(2, L)
     s = lift_product_operator(embed_factor(annihilator_local(2), site, L))
-    gammas = s.mps.gammas
-    g = gammas[site - 1]
+    sites = s.mps.sites
+    g = sites[site - 1]
     ((left, _, right), blk), = g.blocks.items()
     wrong = g.indices[1].position(-1)
-    gammas[site - 1] = SymmetricTensor(g.indices, {(left, wrong, right): blk})
-    s.mps = CanonicalMps(gammas, s.mps.lambdas)
+    sites[site - 1] = SymmetricTensor(g.indices, {(left, wrong, right): blk})
+    s.mps = CanonicalMps(sites, s.mps.lambdas)
     return s
 
 
@@ -247,7 +247,7 @@ class TestOutChainCompose:
         L = 3
         op = _evolved(annihilator_local(d), 2, L, d)
         assert op.mps.max_bond_dimension() > 1
-        assert max(len({k[1] for k in g.blocks}) for g in op.mps.gammas) > 1
+        assert max(len({k[1] for k in g.blocks}) for g in op.mps.sites) > 1
         if target_kind == "projector":
             target = projector_superstate(d - 1, L, d)
         else:

@@ -69,6 +69,11 @@ class TestOmega:
         for L in range(13):
             assert omega(2, n, L) == (comb(L, n) if n <= L else 0)
 
+    def test_long_chains_count_without_recursion(self):
+        for n in (0, 1, 2, 7):
+            assert omega(2, n, 5000) == comb(5000, n)
+        assert omega(3, 2, 4000) == comb(4000, 2) + 4000
+
     def test_memo_table_object(self):
         assert omega(3, 2, 4) == 10
         hits = omega.cache_info().hits
@@ -288,10 +293,11 @@ class TestProjectorOsee:
 
 
 def _uniform_by_fractions(N, L, d):
-    """Reference: the uniform superposition as first written, with every
-    ratio an exact ``Fraction`` and charges counted in particles."""
+    """Reference: the uniform superposition in the closed form of its stored
+    sites B = Gamma lambda, with every ratio an exact ``Fraction`` and
+    charges counted in particles."""
     phys = ChargeIndex.occupation(d)
-    gammas, lambdas, prev = [], [], [0]
+    sites, lambdas, prev = [], [], [0]
     for m in range(1, L + 1):
         cur = [l for l in range(N + 1) if omega(d, l, m) > 0 and omega(d, N - l, L - m) > 0]
         left = ChargeIndex(tuple((l, 1) for l in prev))
@@ -300,11 +306,10 @@ def _uniform_by_fractions(N, L, d):
         for lpos, l in enumerate(prev):
             for rpos, r in enumerate(cur):
                 j = r - l
-                den = omega(d, N - l, L - m + 1) * omega(d, r, m)
-                if 0 <= j <= d - 1 and den:
-                    val = float(np.sqrt(float(Fraction(omega(d, N, L), den))))
-                    blocks[(lpos, j, rpos)] = np.array([[[val]]], dtype=np.complex128)
-        gammas.append(SymmetricTensor((left, phys, right), blocks))
+                if 0 <= j <= d - 1:
+                    ratio = Fraction(omega(d, N - r, L - m), omega(d, N - l, L - m + 1))
+                    blocks[(lpos, j, rpos)] = np.array([[[float(np.sqrt(float(ratio)))]]], dtype=np.complex128)
+        sites.append(SymmetricTensor((left, phys, right), blocks))
         if m < L:
             lambdas.append({
                 l: np.array([float(np.sqrt(float(Fraction(
@@ -313,7 +318,7 @@ def _uniform_by_fractions(N, L, d):
                 for l in cur
             })
         prev = cur
-    return CanonicalMps(gammas, lambdas)
+    return CanonicalMps(sites, lambdas)
 
 
 def _projector_by_relabel(N, L, d):
@@ -327,19 +332,19 @@ def _projector_by_relabel(N, L, d):
     def relabel(ix):
         return ChargeIndex(tuple((l * w, dim) for l, dim in ix.sectors))
 
-    gammas = [
+    sites = [
         SymmetricTensor(
             (relabel(g.indices[0]), phys, relabel(g.indices[2])),
             {(lpos, phys.position(j * w), rpos): blk for (lpos, j, rpos), blk in g.blocks.items()},
         )
-        for g in state.gammas
+        for g in state.sites
     ]
-    return CanonicalMps(gammas, [{l * w: v for l, v in lam.items()} for lam in state.lambdas])
+    return CanonicalMps(sites, [{l * w: v for l, v in lam.items()} for lam in state.lambdas])
 
 
 def _assert_same_chain(got, want):
-    assert len(got.gammas) == len(want.gammas)
-    for a, b in zip(got.gammas, want.gammas):
+    assert len(got.sites) == len(want.sites)
+    for a, b in zip(got.sites, want.sites):
         assert a.indices == b.indices
         assert list(a.blocks) == list(b.blocks)
         for key in a.blocks:
