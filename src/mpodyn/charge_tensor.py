@@ -373,17 +373,17 @@ def truncated_split(sectors: dict[int, np.ndarray], policy: TruncationPolicy):
 def drop_zero_blocks(mats, leg: int, charges, keys, sizes, bond: ChargeIndex):
     """The stacked factor of a split, less its dropped and all-zero blocks, as one flat array.
 
-    ``mats`` are the kept ``U[:, :k]`` (``leg == 2``, blocks as rows) or
-    ``V^dagger[:k]`` (``leg == 0``, blocks as columns) of each charge of the
-    new ``bond``, in bond order.  Block j of the split's sector matrices has
-    charge ``charges[j]``, key ``keys[:, j]`` ((l, p) or (p, r)) and
-    ``sizes[j]`` rows (columns); blocks are grouped by ascending charge.
-    The whole factor is tested at once: a ``reduceat`` over the rows of
-    ``U``, a scatter of the nonzero entries of ``V^dagger`` onto columns.
-    Returns the cut matrices as one :class:`SectorMatrices` ``flat``, the
-    (l, p, r) key of every block it stacks, with bond positions on the bond
-    leg, and the row and the column of every entry: on the blocks' side
-    counted over all blocks given, on the bond's side its bond position.
+    ``mats`` are one left factor (``leg == 2``, blocks as rows, such as the
+    kept ``U[:, :k]``) or one right factor (``leg == 0``, blocks as
+    columns, such as ``V^dagger[:k]``) per charge of the new ``bond``, in
+    bond order.  Block j of the split's sector matrices has charge
+    ``charges[j]``, key ``keys[:, j]`` ((l, p) or (p, r)) and ``sizes[j]``
+    rows (columns); blocks are grouped by ascending charge.  The whole
+    factor is tested at once: a ``reduceat`` over the rows of a left
+    factor, a scatter of the nonzero entries of a right factor onto
+    columns.  Returns the cut matrices as one :class:`SectorMatrices`
+    ``flat`` and the (l, p, r) key of every block it stacks, with bond
+    positions on the bond leg.
     """
     kept_charges = np.array(bond.charges)
     pos = kept_charges.searchsorted(charges)
@@ -394,26 +394,21 @@ def drop_zero_blocks(mats, leg: int, charges, keys, sizes, bond: ChargeIndex):
     shapes = np.array([mat.shape for mat in mats], dtype=np.intp)
     flat = np.concatenate(mats, axis=None)
     nonzero = flat != 0
-    if leg == 2:  # a row of U is one run of entries
+    if leg == 2:  # a row of a left factor is one run of entries
         length = shapes[:, 1].repeat(shapes[:, 0])
         line = lines.repeat(length)
-        across = run_positions(*row_runs(shapes, starts(shapes[:, 1])))
         hit = np.logical_or.reduceat(nonzero, starts(length))
-    else:  # a column of V^dagger is one entry in every row of its matrix
+    else:  # a column of a right factor is one entry in every row of its matrix
         line = run_positions(*row_runs(shapes, lines[starts(shapes[:, 1])]))
-        across = np.arange(shapes[:, 0].sum()).repeat(shapes[:, 1].repeat(shapes[:, 0]))
         hit = np.zeros(len(given), dtype=bool)
         hit[line[nonzero]] = True
         hit = hit[lines]
     keep = np.logical_or.reduceat(hit, starts(sizes))
     if not keep.all():
         given[lines] = keep.repeat(sizes)
-        entry = given[line]
-        flat, line, across = flat[entry], line[entry], across[entry]
+        flat = flat[given[line]]
         keys, pos = keys[:, keep], pos[keep]
-    if leg == 2:
-        return flat, np.vstack((keys, pos)), (line, across)
-    return flat, np.vstack((pos, keys)), (across, line)
+    return flat, np.vstack((keys, pos) if leg == 2 else (pos, keys))
 
 
 def block_svd(
@@ -447,7 +442,7 @@ def block_svd(
     (dl, dp, dr), (l, p, r) = site._dims(), site.keys
     two, sizes = (site.keys[:2], dl[l] * dp[p]) if leg == 2 else (site.keys[1:], dp[p] * dr[r])
     charges = np.array(cut_ix.charges)[site.keys[leg]]
-    flat, keys, _ = drop_zero_blocks(us if leg == 2 else vhs, leg, charges, two, sizes, bond)
+    flat, keys = drop_zero_blocks(us if leg == 2 else vhs, leg, charges, two, sizes, bond)
     indices = t.indices[:2] + (bond,) if leg == 2 else (bond,) + t.indices[1:]
     stacked = SectorMatrices(indices, leg, keys, flat).tensor()
     sec = [cut_ix.position(q) for q in bond.charges]

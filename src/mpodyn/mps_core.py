@@ -44,16 +44,16 @@ looks as it did one or two gates ago only moves values.  The kernel and
 ``charge_tensor.truncated_split`` for the sector SVDs and the truncation
 and ``charge_tensor.drop_zero_blocks`` for the zero-block cut, which tests
 a whole stacked factor at once and returns it as one flat array.  In B
-form the two-site amplitudes are lambda_{m-1} B_m B_{m+1}: the kernel
-multiplies the left bond's values into site m's rows, keeps ``V^dagger``
-as site m+1 untouched, and makes site m in one divide of ``U``, the left
-values out of its rows and the new values into its columns, at positions
-its plan holds.
+form the gated amplitudes theta~ = g B_m B_{m+1} need no spectrum; the
+split takes theta = lambda_{m-1} theta~, its rows weighted once.  Site m+1
+is ``V^dagger`` untouched and site m is theta~ V / nu, one matmul per kept
+charge and a divide by the scalar kept norm: a gate divides by no bond value.
 
 Open boundaries only: the outer bonds are one-dimensional.  Singular
-values below ``LAMBDA_FLOOR`` are dropped outright; a two-site update
-divides only site m's rows by the left bond's values, and this floor
-keeps that division stable.
+values below ``LAMBDA_FLOOR`` are dropped outright, in the gate kernel
+only as a noise floor.  The last division by singular values is the
+restore in :func:`canonicalize`; it stays while the benchmark requires its
+``restore`` layer.
 """
 
 from __future__ import annotations
@@ -190,20 +190,19 @@ class CanonicalMps:
         Works on sector matrices only, and moves them with the index arrays
         of the bond's gate plan (:meth:`_gate_plan`).  Site m is taken in
         the left-factor layout and site m+1 in the right-factor layout; for
-        each centre sector c their matrices, with the left bond's singular
-        values multiplied into site m's rows, give every amplitude through
-        c in one matmul.  The products are scattered into one matrix per
-        gate band q (``BondGate.band_table``): rows are the band's fused
-        pair basis, columns every (l, r) pair of bond charge difference q.
-        The band block acts on it with one matmul.  The gated amplitudes
+        each centre sector c their matrices give every amplitude through c
+        in one matmul.  The products are scattered into one matrix per gate
+        band q (``BondGate.band_table``): rows are the band's fused pair
+        basis, columns every (l, r) pair of bond charge difference q.  The
+        band block acts on it with one matmul.  The gated amplitudes theta~
         are then gathered into one matrix per new bond charge, all-zero
-        (l, p1) rows and (p2, r) columns left out, and split by
-        ``truncated_split``.  The kept ``U`` and ``V^dagger`` become the new
-        sites less their all-zero blocks: site m+1 is ``V^dagger`` as it
-        is, and site m is ``U`` with the left bond's values divided out of
-        its rows and the new normalized values multiplied into its columns.
-        The state is renormalized; the returned record carries the
-        pre-normalization kept norm ``nu`` and the discarded weight.
+        (l, p1) rows and (p2, r) columns left out, and their rows weighted
+        by the left bond's values give the theta that ``truncated_split``
+        splits.  Site m+1 is the kept ``V^dagger`` as it is, and site m is
+        theta~ V / nu, so no bond value is divided out; both lose their
+        all-zero blocks.  The state is renormalized; the returned record
+        carries the pre-normalization kept norm ``nu`` and the discarded
+        weight.
         """
         if not 1 <= m <= self.L - 1:
             raise ValueError("bond out of range")
@@ -211,15 +210,11 @@ class CanonicalMps:
         (lix, phys1, _), (_, phys2, rix) = s1.indices, s2.indices
         if gate.index.sectors != phys1.sectors or gate.index.sectors != phys2.sectors:
             raise ChargeMismatchError("charge mismatch")
-        vl = self._bond_values(m - 1)
         plan = self._gate_plan(m, s1, s2)
 
         f1, f2 = (
             s.flat if move is None else s.flat[run_positions(*move)] for s, move in zip((s1, s2), plan.moves)
         )
-        # theta = lambda_{m-1} B_m B_{m+1}: the left values into the rows of f1
-        outer, length = plan.outer
-        f1 = f1 * vl[outer].repeat(length)
         flat = np.zeros(plan.size, dtype=np.complex128)
         pos = run_positions(*plan.scatter)
         at = 0
@@ -231,24 +226,23 @@ class CanonicalMps:
         del pos, f1, f2
         gated = plan.apply_bands(flat, gate.band_table())
         del flat
-        sectors, row_blocks, col_blocks = plan.gather(gated)
+        sectors, tildes, row_blocks, col_blocks = plan.gather(gated, self._bond_values(m - 1))
         del gated
 
         floor = max(policy.singular_value_floor, LAMBDA_FLOOR)
         try:
-            bond, values, us, vhs, kept_norm, discarded_norm = truncated_split(
+            bond, values, _, vhs, kept_norm, discarded_norm = truncated_split(
                 sectors, TruncationPolicy(policy.chi_max, floor)
             )
         except ZeroNormError as exc:
             raise ZeroNormError("state annihilated") from exc
 
-        lam = {q: v / kept_norm for q, v in values.items()}
-        self._sites[m - 1] = _factor_site((lix, phys1, bond), us, row_blocks, vl, lam)
+        self._sites[m - 1] = _factor_site((lix, phys1, bond), tildes, vhs, row_blocks, kept_norm)
         # B_{m+1} = V^dagger, as cut
         charge, keys, dims = col_blocks
-        flat, keys, _ = drop_zero_blocks(vhs, 0, charge, keys, dims.prod(axis=0), bond)
+        flat, keys = drop_zero_blocks(vhs, 0, charge, keys, dims.prod(axis=0), bond)
         self._sites[m] = SectorMatrices((bond, phys2, rix), 0, keys, flat)
-        self.lambdas[m - 1] = lam
+        self.lambdas[m - 1] = {q: v / kept_norm for q, v in values.items()}
         return TruncationRecord(
             bond=m,
             nu=kept_norm,
@@ -303,25 +297,16 @@ class CanonicalMps:
                 raise AssertionError(f"site {m}: left orthogonality violated")
 
 
-def _outer_index(ix: ChargeIndex, outer, dp) -> np.ndarray:
-    """Position in bond ``ix``'s values of lambda[a] for every stacked row (a, i) of
-    left-factor blocks; ``outer`` is each block's sector on ``ix`` and ``dp`` its
-    physical dimension, blocks in stacking order."""
-    blk, t = ragged(np.array(ix.dims, dtype=np.intp)[outer] * dp)
-    return np.array(ix.offsets, dtype=np.intp)[outer][blk] + t // dp[blk]
-
-
-def _factor_site(indices, us, blocks, left: np.ndarray, values: dict) -> SectorMatrices:
-    """Site m of a gate, B_m = U lambda_m / lambda_{m-1}: the kept ``U[:, :k]`` of
-    each new bond charge, cut by ``drop_zero_blocks`` as ``block_svd`` cuts, then
-    one divide by each entry's left value over its new value.  ``left`` holds the
-    left bond's values, all sectors in bond order, and ``values`` the new bond's
-    spectrum; ``blocks`` is what ``_GatePlan.gather`` returns for the rows, its
-    last field every row's position in ``left``.
+def _factor_site(indices, tildes: dict, vhs, blocks, nu: float) -> SectorMatrices:
+    """Site m of a gate, B_m = theta~ V / nu = lambda_{m-1}^-1 U S / nu, no value divided:
+    ``tildes`` and ``blocks`` are what ``_GatePlan.gather`` returns, ``vhs`` the
+    kept ``V^dagger[:k]`` in the order of the new bond ``indices[2]`` and ``nu``
+    the kept norm.  Each product is cut by ``drop_zero_blocks`` as ``block_svd`` cuts.
     """
-    charge, keys, dims, outer = blocks
-    flat, keys, (row, col) = drop_zero_blocks(us, 2, charge, keys, dims.prod(axis=0), indices[2])
-    flat /= left[outer][row] / np.concatenate(list(values.values()))[col]
+    charge, keys, dims = blocks
+    mats = [tildes[q] @ vh.conj().T for q, vh in zip(indices[2].charges, vhs)]
+    flat, keys = drop_zero_blocks(mats, 2, charge, keys, dims.prod(axis=0), indices[2])
+    flat /= nu
     return SectorMatrices(indices, 2, keys, flat)
 
 
@@ -345,18 +330,16 @@ class _GatePlan:
     - ``centres``: per centre bond sector, the first entry and the rows and
       columns of site m's matrix, then the first entry and columns of site
       m+1's (its rows are site m's columns);
-    - ``outer``: for site m, the :func:`_outer_index` of every stacked row
-      and the length of every matrix row;
     - ``scatter``: the runs (shift, length) that put the centre products
       into the band buffer;
     - ``bands``: each band's charge, start, dimension and column count; the
       gate's matrices are read per call;
     - ``lines``: for every row of the gathered matrices its block and the
-      position of its left bond value, which the kernel divides out;
+      position of its left bond value, which :meth:`gather` multiplies in;
     - the rest: what :meth:`positions` and :meth:`gather` read.
     """
 
-    __slots__ = ("moves", "centres", "outer", "scatter", "bands", "size", "pad", "dl", "dp", "dr",
+    __slots__ = ("moves", "centres", "scatter", "bands", "size", "pad", "dl", "dp", "dr",
                  "colstart", "base", "ncols", "charges", "rows", "cols", "row_dims", "col_dims", "runs",
                  "lines")
 
@@ -374,7 +357,6 @@ class _GatePlan:
         at1, at2 = starts(n1 * dc), starts(n2 * dc)
         centres = (n1 * n2).nonzero()[0]
         self.centres = list(zip(*(x[centres].tolist() for x in (at1, n1, dc, at2, n2))))
-        self.outer = _outer_index(lix, k1[0], dp[k1[1]]), dc.repeat(n1)
         # (sector, l, p1) of every row block and (sector, p2, r) of every column block
         sector_of = np.full(len(dc), -1, dtype=np.intp)
         sector_of[centres] = np.arange(len(centres))
@@ -483,17 +465,18 @@ class _GatePlan:
             np.matmul(bands[q], block, out=out[start:stop].reshape(dim, nc))
         return out
 
-    def gather(self, gated: np.ndarray):
+    def gather(self, gated: np.ndarray, left: np.ndarray):
         """``truncated_split`` sectors of the gated amplitudes, by new bond charge.
 
-        Returns the matrices, as a dict charge -> matrix, the row blocks of
-        all of them as ``(charge, keys, dims, outer)`` and the column blocks
-        as ``(charge, keys, dims)``: block j of a matrix stacks the (l, p1)
-        rows or (p2, r) columns ``keys[:, j]`` of dimensions ``dims[:, j]``,
-        and ``outer`` is the left bond value's position of every stacked
-        row.  Blocks are grouped by ascending charge and sorted within a
-        matrix; a row or column block whose amplitudes are all zero is left
-        out.
+        ``left`` holds the left bond's values, all sectors in bond order.
+        Returns two dicts charge -> matrix, theta (the rows weighted by
+        their left values, what the split takes) and theta~ (the gated
+        amplitudes as they are), then the row blocks and the column blocks
+        of all matrices as ``(charge, keys, dims)``: block j of a matrix
+        stacks the (l, p1) rows or (p2, r) columns ``keys[:, j]`` of
+        dimensions ``dims[:, j]``.  Blocks are grouped by ascending charge
+        and sorted within a matrix; a row or column block whose amplitudes
+        are all zero is left out.
         """
         shift, run_len, rb, cb, run_first = self.runs
         values = gated[run_positions(shift, run_len)]
@@ -506,16 +489,20 @@ class _GatePlan:
         rows, row_dims = self.rows[:, row_hit], self.row_dims[:, row_hit]
         cols, col_dims = self.cols[:, col_hit], self.col_dims[:, col_hit]
         n = len(self.charges)
-        nrows = np.bincount(rows[0], row_dims.prod(axis=0), n).astype(np.intp).tolist()
-        ncols = np.bincount(cols[0], col_dims.prod(axis=0), n).astype(np.intp).tolist()
-        sectors, at = {}, 0
-        for q, nr, nc in zip(self.charges.tolist(), nrows, ncols):
-            if nr:
-                sectors[q] = values[at : at + nr * nc].reshape(nr, nc)
-                at += nr * nc
+        nrows = np.bincount(rows[0], row_dims.prod(axis=0), n).astype(np.intp)
+        ncols = np.bincount(cols[0], col_dims.prod(axis=0), n).astype(np.intp)
+        # theta = lambda_{m-1} theta~: every kept row times its left value
         row_blk, row_outer = self.lines
-        row_blocks = (self.charges[rows[0]], rows[1:], row_dims, row_outer[row_hit[row_blk]])
-        return sectors, row_blocks, (self.charges[cols[0]], cols[1:], col_dims)
+        kept = row_hit[row_blk]
+        weighted = values * left[row_outer[kept]].repeat(ncols[self.rows[0, row_blk[kept]]])
+        sectors, tildes, at = {}, {}, 0
+        for q, nr, nc in zip(self.charges.tolist(), nrows.tolist(), ncols.tolist()):
+            if nr:
+                sectors[q] = weighted[at : at + nr * nc].reshape(nr, nc)
+                tildes[q] = values[at : at + nr * nc].reshape(nr, nc)
+                at += nr * nc
+        row_blocks = (self.charges[rows[0]], rows[1:], row_dims)
+        return sectors, tildes, row_blocks, (self.charges[cols[0]], cols[1:], col_dims)
 
 
 def _by_common_charge(row_q: np.ndarray, col_q: np.ndarray):

@@ -19,6 +19,7 @@ precision to cancellation.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import accumulate
 
@@ -39,27 +40,32 @@ from .operator_space import (
 @lru_cache(maxsize=None)
 def omega(d: int, n: int, L: int) -> int:
     """Exact occupancy count Omega_d(n, L): ways to place n indistinguishable
-    particles on L sites with at most d-1 per site; 0 for infeasible n.
-
-    Counted site by site: ``counts[k]`` is Omega_d(k, sites so far), and a
-    new site adds 0..d-1 particles, so its counts are running sums over d
-    of the previous ones.
-    """
+    particles on L sites with at most d-1 per site; 0 for infeasible n."""
     if n < 0:
         return 0
     if d < 2 or L < 0:
         raise ValueError("need d >= 2 and L >= 0")
     if n > L * (d - 1):
         return 0
-    counts = [1] + [0] * n
-    for _ in range(L):
-        counts = list(accumulate(c - gone for c, gone in zip(counts, [0] * d + counts)))
+    for counts in _count_rows(d, n, L):
+        pass
     return counts[n]
 
 
-def _split_count(d: int, N: int, L: int, m: int, l: int) -> int:
-    """Number of N-particle Fock states with l particles left of bond m."""
-    return omega(d, l, m) * omega(d, N - l, L - m)
+def _count_rows(d: int, n: int, L: int):
+    """Omega_d(0..n, k) for k = 0..L, one list per k: a new site adds 0..d-1
+    particles, so its counts are running sums over d of the previous ones."""
+    counts = [1] + [0] * n
+    yield counts
+    for _ in range(L):
+        counts = list(accumulate(c - gone for c, gone in zip(counts, [0] * d + counts)))
+        yield counts
+
+
+def _split_count(table, N: int, L: int, m: int, l: int) -> int:
+    """N-particle Fock states with l particles left of bond m; ``table[k]`` is
+    the :func:`_count_rows` row of k sites."""
+    return table[m][l] * table[L - m][N - l]
 
 
 def _uniform_chain(N: int, L: int, d: int, phys: ChargeIndex, w: int) -> CanonicalMps:
@@ -70,12 +76,13 @@ def _uniform_chain(N: int, L: int, d: int, phys: ChargeIndex, w: int) -> Canonic
     """
     if N < 0 or N > L * (d - 1):
         raise ValueError("infeasible particle number")
-    total = omega(d, N, L)
+    table = list(_count_rows(d, N, L))
+    total = table[L][N]
     sites = []
     lambdas = []
     prev = [0]
     for m in range(1, L + 1):
-        cur = [l for l in range(N + 1) if _split_count(d, N, L, m, l) > 0]
+        cur = [l for l in range(N + 1) if _split_count(table, N, L, m, l) > 0]
         left = ChargeIndex(tuple((l * w, 1) for l in prev))
         right = ChargeIndex(tuple((r * w, 1) for r in cur))
         blocks = {}
@@ -86,13 +93,13 @@ def _uniform_chain(N: int, L: int, d: int, phys: ChargeIndex, w: int) -> Canonic
                     continue
                 # squared entry of B = Gamma lambda: the share of the completions
                 # right of bond m-1 that start with j particles on site m
-                val = float(np.sqrt(omega(d, N - r, L - m) / omega(d, N - l, L - m + 1)))
+                val = float(np.sqrt(table[L - m][N - r] / table[L - m + 1][N - l]))
                 key = (lpos, phys.position(j * w), rpos)
                 blocks[key] = np.array([[[val]]], dtype=np.complex128)
         sites.append(SymmetricTensor((left, phys, right), blocks))
         if m < L:
             lambdas.append(
-                {l * w: np.array([float(np.sqrt(_split_count(d, N, L, m, l) / total))]) for l in cur}
+                {l * w: np.array([float(np.sqrt(_split_count(table, N, L, m, l) / total))]) for l in cur}
             )
         prev = cur
     return CanonicalMps(sites, lambdas)
@@ -126,7 +133,7 @@ def projector_superstate(N: int, L: int, d: int) -> SuperState:
         d,
         CANONICAL,
         delta_n=0,
-        prefactor=float(np.sqrt(omega(d, N, L))),
+        prefactor=math.sqrt(omega(d, N, L)),
     )
 
 
@@ -163,10 +170,11 @@ def projector_osee(N: int, L: int, d: int, m: int) -> float:
         raise ValueError("bond out of range")
     if N < 0 or N > L * (d - 1):
         raise ValueError("infeasible particle number")
-    total = omega(d, N, L)
+    table = {k: row for k, row in enumerate(_count_rows(d, N, max(m, L - m))) if k in (m, L - m)}
+    counts = [_split_count(table, N, L, m, l) for l in range(N + 1)]
+    total = sum(counts)
     entropy = 0.0
-    for l in range(N + 1):
-        count = _split_count(d, N, L, m, l)
+    for count in counts:
         if count > 0:
             p = count / total
             entropy -= p * np.log2(p)

@@ -250,8 +250,8 @@ class TestGateApplication:
         seen = []
         gather = mps_core._GatePlan.gather
 
-        def spy(plan, gated):
-            out = gather(plan, gated)
+        def spy(plan, gated, left):
+            out = gather(plan, gated, left)
             seen.append(out)
             return out
 
@@ -265,9 +265,10 @@ class TestGateApplication:
             for m in range(1, spec.L):
                 s.mps.apply_two_site_gate(m, super_gate(bond_gate(spec, m, 0.37), s.weights), UNRESTRICTED)
         assert seen
-        for sectors, (row_q, _, row_dims, _), (col_q, _, col_dims) in seen:
-            assert sorted(sectors) == np.unique(row_q).tolist() == np.unique(col_q).tolist()
-            for q, mat in sectors.items():
+        for sectors, tildes, (row_q, _, row_dims), (col_q, _, col_dims) in seen:
+            assert sorted(sectors) == sorted(tildes) == np.unique(row_q).tolist() == np.unique(col_q).tolist()
+            for q, mat in tildes.items():
+                assert sectors[q].shape == mat.shape
                 row_sizes = row_dims[:, row_q == q].prod(axis=0)
                 col_sizes = col_dims[:, col_q == q].prod(axis=0)
                 assert mat.shape == (sum(row_sizes), sum(col_sizes))
@@ -401,6 +402,20 @@ class TestGateApplication:
         assert np.max(np.abs(np.einsum("akc,bkc->ab", b, b.conj()) - np.eye(b.shape[0]))) < 1e-13
         want = oracle.two_site_operator(g.dense, 2, 4, 2) @ vec
         assert np.max(np.abs(psi.to_statevector() - want)) < 1e-13
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_left_site_is_isometric_under_many_small_gates(self, seed):
+        # near-identity gates on a product operator grow bond values down to
+        # the floor; a site m made by dividing by them loses B B^dagger = 1
+        spec = ModelSpec.bose_hubbard(5, 3, 4.0)
+        s = build_observable_superstate(spec, 3, GRAND_CANONICAL)
+        rng = np.random.default_rng(seed)
+        for k in range(400):
+            m = k % (spec.L - 1) + 1
+            gate = super_gate(random_conserving_gate(3, rng, 1e-3), s.weights)
+            s.mps.apply_two_site_gate(m, gate, UNRESTRICTED)
+            b = s.mps.site_tensor_dense(m)
+            assert np.max(np.abs(np.einsum("akc,bkc->ab", b, b.conj()) - np.eye(b.shape[0]))) < 1e-9
 
     def test_annihilation_raises(self):
         # projector-style non-unitary gate that kills the state outright

@@ -27,6 +27,7 @@ from mpodyn.operator_space import (
     super_site_layout,
 )
 from mpodyn.projector import (
+    _count_rows,
     _split_count,
     omega,
     project_operator,
@@ -97,8 +98,9 @@ class TestLambdaWeights:
         if N > L * (d - 1):
             return
         # the squared Schmidt values count_l / Omega_d(N, L) sum to one exactly
+        table = list(_count_rows(d, N, L))
         for m in range(1, L):
-            assert sum(_split_count(d, N, L, m, l) for l in range(N + 1)) == omega(d, N, L)
+            assert sum(_split_count(table, N, L, m, l) for l in range(N + 1)) == omega(d, N, L)
 
 
 class TestUniformSuperposition:
@@ -208,6 +210,14 @@ class TestProjectOperator:
         amat = np.diag(np.sqrt(np.arange(1.0, d)), k=1)
         want = P_out @ oracle.site_operator(amat, 2, L) @ P_in
         assert np.max(np.abs(s.densify() - want)) < 1e-10
+
+    def test_count_beyond_64_bits(self):
+        # Omega_2(35, 70) = comb(70, 35) >= 2^64: no fixed-width integer holds it
+        assert comb(70, 35) >= 2**64
+        assert abs(projector_superstate(35, 70, 2).prefactor ** 2 / comb(70, 35) - 1) < 1e-15
+        # P sigma_z P has one entry +-1 per 35-particle state: the same HS norm
+        s = project_operator(embed_factor(sigma_z_local(), 35, 70), 35)
+        assert abs(s.prefactor**2 / comb(70, 35) - 1) < 1e-13
 
     def test_hermitian_in_hermitian_out(self):
         s = project_operator(embed_factor(sigma_z_local(), 2, 4), 2)
