@@ -14,8 +14,6 @@ from .charge_tensor import (
     SymmetricTensor,
     TruncationPolicy,
     ZeroNormError,
-    block_svd,
-    contract,
 )
 from .mps_core import CanonicalMps, TruncationRecord, from_fock
 from .operator_space import (

@@ -11,15 +11,18 @@ chain.  All other entries are exactly zero and never stored.  Blocks are
 complex double precision, kept as given when they already are: a block
 view of stored sector matrices is a (possibly strided) view of them.
 
-``contract`` is the chain product (last leg of one tensor against the
-first leg of the next).  :class:`SectorMatrices` is the one sector-matrix
-form of a (bond-in, physical, bond-out) link: one dense matrix per sector
-of a bond leg.  ``block_svd`` cuts a link at either bond leg by splitting
-those matrices; the new bond charge is the sum of the row charges
-("particles to the left of the cut"), so both factors are chain tensors
-again.  Its SVD-and-truncate step, ``truncated_split``, and its zero-block
-cut, ``drop_zero_blocks``, are shared with the two-site gate kernel in
-``mps_core``, which stores every site as ``SectorMatrices``.
+Block tensors are how chains are written down; the algorithms work on
+:class:`SectorMatrices`, the one sector-matrix form of a (bond-in,
+physical, bond-out) link: one dense matrix per sector of a bond leg.
+``block_svd`` cuts a link at either bond leg by splitting those matrices;
+the new bond charge is the sum of the row charges ("particles to the left
+of the cut"), so the stacked factor is a link again and the other factor
+is one bare matrix per kept charge.  ``contract`` multiplies such matrices
+into a link at a bond leg (the chain product) and ``scale_axis`` weights
+a bond leg's slices by a spectrum.  The SVD-and-truncate step,
+``truncated_split``, and the zero-block cut, ``drop_zero_blocks``, are
+shared with the two-site gate kernel in ``mps_core``, which stores every
+site as ``SectorMatrices``.
 
 A bond spectrum is a plain ``dict`` mapping bond charge to that sector's
 descending singular values.  Which values survive a cut is decided only
@@ -161,14 +164,6 @@ class SymmetricTensor:
         """Check shapes and the charge selection rule for every stored block."""
         checked_keys(self.indices, list(self.blocks), [blk.shape for blk in self.blocks.values()])
 
-    def scale(self, factor: complex) -> "SymmetricTensor":
-        return SymmetricTensor(self.indices, {k: blk * factor for k, blk in self.blocks.items()})
-
-    def norm(self) -> float:
-        return float(
-            np.sqrt(sum(np.sum(np.abs(blk) ** 2) for blk in self.blocks.values()))
-        )
-
     def densify(self) -> np.ndarray:
         """Dense array with every leg laid out sector by sector (charge ascending)."""
         out = np.zeros(self.shape, dtype=np.complex128)
@@ -203,53 +198,69 @@ def checked_keys(indices, keys, shapes) -> np.ndarray:
 
 
 def scale_axis(
-    t: SymmetricTensor,
+    site: SectorMatrices,
     axis: int,
     sector_values: dict[int, np.ndarray],
     inverse: bool = False,
-) -> SymmetricTensor:
-    """Multiply (or divide) block slices along ``axis`` by per-sector weights."""
-    index = t.indices[axis]
-    blocks = {}
-    for key, blk in t.blocks.items():
-        q = index.charges[key[axis]]
-        vec = np.asarray(sector_values[q], dtype=np.float64)
-        shape = [1] * t.ndim
-        shape[axis] = len(vec)
-        w = vec.reshape(shape)
-        blocks[key] = blk / w if inverse else blk * w
-    return SymmetricTensor(t.indices, blocks)
+) -> SectorMatrices:
+    """Multiply (or divide) the slices of link ``site`` along bond leg ``axis`` (0 or 2)
+    by per-sector weights, charge -> one weight per state of that sector.
 
-
-def contract(a: SymmetricTensor, b: SymmetricTensor) -> SymmetricTensor:
-    """Chain product: the last leg of ``a`` summed against the first leg of ``b``.
-
-    The two legs must carry identical sector lists.  The result has the
-    other legs of ``a``, then the other legs of ``b``.
+    A right-factor link weighted on its bond-out leg comes back in the
+    left-factor layout, where every block is one run of (a, i, b) entries;
+    otherwise the layout is kept.
     """
-    if a.indices[-1].sectors != b.indices[0].sectors:
+    if axis not in (0, 2):
+        raise ValueError("scale_axis weights a bond leg, 0 or 2")
+    ix = site.indices[axis]
+    w = np.concatenate([np.asarray(sector_values[q], dtype=np.float64) for q in ix.charges])
+    offsets = np.array(ix.offsets, dtype=np.intp)
+    if axis == 0 and site.leg == 0:  # row a of bond-in sector l's matrix spans all its columns
+        (dl, dp, dr), (l, p, r) = site._dims(), site.keys
+        width = np.bincount(l, dp[p] * dr[r], len(dl)).astype(np.intp)
+        sec = width.nonzero()[0]
+        blk, a = ragged(dl[sec])
+        weight = w[offsets[sec][blk] + a].repeat(width[sec][blk])
+    else:
+        site = site.on_leg(2)
+        (dl, dp, dr), (l, p, r) = site._dims(), site.keys
+        if axis == 0:  # row a of block j is dp * dr entries
+            blk, a = ragged(dl[l])
+            weight = w[offsets[l][blk] + a].repeat((dp[p] * dr[r])[blk])
+        else:  # every (a, i) row of block j runs over its dr states b
+            row = np.arange(len(l)).repeat(dl[l] * dp[p])
+            length = dr[r][row]
+            weight = w[run_positions(offsets[r][row] - starts(length), length)]
+    flat = site.flat / weight if inverse else site.flat * weight
+    return SectorMatrices(site.indices, site.leg, site.keys, flat)
+
+
+def contract(site: SectorMatrices, leg: int, bond: ChargeIndex, mats) -> SectorMatrices:
+    """Chain product of link ``site`` and one matrix per sector of ``bond`` at bond leg ``leg``.
+
+    ``mats[b]`` joins the leg's sector of charge ``bond.charges[b]`` to
+    sector b of ``bond``: it is (k_b, n) on the bond-in leg (``leg == 0``,
+    the factor on the left) and (n, k_b) on the bond-out leg (``leg == 2``,
+    on the right).  One matmul per sector of ``bond``; the blocks of a
+    sector whose charge ``bond`` lacks are dropped.  The result has
+    ``bond`` on ``leg`` and the layout of ``leg``.
+    """
+    ix = site.indices[leg]
+    if len(mats) != bond.nsectors or not set(bond.charges) <= set(ix.charges):
         raise ChargeMismatchError("charge mismatch")
-
-    by_first: dict[int, list[tuple[int, ...]]] = {}
-    for kb in b.blocks:
-        by_first.setdefault(kb[0], []).append(kb)
-
-    axis = a.ndim - 1
-    out_blocks: dict[tuple[int, ...], np.ndarray] = {}
-    for ka in sorted(a.blocks):
-        partners = by_first.get(ka[-1])
-        if not partners:
-            continue
-        blk_a = a.blocks[ka]
-        for kb in sorted(partners):
-            res = np.tensordot(blk_a, b.blocks[kb], axes=([axis], [0]))
-            key = ka[:-1] + kb[1:]
-            if key in out_blocks:
-                out_blocks[key] = out_blocks[key] + res
-            else:
-                out_blocks[key] = res
-
-    return SymmetricTensor(a.indices[:-1] + b.indices[1:], out_blocks)
+    site = site.on_leg(leg)
+    own = {ix.charges[c]: mat for c, mat in site.matrices()}
+    new = np.full(ix.nsectors, -1, dtype=np.intp)
+    products = []
+    for b, (q, mat) in enumerate(zip(bond.charges, mats)):
+        if q in own:
+            new[ix.position(q)] = b
+            products.append(mat @ own[q] if leg == 0 else own[q] @ mat)
+    keys = site.keys[:, new[site.keys[leg]] >= 0]
+    keys[leg] = new[keys[leg]]
+    flat = np.concatenate([x.reshape(-1) for x in products] or [np.zeros(0, complex)])
+    indices = (bond,) + site.indices[1:] if leg == 0 else site.indices[:2] + (bond,)
+    return SectorMatrices(indices, leg, keys, flat)
 
 
 @dataclass(frozen=True)
@@ -411,31 +422,26 @@ def drop_zero_blocks(mats, leg: int, charges, keys, sizes, bond: ChargeIndex):
     return flat, np.vstack((keys, pos) if leg == 2 else (pos, keys))
 
 
-def block_svd(
-    t: SymmetricTensor,
-    n_row: int,
-    policy: TruncationPolicy,
-) -> tuple[SymmetricTensor, dict[int, np.ndarray], SymmetricTensor, float, float]:
-    """Truncated SVD of the chain link ``t`` (bond-in, physical, bond-out) cut at a bond.
+def block_svd(site: SectorMatrices, leg: int, policy: TruncationPolicy):
+    """Truncated SVD of the chain link ``site`` cut at bond leg ``leg`` (0 or 2).
 
-    ``n_row`` is 1 (the cut falls on the bond-in leg) or 2 (the bond-out
-    leg).  The link's :class:`SectorMatrices` on that leg are split by
+    The link's :class:`SectorMatrices` on that leg are split by
     :func:`truncated_split` and the stacked factor is cut by
-    :func:`drop_zero_blocks`; the bond-side factor has orthonormal columns
-    (rows), so it is one block per kept charge.  Returns ``(left, values,
-    right, kept_norm, discarded_norm)``: ``values`` maps each new bond
-    charge to its kept (unnormalized) singular values, so ``left @
-    diag(values) @ right`` is the truncated input.
+    :func:`drop_zero_blocks`.  Returns ``(factor, values, other,
+    kept_norm, discarded_norm)``: ``factor`` is the stacked ``U`` (leg 2,
+    the link's legs (l, p) and the new bond) or ``V^dagger`` (leg 0, the
+    new bond and (p, r)) as ``SectorMatrices`` in the layout of ``leg``;
+    ``other`` is the bond-side factor, one bare ``V^dagger[:k]`` or
+    ``U[:, :k]`` per charge of the new bond, which joins the cut sector of
+    that charge to it.  ``values`` maps each new bond charge to its kept
+    (unnormalized) singular values.
     """
-    if t.ndim != 3:
-        raise ValueError("block_svd cuts (bond-in, physical, bond-out) links only")
-    if n_row not in (1, 2):
-        raise ValueError("the cut must leave legs on both sides")
-    leg = 2 if n_row == 2 else 0
-    site = SectorMatrices.from_tensor(t).on_leg(leg)
+    if leg not in (0, 2):
+        raise ValueError("the cut must fall on a bond leg, 0 or 2")
+    site = site.on_leg(leg)
     if not site.flat.any():
         raise ZeroNormError("zero norm")
-    cut_ix = t.indices[leg]
+    cut_ix = site.indices[leg]
     sectors = {cut_ix.charges[c]: mat for c, mat in site.matrices()}
     bond, values, us, vhs, kept_norm, discarded_norm = truncated_split(sectors, policy)
 
@@ -443,14 +449,9 @@ def block_svd(
     two, sizes = (site.keys[:2], dl[l] * dp[p]) if leg == 2 else (site.keys[1:], dp[p] * dr[r])
     charges = np.array(cut_ix.charges)[site.keys[leg]]
     flat, keys = drop_zero_blocks(us if leg == 2 else vhs, leg, charges, two, sizes, bond)
-    indices = t.indices[:2] + (bond,) if leg == 2 else (bond,) + t.indices[1:]
-    stacked = SectorMatrices(indices, leg, keys, flat).tensor()
-    sec = [cut_ix.position(q) for q in bond.charges]
-    if leg == 2:
-        right = SymmetricTensor((bond, cut_ix), {(b, s): vh for b, (s, vh) in enumerate(zip(sec, vhs))})
-        return stacked, values, right, kept_norm, discarded_norm
-    left = SymmetricTensor((cut_ix, bond), {(s, b): u for b, (s, u) in enumerate(zip(sec, us))})
-    return left, values, stacked, kept_norm, discarded_norm
+    indices = site.indices[:2] + (bond,) if leg == 2 else (bond,) + site.indices[1:]
+    factor = SectorMatrices(indices, leg, keys, flat)
+    return factor, values, vhs if leg == 2 else us, kept_norm, discarded_norm
 
 
 class SectorMatrices:

@@ -105,10 +105,10 @@ class CanonicalMps:
     module docstring); ``sites`` gives their block views.
     """
 
-    def __init__(self, sites: list[SymmetricTensor], lambdas: list[dict[int, np.ndarray]]):
+    def __init__(self, sites: list[SectorMatrices], lambdas: list[dict[int, np.ndarray]]):
         if len(lambdas) != len(sites) - 1:
             raise ValueError("need exactly one singular vector per interior bond")
-        self._sites = [SectorMatrices.from_tensor(t) for t in sites]
+        self._sites = list(sites)
         self.lambdas = [
             {int(q): np.asarray(v, dtype=np.float64) for q, v in lam.items()}
             for lam in lambdas
@@ -551,7 +551,7 @@ def product_mps(phys: ChargeIndex, sites: list[tuple[int, np.ndarray]]) -> Canon
         acc += q
         blk = np.asarray(amps, dtype=np.complex128).reshape(1, -1, 1)
         key = (0, phys.position(q), 0)
-        gammas.append(SymmetricTensor((left, phys, right), {key: blk}))
+        gammas.append(SectorMatrices.from_tensor(SymmetricTensor((left, phys, right), {key: blk})))
         lambdas.append({acc: np.array([1.0])})
     return CanonicalMps(gammas, lambdas[:-1])
 
@@ -567,47 +567,44 @@ def from_fock(occupations: list[int], d: int) -> CanonicalMps:
 def canonicalize(site_tensors: list[SymmetricTensor]) -> tuple[CanonicalMps, float]:
     """Bring an arbitrary (bond-in, phys, bond-out) chain to right-canonical form.
 
-    No cap on the bond dimension; values below ``LAMBDA_FLOOR`` are
-    dropped.  Returns the canonical state and the norm of the input chain.
-    Raises ``ZeroNormError`` if the chain represents the zero vector.
+    Each link is converted once to ``SectorMatrices``, which checks its
+    block shapes and charges; from there on the sweeps work on sector
+    matrices only: ``block_svd`` cuts a link, ``contract`` multiplies the
+    bond-side factor into its neighbour and ``scale_axis`` weights a site,
+    and the sites go to ``CanonicalMps`` as they are.  No cap on the bond
+    dimension; values below ``LAMBDA_FLOOR`` are dropped.  Returns the
+    canonical state and the norm of the input chain.  Raises
+    ``ZeroNormError`` if the chain represents the zero vector.
     """
     exact = TruncationPolicy(None, LAMBDA_FLOOR)
-    L = len(site_tensors)
-    tensors = list(site_tensors)
-
-    if L == 1:
-        nrm = tensors[0].norm()
-        if nrm < 1e-300:
-            raise ZeroNormError("zero norm")
-        return CanonicalMps([tensors[0].scale(1.0 / nrm)], []), nrm
+    sites = [SectorMatrices.from_tensor(t) for t in site_tensors]
+    L = len(sites)
 
     # right-to-left sweep: make sites 2..L right-isometric
     for m in range(L - 1, 0, -1):
-        left, values, tensors[m], _, _ = block_svd(tensors[m], 1, exact)
-        carry = scale_axis(left, 1, values)
-        tensors[m - 1] = contract(tensors[m - 1], carry)
+        sites[m], values, us, _, _ = block_svd(sites[m], 0, exact)
+        bond = sites[m].indices[0]
+        sites[m - 1] = contract(sites[m - 1], 2, bond, [u * values[q] for q, u in zip(bond.charges, us)])
 
     # left-to-right sweep: extract Schmidt spectra and the sites B = Gamma lambda
-    sites: list[SymmetricTensor] = []
     lambdas: list[dict[int, np.ndarray]] = []
-    norm_val = None
-    prev_lam: dict[int, np.ndarray] | None = None
+    norm_val = float(np.linalg.norm(sites[0].flat)) if L == 1 else None
     for m in range(L - 1):
-        left, values, right, kept_norm, discarded_norm = block_svd(tensors[m], 2, exact)
-        if norm_val is None:
+        factor, values, vhs, kept_norm, discarded_norm = block_svd(sites[m], 2, exact)
+        if norm_val is None:  # kept_norm >= LAMBDA_FLOOR, so this is never zero
             norm_val = float(np.sqrt(kept_norm**2 + discarded_norm**2))
-            if norm_val < 1e-300:
-                raise ZeroNormError("zero norm")
         lam = {q: v / norm_val for q, v in values.items()}
-        gamma = left if prev_lam is None else scale_axis(left, 0, prev_lam, inverse=True)
-        sites.append(scale_axis(gamma, 2, lam))
+        gamma = scale_axis(factor, 0, lambdas[-1], inverse=True) if lambdas else factor
+        sites[m] = scale_axis(gamma, 2, lam)
         lambdas.append(lam)
-        carry = scale_axis(right, 0, values)
-        tensors[m + 1] = contract(carry, tensors[m + 1])
-        prev_lam = lam
+        bond = factor.indices[2]
+        sites[m + 1] = contract(sites[m + 1], 0, bond, [vh * values[q][:, None] for q, vh in zip(bond.charges, vhs)])
 
-    last = tensors[L - 1].scale(1.0 / norm_val)
-    sites.append(scale_axis(last, 0, prev_lam, inverse=True))
+    if norm_val < 1e-300:
+        raise ZeroNormError("zero norm")
+    last = sites[L - 1]
+    last = SectorMatrices(last.indices, last.leg, last.keys, last.flat * (1.0 / norm_val))
+    sites[L - 1] = scale_axis(last, 0, lambdas[-1], inverse=True) if lambdas else last
     return CanonicalMps(sites, lambdas), norm_val
 
 
@@ -667,7 +664,7 @@ def load_mps(path: str) -> CanonicalMps:
                 tuple(k): data[f"g{m}/{','.join(map(str, k))}"]
                 for k in meta["block_keys"][m]
             }
-            sites.append(SymmetricTensor(idx, blocks))
+            sites.append(SectorMatrices.from_tensor(SymmetricTensor(idx, blocks)))
         lambdas = [
             {q: data[f"lam{m}/{q}"] for q in meta["lambda_charges"][m]}
             for m in range(L - 1)

@@ -397,12 +397,11 @@ def out_chain_compose(op_s: SuperState, target: SuperState) -> SuperState:
                         blocks[key][loff : loff + rows, ppos, roff : roff + cols] += (
                             outer.transpose(0, 2, 1, 3).reshape(rows, cols)
                         )
-        composed = SymmetricTensor(
+        # canonicalize's conversion checks every block's shape and charges
+        site_tensors.append(SymmetricTensor(
             (left_ix, phys, right_ix),
             {key: blk for key, blk in blocks.items() if blk.any()},
-        )
-        composed.validate()
-        site_tensors.append(composed)
+        ))
         left_ix, left_sec, left_off = right_ix, right_sec, right_off
 
     try:

@@ -25,7 +25,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .charge_tensor import ChargeIndex, SymmetricTensor
+from .charge_tensor import ChargeIndex, SectorMatrices, SymmetricTensor
 from .mps_core import CanonicalMps
 from .operator_space import (
     CANONICAL,
@@ -96,7 +96,7 @@ def _uniform_chain(N: int, L: int, d: int, phys: ChargeIndex, w: int) -> Canonic
                 val = float(np.sqrt(table[L - m][N - r] / table[L - m + 1][N - l]))
                 key = (lpos, phys.position(j * w), rpos)
                 blocks[key] = np.array([[[val]]], dtype=np.complex128)
-        sites.append(SymmetricTensor((left, phys, right), blocks))
+        sites.append(SectorMatrices.from_tensor(SymmetricTensor((left, phys, right), blocks)))
         if m < L:
             lambdas.append(
                 {l * w: np.array([float(np.sqrt(_split_count(table, N, L, m, l) / total))]) for l in cur}

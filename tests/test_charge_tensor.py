@@ -54,6 +54,26 @@ def make_random_two_leg(rng, first):
     return SymmetricTensor((first, second), blocks)
 
 
+def split(t, n_row, policy):
+    """``block_svd`` of block tensor ``t`` cut after its first ``n_row`` legs (1 or 2),
+    both factors as block tensors: (left, values, right, kept_norm, discarded_norm)."""
+    leg = 2 if n_row == 2 else 0
+    factor, values, other, kept, discarded = block_svd(SectorMatrices.from_tensor(t), leg, policy)
+    cut, bond = t.indices[leg], factor.indices[leg]
+    sec = [cut.position(q) for q in bond.charges]
+    if leg == 2:
+        right = SymmetricTensor((bond, cut), {(b, s): vh for b, (s, vh) in enumerate(zip(sec, other))})
+        return factor.tensor(), values, right, kept, discarded
+    left = SymmetricTensor((cut, bond), {(s, b): u for b, (s, u) in enumerate(zip(sec, other))})
+    return left, values, factor.tensor(), kept, discarded
+
+
+def rebuild(left, values, right) -> np.ndarray:
+    """Dense chain product left . diag(values) . right of a split's factors."""
+    w = np.concatenate([values[q] for q in left.indices[-1].charges])
+    return np.tensordot(left.densify() * w, right.densify(), axes=(-1, 0))
+
+
 class TestChargeIndex:
     def test_ordering_enforced(self):
         with pytest.raises(ChargeMismatchError):
@@ -187,28 +207,69 @@ class TestValidate:
 class TestContract:
     def test_identity_contraction(self, rng):
         t = make_random_three_leg(rng)
-        right = t.indices[2]
-        eye_blocks = {
-            (p, p): np.eye(dim, dtype=complex) for p, (q, dim) in enumerate(right.sectors)
-        }
-        ident = SymmetricTensor((right, right), eye_blocks)
-        out = contract(t, ident)
-        assert np.allclose(out.densify(), t.densify(), atol=1e-14)
+        for leg in (0, 2):
+            ix = t.indices[leg]
+            out = contract(SectorMatrices.from_tensor(t), leg, ix, [np.eye(dim, dtype=complex) for dim in ix.dims])
+            assert out.leg == leg and out.indices == t.indices
+            assert np.array_equal(out.tensor().densify(), t.densify())
 
     def test_against_dense(self, rng):
         a = make_random_three_leg(rng)
         b = make_random_two_leg(rng, a.indices[2])
-        out = contract(a, b)
+        mats = [b.blocks[(p, p)] for p in range(a.indices[2].nsectors)]
+        # b's second leg has one sector (charge 9) that no block reaches
+        bond = ChargeIndex(b.indices[1].sectors[:-1])
+        out = contract(SectorMatrices.from_tensor(a), 2, bond, mats).tensor()
         out.validate()
-        assert out.indices == a.indices[:2] + b.indices[1:]
-        dense = np.tensordot(a.densify(), b.densify(), axes=(2, 0))
+        assert out.indices == a.indices[:2] + (bond,)
+        dense = np.tensordot(a.densify(), b.densify(), axes=(2, 0))[..., : bond.dim]
+        assert np.max(np.abs(out.densify() - dense)) < 1e-12
+        # from the left: b^T on the bond-in leg of a link whose bond-in leg is a's bond-out
+        c = SymmetricTensor((a.indices[2], a.indices[1], ChargeIndex(((0, 2), (1, 4), (2, 3), (3, 4)))), {
+            (r, p, r + p): rng.normal(size=(a.indices[2].dims[r], 1, (2, 4, 3, 4)[r + p]))
+            for r in range(3) for p in range(2)
+        })
+        out = contract(SectorMatrices.from_tensor(c), 0, bond, [m.T for m in mats]).tensor()
+        dense = np.tensordot(b.densify()[:, : bond.dim].T, c.densify(), axes=(1, 0))
         assert np.max(np.abs(out.densify() - dense)) < 1e-12
 
+    def test_a_charge_the_bond_lacks_is_dropped(self, rng):
+        t = make_random_three_leg(rng)
+        right = t.indices[2]  # charges 0, 1, 2
+        bond = ChargeIndex((right.sectors[0], right.sectors[2]))
+        out = contract(SectorMatrices.from_tensor(t), 2, bond, [np.eye(dim) for dim in bond.dims]).tensor()
+        assert sorted(out.blocks) == sorted((l, p, 0 if r == 0 else 1) for l, p, r in t.blocks if r != 1)
+        dense = t.densify()
+        assert np.array_equal(out.densify(), np.concatenate([dense[..., :2], dense[..., 6:]], axis=2))
+
     def test_sector_mismatch_raises(self, rng):
-        a = make_random_three_leg(rng)
-        # a's last leg (0, 1, 2) and first leg (0, 1) differ
+        site = SectorMatrices.from_tensor(make_random_three_leg(rng))
+        # a's last leg holds charges (0, 1, 2): a bond with charge 5 or one matrix too few
         with pytest.raises(ChargeMismatchError, match="charge mismatch"):
-            contract(a, a)
+            contract(site, 2, ChargeIndex(((0, 2), (5, 1))), [np.eye(2), np.eye(1)])
+        with pytest.raises(ChargeMismatchError, match="charge mismatch"):
+            contract(site, 2, site.indices[2], [np.eye(2)])
+
+
+class TestScaleAxis:
+    @pytest.mark.parametrize("layout", [0, 2])
+    @pytest.mark.parametrize("axis", [0, 2])
+    def test_against_dense(self, rng, layout, axis):
+        t = make_random_link(rng)
+        site = SectorMatrices.from_tensor(t).on_leg(layout)
+        ix = t.indices[axis]
+        values = {q: rng.uniform(0.5, 2.0, size=dim) for q, dim in ix.sectors}
+        w = np.concatenate([values[q] for q in ix.charges]).reshape((-1, 1, 1) if axis == 0 else (1, 1, -1))
+        for inverse, want in ((False, t.densify() * w), (True, t.densify() / w)):
+            out = scale_axis(site, axis, values, inverse)
+            assert out.indices == t.indices
+            assert out.leg == (2 if axis == 2 else layout)
+            assert np.array_equal(out.tensor().densify(), want)
+
+    def test_only_a_bond_leg(self, rng):
+        t = make_random_three_leg(rng)
+        with pytest.raises(ValueError, match="bond leg"):
+            scale_axis(SectorMatrices.from_tensor(t), 1, {q: np.ones(dim) for q, dim in t.indices[1].sectors})
 
 
 def bond_to_bond(ix: ChargeIndex, blocks: dict) -> SymmetricTensor:
@@ -223,35 +284,35 @@ class TestBlockSvd:
     def test_identity_two_values(self):
         t = bond_to_bond(ChargeIndex(((0, 2),)), {0: np.eye(2)})
         for n_row in (1, 2):
-            _, values, _, _, discarded = block_svd(t, n_row, TruncationPolicy(2, 0.0))
+            _, values, _, _, discarded = split(t, n_row, TruncationPolicy(2, 0.0))
             assert np.allclose(descending(values), [1.0, 1.0])
             assert discarded == 0.0
 
     def test_global_top_chi_across_blocks(self):
         t = bond_to_bond(ChargeIndex(((0, 1), (1, 2))), {0: [[0.9]], 1: np.diag([0.8, 0.1])})
         for n_row in (1, 2):
-            _, values, _, _, discarded = block_svd(t, n_row, TruncationPolicy(2, 0.0))
+            _, values, _, _, discarded = split(t, n_row, TruncationPolicy(2, 0.0))
             assert np.allclose(descending(values), [0.9, 0.8])
             assert np.allclose(discarded, 0.1)
 
     def test_reconstruction_matches_dense_svd(self, rng):
         t = make_random_three_leg(rng)
         for n_row in (1, 2):
-            left, values, right, _, _ = block_svd(t, n_row, TruncationPolicy(None, 0.0))
+            left, values, right, _, _ = split(t, n_row, TruncationPolicy(None, 0.0))
             left.validate()
             right.validate()
-            rebuilt = contract(scale_axis(left, n_row, values), right)
-            assert np.max(np.abs(rebuilt.densify() - t.densify())) < 1e-12
+            assert np.max(np.abs(rebuild(left, values, right) - t.densify())) < 1e-12
             # dense SVD oracle: the same values, globally sorted
             rows = int(np.prod(t.shape[:n_row]))
             s_dense = np.linalg.svd(t.densify().reshape(rows, -1), compute_uv=False)
             s_dense = s_dense[s_dense > 1e-13]
             assert np.allclose(descending(values)[: len(s_dense)], s_dense)
 
-    @pytest.mark.parametrize("n_row", [0, 3])
-    def test_cut_must_leave_legs_on_both_sides(self, rng, n_row):
-        with pytest.raises(ValueError, match="both sides"):
-            block_svd(make_random_three_leg(rng), n_row, TruncationPolicy(None, 0.0))
+    @pytest.mark.parametrize("leg", [1, 3])
+    def test_cut_must_fall_on_a_bond_leg(self, rng, leg):
+        site = SectorMatrices.from_tensor(make_random_three_leg(rng))
+        with pytest.raises(ValueError, match="bond leg"):
+            block_svd(site, leg, TruncationPolicy(None, 0.0))
 
     def test_rejects_a_link_without_three_legs(self, rng):
         phys = ChargeIndex.occupation(2)
@@ -262,9 +323,9 @@ class TestBlockSvd:
         four = SymmetricTensor(legs, blocks)
         two = SymmetricTensor((phys, phys), {(0, 0): np.ones((1, 1)), (1, 1): np.ones((1, 1))})
         for t in (four, two):
-            for n_row in range(1, t.ndim):
-                with pytest.raises(ValueError, match="links only"):
-                    block_svd(t, n_row, TruncationPolicy(None, 0.0))
+            # a link enters the splits only through this conversion
+            with pytest.raises(ValueError, match="chain link"):
+                SectorMatrices.from_tensor(t)
 
     @pytest.mark.parametrize(
         "n_row, legs, zero",
@@ -279,24 +340,23 @@ class TestBlockSvd:
         # all-zero block; the stacked factor keeps only the first
         kept = (0, 1, 0) if n_row == 2 else (0, 0, 0)
         t = SymmetricTensor(legs, {kept: np.full((1, 1, 1), 0.6), zero: np.zeros((1, 1, 1))})
-        left, values, right, _, _ = block_svd(t, n_row, TruncationPolicy(None, 0.0))
+        left, values, right, _, _ = split(t, n_row, TruncationPolicy(None, 0.0))
         stacked = left if n_row == 2 else right
         stacked.validate()
         assert [key[:2] if n_row == 2 else key[1:] for key in stacked.blocks] == [kept[:2] if n_row == 2 else kept[1:]]
-        rebuilt = contract(scale_axis(left, n_row, values), right)
-        assert np.max(np.abs(rebuilt.densify() - t.densify())) < 1e-15
+        assert np.max(np.abs(rebuild(left, values, right) - t.densify())) < 1e-15
 
     def test_normalized_spectrum(self, rng):
         t = make_random_three_leg(rng)
-        _, values, _, kept, discarded = block_svd(t, 2, TruncationPolicy(4, 0.0))
+        _, values, _, kept, discarded = split(t, 2, TruncationPolicy(4, 0.0))
         # values come back unnormalized; kept_norm is their 2-norm
         assert abs(np.sum(descending(values) ** 2) - kept**2) < 1e-12
-        assert abs(kept**2 + discarded**2 - t.norm() ** 2) < 1e-10
+        assert abs(kept**2 + discarded**2 - np.linalg.norm(t.densify()) ** 2) < 1e-10
 
     def test_kept_values_dominate_discarded(self, rng):
         t = make_random_three_leg(rng)
-        all_vals = descending(block_svd(t, 2, TruncationPolicy(None, 0.0))[1])
-        cut = descending(block_svd(t, 2, TruncationPolicy(3, 0.0))[1])
+        all_vals = descending(split(t, 2, TruncationPolicy(None, 0.0))[1])
+        cut = descending(split(t, 2, TruncationPolicy(3, 0.0))[1])
         assert cut.min() >= all_vals[3:].max() - 1e-14
 
     def test_zero_tensor_raises(self):
@@ -304,20 +364,20 @@ class TestBlockSvd:
         for t in (bond_to_bond(ix, {0: np.zeros((2, 2))}), bond_to_bond(ix, {})):
             for n_row in (1, 2):
                 with pytest.raises(ZeroNormError, match="zero norm"):
-                    block_svd(t, n_row, TruncationPolicy(2, 0.0))
+                    split(t, n_row, TruncationPolicy(2, 0.0))
 
     def test_inconsistent_grading_raises(self, rng):
         ix = ChargeIndex(((0, 2), (1, 2)))
         t = SymmetricTensor((ix, ChargeIndex.trivial(), ix), {(0, 0, 1): rng.normal(size=(2, 1, 2))})
         for n_row in (1, 2):
             with pytest.raises(ChargeMismatchError, match="charge mismatch"):
-                block_svd(t, n_row, TruncationPolicy(2, 0.0))
+                split(t, n_row, TruncationPolicy(2, 0.0))
 
     def test_deterministic_under_thread_count(self, rng, monkeypatch):
         t = make_random_three_leg(rng)
-        left1, values1, _, _, _ = block_svd(t, 2, TruncationPolicy(5, 0.0))
+        left1, values1, _, _, _ = split(t, 2, TruncationPolicy(5, 0.0))
         monkeypatch.setenv("MPODYN_THREADS", "4")
-        left2, values2, _, _, _ = block_svd(t, 2, TruncationPolicy(5, 0.0))
+        left2, values2, _, _, _ = split(t, 2, TruncationPolicy(5, 0.0))
         assert values1.keys() == values2.keys()
         for q in values1:
             assert np.array_equal(values1[q], values2[q])
@@ -346,7 +406,7 @@ class TestThreadSetting:
     def test_must_be_a_positive_integer(self, rng, monkeypatch, value):
         monkeypatch.setenv("MPODYN_THREADS", value)
         with pytest.raises(ValueError, match="MPODYN_THREADS must be a positive integer"):
-            block_svd(make_random_three_leg(rng), 2, TruncationPolicy(None, 0.0))
+            split(make_random_three_leg(rng), 2, TruncationPolicy(None, 0.0))
 
     @pytest.mark.parametrize("value", [None, "", "1", "2", " 3 "])
     def test_accepted_values(self, rng, monkeypatch, value):
@@ -354,16 +414,16 @@ class TestThreadSetting:
             monkeypatch.delenv("MPODYN_THREADS", raising=False)
         else:
             monkeypatch.setenv("MPODYN_THREADS", value)
-        block_svd(make_random_three_leg(rng), 2, TruncationPolicy(None, 0.0))
+        split(make_random_three_leg(rng), 2, TruncationPolicy(None, 0.0))
 
 
 def test_thread_setting_is_parsed_once_per_value(rng, monkeypatch):
     t = make_random_three_leg(rng)
     monkeypatch.setenv("MPODYN_THREADS", "1")
-    block_svd(t, 2, TruncationPolicy(None, 0.0))
+    split(t, 2, TruncationPolicy(None, 0.0))
     misses = charge_tensor._thread_count.cache_info().misses
     for _ in range(3):
-        block_svd(t, 2, TruncationPolicy(None, 0.0))
+        split(t, 2, TruncationPolicy(None, 0.0))
     assert charge_tensor._thread_count.cache_info().misses == misses
 
 
@@ -587,9 +647,9 @@ def test_block_svd_matches_zero_filled_assembly_bit_for_bit(rng):
                     want = _block_svd_by_zero_filled_assembly(three, n_row, policy)
                 except ZeroNormError:
                     with pytest.raises(ZeroNormError):
-                        block_svd(three, n_row, policy)
+                        split(three, n_row, policy)
                     continue
-                _assert_same_split(block_svd(three, n_row, policy), want)
+                _assert_same_split(split(three, n_row, policy), want)
                 cases += 1
     assert cases > 500
 
@@ -597,7 +657,7 @@ def test_block_svd_matches_zero_filled_assembly_bit_for_bit(rng):
 def test_block_svd_drops_an_exactly_zero_factor_block():
     exact = TruncationPolicy(None, 0.0)
     for t, n_row in _zero_block_links():
-        left, values, right, kept, discarded = got = block_svd(t, n_row, exact)
+        left, values, right, kept, discarded = got = split(t, n_row, exact)
         _assert_same_split(got, _block_svd_by_zero_filled_assembly(t, n_row, exact))
         assert np.array_equal(descending(values), [2.0, 1.0])
         # the stored zero block leaves no block in the stacked factor
@@ -605,5 +665,4 @@ def test_block_svd_drops_an_exactly_zero_factor_block():
             assert [key[:2] for key in left.blocks] == [(0, 2), (1, 1)]
         else:
             assert [key[1:] for key in right.blocks] == [(0, 0), (1, 1)]
-        rebuilt = contract(scale_axis(left, n_row, values), right)
-        assert np.array_equal(rebuilt.densify(), t.densify())
+        assert np.array_equal(rebuild(left, values, right), t.densify())

@@ -14,11 +14,11 @@ from mpodyn.charge_tensor import (
 )
 from mpodyn.evolution import evolve, make_schedule
 from mpodyn.mps_core import CanonicalMps, canonicalize, from_fock, load_mps, save_mps
-from mpodyn.models import BondGate, ModelSpec, bond_gate, super_gate
+from mpodyn.models import BondGate, ModelSpec, bond_gate, sigma_z_local, super_gate
 from mpodyn.observables import build_observable_superstate
-from mpodyn.operator_space import CANONICAL, GRAND_CANONICAL, identity_superstate, mode_weights
+from mpodyn.operator_space import CANONICAL, GRAND_CANONICAL, embed_factor, identity_superstate, mode_weights
 from mpodyn.charge_tensor import ChargeIndex
-from mpodyn.projector import uniform_fock_superposition
+from mpodyn.projector import project_operator, uniform_fock_superposition
 from mpodyn import oracle
 
 from conftest import random_charge_mps, random_conserving_gate
@@ -111,7 +111,7 @@ class TestFromFock:
         phys = ChargeIndex.occupation(2)
         one = np.ones((1, 1, 1))
         g = SymmetricTensor((ChargeIndex.trivial(), phys, phys), {(0, 0, 0): one, (0, 1, 1): one})
-        assert CanonicalMps([g], []).total_charge is None
+        assert CanonicalMps([SectorMatrices.from_tensor(g)], []).total_charge is None
 
     def test_occupation_out_of_range(self):
         with pytest.raises(ValueError, match="local dimension exceeded"):
@@ -313,9 +313,9 @@ class TestGateApplication:
         # may store an all-zero block in its stacked factor
         cuts = []
 
-        def spy(t, n_row, policy):
-            out = block_svd(t, n_row, policy)
-            cuts.append((n_row, out[0] if n_row == 2 else out[2]))
+        def spy(site, leg, policy):
+            out = block_svd(site, leg, policy)
+            cuts.append((leg, out[0].tensor()))
             return out
 
         monkeypatch.setattr(mps_core, "block_svd", spy)
@@ -328,7 +328,7 @@ class TestGateApplication:
         ]
         mps, norm = canonicalize([SymmetricTensor(legs, blocks) for legs, blocks in links])
         assert abs(norm - np.sqrt(2)) < 1e-14
-        assert [n for n, _ in cuts] == [1, 1, 2, 2]
+        assert [leg for leg, _ in cuts] == [0, 0, 2, 2]
         for _, stacked in cuts:
             _assert_stored_blocks_valid(stacked)
         assert (1, 0, 0) not in mps.sites[1].blocks
@@ -712,7 +712,7 @@ class TestOneSiteType:
                 SymmetricTensor(g.indices, {k: g.blocks[k].copy() for k in order(g.blocks)})
                 for g in mps.sites
             ]
-            built = CanonicalMps(inputs, mps.lambdas)
+            built = CanonicalMps([SectorMatrices.from_tensor(t) for t in inputs], mps.lambdas)
             assert all(type(site) is SectorMatrices for site in built._sites)
             for g, want in zip(built.sites, inputs):
                 assert g.indices == want.indices
@@ -863,6 +863,37 @@ class TestCopiesShareImmutableValues:
         mps_core.canonicalize(chain)
         assert [{k: blk.tobytes() for k, blk in g.blocks.items()} for g in chain] == blocks
         assert _snapshot(x, tmp_path / "after.npz") == before
+
+
+def test_canonicalize_converts_each_link_once_and_builds_no_view(monkeypatch):
+    # one L=10 projection: canonicalize converts each composed link once and
+    # works on sector matrices from there on; no block view is built in the call
+    inside, conversions, views = [], [], []
+    canonical, convert, view = mps_core.canonicalize, SectorMatrices.from_tensor, SectorMatrices.tensor
+
+    def spy_canonicalize(links):
+        inside.append(True)
+        try:
+            return canonical(links)
+        finally:
+            inside.pop()
+
+    def spy_convert(t):
+        if inside:
+            conversions.append(t)
+        return convert(t)
+
+    def spy_view(site):
+        if site._tensor is None:
+            views.append(site)
+        return view(site)
+
+    monkeypatch.setattr(mps_core, "canonicalize", spy_canonicalize)
+    monkeypatch.setattr(SectorMatrices, "from_tensor", staticmethod(spy_convert))
+    monkeypatch.setattr(SectorMatrices, "tensor", spy_view)
+    s = project_operator(embed_factor(sigma_z_local(), 5, 10), 5)
+    assert (len(views), len(conversions)) == (0, 10)
+    s.mps.assert_canonical()
 
 
 class TestReversibility:

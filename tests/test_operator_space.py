@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mpodyn import oracle
-from mpodyn.charge_tensor import ChargeIndex, ChargeMismatchError, SymmetricTensor, TruncationPolicy
+from mpodyn.charge_tensor import ChargeIndex, ChargeMismatchError, SectorMatrices, SymmetricTensor, TruncationPolicy
 from mpodyn.evolution import evolve, make_schedule
 from mpodyn.models import (
     SIGMA_Z,
@@ -235,7 +235,7 @@ def _charge_breaking_operator(L):
     ((left, _, right), blk), = g.blocks.items()
     wrong = g.indices[1].position(-1)
     sites[site - 1] = SymmetricTensor(g.indices, {(left, wrong, right): blk})
-    s.mps = CanonicalMps(sites, s.mps.lambdas)
+    s.mps = CanonicalMps([SectorMatrices.from_tensor(t) for t in sites], s.mps.lambdas)
     return s
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpodyn import oracle, operator_space, projector
-from mpodyn.charge_tensor import ChargeIndex, SymmetricTensor
+from mpodyn.charge_tensor import ChargeIndex, SectorMatrices, SymmetricTensor
 from mpodyn.mps_core import CanonicalMps
 from mpodyn.models import (
     SIGMA_Z,
@@ -328,7 +328,7 @@ def _uniform_by_fractions(N, L, d):
                 for l in cur
             })
         prev = cur
-    return CanonicalMps(sites, lambdas)
+    return CanonicalMps([SectorMatrices.from_tensor(t) for t in sites], lambdas)
 
 
 def _projector_by_relabel(N, L, d):
@@ -349,7 +349,8 @@ def _projector_by_relabel(N, L, d):
         )
         for g in state.sites
     ]
-    return CanonicalMps(sites, [{l * w: v for l, v in lam.items()} for lam in state.lambdas])
+    links = [SectorMatrices.from_tensor(t) for t in sites]
+    return CanonicalMps(links, [{l * w: v for l, v in lam.items()} for lam in state.lambdas])
 
 
 def _assert_same_chain(got, want):
