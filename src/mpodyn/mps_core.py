@@ -580,11 +580,15 @@ def canonicalize(site_tensors: list[SymmetricTensor]) -> tuple[CanonicalMps, flo
     sites = [SectorMatrices.from_tensor(t) for t in site_tensors]
     L = len(sites)
 
-    # right-to-left sweep: make sites 2..L right-isometric
+    # right-to-left sweep: make sites 2..L right-isometric; each carry is divided
+    # by its kept norm, so the floor never meets the scale of the chain's tail
+    scale = 1.0
     for m in range(L - 1, 0, -1):
-        sites[m], values, us, _, _ = block_svd(sites[m], 0, exact)
+        sites[m], values, us, kept_norm, _ = block_svd(sites[m], 0, exact)
+        scale *= kept_norm
         bond = sites[m].indices[0]
-        sites[m - 1] = contract(sites[m - 1], 2, bond, [u * values[q] for q, u in zip(bond.charges, us)])
+        carry = [u * (values[q] / kept_norm) for q, u in zip(bond.charges, us)]
+        sites[m - 1] = contract(sites[m - 1], 2, bond, carry)
 
     # left-to-right sweep: extract Schmidt spectra and the sites B = Gamma lambda
     lambdas: list[dict[int, np.ndarray]] = []
@@ -600,12 +604,12 @@ def canonicalize(site_tensors: list[SymmetricTensor]) -> tuple[CanonicalMps, flo
         bond = factor.indices[2]
         sites[m + 1] = contract(sites[m + 1], 0, bond, [vh * values[q][:, None] for q, vh in zip(bond.charges, vhs)])
 
-    if norm_val < 1e-300:
+    if norm_val * scale < 1e-300:
         raise ZeroNormError("zero norm")
     last = sites[L - 1]
     last = SectorMatrices(last.indices, last.leg, last.keys, last.flat * (1.0 / norm_val))
     sites[L - 1] = scale_axis(last, 0, lambdas[-1], inverse=True) if lambdas else last
-    return CanonicalMps(sites, lambdas), norm_val
+    return CanonicalMps(sites, lambdas), norm_val * scale
 
 
 # -- serialization ---------------------------------------------------------------

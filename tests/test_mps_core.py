@@ -865,6 +865,17 @@ class TestCopiesShareImmutableValues:
         assert _snapshot(x, tmp_path / "after.npz") == before
 
 
+def test_canonicalize_keeps_a_chain_of_small_sites():
+    # every site 1e-3 times a Fock state's: the tail's scale shrinks 1e-3 per
+    # site, but the state and the 1e-24 norm come back exactly
+    psi = from_fock([0, 1, 1, 0, 1, 0, 0, 1], 2)
+    chain = [SymmetricTensor(g.indices, {k: 1e-3 * blk for k, blk in g.blocks.items()}) for g in psi.sites]
+    mps, norm = canonicalize(chain)
+    assert abs(norm / 1e-24 - 1) < 1e-14
+    assert np.max(np.abs(mps.to_statevector() - psi.to_statevector())) < 1e-15
+    mps.assert_canonical()
+
+
 def test_canonicalize_converts_each_link_once_and_builds_no_view(monkeypatch):
     # one L=10 projection: canonicalize converts each composed link once and
     # works on sector matrices from there on; no block view is built in the call

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mpodyn import oracle, operator_space, projector
 from mpodyn.charge_tensor import ChargeIndex, SectorMatrices, SymmetricTensor
 from mpodyn.mps_core import CanonicalMps
+from mpodyn.observables import itac_canonical
 from mpodyn.models import (
     SIGMA_Z,
     annihilator_local,
@@ -218,6 +219,15 @@ class TestProjectOperator:
         # P sigma_z P has one entry +-1 per 35-particle state: the same HS norm
         s = project_operator(embed_factor(sigma_z_local(), 35, 70), 35)
         assert abs(s.prefactor**2 / comb(70, 35) - 1) < 1e-13
+
+    def test_decaying_chain_keeps_every_schmidt_value(self):
+        # P sigma_z P at L=64 decays as 2^(-k/2) along the composed chain; every
+        # one of the 33 Schmidt values at the middle bond must survive the floor
+        f = embed_factor(sigma_z_local(), 32, 64)
+        s = project_operator(f, 32)
+        assert sum(len(v) for v in s.mps.schmidt_spectrum(32).values()) == 33
+        c = itac_canonical(s, lift_product_operator(f), 32)
+        assert 1 - c.real <= 1e-12 and abs(c.imag) <= 1e-12
 
     def test_hermitian_in_hermitian_out(self):
         s = project_operator(embed_factor(sigma_z_local(), 2, 4), 2)
