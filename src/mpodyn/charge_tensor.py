@@ -206,31 +206,23 @@ def scale_axis(
     """Multiply (or divide) the slices of link ``site`` along bond leg ``axis`` (0 or 2)
     by per-sector weights, charge -> one weight per state of that sector.
 
-    A right-factor link weighted on its bond-out leg comes back in the
-    left-factor layout, where every block is one run of (a, i, b) entries;
-    otherwise the layout is kept.
+    The result is in the left-factor layout, where every block is one run
+    of (a, i, b) entries.
     """
     if axis not in (0, 2):
         raise ValueError("scale_axis weights a bond leg, 0 or 2")
     ix = site.indices[axis]
     w = np.concatenate([np.asarray(sector_values[q], dtype=np.float64) for q in ix.charges])
     offsets = np.array(ix.offsets, dtype=np.intp)
-    if axis == 0 and site.leg == 0:  # row a of bond-in sector l's matrix spans all its columns
-        (dl, dp, dr), (l, p, r) = site._dims(), site.keys
-        width = np.bincount(l, dp[p] * dr[r], len(dl)).astype(np.intp)
-        sec = width.nonzero()[0]
-        blk, a = ragged(dl[sec])
-        weight = w[offsets[sec][blk] + a].repeat(width[sec][blk])
-    else:
-        site = site.on_leg(2)
-        (dl, dp, dr), (l, p, r) = site._dims(), site.keys
-        if axis == 0:  # row a of block j is dp * dr entries
-            blk, a = ragged(dl[l])
-            weight = w[offsets[l][blk] + a].repeat((dp[p] * dr[r])[blk])
-        else:  # every (a, i) row of block j runs over its dr states b
-            row = np.arange(len(l)).repeat(dl[l] * dp[p])
-            length = dr[r][row]
-            weight = w[run_positions(offsets[r][row] - starts(length), length)]
+    site = site.on_leg(2)
+    (dl, dp, dr), (l, p, r) = site._dims(), site.keys
+    if axis == 0:  # row a of block j is dp * dr entries
+        blk, a = ragged(dl[l])
+        weight = w[offsets[l][blk] + a].repeat((dp[p] * dr[r])[blk])
+    else:  # every (a, i) row of block j runs over its dr states b
+        row = np.arange(len(l)).repeat(dl[l] * dp[p])
+        length = dr[r][row]
+        weight = w[run_positions(offsets[r][row] - starts(length), length)]
     flat = site.flat / weight if inverse else site.flat * weight
     return SectorMatrices(site.indices, site.leg, site.keys, flat)
 

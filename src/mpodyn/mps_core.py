@@ -11,13 +11,15 @@ charge from the left, so the leftmost bond is a trivial charge-0 sector
 and the rightmost carries the total charge of a charge-definite state;
 ``CanonicalMps.total_charge`` reads it from there and is not stored.
 
-Every site is one immutable ``charge_tensor.SectorMatrices``: block
-tensors are converted once, when a state is built, and a gate stores the
-matrices its split produced, in the left-factor (``U``) layout for site m
-and the right-factor (``V^dagger``) layout for site m+1.  A gate makes the
-other layout by one index-array permutation when it needs it.  Everything
-outside the kernel (``canonicalize``, composition, observers,
-``save_mps``) reads block views, built once per site.
+Every site is one immutable ``charge_tensor.SectorMatrices``, and
+``CanonicalMps`` takes nothing else: block tensors are converted once,
+by whoever builds a chain from them, and a gate stores the matrices its
+split produced, in the left-factor (``U``) layout for site m and the
+right-factor (``V^dagger``) layout for site m+1.  A gate makes the other
+layout by one index-array permutation when it needs it.
+:func:`canonicalize` reads block tensors, converts each once and writes
+sector matrices.  Composition, observers and ``save_mps`` read block
+views, built once per site.
 
 Nothing writes a stored block, matrix or spectrum array after
 construction, so ``CanonicalMps.copy`` copies the site list and the
@@ -40,7 +42,7 @@ stored per run of contiguous entries.  Its key is what it is built from,
 both sites' indices, layout and block keys, not the gate; each bond keeps
 its last two plans on the state, most recent first, so a gate whose bond
 looks as it did one or two gates ago only moves values.  The kernel and
-:func:`canonicalize` (through ``block_svd``) share
+:func:`canonicalize` (through ``block_svd``, on sector matrices) share
 ``charge_tensor.truncated_split`` for the sector SVDs and the truncation
 and ``charge_tensor.drop_zero_blocks`` for the zero-block cut, which tests
 a whole stacked factor at once and returns it as one flat array.  In B
@@ -51,8 +53,10 @@ charge and a divide by the scalar kept norm: a gate divides by no bond value.
 
 Open boundaries only: the outer bonds are one-dimensional.  Singular
 values below ``LAMBDA_FLOOR`` are dropped outright, in the gate kernel
-only as a noise floor.  The last division by singular values is the
-restore in :func:`canonicalize`; it stays while the benchmark requires its
+only as a noise floor; :func:`canonicalize` normalizes every carry of its
+right-to-left sweep, so the floor applies to values of order one there
+too.  The last division by singular values is the restore in
+:func:`canonicalize`; it stays while the benchmark requires its
 ``restore`` layer.
 """
 
@@ -101,8 +105,8 @@ class CanonicalMps:
     ``lambdas[m-1]`` holds the singular values of interior bond ``m``
     (1-based, between sites m and m+1) as a mapping charge -> descending
     values; the grouping matches the sector order of the adjacent bond
-    legs.  Each site is stored as immutable ``SectorMatrices`` (see the
-    module docstring); ``sites`` gives their block views.
+    legs.  Each site is given and stored as immutable ``SectorMatrices``
+    (see the module docstring); ``sites`` gives their block views.
     """
 
     def __init__(self, sites: list[SectorMatrices], lambdas: list[dict[int, np.ndarray]]):
@@ -602,7 +606,8 @@ def canonicalize(site_tensors: list[SymmetricTensor]) -> tuple[CanonicalMps, flo
         sites[m] = scale_axis(gamma, 2, lam)
         lambdas.append(lam)
         bond = factor.indices[2]
-        sites[m + 1] = contract(sites[m + 1], 0, bond, [vh * values[q][:, None] for q, vh in zip(bond.charges, vhs)])
+        carry = [vh * values[q][:, None] for q, vh in zip(bond.charges, vhs)]
+        sites[m + 1] = contract(sites[m + 1], 0, bond, carry)
 
     if norm_val * scale < 1e-300:
         raise ZeroNormError("zero norm")

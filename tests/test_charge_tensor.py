@@ -263,7 +263,7 @@ class TestScaleAxis:
         for inverse, want in ((False, t.densify() * w), (True, t.densify() / w)):
             out = scale_axis(site, axis, values, inverse)
             assert out.indices == t.indices
-            assert out.leg == (2 if axis == 2 else layout)
+            assert out.leg == 2
             assert np.array_equal(out.tensor().densify(), want)
 
     def test_only_a_bond_leg(self, rng):
