@@ -414,7 +414,9 @@ def drop_zero_blocks(mats, leg: int, charges, keys, sizes, bond: ChargeIndex):
     return flat, np.vstack((keys, pos) if leg == 2 else (pos, keys))
 
 
-def block_svd(site: SectorMatrices, leg: int, policy: TruncationPolicy):
+def block_svd(
+    site: SectorMatrices, leg: int, policy: TruncationPolicy
+) -> tuple[SectorMatrices, dict[int, np.ndarray], list[np.ndarray], float, float]:
     """Truncated SVD of the chain link ``site`` cut at bond leg ``leg`` (0 or 2).
 
     The link's :class:`SectorMatrices` on that leg are split by
