@@ -11,7 +11,6 @@ verification.
 from .charge_tensor import (
     ChargeIndex,
     ChargeMismatchError,
-    SymmetricTensor,
     TruncationPolicy,
     ZeroNormError,
 )

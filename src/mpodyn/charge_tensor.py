@@ -1,28 +1,27 @@
-"""Block-sparse chain tensors graded by a single additive U(1) charge.
+"""Block-sparse chain links graded by a single additive U(1) charge.
 
-Every block tensor is one link of a chain: its legs are bond-in, the
-physical legs, bond-out, each carrying a :class:`ChargeIndex` (ordered
-charge sectors).  A dense block may be nonzero only when
+A chain link has legs (bond-in, physical, bond-out), each carrying a
+:class:`ChargeIndex` (ordered charge sectors).  A dense (l, p, r) block of
+a link may be nonzero only when
 
-    charge(last leg) == sum(charges of the other legs)
+    charge(r) == charge(l) + charge(p)
 
 so a bond charge counts the charge accumulated from the left end of the
-chain.  All other entries are exactly zero and never stored.  Blocks are
-complex double precision, kept as given when they already are: a block
-view of stored sector matrices is a (possibly strided) view of them.
+chain.  All other entries are exactly zero and never stored.
 
-Block tensors are how chains are written down; the algorithms work on
-:class:`SectorMatrices`, the one sector-matrix form of a (bond-in,
-physical, bond-out) link: one dense matrix per sector of a bond leg.
-``block_svd`` cuts a link at either bond leg by splitting those matrices;
-the new bond charge is the sum of the row charges ("particles to the left
-of the cut"), so the stacked factor is a link again and the other factor
-is one bare matrix per kept charge.  ``contract`` multiplies such matrices
-into a link at a bond leg (the chain product) and ``scale_axis`` weights
-a bond leg's slices by a spectrum.  The SVD-and-truncate step,
-``truncated_split``, and the zero-block cut, ``drop_zero_blocks``, are
-shared with the two-site gate kernel in ``mps_core``, which stores every
-site as ``SectorMatrices``.
+Every link is one :class:`SectorMatrices`: one dense complex matrix per
+sector of a bond leg, all in one flat array.  ``SectorMatrices.from_blocks``
+is the one checked way in from a dict of dense blocks, and copies them;
+``blocks`` is the block view of the stored matrices and ``densify`` the
+whole link as one dense array.  ``block_svd`` cuts a link at either bond
+leg by splitting its matrices; the new bond charge is the sum of the row
+charges ("particles to the left of the cut"), so the stacked factor is a
+link again and the other factor is one bare matrix per kept charge.
+``contract`` multiplies such matrices into a link at a bond leg (the
+chain product) and ``scale_axis`` weights a bond leg's slices by a
+spectrum.  The SVD-and-truncate step, ``truncated_split``, and the
+zero-block cut, ``drop_zero_blocks``, are shared with the two-site gate
+kernel in ``mps_core``.
 
 A bond spectrum is a plain ``dict`` mapping bond charge to that sector's
 descending singular values.  Which values survive a cut is decided only
@@ -93,10 +92,28 @@ class ChargeIndex:
         """Dense offset of each sector when the leg is laid out sector by sector."""
         return tuple(accumulate(self.dims, initial=0))[:-1]
 
+    # charges, dims and offsets again as read-only arrays, for index arithmetic
+    @cached_property
+    def charge_array(self) -> np.ndarray:
+        return _frozen(np.array(self.charges, dtype=np.int64))
+
+    @cached_property
+    def dim_array(self) -> np.ndarray:
+        return _frozen(np.array(self.dims, dtype=np.intp))
+
+    @cached_property
+    def offset_array(self) -> np.ndarray:
+        return _frozen(np.array(self.offsets, dtype=np.intp))
+
     def position(self, charge: int) -> int:
         if charge not in self.charges:
             raise KeyError(f"no sector with charge {charge}")
         return self.charges.index(charge)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def group_by_charge(q: np.ndarray, size: np.ndarray, charges: np.ndarray | None = None):
@@ -127,74 +144,9 @@ def pair_bands(index: ChargeIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     basis (:func:`group_by_charge`).  Cached per leg, so the arrays are
     shared: never write them.
     """
-    q, d = np.array(index.charges, dtype=np.int64), np.array(index.dims, dtype=np.intp)
+    q, d = index.charge_array, index.dim_array
     charges, dims, _, offsets = group_by_charge(np.add.outer(q, q).ravel(), np.outer(d, d).ravel())
     return charges, dims, offsets.reshape(len(q), len(q))
-
-
-@dataclass
-class SymmetricTensor:
-    """Charge-conserving block-sparse chain tensor.
-
-    ``blocks`` maps per-leg sector positions to dense complex arrays whose
-    shape matches the selected sector dimensions; a stored block's last-leg
-    charge is the sum of its other legs' charges.  Tensors are treated as
-    immutable values after construction.
-    """
-
-    indices: tuple[ChargeIndex, ...]
-    blocks: dict[tuple[int, ...], np.ndarray]
-
-    def __post_init__(self):
-        self.indices = tuple(self.indices)
-        self.blocks = {
-            key: np.asarray(blk, dtype=np.complex128)
-            for key, blk in self.blocks.items()
-        }
-
-    @property
-    def ndim(self) -> int:
-        return len(self.indices)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(ix.dim for ix in self.indices)
-
-    def validate(self) -> None:
-        """Check shapes and the charge selection rule for every stored block."""
-        checked_keys(self.indices, list(self.blocks), [blk.shape for blk in self.blocks.values()])
-
-    def densify(self) -> np.ndarray:
-        """Dense array with every leg laid out sector by sector (charge ascending)."""
-        out = np.zeros(self.shape, dtype=np.complex128)
-        offs = [ix.offsets for ix in self.indices]
-        for key, blk in self.blocks.items():
-            sl = tuple(
-                slice(offs[a][pos], offs[a][pos] + self.indices[a].dims[pos])
-                for a, pos in enumerate(key)
-            )
-            out[sl] = blk
-        return out
-
-
-def checked_keys(indices, keys, shapes) -> np.ndarray:
-    """Per-leg sector positions of blocks, as an (ndim, nblocks) array.
-
-    Raises unless every block has one position per leg, the shape its
-    sectors select, and a last-leg charge equal to the sum of the other
-    legs' charges.
-    """
-    n = len(indices)
-    if any(len(key) != n for key in keys):
-        raise ChargeMismatchError("charge mismatch")
-    pos = np.array(keys, dtype=np.intp).reshape(len(keys), n).T
-    want = zip(*(np.array(ix.dims)[p].tolist() for ix, p in zip(indices, pos)))
-    if list(shapes) != list(want):
-        raise ChargeMismatchError("block shapes do not match the sector dimensions")
-    *rest, last = (np.array(ix.charges)[p] for ix, p in zip(indices, pos))
-    if np.any(sum(rest) != last):
-        raise ChargeMismatchError("charge mismatch")
-    return pos
 
 
 def scale_axis(
@@ -213,7 +165,7 @@ def scale_axis(
         raise ValueError("scale_axis weights a bond leg, 0 or 2")
     ix = site.indices[axis]
     w = np.concatenate([np.asarray(sector_values[q], dtype=np.float64) for q in ix.charges])
-    offsets = np.array(ix.offsets, dtype=np.intp)
+    offsets = ix.offset_array
     site = site.on_leg(2)
     (dl, dp, dr), (l, p, r) = site._dims(), site.keys
     if axis == 0:  # row a of block j is dp * dr entries
@@ -388,7 +340,7 @@ def drop_zero_blocks(mats, leg: int, charges, keys, sizes, bond: ChargeIndex):
     ``flat`` and the (l, p, r) key of every block it stacks, with bond
     positions on the bond leg.
     """
-    kept_charges = np.array(bond.charges)
+    kept_charges = bond.charge_array
     pos = kept_charges.searchsorted(charges)
     kept = kept_charges.take(pos, mode="clip") == charges
     given = kept.repeat(sizes)
@@ -441,7 +393,7 @@ def block_svd(
 
     (dl, dp, dr), (l, p, r) = site._dims(), site.keys
     two, sizes = (site.keys[:2], dl[l] * dp[p]) if leg == 2 else (site.keys[1:], dp[p] * dr[r])
-    charges = np.array(cut_ix.charges)[site.keys[leg]]
+    charges = cut_ix.charge_array[site.keys[leg]]
     flat, keys = drop_zero_blocks(us if leg == 2 else vhs, leg, charges, two, sizes, bond)
     indices = site.indices[:2] + (bond,) if leg == 2 else (bond,) + site.indices[1:]
     factor = SectorMatrices(indices, leg, keys, flat)
@@ -458,34 +410,47 @@ class SectorMatrices:
     columns the (p, r) blocks in sorted order, each block's columns (i, b)
     in C order.  The matrices follow one another in ``flat`` by sector,
     each in C order, and ``keys`` is the (l, p, r) of every block in that
-    order.  Nothing is written after construction, so copies of a state
-    share these objects; the block view is built at most once.
+    order.  ``flat`` is the one source of truth: nothing is written after
+    construction, so copies of a state share these objects, and the block
+    view is built from ``flat`` at most once.
     """
 
-    __slots__ = ("indices", "leg", "keys", "flat", "_tensor")
+    __slots__ = ("indices", "leg", "keys", "flat", "_blocks")
 
     def __init__(self, indices, leg: int, keys: np.ndarray, flat: np.ndarray):
         self.indices, self.leg, self.keys, self.flat = tuple(indices), leg, keys, flat
-        self._tensor: SymmetricTensor | None = None
+        self._blocks: dict[tuple[int, int, int], np.ndarray] | None = None
 
     @classmethod
-    def from_tensor(cls, t: SymmetricTensor) -> "SectorMatrices":
-        """Left-factor layout of a block tensor's stored blocks.
+    def from_blocks(cls, indices, blocks: dict) -> "SectorMatrices":
+        """The link with legs ``indices`` whose stored blocks are ``blocks``,
+        (l, p, r) -> dense block, in the left-factor layout.
 
-        Every block's shape and charge rule are checked.  The block view
-        is ``t`` itself.
+        Raises unless there are three legs, every key names one sector per
+        leg, every block has the shape its sectors select, and charge(r) ==
+        charge(l) + charge(p).  The blocks are copied into ``flat``, so the
+        caller's arrays stay the caller's.
         """
-        if t.ndim != 3:
+        indices = tuple(indices)
+        if len(indices) != 3:
             raise ValueError("a chain link has legs (bond-in, physical, bond-out)")
-        order = sorted(t.blocks, key=lambda k: (k[2], k[0], k[1]))
-        keys = checked_keys(t.indices, order, [t.blocks[k].shape for k in order])
-        flat = np.concatenate([t.blocks[k].reshape(-1) for k in order] or [np.zeros(0, complex)])
-        site = cls(t.indices, 2, keys, flat)
-        site._tensor = t
-        return site
+        if any(len(key) != 3 for key in blocks):
+            raise ChargeMismatchError("charge mismatch")
+        order = sorted(blocks, key=lambda k: (k[2], k[0], k[1]))
+        keys = np.array(order, dtype=np.intp).reshape(len(order), 3).T
+        if np.any((keys < 0) | (keys >= [[ix.nsectors] for ix in indices])):
+            raise ChargeMismatchError("a block key names no sector")
+        (dl, dp, dr), (l, p, r) = (ix.dim_array for ix in indices), keys
+        if [np.shape(blocks[k]) for k in order] != list(zip(dl[l].tolist(), dp[p].tolist(), dr[r].tolist())):
+            raise ChargeMismatchError("block shapes do not match the sector dimensions")
+        ql, qp, qr = (ix.charge_array for ix in indices)
+        if np.any(ql[l] + qp[p] != qr[r]):
+            raise ChargeMismatchError("charge mismatch")
+        flat = np.concatenate([np.reshape(blocks[k], -1) for k in order] + [np.zeros(0)], dtype=np.complex128)
+        return cls(indices, 2, keys, flat)
 
     def _dims(self) -> list[np.ndarray]:
-        return [np.array(ix.dims, dtype=np.intp) for ix in self.indices]
+        return [ix.dim_array for ix in self.indices]
 
     def matrices(self) -> list[tuple[int, np.ndarray]]:
         """(sector, matrix) of every sector matrix, in order."""
@@ -531,12 +496,12 @@ class SectorMatrices:
         keys, shift, length = self.relayout()
         return SectorMatrices(self.indices, leg, keys, self.flat[run_positions(shift, length)])
 
-    def tensor(self) -> SymmetricTensor:
-        """Block view: the tensor :meth:`from_tensor` converted, else the
-        blocks in layout order, row slices of the matrices in the
-        left-factor layout and column slices in the other, every one a
-        view of ``flat``."""
-        if self._tensor is None:
+    @property
+    def blocks(self) -> dict[tuple[int, int, int], np.ndarray]:
+        """Block view, (l, p, r) -> dense block, in layout order: row slices of
+        the matrices in the left-factor layout and column slices in the other,
+        every one a view of ``flat``."""
+        if self._blocks is None:
             dl, dp, dr = (ix.dims for ix in self.indices)
             mats = dict(self.matrices())
             at, blocks = dict.fromkeys(mats, 0), {}
@@ -545,8 +510,15 @@ class SectorMatrices:
                 part = mats[c][at[c] : at[c] + n] if self.leg == 2 else mats[c][:, at[c] : at[c] + n]
                 blocks[(l, p, r)] = part.reshape(dl[l], dp[p], dr[r])
                 at[c] += n
-            self._tensor = SymmetricTensor(self.indices, blocks)
-        return self._tensor
+            self._blocks = blocks
+        return self._blocks
+
+    def densify(self) -> np.ndarray:
+        """Dense (l, p, r) array with every leg laid out sector by sector (charge ascending)."""
+        out = np.zeros(tuple(ix.dim for ix in self.indices), dtype=np.complex128)
+        for key, blk in self.blocks.items():
+            out[tuple(slice(ix.offsets[k], ix.offsets[k] + ix.dims[k]) for ix, k in zip(self.indices, key))] = blk
+        return out
 
 
 def row_runs(shapes: np.ndarray, base) -> tuple[np.ndarray, np.ndarray]:

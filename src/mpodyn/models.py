@@ -130,7 +130,7 @@ class BondGate:
         D = index.dim
         if self.dense.shape != (D * D, D * D):
             raise ValueError("gate matrix has wrong shape")
-        layout_q = np.repeat(np.array(index.charges, dtype=np.int64), index.dims)
+        layout_q = np.repeat(index.charge_array, index.dim_array)
         pair_q = np.add.outer(layout_q, layout_q).ravel()
         # the gate with rows and columns in two-site layout order (j1, j2)
         dense_at = np.add.outer(self.perm * D, self.perm).ravel()
@@ -139,9 +139,9 @@ class BondGate:
             raise ChargeMismatchError("charge mismatch")
         charges, dims, offsets = pair_bands(index)
         start = np.cumsum(dims) - dims
-        sector = np.repeat(np.arange(index.nsectors), index.dims)
-        inner = np.arange(D) - np.array(index.offsets, dtype=np.intp)[sector]
-        in_band = offsets[np.ix_(sector, sector)] + np.outer(inner, np.array(index.dims)[sector]) + inner
+        sector = np.repeat(np.arange(index.nsectors), index.dim_array)
+        inner = np.arange(D) - index.offset_array[sector]
+        in_band = offsets[np.ix_(sector, sector)] + np.outer(inner, index.dim_array[sector]) + inner
         # the layout pair at every position of the band bases laid end to end
         basis = np.argsort(start[np.searchsorted(charges, pair_q)] + in_band.ravel())
         self._bands = {q: laid[np.ix_(b, b)] for q, b in zip(charges.tolist(), np.split(basis, start[1:]))}

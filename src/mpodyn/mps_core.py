@@ -11,15 +11,16 @@ charge from the left, so the leftmost bond is a trivial charge-0 sector
 and the rightmost carries the total charge of a charge-definite state;
 ``CanonicalMps.total_charge`` reads it from there and is not stored.
 
-Every site is one immutable ``charge_tensor.SectorMatrices``, and
-``CanonicalMps`` takes nothing else: block tensors are converted once,
-by whoever builds a chain from them, and a gate stores the matrices its
-split produced, in the left-factor (``U``) layout for site m and the
-right-factor (``V^dagger``) layout for site m+1.  A gate makes the other
-layout by one index-array permutation when it needs it.
-:func:`canonicalize` reads block tensors, converts each once and writes
-sector matrices.  Composition, observers and ``save_mps`` read block
-views, built once per site.
+Every site is one immutable ``charge_tensor.SectorMatrices``, the one
+chain-link type.  :func:`product_mps` and :func:`load_mps` build their
+sites with ``SectorMatrices.from_blocks``, which checks and copies the
+blocks; a gate stores the matrices its split produced, in the left-factor
+(``U``) layout for site m and the right-factor (``V^dagger``) layout for
+site m+1, and makes the other layout by one index-array permutation when
+it needs it; :func:`canonicalize` takes and returns sector matrices.
+``CanonicalMps.sites`` are the stored sites; composition, observers and
+``save_mps`` read their block views (``SectorMatrices.blocks``), built
+once per site from its matrices.
 
 Nothing writes a stored block, matrix or spectrum array after
 construction, so ``CanonicalMps.copy`` copies the site list and the
@@ -71,7 +72,6 @@ from .charge_tensor import (
     ChargeIndex,
     ChargeMismatchError,
     SectorMatrices,
-    SymmetricTensor,
     TruncationPolicy,
     ZeroNormError,
     block_svd,
@@ -105,14 +105,15 @@ class CanonicalMps:
     ``lambdas[m-1]`` holds the singular values of interior bond ``m``
     (1-based, between sites m and m+1) as a mapping charge -> descending
     values; the grouping matches the sector order of the adjacent bond
-    legs.  Each site is given and stored as immutable ``SectorMatrices``
-    (see the module docstring); ``sites`` gives their block views.
+    legs.  ``sites[m-1]`` is site m as stored, one immutable
+    ``SectorMatrices`` (see the module docstring); a gate replaces site
+    objects and never writes one.
     """
 
     def __init__(self, sites: list[SectorMatrices], lambdas: list[dict[int, np.ndarray]]):
         if len(lambdas) != len(sites) - 1:
             raise ValueError("need exactly one singular vector per interior bond")
-        self._sites = list(sites)
+        self.sites = list(sites)
         self.lambdas = [
             {int(q): np.asarray(v, dtype=np.float64) for q, v in lam.items()}
             for lam in lambdas
@@ -120,17 +121,12 @@ class CanonicalMps:
         self._plans: list[list[tuple[tuple, _GatePlan]]] = [[] for _ in self.lambdas]
 
     @property
-    def sites(self) -> list[SymmetricTensor]:
-        """Block views of the sites; a stored site builds its view once."""
-        return [site.tensor() for site in self._sites]
-
-    @property
     def L(self) -> int:
-        return len(self._sites)
+        return len(self.sites)
 
     @property
     def phys_indices(self) -> list[ChargeIndex]:
-        return [site.indices[1] for site in self._sites]
+        return [site.indices[1] for site in self.sites]
 
     @property
     def site_dims(self) -> list[int]:
@@ -145,8 +141,8 @@ class CanonicalMps:
     def bond_index(self, m: int) -> ChargeIndex:
         """ChargeIndex of bond m (0..L); outer bonds are one-dimensional."""
         if m == 0:
-            return self._sites[0].indices[0]
-        return self._sites[m - 1].indices[2]
+            return self.sites[0].indices[0]
+        return self.sites[m - 1].indices[2]
 
     def _bond_values(self, m: int) -> np.ndarray:
         """Bond m's values, all sectors in bond order; ones on the outer bonds."""
@@ -167,7 +163,7 @@ class CanonicalMps:
         the original keep their plans apart from here on.
         """
         out = CanonicalMps.__new__(CanonicalMps)
-        out._sites = list(self._sites)
+        out.sites = list(self.sites)
         out.lambdas = [dict(lam) for lam in self.lambdas]
         out._plans = list(self._plans)
         return out
@@ -210,7 +206,7 @@ class CanonicalMps:
         """
         if not 1 <= m <= self.L - 1:
             raise ValueError("bond out of range")
-        s1, s2 = self._sites[m - 1], self._sites[m]
+        s1, s2 = self.sites[m - 1], self.sites[m]
         (lix, phys1, _), (_, phys2, rix) = s1.indices, s2.indices
         if gate.index.sectors != phys1.sectors or gate.index.sectors != phys2.sectors:
             raise ChargeMismatchError("charge mismatch")
@@ -241,11 +237,11 @@ class CanonicalMps:
         except ZeroNormError as exc:
             raise ZeroNormError("state annihilated") from exc
 
-        self._sites[m - 1] = _factor_site((lix, phys1, bond), tildes, vhs, row_blocks, kept_norm)
+        self.sites[m - 1] = _factor_site((lix, phys1, bond), tildes, vhs, row_blocks, kept_norm)
         # B_{m+1} = V^dagger, as cut
         charge, keys, dims = col_blocks
         flat, keys = drop_zero_blocks(vhs, 0, charge, keys, dims.prod(axis=0), bond)
-        self._sites[m] = SectorMatrices((bond, phys2, rix), 0, keys, flat)
+        self.sites[m] = SectorMatrices((bond, phys2, rix), 0, keys, flat)
         self.lambdas[m - 1] = {q: v / kept_norm for q, v in values.items()}
         return TruncationRecord(
             bond=m,
@@ -269,21 +265,13 @@ class CanonicalMps:
         self._plans[m - 1] = [(key, plan)] + [e for e in plans if e[0] != key][:1]
         return plan
 
-    # -- site views ------------------------------------------------------------
-
-    def site_tensor(self, m: int) -> SymmetricTensor:
-        """Block view of site m (1..L), as stored; the chain product of the sites is the state."""
-        return self._sites[m - 1].tensor()
-
-    def site_tensor_dense(self, m: int) -> np.ndarray:
-        """Dense (chi_l, D, chi_r) :meth:`site_tensor` of site m, sector-layout ordering."""
-        return self.site_tensor(m).densify()
+    # -- dense views -----------------------------------------------------------
 
     def to_statevector(self) -> np.ndarray:
         """Dense state with site 1 as the fastest-varying index."""
         if int(np.prod(self.site_dims)) > 2**22:
             raise ValueError("state too large to densify")
-        return dense_chain(self.site_tensor_dense(m) for m in range(1, self.L + 1))
+        return dense_chain(site.densify() for site in self.sites)
 
     def assert_canonical(self, atol: float = 1e-8) -> None:
         """Verify bond normalization, B B^dagger = 1 at every site, and the left
@@ -292,8 +280,8 @@ class CanonicalMps:
             total = sum(np.sum(v**2) for v in self.lambdas[m - 1].values())
             if abs(total - 1.0) > 1e-10:
                 raise AssertionError(f"bond {m}: sum lambda^2 = {total}")
-        for m in range(1, self.L + 1):
-            b = self.site_tensor_dense(m)
+        for m, site in enumerate(self.sites, start=1):
+            b = site.densify()
             if not np.allclose(np.einsum("akc,bkc->ab", b, b.conj()), np.eye(b.shape[0]), atol=atol):
                 raise AssertionError(f"site {m}: right orthogonality violated")
             left_env = np.einsum("a,akb,akc->bc", self._bond_values(m - 1) ** 2, b.conj(), b)
@@ -301,13 +289,13 @@ class CanonicalMps:
                 raise AssertionError(f"site {m}: left orthogonality violated")
 
 
-def _factor_site(indices, tildes: dict, vhs, blocks, nu: float) -> SectorMatrices:
+def _factor_site(indices, tildes: dict, vhs, rows, nu: float) -> SectorMatrices:
     """Site m of a gate, B_m = theta~ V / nu = lambda_{m-1}^-1 U S / nu, no value divided:
-    ``tildes`` and ``blocks`` are what ``_GatePlan.gather`` returns, ``vhs`` the
-    kept ``V^dagger[:k]`` in the order of the new bond ``indices[2]`` and ``nu``
-    the kept norm.  Each product is cut by ``drop_zero_blocks`` as ``block_svd`` cuts.
+    ``tildes`` and ``rows`` (the row blocks) are what ``_GatePlan.gather`` returns,
+    ``vhs`` the kept ``V^dagger[:k]`` in the order of the new bond ``indices[2]`` and
+    ``nu`` the kept norm.  Each product is cut by ``drop_zero_blocks`` as ``block_svd`` cuts.
     """
-    charge, keys, dims = blocks
+    charge, keys, dims = rows
     mats = [tildes[q] @ vh.conj().T for q, vh in zip(indices[2].charges, vhs)]
     flat, keys = drop_zero_blocks(mats, 2, charge, keys, dims.prod(axis=0), indices[2])
     flat /= nu
@@ -352,9 +340,9 @@ class _GatePlan:
         moved = [None if s.leg == leg else s.relayout() for s, leg in ((s1, 2), (s2, 0))]
         k1, k2 = (s.keys if r is None else r[0] for s, r in zip((s1, s2), moved))
         self.moves = [None if r is None else r[1:] for r in moved]
-        dl, dp, dc, dr = (np.array(ix.dims, dtype=np.intp) for ix in (lix, phys, cix, rix))
+        dl, dp, dc, dr = (ix.dim_array for ix in (lix, phys, cix, rix))
         self.dl, self.dp, self.dr = dl, dp, dr
-        ql, qp, qr = (np.array(ix.charges) for ix in (lix, phys, rix))
+        ql, qp, qr = (ix.charge_array for ix in (lix, phys, rix))
         # centre sector c: site m's matrix is n1[c] x dc[c], site m+1's dc[c] x n2[c]
         n1 = np.bincount(k1[2], dl[k1[0]] * dp[k1[1]], len(dc)).astype(np.intp)
         n2 = np.bincount(k2[0], dp[k2[1]] * dr[k2[2]], len(dc)).astype(np.intp)
@@ -414,7 +402,7 @@ class _GatePlan:
         # the block of every gathered row and the position of its left bond value
         r0 = rblk.searchsorted(nrb)
         rblk, a = rblk[r0:] - nrb, a[r0:]
-        self.lines = rblk, np.array(lix.offsets, dtype=np.intp)[self.rows[1]][rblk] + a
+        self.lines = rblk, lix.offset_array[self.rows[1]][rblk] + a
 
     def positions(self, rows, cols, nsectors: int):
         """Buffer positions of every entry of a list of sector matrices, by run.
@@ -553,9 +541,8 @@ def product_mps(phys: ChargeIndex, sites: list[tuple[int, np.ndarray]]) -> Canon
     for q, amps in sites:
         left, right = ChargeIndex.trivial(acc), ChargeIndex.trivial(acc + q)
         acc += q
-        blk = np.asarray(amps, dtype=np.complex128).reshape(1, -1, 1)
-        key = (0, phys.position(q), 0)
-        gammas.append(SectorMatrices.from_tensor(SymmetricTensor((left, phys, right), {key: blk})))
+        blk = np.reshape(amps, (1, -1, 1))
+        gammas.append(SectorMatrices.from_blocks((left, phys, right), {(0, phys.position(q), 0): blk}))
         lambdas.append({acc: np.array([1.0])})
     return CanonicalMps(gammas, lambdas[:-1])
 
@@ -568,20 +555,19 @@ def from_fock(occupations: list[int], d: int) -> CanonicalMps:
     return product_mps(ChargeIndex.occupation(d), [(j, np.ones(1)) for j in occupations])
 
 
-def canonicalize(site_tensors: list[SymmetricTensor]) -> tuple[CanonicalMps, float]:
+def canonicalize(links: list[SectorMatrices]) -> tuple[CanonicalMps, float]:
     """Bring an arbitrary (bond-in, phys, bond-out) chain to right-canonical form.
 
-    Each link is converted once to ``SectorMatrices``, which checks its
-    block shapes and charges; from there on the sweeps work on sector
-    matrices only: ``block_svd`` cuts a link, ``contract`` multiplies the
-    bond-side factor into its neighbour and ``scale_axis`` weights a site,
-    and the sites go to ``CanonicalMps`` as they are.  No cap on the bond
-    dimension; values below ``LAMBDA_FLOOR`` are dropped.  Returns the
-    canonical state and the norm of the input chain.  Raises
-    ``ZeroNormError`` if the chain represents the zero vector.
+    The sweeps work on the links' sector matrices as they are:
+    ``block_svd`` cuts a link, ``contract`` multiplies the bond-side factor
+    into its neighbour and ``scale_axis`` weights a site, and the sites go
+    to ``CanonicalMps`` as they are.  No cap on the bond dimension; values
+    below ``LAMBDA_FLOOR`` are dropped.  Returns the canonical state and
+    the norm of the input chain.  Raises ``ZeroNormError`` if the chain
+    represents the zero vector.
     """
     exact = TruncationPolicy(None, LAMBDA_FLOOR)
-    sites = [SectorMatrices.from_tensor(t) for t in site_tensors]
+    sites = list(links)
     L = len(sites)
 
     # right-to-left sweep: make sites 2..L right-isometric; each carry is divided
@@ -631,18 +617,14 @@ def save_mps(path: str, mps: CanonicalMps) -> None:
     meta = {
         "L": mps.L,
         "form": "B",
-        "indices": [
-            {"sectors": [list(s) for s in t.indices[i].sectors]}
-            for t in mps.sites
-            for i in range(3)
-        ],
-        "block_keys": [[list(k) for k in sorted(t.blocks)] for t in mps.sites],
+        "indices": [{"sectors": [list(s) for s in ix.sectors]} for site in mps.sites for ix in site.indices],
+        "block_keys": [[list(k) for k in sorted(site.blocks)] for site in mps.sites],
         "lambda_charges": [sorted(lam) for lam in mps.lambdas],
     }
     arrays = {"__meta__": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
-    for m, t in enumerate(mps.sites):
-        for k in sorted(t.blocks):
-            arrays[f"g{m}/{','.join(map(str, k))}"] = t.blocks[k]
+    for m, site in enumerate(mps.sites):
+        for k in sorted(site.blocks):
+            arrays[f"g{m}/{','.join(map(str, k))}"] = site.blocks[k]
     for m, lam in enumerate(mps.lambdas):
         for q in sorted(lam):
             arrays[f"lam{m}/{q}"] = lam[q]
@@ -673,7 +655,7 @@ def load_mps(path: str) -> CanonicalMps:
                 tuple(k): data[f"g{m}/{','.join(map(str, k))}"]
                 for k in meta["block_keys"][m]
             }
-            sites.append(SectorMatrices.from_tensor(SymmetricTensor(idx, blocks)))
+            sites.append(SectorMatrices.from_blocks(idx, blocks))
         lambdas = [
             {q: data[f"lam{m}/{q}"] for q in meta["lambda_charges"][m]}
             for m in range(L - 1)
@@ -681,7 +663,7 @@ def load_mps(path: str) -> CanonicalMps:
     mps = CanonicalMps(sites, lambdas)
     for m, lam in enumerate(mps.lambdas, start=1):
         bond = mps.bond_index(m)
-        if mps._sites[m].indices[0] != bond:
+        if mps.sites[m].indices[0] != bond:
             raise ValueError(f"{path}: sites {m} and {m + 1} disagree on bond {m}")
         if [(q, len(v)) for q, v in sorted(lam.items())] != list(bond.sectors):
             raise ValueError(f"{path}: the spectrum of bond {m} does not match its sectors")

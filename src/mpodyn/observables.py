@@ -91,7 +91,7 @@ def _projected_reference(reference: SuperState, N: int) -> SuperState:
     """``project_operator(reference, N)``, built once while the reference is unchanged."""
     mps = reference.mps
     # the stored sites are the state, and a gate changes them only by replacing site objects
-    parts = (mps,) if mps is None else (mps, *mps._sites)
+    parts = (mps,) if mps is None else (mps, *mps.sites)
     scalars = (reference.prefactor, reference.mode, reference.delta_n)
     cached = _projections.get(reference)
     if cached is None or cached[1] != scalars or any(x is not y for x, y in zip(cached[0], parts)):

@@ -18,14 +18,17 @@ Hilbert-Schmidt norm so truncation logic can assume unit norm throughout.
 The Hermitian conjugate of a charge-definite operator flips the sign of
 its particle-number change (delta_n), pinned by densify tests.
 
+Every site of a superstate is one ``charge_tensor.SectorMatrices``, and
+this module reads a site through its block view, ``SectorMatrices.blocks``.
 Composing an operator onto the out-chain of a superstate has one
 implementation, ``out_chain_compose``, which works block by block on the
-stored blocks of both chains; ``apply_out_chain`` lifts a whole product
+block views of both chains and builds each composed link with
+``SectorMatrices.from_blocks``; ``apply_out_chain`` lifts a whole product
 operator, given as its per-site factor list, and calls it once.
 
 The observers, ``hs_trace_pair`` and ``expectation_in_state``, are
-transfer sweeps over the stored blocks as they are: a stored site is
-B = Gamma lambda (``mps_core``), so the chain product of the blocks is
+transfer sweeps over the block views of the stored sites: a stored site
+is B = Gamma lambda (``mps_core``), so the chain product of the blocks is
 the state and no spectrum enters a sweep.  They pair any two modes,
 build no dense site, and their memory grows with chi, not chi^2 d^2.
 """
@@ -40,7 +43,7 @@ import numpy as np
 from .charge_tensor import (
     ChargeIndex,
     ChargeMismatchError,
-    SymmetricTensor,
+    SectorMatrices,
     ZeroNormError,
     group_by_charge,
 )
@@ -187,7 +190,7 @@ class SuperState:
         if self.is_zero:
             return np.zeros((d**L, d**L), dtype=np.complex128)
         at = np.argsort(super_site_layout(d, self.weights)[2])  # k = j*d + i -> layout position
-        vec = mps_core.dense_chain(self.mps.site_tensor_dense(m)[:, at, :] for m in range(1, L + 1))
+        vec = mps_core.dense_chain(site.densify()[:, at, :] for site in self.mps.sites)
         arr = vec.reshape((d, d) * L)  # axes (j_L, i_L, ..., j_1, i_1)
         perm = list(range(1, 2 * L, 2)) + list(range(0, 2 * L, 2))
         return arr.transpose(perm).reshape(d**L, d**L) * self.prefactor
@@ -264,11 +267,11 @@ def apply_out_chain(factors: list[LocalOperator], s: SuperState) -> SuperState:
     return out_chain_compose(lift_product_operator(factors), s)
 
 
-def _by_state(t: SymmetricTensor, states) -> dict[int, dict]:
+def _by_state(site: SectorMatrices, states) -> dict[int, dict]:
     """A site's stored blocks as bond-in sector -> state -> (bond-out sector, its (chi_l,
     chi_r) slice); ``states[p][x]`` names the state at position x of physical sector p."""
     out: dict[int, dict] = {}
-    for (l, p, r), blk in t.blocks.items():
+    for (l, p, r), blk in site.blocks.items():
         out.setdefault(l, {}).update((state, (r, blk[:, x, :])) for x, state in enumerate(states[p]))
     return out
 
@@ -334,9 +337,8 @@ def _merged_pair_index(ix_t: ChargeIndex, ix_o: ChargeIndex, w_out: int):
     ``group_by_charge`` on the combined charge qt - w_out*qo (a target charge qt, a
     grand-canonical operator's qo), and two (nt, no) tables, nested lists: each
     pair's merged sector position and its offset inside that sector."""
-    (qt, dt), (qo, do) = (np.array(ix.sectors, dtype=np.int64).T for ix in (ix_t, ix_o))
-    q = np.subtract.outer(qt, w_out * qo)
-    charges, dims, sec, off = group_by_charge(q.ravel(), np.outer(dt, do).ravel())
+    q = np.subtract.outer(ix_t.charge_array, w_out * ix_o.charge_array)
+    charges, dims, sec, off = group_by_charge(q.ravel(), np.outer(ix_t.dim_array, ix_o.dim_array).ravel())
     merged = ChargeIndex(tuple(zip(charges.tolist(), dims.tolist())))
     return merged, sec.reshape(q.shape).tolist(), off.reshape(q.shape).tolist()
 
@@ -367,7 +369,7 @@ def out_chain_compose(op_s: SuperState, target: SuperState) -> SuperState:
     o_states = super_site_layout(d, op_s.weights)[1]
     state_pos = {ji: (sec, p) for sec, lst in enumerate(t_states) for p, ji in enumerate(lst)}
 
-    site_tensors = []
+    links = []
     left_ix, left_sec, left_off = _merged_pair_index(
         target.mps.bond_index(0), op_s.mps.bond_index(0), w_out
     )
@@ -375,10 +377,10 @@ def out_chain_compose(op_s: SuperState, target: SuperState) -> SuperState:
         right_ix, right_sec, right_off = _merged_pair_index(
             target.mps.bond_index(m), op_s.mps.bond_index(m), w_out
         )
-        tt, to = target.mps.site_tensor(m), op_s.mps.site_tensor(m)
+        tt, to = target.mps.sites[m - 1].blocks, op_s.mps.sites[m - 1].blocks
         blocks: dict[tuple[int, int, int], np.ndarray] = {}
-        for (pt, st, pt2), bt in tt.blocks.items():
-            for (po, so, po2), bo in to.blocks.items():
+        for (pt, st, pt2), bt in tt.items():
+            for (po, so, po2), bo in to.items():
                 lsec, loff = left_sec[pt][po], left_off[pt][po]
                 rsec, roff = right_sec[pt2][po2], right_off[pt2][po2]
                 rows, cols = bt.shape[0] * bo.shape[0], bt.shape[2] * bo.shape[2]
@@ -397,15 +399,15 @@ def out_chain_compose(op_s: SuperState, target: SuperState) -> SuperState:
                         blocks[key][loff : loff + rows, ppos, roff : roff + cols] += (
                             outer.transpose(0, 2, 1, 3).reshape(rows, cols)
                         )
-        # canonicalize's conversion checks every block's shape and charges
-        site_tensors.append(SymmetricTensor(
+        # from_blocks checks every block's shape and charges
+        links.append(SectorMatrices.from_blocks(
             (left_ix, phys, right_ix),
             {key: blk for key, blk in blocks.items() if blk.any()},
         ))
         left_ix, left_sec, left_off = right_ix, right_sec, right_off
 
     try:
-        new_mps, factor = mps_core.canonicalize(site_tensors)
+        new_mps, factor = mps_core.canonicalize(links)
     except ZeroNormError:
         return SuperState.zero(L, d, mode, new_delta)
     return SuperState(

@@ -25,7 +25,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .charge_tensor import ChargeIndex, SectorMatrices, SymmetricTensor
+from .charge_tensor import ChargeIndex, SectorMatrices
 from .mps_core import CanonicalMps
 from .operator_space import (
     CANONICAL,
@@ -95,8 +95,8 @@ def _uniform_chain(N: int, L: int, d: int, phys: ChargeIndex, w: int) -> Canonic
                 # right of bond m-1 that start with j particles on site m
                 val = float(np.sqrt(table[L - m][N - r] / table[L - m + 1][N - l]))
                 key = (lpos, phys.position(j * w), rpos)
-                blocks[key] = np.array([[[val]]], dtype=np.complex128)
-        sites.append(SectorMatrices.from_tensor(SymmetricTensor((left, phys, right), blocks)))
+                blocks[key] = np.full((1, 1, 1), val)
+        sites.append(SectorMatrices.from_blocks((left, phys, right), blocks))
         if m < L:
             lambdas.append(
                 {l * w: np.array([float(np.sqrt(_split_count(table, N, L, m, l) / total))]) for l in cur}

@@ -16,7 +16,6 @@ from mpodyn.charge_tensor import (
     group_by_charge,
     pair_bands,
     scale_axis,
-    SymmetricTensor,
     truncated_split,
 )
 
@@ -26,52 +25,67 @@ def descending(values):
     return np.sort(np.concatenate(list(values.values())))[::-1]
 
 
+def dense(indices, blocks) -> np.ndarray:
+    """Dense array of ``blocks``, per-leg sector positions -> dense block, with every
+    leg of ``indices`` laid out sector by sector (charge ascending)."""
+    out = np.zeros([ix.dim for ix in indices], dtype=complex)
+    for key, blk in blocks.items():
+        out[tuple(slice(ix.offsets[p], ix.offsets[p] + ix.dims[p]) for ix, p in zip(indices, key))] = blk
+    return out
+
+
+def as_dense(x) -> np.ndarray:
+    """A split factor as one dense array: a link densified, a plain matrix as it is."""
+    return x if isinstance(x, np.ndarray) else x.densify()
+
+
 def make_random_three_leg(rng):
-    """Chain tensor (l, p, r) with r = l + p and mixed sector dims."""
-    left = ChargeIndex(((0, 2), (1, 3)))
-    phys = ChargeIndex.occupation(2)
-    right = ChargeIndex(((0, 2), (1, 4), (2, 3)))
-    blocks = {}
-    for lp, (lq, ld) in enumerate(left.sectors):
-        for pp, (pq, pd) in enumerate(phys.sectors):
-            for rp, (rq, rd) in enumerate(right.sectors):
-                if rq - lq - pq == 0:
-                    blocks[(lp, pp, rp)] = rng.normal(size=(ld, pd, rd)) + 1j * rng.normal(
-                        size=(ld, pd, rd)
-                    )
-    return SymmetricTensor((left, phys, right), blocks)
+    """Chain link (l, p, r) with r = l + p and mixed sector dims."""
+    left, phys, right = legs = (
+        ChargeIndex(((0, 2), (1, 3))), ChargeIndex.occupation(2), ChargeIndex(((0, 2), (1, 4), (2, 3)))
+    )
+    blocks = {
+        (lp, pp, rp): rng.normal(size=(ld, pd, rd)) + 1j * rng.normal(size=(ld, pd, rd))
+        for lp, (lq, ld) in enumerate(left.sectors)
+        for pp, (pq, pd) in enumerate(phys.sectors)
+        for rp, (rq, rd) in enumerate(right.sectors)
+        if rq - lq - pq == 0
+    }
+    return SectorMatrices.from_blocks(legs, blocks)
 
 
 def make_random_two_leg(rng, first):
-    """Chain tensor (first, second): block-diagonal in charge, with one extra
-    second-leg sector that no block reaches."""
+    """A matrix from leg ``first`` to a second leg, block-diagonal in charge, with one
+    extra second-leg sector that no block reaches: the second leg and the diagonal
+    blocks, in sector order."""
     second = ChargeIndex(tuple((q, dim % 3 + 1) for q, dim in first.sectors) + ((9, 2),))
-    blocks = {
-        (p, p): rng.normal(size=(first.dims[p], second.dims[p]))
-        + 1j * rng.normal(size=(first.dims[p], second.dims[p]))
+    mats = [
+        rng.normal(size=(first.dims[p], second.dims[p])) + 1j * rng.normal(size=(first.dims[p], second.dims[p]))
         for p in range(first.nsectors)
-    }
-    return SymmetricTensor((first, second), blocks)
+    ]
+    return second, mats
 
 
 def split(t, n_row, policy):
-    """``block_svd`` of block tensor ``t`` cut after its first ``n_row`` legs (1 or 2),
-    both factors as block tensors: (left, values, right, kept_norm, discarded_norm)."""
+    """``block_svd`` of link ``t`` cut after its first ``n_row`` legs (1 or 2):
+    (left, values, right, kept_norm, discarded_norm), the stacked factor as
+    ``SectorMatrices`` and the other as a dense matrix between the cut leg and the
+    new bond."""
     leg = 2 if n_row == 2 else 0
-    factor, values, other, kept, discarded = block_svd(SectorMatrices.from_tensor(t), leg, policy)
+    factor, values, other, kept, discarded = block_svd(t, leg, policy)
     cut, bond = t.indices[leg], factor.indices[leg]
     sec = [cut.position(q) for q in bond.charges]
     if leg == 2:
-        right = SymmetricTensor((bond, cut), {(b, s): vh for b, (s, vh) in enumerate(zip(sec, other))})
-        return factor.tensor(), values, right, kept, discarded
-    left = SymmetricTensor((cut, bond), {(s, b): u for b, (s, u) in enumerate(zip(sec, other))})
-    return left, values, factor.tensor(), kept, discarded
+        right = dense((bond, cut), {(b, s): vh for b, (s, vh) in enumerate(zip(sec, other))})
+        return factor, values, right, kept, discarded
+    left = dense((cut, bond), {(s, b): u for b, (s, u) in enumerate(zip(sec, other))})
+    return left, values, factor, kept, discarded
 
 
 def rebuild(left, values, right) -> np.ndarray:
     """Dense chain product left . diag(values) . right of a split's factors."""
-    w = np.concatenate([values[q] for q in left.indices[-1].charges])
-    return np.tensordot(left.densify() * w, right.densify(), axes=(-1, 0))
+    w = np.concatenate([values[q] for q in sorted(values)])
+    return np.tensordot(as_dense(left) * w, as_dense(right), axes=(-1, 0))
 
 
 class TestChargeIndex:
@@ -83,6 +97,10 @@ class TestChargeIndex:
         ix = ChargeIndex(((0, 2), (2, 3)))
         assert ix.dim == 5
         assert ix.offsets == (0, 2)
+        # the same as read-only arrays, built once
+        for arr, want in ((ix.charge_array, [0, 2]), (ix.dim_array, [2, 3]), (ix.offset_array, [0, 2])):
+            assert arr.tolist() == want and not arr.flags.writeable
+        assert ix.dim_array is ix.dim_array
 
     def test_pair_bands_by_hand(self):
         # pairs (0,0): charge 0, 1 state; (0,1) and (1,0): charge 1, 2 states each,
@@ -146,6 +164,8 @@ class TestDensify:
 
 
 class TestValidate:
+    """The checks of ``SectorMatrices.from_blocks``, the one way in from blocks."""
+
     def test_rejects_wrong_last_leg_charge(self, rng):
         t = make_random_three_leg(rng)
         # l = 1, p = 0 must end in r = 1; the block has the shape of r = 2,
@@ -153,16 +173,16 @@ class TestValidate:
         bad = dict(t.blocks)
         bad[(1, 0, 2)] = np.ones((3, 1, t.indices[2].dims[2]))
         with pytest.raises(ChargeMismatchError, match="charge mismatch"):
-            SymmetricTensor(t.indices, bad).validate()
+            SectorMatrices.from_blocks(t.indices, bad)
 
     @staticmethod
-    def _per_block_verdict(t):
+    def _per_block_verdict(indices, blocks):
         """Reference: the rule checked one block at a time, shapes first."""
-        for key, blk in t.blocks.items():
-            if blk.shape != tuple(ix.dims[p] for ix, p in zip(t.indices, key)):
+        for key, blk in blocks.items():
+            if blk.shape != tuple(ix.dims[p] for ix, p in zip(indices, key)):
                 return "block shapes do not match"
-        for key in t.blocks:
-            *rest, last = (ix.charges[p] for ix, p in zip(t.indices, key))
+        for key in blocks:
+            *rest, last = (ix.charges[p] for ix, p in zip(indices, key))
             if sum(rest) != last:
                 return "charge mismatch"
         return None
@@ -170,7 +190,7 @@ class TestValidate:
     def test_vectorized_rule_matches_per_block_loop(self, rng):
         verdicts = set()
         for trial in range(300):
-            n = 1 + trial % 4
+            n = 3  # a link's legs
             indices = tuple(
                 ChargeIndex(tuple(
                     (int(q), int(rng.integers(1, 3)))
@@ -185,15 +205,14 @@ class TestValidate:
                 if rng.random() < 0.1:
                     shape[int(rng.integers(n))] += 1
                 blocks[key] = np.ones(shape, dtype=complex)
-            t = SymmetricTensor(indices, blocks)
-            want = self._per_block_verdict(t)
+            want = self._per_block_verdict(indices, blocks)
             verdicts.add(want)
-            for check in [t.validate] + ([lambda: SectorMatrices.from_tensor(t)] if n == 3 else []):
-                if want is None:
-                    check()
-                else:
-                    with pytest.raises(ChargeMismatchError, match=want):
-                        check()
+            if want is None:
+                site = SectorMatrices.from_blocks(indices, blocks)
+                assert np.array_equal(site.densify(), dense(indices, blocks))
+            else:
+                with pytest.raises(ChargeMismatchError, match=want):
+                    SectorMatrices.from_blocks(indices, blocks)
         assert verdicts == {None, "block shapes do not match", "charge mismatch"}
 
     def test_rejects_a_key_without_one_position_per_leg(self, rng):
@@ -201,7 +220,26 @@ class TestValidate:
         bad = dict(t.blocks)
         bad[(0, 0)] = np.ones((2, 1))
         with pytest.raises(ChargeMismatchError, match="charge mismatch"):
-            SymmetricTensor(t.indices, bad).validate()
+            SectorMatrices.from_blocks(t.indices, bad)
+
+    @pytest.mark.parametrize("key", [(0, -1, -1), (0, 2, 2)])
+    def test_rejects_a_key_that_names_no_sector(self, key):
+        # a negative position would otherwise wrap to the last sector and pass
+        phys = ChargeIndex.occupation(2)
+        legs = (ChargeIndex.trivial(), phys, ChargeIndex(((0, 1), (1, 1))))
+        with pytest.raises(ChargeMismatchError, match="names no sector"):
+            SectorMatrices.from_blocks(legs, {key: np.ones((1, 1, 1))})
+
+    def test_blocks_are_copied_and_viewed_from_the_matrices(self, rng):
+        t = make_random_three_leg(rng)
+        given = {key: blk.copy() for key, blk in t.blocks.items()}
+        site = SectorMatrices.from_blocks(t.indices, given)
+        want = site.densify()
+        for blk in given.values():
+            blk[...] = 5.0
+        assert np.array_equal(site.densify(), want)
+        assert site.blocks is site.blocks
+        assert all(np.shares_memory(blk, site.flat) for blk in site.blocks.values())
 
 
 class TestContract:
@@ -209,41 +247,41 @@ class TestContract:
         t = make_random_three_leg(rng)
         for leg in (0, 2):
             ix = t.indices[leg]
-            out = contract(SectorMatrices.from_tensor(t), leg, ix, [np.eye(dim, dtype=complex) for dim in ix.dims])
+            out = contract(t, leg, ix, [np.eye(dim, dtype=complex) for dim in ix.dims])
             assert out.leg == leg and out.indices == t.indices
-            assert np.array_equal(out.tensor().densify(), t.densify())
+            assert np.array_equal(out.densify(), t.densify())
 
     def test_against_dense(self, rng):
         a = make_random_three_leg(rng)
-        b = make_random_two_leg(rng, a.indices[2])
-        mats = [b.blocks[(p, p)] for p in range(a.indices[2].nsectors)]
+        second, mats = make_random_two_leg(rng, a.indices[2])
+        b = dense((a.indices[2], second), {(p, p): m for p, m in enumerate(mats)})
         # b's second leg has one sector (charge 9) that no block reaches
-        bond = ChargeIndex(b.indices[1].sectors[:-1])
-        out = contract(SectorMatrices.from_tensor(a), 2, bond, mats).tensor()
-        out.validate()
+        bond = ChargeIndex(second.sectors[:-1])
+        out = contract(a, 2, bond, mats)
+        SectorMatrices.from_blocks(out.indices, out.blocks)  # every block obeys the charge rule
         assert out.indices == a.indices[:2] + (bond,)
-        dense = np.tensordot(a.densify(), b.densify(), axes=(2, 0))[..., : bond.dim]
-        assert np.max(np.abs(out.densify() - dense)) < 1e-12
+        want = np.tensordot(a.densify(), b, axes=(2, 0))[..., : bond.dim]
+        assert np.max(np.abs(out.densify() - want)) < 1e-12
         # from the left: b^T on the bond-in leg of a link whose bond-in leg is a's bond-out
-        c = SymmetricTensor((a.indices[2], a.indices[1], ChargeIndex(((0, 2), (1, 4), (2, 3), (3, 4)))), {
+        c = SectorMatrices.from_blocks((a.indices[2], a.indices[1], ChargeIndex(((0, 2), (1, 4), (2, 3), (3, 4)))), {
             (r, p, r + p): rng.normal(size=(a.indices[2].dims[r], 1, (2, 4, 3, 4)[r + p]))
             for r in range(3) for p in range(2)
         })
-        out = contract(SectorMatrices.from_tensor(c), 0, bond, [m.T for m in mats]).tensor()
-        dense = np.tensordot(b.densify()[:, : bond.dim].T, c.densify(), axes=(1, 0))
-        assert np.max(np.abs(out.densify() - dense)) < 1e-12
+        out = contract(c, 0, bond, [m.T for m in mats])
+        want = np.tensordot(b[:, : bond.dim].T, c.densify(), axes=(1, 0))
+        assert np.max(np.abs(out.densify() - want)) < 1e-12
 
     def test_a_charge_the_bond_lacks_is_dropped(self, rng):
         t = make_random_three_leg(rng)
         right = t.indices[2]  # charges 0, 1, 2
         bond = ChargeIndex((right.sectors[0], right.sectors[2]))
-        out = contract(SectorMatrices.from_tensor(t), 2, bond, [np.eye(dim) for dim in bond.dims]).tensor()
+        out = contract(t, 2, bond, [np.eye(dim) for dim in bond.dims])
         assert sorted(out.blocks) == sorted((l, p, 0 if r == 0 else 1) for l, p, r in t.blocks if r != 1)
-        dense = t.densify()
-        assert np.array_equal(out.densify(), np.concatenate([dense[..., :2], dense[..., 6:]], axis=2))
+        full = t.densify()
+        assert np.array_equal(out.densify(), np.concatenate([full[..., :2], full[..., 6:]], axis=2))
 
     def test_sector_mismatch_raises(self, rng):
-        site = SectorMatrices.from_tensor(make_random_three_leg(rng))
+        site = make_random_three_leg(rng)
         # a's last leg holds charges (0, 1, 2): a bond with charge 5 or one matrix too few
         with pytest.raises(ChargeMismatchError, match="charge mismatch"):
             contract(site, 2, ChargeIndex(((0, 2), (5, 1))), [np.eye(2), np.eye(1)])
@@ -256,7 +294,7 @@ class TestScaleAxis:
     @pytest.mark.parametrize("axis", [0, 2])
     def test_against_dense(self, rng, layout, axis):
         t = make_random_link(rng)
-        site = SectorMatrices.from_tensor(t).on_leg(layout)
+        site = t.on_leg(layout)
         ix = t.indices[axis]
         values = {q: rng.uniform(0.5, 2.0, size=dim) for q, dim in ix.sectors}
         w = np.concatenate([values[q] for q in ix.charges]).reshape((-1, 1, 1) if axis == 0 else (1, 1, -1))
@@ -264,17 +302,17 @@ class TestScaleAxis:
             out = scale_axis(site, axis, values, inverse)
             assert out.indices == t.indices
             assert out.leg == 2
-            assert np.array_equal(out.tensor().densify(), want)
+            assert np.array_equal(out.densify(), want)
 
     def test_only_a_bond_leg(self, rng):
         t = make_random_three_leg(rng)
         with pytest.raises(ValueError, match="bond leg"):
-            scale_axis(SectorMatrices.from_tensor(t), 1, {q: np.ones(dim) for q, dim in t.indices[1].sectors})
+            scale_axis(t, 1, {q: np.ones(dim) for q, dim in t.indices[1].sectors})
 
 
-def bond_to_bond(ix: ChargeIndex, blocks: dict) -> SymmetricTensor:
+def bond_to_bond(ix: ChargeIndex, blocks: dict) -> SectorMatrices:
     """Link (ix, trivial physical leg, ix) whose (p, p) block is ``blocks[p]``."""
-    return SymmetricTensor(
+    return SectorMatrices.from_blocks(
         (ix, ChargeIndex.trivial(), ix),
         {(p, 0, p): np.asarray(m, dtype=complex)[:, None, :] for p, m in blocks.items()},
     )
@@ -299,18 +337,18 @@ class TestBlockSvd:
         t = make_random_three_leg(rng)
         for n_row in (1, 2):
             left, values, right, _, _ = split(t, n_row, TruncationPolicy(None, 0.0))
-            left.validate()
-            right.validate()
+            stacked = left if n_row == 2 else right
+            SectorMatrices.from_blocks(stacked.indices, stacked.blocks)  # every block obeys the charge rule
             assert np.max(np.abs(rebuild(left, values, right) - t.densify())) < 1e-12
             # dense SVD oracle: the same values, globally sorted
-            rows = int(np.prod(t.shape[:n_row]))
+            rows = int(np.prod([ix.dim for ix in t.indices[:n_row]]))
             s_dense = np.linalg.svd(t.densify().reshape(rows, -1), compute_uv=False)
             s_dense = s_dense[s_dense > 1e-13]
             assert np.allclose(descending(values)[: len(s_dense)], s_dense)
 
     @pytest.mark.parametrize("leg", [1, 3])
     def test_cut_must_fall_on_a_bond_leg(self, rng, leg):
-        site = SectorMatrices.from_tensor(make_random_three_leg(rng))
+        site = make_random_three_leg(rng)
         with pytest.raises(ValueError, match="bond leg"):
             block_svd(site, leg, TruncationPolicy(None, 0.0))
 
@@ -319,13 +357,12 @@ class TestBlockSvd:
         blocks = {
             (0, i, j, i + j): rng.normal(size=(1, 1, 1, 1)) for i in range(2) for j in range(2)
         }
-        legs = (ChargeIndex.trivial(), phys, phys, ChargeIndex.occupation(3))
-        four = SymmetricTensor(legs, blocks)
-        two = SymmetricTensor((phys, phys), {(0, 0): np.ones((1, 1)), (1, 1): np.ones((1, 1))})
-        for t in (four, two):
-            # a link enters the splits only through this conversion
+        four = (ChargeIndex.trivial(), phys, phys, ChargeIndex.occupation(3)), blocks
+        two = (phys, phys), {(0, 0): np.ones((1, 1)), (1, 1): np.ones((1, 1))}
+        for legs, blks in (four, two):
+            # a link is built from blocks only through this constructor
             with pytest.raises(ValueError, match="chain link"):
-                SectorMatrices.from_tensor(t)
+                SectorMatrices.from_blocks(legs, blks)
 
     @pytest.mark.parametrize(
         "n_row, legs, zero",
@@ -339,10 +376,10 @@ class TestBlockSvd:
         # the cut bond has one sector whose matrix stacks a 0.6 block and an
         # all-zero block; the stacked factor keeps only the first
         kept = (0, 1, 0) if n_row == 2 else (0, 0, 0)
-        t = SymmetricTensor(legs, {kept: np.full((1, 1, 1), 0.6), zero: np.zeros((1, 1, 1))})
+        t = SectorMatrices.from_blocks(legs, {kept: np.full((1, 1, 1), 0.6), zero: np.zeros((1, 1, 1))})
         left, values, right, _, _ = split(t, n_row, TruncationPolicy(None, 0.0))
         stacked = left if n_row == 2 else right
-        stacked.validate()
+        SectorMatrices.from_blocks(stacked.indices, stacked.blocks)
         assert [key[:2] if n_row == 2 else key[1:] for key in stacked.blocks] == [kept[:2] if n_row == 2 else kept[1:]]
         assert np.max(np.abs(rebuild(left, values, right) - t.densify())) < 1e-15
 
@@ -368,10 +405,9 @@ class TestBlockSvd:
 
     def test_inconsistent_grading_raises(self, rng):
         ix = ChargeIndex(((0, 2), (1, 2)))
-        t = SymmetricTensor((ix, ChargeIndex.trivial(), ix), {(0, 0, 1): rng.normal(size=(2, 1, 2))})
-        for n_row in (1, 2):
-            with pytest.raises(ChargeMismatchError, match="charge mismatch"):
-                split(t, n_row, TruncationPolicy(2, 0.0))
+        # a link breaking the charge rule cannot be built, so it never reaches a split
+        with pytest.raises(ChargeMismatchError, match="charge mismatch"):
+            SectorMatrices.from_blocks((ix, ChargeIndex.trivial(), ix), {(0, 0, 1): rng.normal(size=(2, 1, 2))})
 
     def test_deterministic_under_thread_count(self, rng, monkeypatch):
         t = make_random_three_leg(rng)
@@ -564,17 +600,21 @@ def _block_svd_by_zero_filled_assembly(t, n_row, policy):
             left_blocks[rk + (pos,)] = part
         for ck, part in cut(vh, cols, 1):
             right_blocks[(pos,) + ck] = part
-    left = SymmetricTensor(t.indices[:n_row] + (bond,), left_blocks)
-    right = SymmetricTensor((bond,) + t.indices[n_row:], right_blocks)
+    left = (t.indices[:n_row] + (bond,), left_blocks)
+    right = ((bond,) + t.indices[n_row:], right_blocks)
     return left, values, right, kept_norm, discarded_norm
 
 
 def _assert_same_split(got, want):
-    for a, b in ((got[0], want[0]), (got[2], want[2])):
-        assert a.indices == b.indices
-        assert list(a.blocks) == list(b.blocks)
+    """``split`` against the reference, whose factors are (indices, blocks) pairs."""
+    for a, (indices, blocks) in ((got[0], want[0]), (got[2], want[2])):
+        if isinstance(a, np.ndarray):  # the bond-side factor, one dense matrix
+            assert np.array_equal(a, dense(indices, blocks))
+            continue
+        assert a.indices == indices
+        assert list(a.blocks) == list(blocks)
         for key in a.blocks:
-            assert np.array_equal(a.blocks[key], b.blocks[key])
+            assert np.array_equal(a.blocks[key], blocks[key])
     assert list(got[1]) == list(want[1])
     for q in got[1]:
         assert np.array_equal(got[1][q], want[1][q])
@@ -592,7 +632,7 @@ def _zero_block_links():
         (1, 1, 0): [[[0, 2]]],
         (2, 0, 0): [[[0, 0]]],
     }
-    last = SymmetricTensor((left, phys, ChargeIndex(((1, 2),))), rows)
+    last = SectorMatrices.from_blocks((left, phys, ChargeIndex(((1, 2),))), rows)
     # cut at the first bond: columns (p, r) with r = p stacked side by side
     right = ChargeIndex(((0, 1), (1, 1), (2, 1)))
     cols = {
@@ -600,7 +640,7 @@ def _zero_block_links():
         (0, 1, 1): [[[0]], [[2]]],
         (0, 2, 2): [[[0]], [[0]]],
     }
-    first = SymmetricTensor((ChargeIndex(((0, 2),)), phys, right), cols)
+    first = SectorMatrices.from_blocks((ChargeIndex(((0, 2),)), phys, right), cols)
     return [(last, 2), (first, 1)]
 
 
@@ -628,7 +668,7 @@ def make_random_link(rng):
             shape = (ld, pd, rd)
             blk = rng.normal(size=shape) + 1j * rng.normal(size=shape)
             blocks[(lp, pp, rp)] = blk if rng.random() > 0.15 else np.zeros(shape)
-    return SymmetricTensor((left, phys, right), blocks)
+    return SectorMatrices.from_blocks((left, phys, right), blocks)
 
 
 def test_block_svd_matches_zero_filled_assembly_bit_for_bit(rng):

@@ -150,11 +150,11 @@ def test_detects_names_in_kernel_helpers():
     src = (
         "class A:\n    def f(self, t):\n        return _plan(t)\n"
         "def _plan(t):\n    return _Layout(t)\n"
-        "class _Layout:\n    def __init__(self, t):\n        self.v = t.tensor()\n"
+        "class _Layout:\n    def __init__(self, t):\n        self.v = t.densify()\n"
         "def _unrelated():\n    return scale_axis\n"
     )
     names = kernel_names(src, [("A", "f")])
-    assert {"_plan", "_Layout", "tensor"} <= names
+    assert {"_plan", "_Layout", "densify"} <= names
     assert "scale_axis" not in names
 
 
@@ -164,12 +164,13 @@ KERNEL_ROOTS = [("CanonicalMps", "apply_two_site_gate"), ("CanonicalMps", "_gate
 
 
 def test_gate_kernel_works_on_sector_matrices_only():
-    # the per-block path (block tensors, per-block restore, per-block cut) stays out
+    # the per-block path (block views, per-block restore, per-block cut) stays out
     # of the kernel: it stacks, cuts and restores whole sector matrices, and never
-    # converts between them and block tensors, neither per gate nor in a plan
+    # builds a link from blocks, reads a block view or densifies a site, neither
+    # per gate nor in a plan
     names = kernel_names((SRC / "mps_core.py").read_text(), KERNEL_ROOTS)
     assert {"_GatePlan", "_factor_site"} <= names
-    assert not {"SymmetricTensor", "scale_axis", "_cut", "from_tensor", "tensor"} & names
+    assert not {"scale_axis", "_cut", "from_blocks", "blocks", "densify"} & names
 
 
 def test_detects_unused_private_helper():

@@ -7,16 +7,24 @@ from mpodyn import mps_core
 from mpodyn.charge_tensor import (
     ChargeMismatchError,
     SectorMatrices,
-    SymmetricTensor,
     TruncationPolicy,
     ZeroNormError,
     block_svd,
 )
 from mpodyn.evolution import evolve, make_schedule
-from mpodyn.mps_core import CanonicalMps, canonicalize, from_fock, load_mps, save_mps
+from mpodyn.mps_core import CanonicalMps, canonicalize, from_fock, load_mps, product_mps, save_mps
 from mpodyn.models import BondGate, ModelSpec, bond_gate, sigma_z_local, super_gate
 from mpodyn.observables import build_observable_superstate
-from mpodyn.operator_space import CANONICAL, GRAND_CANONICAL, embed_factor, identity_superstate, mode_weights
+from mpodyn.operator_space import (
+    CANONICAL,
+    GRAND_CANONICAL,
+    LocalOperator,
+    embed_factor,
+    expectation_in_state,
+    identity_superstate,
+    lift_product_operator,
+    mode_weights,
+)
 from mpodyn.charge_tensor import ChargeIndex
 from mpodyn.projector import project_operator, uniform_fock_superposition
 from mpodyn import oracle
@@ -57,17 +65,17 @@ def _evolved_superstate(mode: str):
 def _dense_gated_two_site(mps: CanonicalMps, m: int, gate: BondGate) -> np.ndarray:
     """``gate`` on the outer-weighted two-site tensor of bond m, as a dense
     (chi_l * D, D * chi_r) matrix in sector-layout order."""
-    left = mps.site_tensor_dense(m) * mps._bond_values(m - 1)[:, None, None]
-    theta = np.einsum("axc,cyb->axyb", left, mps.site_tensor_dense(m + 1))
+    left = mps.sites[m - 1].densify() * mps._bond_values(m - 1)[:, None, None]
+    theta = np.einsum("axc,cyb->axyb", left, mps.sites[m].densify())
     D, p = gate.d, gate.perm
     layout_gate = gate.dense.reshape(D, D, D, D)[np.ix_(p, p, p, p)]
     gated = np.einsum("uvxy,axyb->auvb", layout_gate, theta)
     return gated.reshape(left.shape[0] * D, D * theta.shape[3])
 
 
-def _assert_stored_blocks_valid(t) -> None:
-    t.validate()
-    assert all(blk.any() for blk in t.blocks.values())
+def _assert_stored_blocks_valid(site: SectorMatrices) -> None:
+    SectorMatrices.from_blocks(site.indices, site.blocks)  # checks shapes and the charge rule
+    assert all(blk.any() for blk in site.blocks.values())
 
 
 SUPER_MODES = pytest.mark.parametrize("mode", [CANONICAL, GRAND_CANONICAL])
@@ -84,7 +92,7 @@ def _two_branch_state() -> CanonicalMps:
         ((b2, phys, b3), {(0, 0, 0): [[[1]], [[0]]], (0, 1, 1): [[[0]], [[1]]]}),
         ((b3, phys, ChargeIndex.trivial(2)), {(0, 1, 0): [[[1]]], (1, 0, 0): [[[1]]]}),
     ]
-    mps, norm = canonicalize([SymmetricTensor(legs, blocks) for legs, blocks in links])
+    mps, norm = canonicalize([SectorMatrices.from_blocks(legs, blocks) for legs, blocks in links])
     assert abs(norm - np.sqrt(5)) < 1e-14
     return mps
 
@@ -110,8 +118,8 @@ class TestFromFock:
         # one site whose right bond holds both charges: no definite total
         phys = ChargeIndex.occupation(2)
         one = np.ones((1, 1, 1))
-        g = SymmetricTensor((ChargeIndex.trivial(), phys, phys), {(0, 0, 0): one, (0, 1, 1): one})
-        assert CanonicalMps([SectorMatrices.from_tensor(g)], []).total_charge is None
+        g = SectorMatrices.from_blocks((ChargeIndex.trivial(), phys, phys), {(0, 0, 0): one, (0, 1, 1): one})
+        assert CanonicalMps([g], []).total_charge is None
 
     def test_occupation_out_of_range(self):
         with pytest.raises(ValueError, match="local dimension exceeded"):
@@ -301,7 +309,7 @@ class TestGateApplication:
         psi = _two_branch_state()
         identity = BondGate(np.eye(4, dtype=complex), ChargeIndex.occupation(2))
         psi.apply_two_site_gate(2, identity, TruncationPolicy(1, 0.0))
-        assert psi._sites[2].leg == 0  # stored as the right factor of the split
+        assert psi.sites[2].leg == 0  # stored as the right factor of the split
         assert list(psi.sites[2].blocks) == [(0, 1, 1)]
         for g in psi.sites:
             _assert_stored_blocks_valid(g)
@@ -315,7 +323,7 @@ class TestGateApplication:
 
         def spy(site, leg, policy):
             out = block_svd(site, leg, policy)
-            cuts.append((leg, out[0].tensor()))
+            cuts.append((leg, out[0]))
             return out
 
         monkeypatch.setattr(mps_core, "block_svd", spy)
@@ -326,7 +334,7 @@ class TestGateApplication:
             ((b1, phys, b2), {(0, 1, 0): one, (1, 0, 0): zero, (1, 1, 1): one}),
             ((b2, phys, ChargeIndex.trivial(2)), {(0, 1, 0): one, (1, 0, 0): one}),
         ]
-        mps, norm = canonicalize([SymmetricTensor(legs, blocks) for legs, blocks in links])
+        mps, norm = canonicalize([SectorMatrices.from_blocks(legs, blocks) for legs, blocks in links])
         assert abs(norm - np.sqrt(2)) < 1e-14
         assert [leg for leg, _ in cuts] == [0, 0, 2, 2]
         for _, stacked in cuts:
@@ -398,7 +406,7 @@ class TestGateApplication:
         vec = psi.to_statevector()
         g = random_conserving_gate(2, rng)
         psi.apply_two_site_gate(2, g, UNRESTRICTED)
-        b = psi.site_tensor_dense(3)
+        b = psi.sites[2].densify()
         assert np.max(np.abs(np.einsum("akc,bkc->ab", b, b.conj()) - np.eye(b.shape[0]))) < 1e-13
         want = oracle.two_site_operator(g.dense, 2, 4, 2) @ vec
         assert np.max(np.abs(psi.to_statevector() - want)) < 1e-13
@@ -414,7 +422,7 @@ class TestGateApplication:
             m = k % (spec.L - 1) + 1
             gate = super_gate(random_conserving_gate(3, rng, 1e-3), s.weights)
             s.mps.apply_two_site_gate(m, gate, UNRESTRICTED)
-            b = s.mps.site_tensor_dense(m)
+            b = s.mps.sites[m - 1].densify()
             assert np.max(np.abs(np.einsum("akc,bkc->ab", b, b.conj()) - np.eye(b.shape[0]))) < 1e-9
 
     def test_annihilation_raises(self):
@@ -434,9 +442,9 @@ class TestSectorMatrixStorage:
 
         def read_every_site(t, target, log):
             mps = getattr(target, "mps", target)
-            for m, g in enumerate(mps.sites, start=1):
+            for g in mps.sites:
                 assert all(blk.any() for blk in g.blocks.values())
-                mps.site_tensor(m).densify()
+                g.densify()
 
         runs = []
         for observer in (None, read_every_site):
@@ -467,10 +475,10 @@ class TestSectorMatrixStorage:
         # a gate stores site m in one layout and site m+1 in the other; the block
         # views of both, and of each site moved to the other layout, copy nothing
         _, s = _evolved_superstate(GRAND_CANONICAL)
-        sites = s.mps._sites
+        sites = s.mps.sites
         assert {site.leg for site in sites} == {0, 2}
         for site in sites + [site.on_leg(2 - site.leg) for site in sites]:
-            assert all(np.shares_memory(blk, site.flat) for blk in site.tensor().blocks.values())
+            assert all(np.shares_memory(blk, site.flat) for blk in site.blocks.values())
 
     def test_checkpoint_of_gate_updated_state_holds_the_block_views(self, tmp_path):
         # after gates, sites sit in both sector-matrix layouts; the file must hold
@@ -521,7 +529,7 @@ def _plan_target(kind: str):
 def _stored(mps: CanonicalMps) -> list:
     """Every stored site's indices, layout, keys and matrices, and every spectrum, in a row."""
     out = []
-    for s in mps._sites:
+    for s in mps.sites:
         out += [(s.indices, s.leg), s.keys, s.flat]
     for lam in mps.lambdas:
         for q in sorted(lam):
@@ -562,7 +570,7 @@ def _fock_superposition(configs, coeffs, d: int) -> CanonicalMps:
             key = (ls, phys.position(c[m]), rs)
             blk = blocks.setdefault(key, np.zeros((lix.dims[ls], 1, rix.dims[rs]), dtype=complex))
             blk[li, 0, ri] = coeffs[k] if m == 0 else 1.0
-        links.append(SymmetricTensor((lix, phys, rix), blocks))
+        links.append(SectorMatrices.from_blocks((lix, phys, rix), blocks))
     return canonicalize(links)[0]
 
 
@@ -705,22 +713,36 @@ def _state_of_kind(kind: str):
 class TestOneSiteType:
     @pytest.mark.parametrize("kind", ["block_built", "superstate", "swept_right_to_left"])
     def test_block_tensors_in_stored_matrices_out(self, kind, tmp_path):
-        # inputs with their blocks in sorted, reversed and layout order
+        # inputs with their blocks in sorted, reversed and layout order; the block
+        # view lists them in the left-factor layout order whatever order they came in
         mps = getattr(_state_of_kind(kind), "mps", _state_of_kind(kind))
         for order in (sorted, lambda keys: sorted(keys, reverse=True), list):
-            inputs = [
-                SymmetricTensor(g.indices, {k: g.blocks[k].copy() for k in order(g.blocks)})
-                for g in mps.sites
-            ]
-            built = CanonicalMps([SectorMatrices.from_tensor(t) for t in inputs], mps.lambdas)
-            assert all(type(site) is SectorMatrices for site in built._sites)
-            for g, want in zip(built.sites, inputs):
-                assert g.indices == want.indices
-                assert list(g.blocks) == list(want.blocks)
-                for key, blk in want.blocks.items():
+            inputs = [(g.indices, {k: g.blocks[k].copy() for k in order(g.blocks)}) for g in mps.sites]
+            built = CanonicalMps([SectorMatrices.from_blocks(*given) for given in inputs], mps.lambdas)
+            assert all(type(site) is SectorMatrices for site in built.sites)
+            for g, (indices, blocks) in zip(built.sites, inputs):
+                assert g.indices == indices
+                assert list(g.blocks) == sorted(blocks, key=lambda k: (k[2], k[0], k[1]))
+                for key, blk in blocks.items():
                     got = g.blocks[key]
                     assert (got.dtype, got.shape) == (blk.dtype, blk.shape)
                     assert got.tobytes() == blk.tobytes()
+
+    def test_a_product_chain_keeps_its_amplitudes_when_the_caller_overwrites_them(self, tmp_path):
+        # the stored site is the one source of truth: the caller's amplitude arrays
+        # are copied, so the state, an observer and the file keep the built 1.0
+        amps = [np.ones(1, dtype=complex) for _ in range(3)]
+        psi = product_mps(ChargeIndex.occupation(2), list(zip([1, 0, 1], amps)))
+        amps[0][0] = 5.0
+        want = np.zeros(8)
+        want[5] = 1.0  # site 1 fastest: |1, 0, 1> -> 1 + 4
+        assert np.array_equal(psi.to_statevector(), want)
+        number = LocalOperator(2, np.diag([0.0, 1.0]), 0)
+        assert expectation_in_state(lift_product_operator(embed_factor(number, 1, 3)), psi) == 1.0
+        path = tmp_path / "psi.npz"
+        save_mps(str(path), psi)
+        with np.load(path) as data:
+            assert [data[f"g{m}/0,{j},0"].tolist() for m, j in enumerate([1, 0, 1])] == [[[[1.0]]]] * 3
 
     @pytest.mark.parametrize("kind", ["block_built", "superstate", "swept_right_to_left"])
     def test_save_load_save_keeps_every_byte(self, kind, tmp_path):
@@ -728,7 +750,7 @@ class TestOneSiteType:
         first, second = tmp_path / "a.npz", tmp_path / "b.npz"
         save_mps(str(first), mps)
         back = load_mps(str(first))
-        assert all(type(site) is SectorMatrices for site in back._sites)
+        assert all(type(site) is SectorMatrices for site in back.sites)
         save_mps(str(second), back)
         assert _checkpoint_arrays(first) == _checkpoint_arrays(second)
 
@@ -816,7 +838,7 @@ class TestCopiesShareImmutableValues:
             else:
                 gate = random_conserving_gate(3, rng)
             y_mps.apply_two_site_gate(m, gate, UNRESTRICTED)
-            y_mps.site_tensor(m), y_mps.site_tensor(m + 1)  # builds the new sites' views
+            y_mps.sites[m - 1].blocks, y_mps.sites[m].blocks  # builds the new sites' views
             spectra = [{q: v.tobytes() for q, v in s.lambdas[m - 1].items()} for s in (x_mps, y_mps)]
             assert spectra[0] != spectra[1]
         assert _snapshot(x, tmp_path / "x.npz") == _snapshot(twin, tmp_path / "twin.npz")
@@ -857,7 +879,7 @@ class TestCopiesShareImmutableValues:
 
     def test_canonicalize_leaves_its_input_unchanged(self, rng, tmp_path):
         x = random_charge_mps(5, 3, [0, 2, 1, 0, 1], rng)
-        chain = x.sites  # a non-canonical chain of the stored sites' views
+        chain = x.sites  # a non-canonical chain of the stored sites
         blocks = [{k: blk.tobytes() for k, blk in g.blocks.items()} for g in chain]
         before = _snapshot(x, tmp_path / "before.npz")
         mps_core.canonicalize(chain)
@@ -869,18 +891,19 @@ def test_canonicalize_keeps_a_chain_of_small_sites():
     # every site 1e-3 times a Fock state's: the tail's scale shrinks 1e-3 per
     # site, but the state and the 1e-24 norm come back exactly
     psi = from_fock([0, 1, 1, 0, 1, 0, 0, 1], 2)
-    chain = [SymmetricTensor(g.indices, {k: 1e-3 * blk for k, blk in g.blocks.items()}) for g in psi.sites]
+    chain = [SectorMatrices.from_blocks(g.indices, {k: 1e-3 * blk for k, blk in g.blocks.items()}) for g in psi.sites]
     mps, norm = canonicalize(chain)
     assert abs(norm / 1e-24 - 1) < 1e-14
     assert np.max(np.abs(mps.to_statevector() - psi.to_statevector())) < 1e-15
     mps.assert_canonical()
 
 
-def test_canonicalize_converts_each_link_once_and_builds_no_view(monkeypatch):
-    # one L=10 projection: canonicalize converts each composed link once and
-    # works on sector matrices from there on; no block view is built in the call
-    inside, conversions, views = [], [], []
-    canonical, convert, view = mps_core.canonicalize, SectorMatrices.from_tensor, SectorMatrices.tensor
+def test_canonicalize_builds_no_link_and_no_view(monkeypatch):
+    # one L=10 projection: canonicalize works on the composed links' sector
+    # matrices as they are; inside the call nothing builds a link from blocks or
+    # reads a block view, while the composition outside it does both
+    inside, calls = [], {"from_blocks": [], "blocks": []}
+    canonical, build, view = mps_core.canonicalize, SectorMatrices.from_blocks, SectorMatrices.blocks
 
     def spy_canonicalize(links):
         inside.append(True)
@@ -889,21 +912,20 @@ def test_canonicalize_converts_each_link_once_and_builds_no_view(monkeypatch):
         finally:
             inside.pop()
 
-    def spy_convert(t):
-        if inside:
-            conversions.append(t)
-        return convert(t)
+    def spy_build(indices, blocks):
+        calls["from_blocks"].append(bool(inside))
+        return build(indices, blocks)
 
     def spy_view(site):
-        if site._tensor is None:
-            views.append(site)
-        return view(site)
+        calls["blocks"].append(bool(inside))
+        return view.fget(site)
 
     monkeypatch.setattr(mps_core, "canonicalize", spy_canonicalize)
-    monkeypatch.setattr(SectorMatrices, "from_tensor", staticmethod(spy_convert))
-    monkeypatch.setattr(SectorMatrices, "tensor", spy_view)
+    monkeypatch.setattr(SectorMatrices, "from_blocks", staticmethod(spy_build))
+    monkeypatch.setattr(SectorMatrices, "blocks", property(spy_view))
     s = project_operator(embed_factor(sigma_z_local(), 5, 10), 5)
-    assert (len(views), len(conversions)) == (0, 10)
+    for name, during in calls.items():
+        assert len(during) >= 10 and not any(during), name
     s.mps.assert_canonical()
 
 
@@ -994,6 +1016,6 @@ class TestSerialization:
         assert spectrum.keys() == {0, 1}
         assert spectrum[0].tolist() == [0.6] and spectrum[1].tolist() == [0.8]
         for g in psi.sites:
-            g.validate()
+            _assert_stored_blocks_valid(g)
         # site 1 is the fastest index: |j1=1, j2=0> is entry 1, |j1=0, j2=1> entry 2
         assert np.array_equal(psi.to_statevector(), np.array([0, 0.8, 0.6, 0]))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mpodyn import oracle
-from mpodyn.charge_tensor import ChargeIndex, ChargeMismatchError, SectorMatrices, SymmetricTensor, TruncationPolicy
+from mpodyn.charge_tensor import ChargeIndex, ChargeMismatchError, SectorMatrices, TruncationPolicy
 from mpodyn.evolution import evolve, make_schedule
 from mpodyn.models import (
     SIGMA_Z,
@@ -227,15 +227,18 @@ def _evolved(op, site, L, d, mode=GRAND_CANONICAL):
 
 
 def _charge_breaking_operator(L):
-    """Lifted annihilator whose site block sits in the creator's sector; its bonds say +1."""
+    """Lifted annihilator whose site block sits in the creator's sector; its bonds say +1.
+
+    ``from_blocks`` would reject that site, so it is built from the stored
+    matrices with the one block key moved."""
     site = min(2, L)
     s = lift_product_operator(embed_factor(annihilator_local(2), site, L))
-    sites = s.mps.sites
+    sites = list(s.mps.sites)
     g = sites[site - 1]
-    ((left, _, right), blk), = g.blocks.items()
-    wrong = g.indices[1].position(-1)
-    sites[site - 1] = SymmetricTensor(g.indices, {(left, wrong, right): blk})
-    s.mps = CanonicalMps([SectorMatrices.from_tensor(t) for t in sites], s.mps.lambdas)
+    keys = g.keys.copy()
+    keys[1] = g.indices[1].position(-1)
+    sites[site - 1] = SectorMatrices(g.indices, g.leg, keys, g.flat)
+    s.mps = CanonicalMps(sites, s.mps.lambdas)
     return s
 
 

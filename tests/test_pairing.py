@@ -15,7 +15,7 @@ import pytest
 from conftest import random_charge_mps
 
 from mpodyn import itac_canonical, itac_grand_canonical
-from mpodyn.charge_tensor import SymmetricTensor, TruncationPolicy
+from mpodyn.charge_tensor import SectorMatrices, TruncationPolicy
 from mpodyn.evolution import evolve, make_schedule
 from mpodyn.models import (
     ModelSpec,
@@ -24,7 +24,7 @@ from mpodyn.models import (
     number_local,
     sigma_z_local,
 )
-from mpodyn.mps_core import CanonicalMps, from_fock
+from mpodyn.mps_core import from_fock
 from mpodyn.operator_space import (
     BRUTE,
     GRAND_CANONICAL,
@@ -177,8 +177,7 @@ class TestNoDenseSite:
         def refuse(*args, **kwargs):
             raise AssertionError("an observer built a dense site")
 
-        monkeypatch.setattr(SymmetricTensor, "densify", refuse)
-        monkeypatch.setattr(CanonicalMps, "site_tensor_dense", refuse)
+        monkeypatch.setattr(SectorMatrices, "densify", refuse)
         assert abs(itac_grand_canonical(state, ref) - want[0]) < 1e-12
         for N in range(L_XXZ + 1):
             assert np.isfinite(itac_canonical(state, ref, N))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpodyn import oracle, operator_space, projector
-from mpodyn.charge_tensor import ChargeIndex, SectorMatrices, SymmetricTensor
+from mpodyn.charge_tensor import ChargeIndex, SectorMatrices
 from mpodyn.mps_core import CanonicalMps
 from mpodyn.observables import itac_canonical
 from mpodyn.models import (
@@ -329,7 +329,7 @@ def _uniform_by_fractions(N, L, d):
                 if 0 <= j <= d - 1:
                     ratio = Fraction(omega(d, N - r, L - m), omega(d, N - l, L - m + 1))
                     blocks[(lpos, j, rpos)] = np.array([[[float(np.sqrt(float(ratio)))]]], dtype=np.complex128)
-        sites.append(SymmetricTensor((left, phys, right), blocks))
+        sites.append(SectorMatrices.from_blocks((left, phys, right), blocks))
         if m < L:
             lambdas.append({
                 l: np.array([float(np.sqrt(float(Fraction(
@@ -338,7 +338,7 @@ def _uniform_by_fractions(N, L, d):
                 for l in cur
             })
         prev = cur
-    return CanonicalMps([SectorMatrices.from_tensor(t) for t in sites], lambdas)
+    return CanonicalMps(sites, lambdas)
 
 
 def _projector_by_relabel(N, L, d):
@@ -352,14 +352,13 @@ def _projector_by_relabel(N, L, d):
     def relabel(ix):
         return ChargeIndex(tuple((l * w, dim) for l, dim in ix.sectors))
 
-    sites = [
-        SymmetricTensor(
+    links = [
+        SectorMatrices.from_blocks(
             (relabel(g.indices[0]), phys, relabel(g.indices[2])),
             {(lpos, phys.position(j * w), rpos): blk for (lpos, j, rpos), blk in g.blocks.items()},
         )
         for g in state.sites
     ]
-    links = [SectorMatrices.from_tensor(t) for t in sites]
     return CanonicalMps(links, [{l * w: v for l, v in lam.items()} for lam in state.lambdas])
 
 
