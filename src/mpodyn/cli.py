@@ -4,7 +4,9 @@ Subcommands: ``simulate``, ``projector-osee``, ``oracle-check``, ``compare``,
 ``fit``.  Every simulate run writes one CSV with header
 ``t,re,im,accumulated_cutoff,max_osee,chi_max_used`` plus a JSON sidecar
 holding the config (with only the couplings the model reads), library
-version, and the termination reason.
+version, and the termination reason.  On itac and density runs the last
+three columns are read on the stored operator, which lacks each step's
+held-back last stage (``observables``).
 Floats are emitted with 17 significant digits so CSV bodies are
 byte-stable across reruns of the same config; timestamps live only in the
 sidecar.
@@ -186,7 +188,7 @@ def _run_series(cfg: RunConfig) -> TimeSeries:
         meta = {"observable": f"osee bond {bond}", "method": cfg.method, "N": cfg.n_sector}
         return observe_series(
             target, spec, schedule, policy, cfg.t_max, cfg.cutoff_budget,
-            lambda state: state.osee_profile()[bond - 1], meta,
+            lambda state, _: state.osee_profile()[bond - 1], None, meta,
         )
     raise ValueError(f"unknown observable {cfg.observable!r}")
 

@@ -5,6 +5,13 @@ step; the even sublattice couples sites (1,2), (3,4), ... and the odd one
 (2,3), (4,5), ....  Order 4 is the symmetric five-fold composition of
 second-order steps with p = 1/(4 - 4**(1/3)).
 
+One stepping loop, :func:`step_loop`, runs every evolution with two
+stage lists, step 1's and every later step's.  :func:`evolve` passes the
+full step twice (2, 3 and 11 stages at orders 1, 2 and 4).
+``TrotterSchedule.held_back`` gives the lists of a run that never applies
+a step's last stage, for a caller that applies it elsewhere: after step 1
+an order-4 step applies 5 even and 5 odd stages, orders 1 and 2 two.
+
 The accumulated cutoff error is 1 - prod(nu_j) over every truncation; a
 run stops at t_max or at the first full step where the accumulated error
 reaches the budget, whichever comes first.
@@ -44,6 +51,20 @@ class TrotterSchedule:
     order: int
     dt: float
     stages: tuple[TrotterStage, ...]
+
+    def held_back(self) -> tuple[tuple[TrotterStage, ...], tuple[TrotterStage, ...]]:
+        """Step 1's and every later step's stages when each step's last stage is held back.
+
+        A later step starts with the held-back stage, merged into its own
+        first stage when both act on the same sublattice; their terms
+        commute, so the merged stage is exact (coefficient p/2 + p/2 = p at
+        order 4).
+        """
+        *first, last = self.stages
+        if first[0].sublattice == last.sublattice:
+            merged = TrotterStage(last.sublattice, last.coefficient + first[0].coefficient)
+            return tuple(first), (merged, *first[1:])
+        return tuple(first), (last, *first)
 
 
 def make_schedule(order: int, dt: float) -> TrotterSchedule:
@@ -115,6 +136,22 @@ class EvolutionLog:
         self.nu_product *= rec.nu
 
 
+def apply_stage(target, spec: ModelSpec, stage: TrotterStage, dt: float, policy: TruncationPolicy) -> list:
+    """Apply one stage's gates at time step coefficient * dt; one truncation record per gate.
+
+    A state takes bond gates exp(-i h dt), a superstate their doubled-space
+    lifts in its own labels, O -> g^dagger O g.
+    """
+    dt_fraction = stage.coefficient * dt
+    if isinstance(target, SuperState):
+        mps = target.mps
+        gate = lambda m: _cached_super_gate(spec, m, dt_fraction, target.weights)
+    else:
+        mps = target
+        gate = lambda m: _cached_bond_gate(spec, m, dt_fraction)
+    return [mps.apply_two_site_gate(m, gate(m), policy) for m in sublattice_bonds(stage.sublattice, spec.L)]
+
+
 def evolve(
     target: CanonicalMps | SuperState,
     spec: ModelSpec,
@@ -131,10 +168,20 @@ def evolve(
     No step ends past t_max: a t_max between two step ends stops at the
     earlier one.
     """
+    stages = schedule.stages
+    return step_loop(target, spec, schedule.dt, stages, stages, t_max, policy, cutoff_budget, observer)
+
+
+def step_loop(target, spec, dt, first, later, t_max, policy, cutoff_budget, observer) -> EvolutionLog:
+    """:func:`evolve` with ``first`` as step 1's stage list and ``later`` as every other step's.
+
+    The log, and with it the accumulated cutoff, holds the gates these
+    lists apply to the target and no others.
+    """
     if not (math.isfinite(t_max) and t_max >= 0):
         raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
-    if not math.isfinite(t_max / schedule.dt):
-        raise ValueError(f"t_max / dt must be finite, got {t_max} / {schedule.dt}")
+    if not math.isfinite(t_max / dt):
+        raise ValueError(f"t_max / dt must be finite, got {t_max} / {dt}")
     if not 0.0 < cutoff_budget <= 1.0:
         raise ValueError("cutoff_budget must be in (0, 1]")
     is_super = isinstance(target, SuperState)
@@ -147,12 +194,6 @@ def evolve(
     elif mps.site_dims != [spec.d] * spec.L:
         raise ValueError("shape mismatch")
 
-    def gate_for(m: int, coeff: float):
-        dt_frac = coeff * schedule.dt
-        if is_super:
-            return _cached_super_gate(spec, m, dt_frac, target.weights)
-        return _cached_bond_gate(spec, m, dt_frac)
-
     log = EvolutionLog()
     log.times.append(0.0)
     log.max_osee_per_step.append(max(mps.entropy_profile(), default=0.0))
@@ -160,13 +201,12 @@ def evolve(
         observer(0.0, target, log)
 
     # the tolerance keeps a t_max of k steps at k when t_max / dt rounds below k
-    n_steps = math.floor(t_max / schedule.dt + 1e-9)
+    n_steps = math.floor(t_max / dt + 1e-9)
     for step in range(1, n_steps + 1):
-        for stage in schedule.stages:
-            for m in sublattice_bonds(stage.sublattice, spec.L):
-                rec = mps.apply_two_site_gate(m, gate_for(m, stage.coefficient), policy)
+        for stage in first if step == 1 else later:
+            for rec in apply_stage(target, spec, stage, dt, policy):
                 log.record(rec)
-        t = step * schedule.dt
+        t = step * dt
         log.times.append(t)
         log.max_osee_per_step.append(max(mps.entropy_profile(), default=0.0))
         hit_budget = log.accumulated_cutoff >= cutoff_budget

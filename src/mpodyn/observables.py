@@ -10,10 +10,22 @@ such as sigma^z.  Values are measured once per full Trotter step (stage
 boundaries are not physical times).
 
 Every series comes from one driver, ``observe_series``: it evolves a
-target superstate and records a caller's ``measure(state)`` together with
-the per-step accumulated cutoff, maximum OSEE and bond dimension.
+target superstate and records a caller's ``measure(state, side)`` together
+with the per-step accumulated cutoff, maximum OSEE and bond dimension.
 ``itac_series``, ``local_density_series`` and the command line's ``osee``
 observable each build a target and a measure and call it.
+
+A series that pairs the evolved operator with a fixed side, <psi0|n(t)|psi0>
+or Tr[O(t)^dagger O], never applies a step's last stage to the operator
+(``TrotterSchedule.held_back``): that stage moves once, without
+truncation, onto the fixed side.  A state psi0 is evolved forward by the
+stage's bond gates, since <psi0|g^dagger B g|psi0> = <phi|B|phi> with
+phi = g psi0; a reference O is evolved by the same stage at the negated
+coefficient, since Tr[(g^dagger B g)^dagger O] = Tr[B^dagger g O g^dagger].
+The read at t = 0 uses the unmoved side.  Orders 1, 2 and 4 then apply
+2, 2 and 10 stages per step after the first, against 2, 3 and 11.  A
+series without a fixed side (the ``osee`` observable reads the operator
+itself) takes full steps.
 
 Evolving with grand-canonical labels and projecting afterwards reads every
 C_N from one run: ``itac_canonical`` then pairs the state with P_N O P_N of
@@ -32,9 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charge_tensor import TruncationPolicy
-from .evolution import TrotterSchedule, evolve
+from .evolution import TrotterSchedule, apply_stage, step_loop
 from .models import ModelSpec, number_local, sigma_z_local
-from .mps_core import from_fock
+from .mps_core import CanonicalMps, from_fock
 from .operator_space import (
     BRUTE,
     CANONICAL,
@@ -164,25 +176,40 @@ def observe_series(
     policy: TruncationPolicy,
     t_max: float,
     cutoff_budget: float,
-    measure: Callable[[SuperState], complex],
+    measure: Callable[[SuperState, CanonicalMps | SuperState | None], complex],
+    fixed: CanonicalMps | SuperState | None,
     meta: dict,
 ) -> TimeSeries:
-    """Evolve ``target`` and record ``measure(state)`` at t = 0 and every full step.
+    """Evolve ``target`` and record ``measure(state, side)`` at t = 0 and every full step.
+
+    ``fixed`` is the side the measure pairs the operator with: a state
+    psi0, read as <psi0|O|psi0>, or a reference superstate, read as
+    Tr[O^dagger reference].  With a fixed side each step's last stage is
+    held back from ``target`` and ``side`` is ``fixed`` carrying that stage
+    (see the module docstring), except at t = 0, where it is ``fixed``
+    itself.  With ``fixed=None`` the target takes full steps and ``side``
+    is None.
 
     ``meta`` names the observable; the driver adds the run's shape and,
     per step, the accumulated cutoff, the maximum OSEE and the largest
-    bond dimension, plus the termination reason.
+    bond dimension, plus the termination reason.  All three are read on
+    the stored operator; the cutoff counts only the gates applied to it.
     """
     times, values, cutoffs, osees, chis = [], [], [], [], []
+    moved = None
 
     def observer(t, state, log):
+        nonlocal moved
+        if t > 0 and fixed is not None and moved is None:
+            moved = _carry_held_back(fixed, spec, schedule)
         times.append(t)
-        values.append(measure(state))
+        values.append(measure(state, moved if t > 0 else fixed))
         cutoffs.append(log.accumulated_cutoff)
         osees.append(log.max_osee_per_step[-1])
         chis.append(state.mps.max_bond_dimension())
 
-    log = evolve(target, spec, schedule, t_max, policy, cutoff_budget, observer)
+    first, later = (schedule.stages,) * 2 if fixed is None else schedule.held_back()
+    log = step_loop(target, spec, schedule.dt, first, later, t_max, policy, cutoff_budget, observer)
     meta = {
         **meta,
         "L": spec.L,
@@ -195,6 +222,15 @@ def observe_series(
         "termination_reason": log.termination_reason,
     }
     return TimeSeries(np.array(times), np.array(values, dtype=complex), meta)
+
+
+def _carry_held_back(fixed: CanonicalMps | SuperState, spec: ModelSpec, schedule: TrotterSchedule):
+    """A copy of the fixed side with the held-back stage applied exactly: a state
+    forward, a reference superstate backward (O -> g O g^dagger)."""
+    moved = fixed.copy()
+    dt = -schedule.dt if isinstance(fixed, SuperState) else schedule.dt
+    apply_stage(moved, spec, schedule.stages[-1], dt, TruncationPolicy(None, 0.0))
+    return moved
 
 
 def _lift_target(factors: list[LocalOperator], method: str, N: int | None) -> SuperState:
@@ -233,11 +269,11 @@ def itac_series(
     target = _lift_target(factors, method, N)
     reference = lift_product_operator(factors)
     if method == CANONICAL:
-        measure = lambda state: itac_canonical(state, reference, N)
+        measure = lambda state, ref: itac_canonical(state, ref, N)
     else:
-        measure = lambda state: itac_grand_canonical(state, reference)
+        measure = itac_grand_canonical
     meta = {"observable": f"itac site {site}", "method": method, "N": N}
-    return observe_series(target, spec, schedule, policy, t_max, cutoff_budget, measure, meta)
+    return observe_series(target, spec, schedule, policy, t_max, cutoff_budget, measure, reference, meta)
 
 
 def local_density_series(
@@ -263,8 +299,7 @@ def local_density_series(
     target = _lift_target(embed_factor(number_local(spec.d), site, spec.L), method, N)
     meta = {"observable": f"density site {site}", "method": method, "N": N}
     return observe_series(
-        target, spec, schedule, policy, t_max, cutoff_budget,
-        lambda state: expectation_in_state(state, psi), meta,
+        target, spec, schedule, policy, t_max, cutoff_budget, expectation_in_state, psi, meta
     )
 
 

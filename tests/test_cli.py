@@ -13,7 +13,9 @@ from mpodyn.charge_tensor import TruncationPolicy
 from mpodyn.cli import METHODS, RUN_KEYS, RunConfig, build_parser, main
 from mpodyn.evolution import evolve, make_schedule
 from mpodyn.models import ModelSpec
+from mpodyn.mps_core import CanonicalMps
 from mpodyn.observables import build_observable_superstate
+from mpodyn.operator_space import GRAND_CANONICAL
 from mpodyn.projector import projector_osee
 
 
@@ -342,6 +344,38 @@ class TestSimulate:
         for row, val in zip(rows, expected):
             assert abs(float(row[1]) - val) <= 1e-12
             assert float(row[2]) == 0.0
+
+
+    def test_osee_run_takes_full_steps(self, tmp_path, monkeypatch):
+        # osee reads the operator itself: no fixed side can take a held-back stage
+        L, site, dt, tmax = 6, 3, 0.125, 0.5
+        calls = []
+        apply = CanonicalMps.apply_two_site_gate
+        monkeypatch.setattr(
+            CanonicalMps, "apply_two_site_gate", lambda mps, *a: calls.append(a[0]) or apply(mps, *a)
+        )
+        out = tmp_path / "osee.csv"
+        assert main(
+            [
+                "simulate", "--model", "xxz", "--delta", "0.8", "--length", str(L), "--observable", "osee",
+                "--site", str(site), "--chi", "8", "--dt", str(dt), "--order", "4", "--tmax", str(tmax),
+                "--budget", "1", "--output", str(out),
+            ]
+        ) == 0
+        assert len(calls) == 4 * (6 * 3 + 5 * 2)  # 4 steps of 11 stages
+
+        spec = ModelSpec.xxz(L, 0.8)
+        expected = []
+        evolve(
+            build_observable_superstate(spec, site, GRAND_CANONICAL), spec, make_schedule(4, dt), tmax,
+            TruncationPolicy(8, 0.0), 1.0,
+            observer=lambda t, s, lg: expected.append(
+                (t, s.osee_profile()[site - 1], 0.0, lg.accumulated_cutoff, lg.max_osee_per_step[-1],
+                 s.mps.max_bond_dimension())
+            ),
+        )
+        _, rows = read_csv(out)
+        assert [tuple(float(v) for v in row) for row in rows] == expected  # bit-identical
 
 
 class TestProjectorOsee:

@@ -15,7 +15,7 @@ from mpodyn.evolution import (
     save_checkpoint,
     sublattice_bonds,
 )
-from mpodyn.models import ModelSpec, SIGMA_Z, annihilator_local, sigma_z_local
+from mpodyn.models import ModelSpec, SIGMA_Z, annihilator_local, bond_gate, sigma_z_local, super_gate
 from mpodyn.mps_core import TruncationRecord, from_fock
 from mpodyn.operator_space import (
     CANONICAL,
@@ -168,6 +168,30 @@ class TestEvolve:
         seen = []
         evolve(s, spec, make_schedule(2, 0.25), 1.0, UNRESTRICTED, observer=lambda t, st, lg: seen.append(t))
         assert seen == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+    def test_observer_sees_full_steps(self):
+        # a caller's own observer reads the target itself, so evolve applies every stage
+        L, site = 6, 3
+        spec = ModelSpec.xxz(L, 0.8)
+        sched = make_schedule(4, 0.25)
+        ref = lift_product_operator(embed_factor(sigma_z_local(), site, L))
+        policy = TruncationPolicy(8, 0.0)
+        got, records = [], []
+
+        def observer(t, st, lg):
+            got.append(hs_trace_pair(st, ref))
+            records.append(len(lg.records))
+
+        evolve(ref.copy(), spec, sched, 1.0, policy, observer=observer)
+        by_hand, s = [hs_trace_pair(ref, ref)], ref.copy()
+        for _ in range(4):
+            for stage in sched.stages:
+                for m in sublattice_bonds(stage.sublattice, L):
+                    gate = super_gate(bond_gate(spec, m, stage.coefficient * sched.dt), s.weights)
+                    s.mps.apply_two_site_gate(m, gate, policy)
+            by_hand.append(hs_trace_pair(s, ref))
+        assert got == by_hand  # bit-identical
+        assert np.diff(records).tolist() == [6 * 3 + 5 * 2] * 4
 
     @pytest.mark.parametrize(
         "dt, t_max, times",

@@ -6,24 +6,29 @@ import pytest
 
 from mpodyn import observables, oracle
 from mpodyn.charge_tensor import TruncationPolicy
-from mpodyn.evolution import evolve, make_schedule
-from mpodyn.models import ModelSpec, SIGMA_Z, sigma_z_local
+from mpodyn.evolution import evolve, make_schedule, step_loop
+from mpodyn.models import ModelSpec, SIGMA_Z, number_local, sigma_z_local
+from mpodyn.mps_core import CanonicalMps, from_fock
 from mpodyn.observables import (
     FitParams,
     TimeSeries,
     _fit_model,
+    _observable_factors,
+    build_observable_superstate,
     ensemble_relation_check,
     fit_itac,
     itac_canonical,
     itac_grand_canonical,
     itac_series,
     local_density_series,
+    observe_series,
 )
 from mpodyn.operator_space import (
     BRUTE,
     CANONICAL,
     GRAND_CANONICAL,
     embed_factor,
+    expectation_in_state,
     hs_trace_pair,
     lift_product_operator,
 )
@@ -278,6 +283,137 @@ class TestLocalDensity:
         spec = ModelSpec.bose_hubbard(4, 3, 4.0)
         with pytest.raises(ValueError, match="psi0 length mismatch"):
             local_density_series(spec, [0, 1], 2, GRAND_CANONICAL, make_schedule(2, 0.1), EXACTISH, 0.1)
+
+
+def full_step_values(target, spec, sched, t_max, measure):
+    """``measure(state)`` at t = 0 and after every full step of ``evolve``."""
+    values = []
+    evolve(target, spec, sched, t_max, UNRESTRICTED, observer=lambda t, s, lg: values.append(measure(s)))
+    return np.array(values)
+
+
+def density_target(spec, site, method, N):
+    factors = embed_factor(number_local(spec.d), site, spec.L)
+    return project_operator(factors, N) if method == CANONICAL else lift_product_operator(factors, method)
+
+
+HELD_BACK_CASES = [  # (spec, observed site, Fock psi0)
+    (ModelSpec.xxz(4, 0.8), 2, [0, 1, 1, 0]),
+    (ModelSpec.xxz(6, 0.8), 3, [1, 0, 1, 0, 1, 0]),
+    (ModelSpec.bose_hubbard(4, 3, 2.0), 2, [1, 0, 2, 1]),
+    (ModelSpec.bose_hubbard(5, 3, 2.0), 3, [0, 2, 0, 1, 1]),
+]
+
+
+@pytest.mark.parametrize("order", [1, 2, 4])
+@pytest.mark.parametrize(
+    "case", HELD_BACK_CASES, ids=[f"{s.kind}-L{s.L}-d{s.d}" for s, _, _ in HELD_BACK_CASES]
+)
+class TestHeldBackStage:
+    """A series with a fixed side holds each step's last stage back from the operator
+    and moves it onto that side; at exact truncation it reads the full-step values."""
+
+    TOL = 1e-12
+    DT, T_MAX = 0.2, 0.6
+
+    def test_densities(self, case, order):
+        spec, site, psi0 = case
+        sched = make_schedule(order, self.DT)
+        psi = from_fock(psi0, spec.d)
+        for method in (BRUTE, GRAND_CANONICAL, CANONICAL):
+            got = local_density_series(spec, psi0, site, method, sched, UNRESTRICTED, self.T_MAX)
+            target = density_target(spec, site, method, sum(psi0))
+            want = full_step_values(target, spec, sched, self.T_MAX, lambda s: expectation_in_state(s, psi))
+            assert len(got.values) == round(self.T_MAX / self.DT) + 1
+            assert np.max(np.abs(got.values - want)) <= self.TOL
+            assert got.values[0] == want[0]  # t = 0 reads the unmoved psi0
+
+    def test_itac_every_sector(self, case, order):
+        spec, site, _ = case
+        sched = make_schedule(order, self.DT)
+        n_max = spec.L * (spec.d - 1)
+        factors = _observable_factors(spec, site)
+        ref = lift_product_operator(factors)
+        for method in (BRUTE, GRAND_CANONICAL):
+            got = itac_series(spec, site, method, sched, UNRESTRICTED, self.T_MAX)
+            want = full_step_values(
+                lift_product_operator(factors, method), spec, sched, self.T_MAX,
+                lambda s: itac_grand_canonical(s, ref),
+            )
+            assert np.max(np.abs(got.values - want)) <= self.TOL
+            # evolve, then project: every C_N read against the moved reference
+            sectors = []
+            observe_series(
+                lift_product_operator(factors, method), spec, sched, UNRESTRICTED, self.T_MAX, 1.0,
+                lambda s, side: sectors.append([itac_canonical(s, side, N) for N in range(n_max + 1)]),
+                ref, {},
+            )
+            want = full_step_values(
+                lift_product_operator(factors, method), spec, sched, self.T_MAX,
+                lambda s: [itac_canonical(s, ref, N) for N in range(n_max + 1)],
+            )
+            assert np.max(np.abs(np.array(sectors) - want)) <= self.TOL
+        for N in range(n_max + 1):
+            if project_operator(factors, N).is_zero:
+                continue  # P_0 n P_0 = 0: no canonical run
+            got = itac_series(spec, site, CANONICAL, sched, UNRESTRICTED, self.T_MAX, N=N)
+            want = full_step_values(
+                project_operator(factors, N), spec, sched, self.T_MAX,
+                lambda s: itac_canonical(s, ref, N),
+            )
+            assert np.max(np.abs(got.values - want)) <= self.TOL
+
+
+class TestStagesPerStep:
+    """L = 6: the even sublattice has 3 bonds, the odd one 2."""
+
+    L = 6
+
+    @pytest.mark.parametrize(
+        "order,later,per_step,full",
+        [
+            (1, ["odd", "even"], [3, 5, 5, 5], 5),
+            (2, ["even", "odd"], [5, 5, 5, 5], 8),
+            (4, ["even", "odd"] * 5, [25, 25, 25, 25], 28),
+        ],
+    )
+    def test_records_per_step(self, order, later, per_step, full):
+        spec = ModelSpec.xxz(self.L, 0.8)
+        sched = make_schedule(order, 0.1)
+        first, fused = sched.held_back()
+        assert first == sched.stages[:-1]
+        assert [stage.sublattice for stage in fused] == later
+        counts = []
+        for lists in ((sched.stages, sched.stages), (first, fused)):
+            seen = []
+            step_loop(
+                build_observable_superstate(spec, 3, GRAND_CANONICAL), spec, sched.dt, *lists, 0.4,
+                UNRESTRICTED, 1.0, lambda t, s, lg: seen.append(len(lg.records)),
+            )
+            counts.append(np.diff(seen).tolist())
+        assert counts == [[full] * 4, per_step]
+
+    def test_order_four_fused_stage_reuses_a_cached_gate(self):
+        sched = make_schedule(4, 0.1)
+        _, fused = sched.held_back()
+        assert fused[0] == sched.stages[2]  # E(p/2) + E(p/2) is the even stage E(p)
+
+    def test_density_series_applies_the_held_back_layer_once(self, monkeypatch):
+        spec = ModelSpec.bose_hubbard(self.L, 2, 1.0)
+        calls = []
+        apply = CanonicalMps.apply_two_site_gate
+        monkeypatch.setattr(
+            CanonicalMps, "apply_two_site_gate", lambda mps, *a: calls.append(mps) or apply(mps, *a)
+        )
+        psi0 = [0, 1, 0, 1, 0, 1]
+        series = local_density_series(spec, psi0, 3, GRAND_CANONICAL, make_schedule(4, 0.1), UNRESTRICTED, 0.4)
+        assert len(series.values) == 5
+        operator_calls = [c for c in calls if c.site_dims == [4] * self.L]
+        assert len(operator_calls) == 4 * 25 and len(calls) == 4 * 25 + 3  # 3 even bonds on psi0
+        # t = 0 reads no moved state: a run without steps applies no gate
+        calls.clear()
+        local_density_series(spec, psi0, 3, GRAND_CANONICAL, make_schedule(4, 0.1), UNRESTRICTED, 0.0)
+        assert calls == []
 
 
 class TestOseeShift:

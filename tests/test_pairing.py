@@ -16,7 +16,7 @@ from conftest import random_charge_mps
 
 from mpodyn import itac_canonical, itac_grand_canonical
 from mpodyn.charge_tensor import SectorMatrices, TruncationPolicy
-from mpodyn.evolution import evolve, make_schedule
+from mpodyn.evolution import apply_stage, evolve, make_schedule
 from mpodyn.models import (
     ModelSpec,
     annihilator_local,
@@ -27,6 +27,7 @@ from mpodyn.models import (
 from mpodyn.mps_core import from_fock
 from mpodyn.operator_space import (
     BRUTE,
+    CANONICAL,
     GRAND_CANONICAL,
     embed_factor,
     expectation_in_state,
@@ -165,6 +166,34 @@ class TestExpectationSweep:
             values.append(expectation_in_state(s, psi))
             assert abs(values[-1] - dense_expectation(s, psi)) <= 1e-12 * s.hs_norm()
         assert abs(values[0]) > 0.1 and abs(values[1]) > 1e-3
+
+    def test_boson_state_after_one_gate_layer(self):
+        # the state a held-back density series reads: psi0 after the last stage's bond gates
+        L, d, N = 4, 3, 4
+        spec = ModelSpec.bose_hubbard(L, d, 2.0)
+        phi = from_fock([1, 0, 2, 1], d)
+        apply_stage(phi, spec, make_schedule(4, 0.25).stages[-1], 0.25, TruncationPolicy(None, 0.0))
+        assert phi.max_bond_dimension() > 1
+        assert abs(np.linalg.norm(phi.to_statevector()) - 1.0) < 1e-12
+        policy = TruncationPolicy(None, 1e-12)
+        hop = embed_factor(creator_local(d), 1, L)  # sites 1 and 2 share a gate of the layer
+        hop[1] = annihilator_local(d)
+        density = evolved_series(spec, embed_factor(number_local(d), 3, L), GRAND_CANONICAL, policy, 0.5)[-1]
+        operators = [
+            project_operator(density, N),
+            project_operator(lift_product_operator(hop), N),
+            density,
+            evolved_series(spec, hop, GRAND_CANONICAL, policy, 0.5)[-1],
+            lift_product_operator(hop, BRUTE),
+            evolved_series(spec, embed_factor(number_local(d), 2, L), BRUTE, policy, 0.5)[-1],
+        ]
+        assert [s.mode for s in operators] == [CANONICAL] * 2 + [GRAND_CANONICAL] * 2 + [BRUTE] * 2
+        values = []
+        for s in operators:
+            values.append(expectation_in_state(s, phi))
+            assert abs(values[-1] - dense_expectation(s, phi)) <= 1e-12 * s.hs_norm()
+        assert abs(values[1]) > 1e-3 and abs(values[4]) > 1e-3  # coherences of phi are read
+        assert abs(values[0] - values[2]) < 1e-12  # phi has N particles, so P_N changes nothing
 
 
 class TestNoDenseSite:
