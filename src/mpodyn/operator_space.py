@@ -19,18 +19,21 @@ The Hermitian conjugate of a charge-definite operator flips the sign of
 its particle-number change (delta_n), pinned by densify tests.
 
 Every site of a superstate is one ``charge_tensor.SectorMatrices``, and
-this module reads a site through its block view, ``SectorMatrices.blocks``.
+this module reads a stored site one way, per state: ``_by_state`` maps
+each bond-in sector and (in, out) state to its bond-out sector and its
+(chi_l, chi_r) slice of the block view, ``SectorMatrices.blocks``.
 Composing an operator onto the out-chain of a superstate has one
-implementation, ``out_chain_compose``, which works block by block on the
-block views of both chains and builds each composed link with
-``SectorMatrices.from_blocks``; ``apply_out_chain`` lifts a whole product
-operator, given as its per-site factor list, and calls it once.
+implementation, ``out_chain_compose``, which reads both chains per state
+and builds each composed link with ``SectorMatrices.from_blocks``;
+``apply_out_chain`` lifts a whole product operator, given as its
+per-site factor list, and calls it once.
 
 The observers, ``hs_trace_pair`` and ``expectation_in_state``, are
-transfer sweeps over the block views of the stored sites: a stored site
-is B = Gamma lambda (``mps_core``), so the chain product of the blocks is
-the state and no spectrum enters a sweep.  They pair any two modes,
-build no dense site, and their memory grows with chi, not chi^2 d^2.
+transfer sweeps over the same per-state view of the stored sites: a
+stored site is B = Gamma lambda (``mps_core``), so the chain product of
+the blocks is the state and no spectrum enters a sweep.  They pair any
+two modes, build no dense site, and their memory grows with chi, not
+chi^2 d^2.
 """
 
 from __future__ import annotations
@@ -102,24 +105,24 @@ class LocalOperator:
         if ent.shape != (self.d, self.d):
             raise ValueError("entries must be d x d")
         object.__setattr__(self, "entries", ent)
-        if self.delta_n is not None:
-            for x in range(self.d):
-                for y in range(self.d):
-                    if y - x != self.delta_n and ent[x, y] != 0:
-                        raise ChargeMismatchError("charge mismatch")
+        if self.delta_n is not None and not self._shifts(ent) <= {self.delta_n}:
+            raise ChargeMismatchError("charge mismatch")
+
+    @staticmethod
+    def _shifts(entries: np.ndarray) -> set[int]:
+        """The shifts y - x of the nonzero entries <x|op|y>; none for a zero matrix."""
+        x, y = np.nonzero(entries)
+        return set((y - x).tolist())
 
     @classmethod
     def from_matrix(cls, entries) -> "LocalOperator":
+        """The operator with these entries; its ``delta_n`` is the one shift of its
+        nonzero entries, 0 for a zero matrix and None for a mixed one."""
         ent = np.asarray(entries, dtype=np.complex128)
-        d = ent.shape[0]
-        diffs = {y - x for x in range(d) for y in range(d) if ent[x, y] != 0}
-        if len(diffs) == 0:
-            delta = 0
-        elif len(diffs) == 1:
-            delta = diffs.pop()
-        else:
-            delta = None
-        return cls(d, ent, delta)
+        if ent.ndim != 2 or ent.shape[0] != ent.shape[1]:
+            raise ValueError("entries must be d x d")
+        shifts = cls._shifts(ent) or {0}
+        return cls(len(ent), ent, shifts.pop() if len(shifts) == 1 else None)
 
     def hs_norm(self) -> float:
         return float(np.linalg.norm(self.entries))
@@ -347,11 +350,11 @@ def out_chain_compose(op_s: SuperState, target: SuperState) -> SuperState:
     """Compose an operator MPO onto the out-chain of ``target``: result = op . target.
 
     ``op_s`` must carry a definite particle-number change (grand-canonical
-    labels); the result keeps the target's mode and input charge.  Each
-    pair of stored blocks composes on its own: a target state (j, i) and
-    an operator state (i, x) that share the occupation i add the outer
-    product of their bond slices to state (j, x) of the merged-bond block.
-    Every composed site tensor must obey the charge rule.
+    labels); the result keeps the target's mode and input charge.  Both
+    chains are read per state (:func:`_by_state`): for each pair of left
+    bond sectors, a target state (j, i) and every operator state (i, x)
+    add the outer product of their bond slices to state (j, x) of the
+    merged-bond block.  Every composed site tensor must obey the charge rule.
     """
     if op_s.L != target.L or op_s.d != target.d:
         raise ValueError("shape mismatch")
@@ -377,27 +380,27 @@ def out_chain_compose(op_s: SuperState, target: SuperState) -> SuperState:
         right_ix, right_sec, right_off = _merged_pair_index(
             target.mps.bond_index(m), op_s.mps.bond_index(m), w_out
         )
-        tt, to = target.mps.sites[m - 1].blocks, op_s.mps.sites[m - 1].blocks
+        by_t = _by_state(target.mps.sites[m - 1], t_states)
+        by_o = _by_state(op_s.mps.sites[m - 1], o_states)
         blocks: dict[tuple[int, int, int], np.ndarray] = {}
-        for (pt, st, pt2), bt in tt.items():
-            for (po, so, po2), bo in to.items():
-                lsec, loff = left_sec[pt][po], left_off[pt][po]
-                rsec, roff = right_sec[pt2][po2], right_off[pt2][po2]
-                rows, cols = bt.shape[0] * bo.shape[0], bt.shape[2] * bo.shape[2]
-                for p, (j, i) in enumerate(t_states[st]):
-                    for q, (i_o, x) in enumerate(o_states[so]):
-                        if i_o != i:
-                            continue
-                        psec, ppos = state_pos[(j, x)]
+        for lt, at_t in by_t.items():
+            for lo, at_o in by_o.items():
+                lsec, loff = left_sec[lt][lo], left_off[lt][lo]
+                for (j, i), (rt, bt) in at_t.items():
+                    for x in (x for x in range(d) if (i, x) in at_o):
+                        ro, bo = at_o[i, x]
+                        psec, ppos = state_pos[j, x]
+                        rsec, roff = right_sec[rt][ro], right_off[rt][ro]
                         key = (lsec, psec, rsec)
                         if key not in blocks:
                             blocks[key] = np.zeros(
                                 (left_ix.dims[lsec], phys.dims[psec], right_ix.dims[rsec]),
                                 dtype=np.complex128,
                             )
-                        outer = np.multiply.outer(bt[:, p, :], bo[:, q, :])  # (a, b, c, e)
+                        rows, cols = bt.shape[0] * bo.shape[0], bt.shape[1] * bo.shape[1]
+                        outer = np.multiply.outer(bt, bo).transpose(0, 2, 1, 3)  # (a, b, c, e)
                         blocks[key][loff : loff + rows, ppos, roff : roff + cols] += (
-                            outer.transpose(0, 2, 1, 3).reshape(rows, cols)
+                            outer.reshape(rows, cols)
                         )
         # from_blocks checks every block's shape and charges
         links.append(SectorMatrices.from_blocks(

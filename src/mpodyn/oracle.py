@@ -23,15 +23,6 @@ DEFAULT_DIM_CAP = 4096
 class DenseOperator:
     entries: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
-def _check_cap(spec_dim: int, cap: int) -> None:
-    if spec_dim > cap:
-        raise ValueError(f"dense dimension {spec_dim} exceeds cap {cap}")
-
 
 def site_operator(op: np.ndarray, m: int, L: int) -> np.ndarray:
     """Embed a single-site matrix at site m (1-based), little-endian basis."""
@@ -88,7 +79,7 @@ def dense_total_number(L: int, d: int) -> np.ndarray:
     return np.diag(diag).astype(np.complex128)
 
 
-def dense_hamiltonian(spec: ModelSpec, cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
+def dense_hamiltonian(spec: ModelSpec) -> DenseOperator:
     """Full Hamiltonian from the global model formula (not from bond terms).
 
     Each term is a product of sparse site operators, densified before it
@@ -96,8 +87,9 @@ def dense_hamiltonian(spec: ModelSpec, cap: int = DEFAULT_DIM_CAP) -> DenseOpera
     is bitwise the one the dense products would give.
     """
     L, d = spec.L, spec.d
-    _check_cap(d**L, cap)
     dim = d**L
+    if dim > DEFAULT_DIM_CAP:
+        raise ValueError(f"dense dimension {dim} exceeds cap {DEFAULT_DIM_CAP}")
     H = np.zeros((dim, dim), dtype=np.complex128)
     if spec.kind == "xxz":
         sx = np.array([[0, 1], [1, 0]], dtype=np.complex128)

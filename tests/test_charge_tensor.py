@@ -463,6 +463,29 @@ def test_thread_setting_is_parsed_once_per_value(rng, monkeypatch):
     assert charge_tensor._thread_count.cache_info().misses == misses
 
 
+def test_gesvd_fallback_matches_the_normal_split(rng, monkeypatch):
+    # gesdd failing on the first sector sends that sector to scipy's gesvd
+    monkeypatch.delenv("MPODYN_THREADS", raising=False)
+    t, policy = make_random_three_leg(rng), TruncationPolicy(None, 0.0)
+    want = split(t, 2, policy)
+    svd, calls = np.linalg.svd, []
+
+    def fails_once(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", fails_once)
+    got = split(t, 2, policy)
+    assert len(calls) == len(want[1])  # one try per sector; the first went on to gesvd
+    assert list(got[1]) == list(want[1])
+    for q in want[1]:
+        assert np.allclose(got[1][q], want[1][q], rtol=0, atol=1e-12)
+    assert np.allclose(rebuild(*got[:3]), rebuild(*want[:3]), rtol=0, atol=1e-12)
+    assert got[3] == pytest.approx(want[3], abs=1e-12) and got[4] == pytest.approx(want[4], abs=1e-12)
+
+
 class TestGlobalTruncation:
     """The one tie-break rule: descending value, then lower charge, then
     position in the sector."""

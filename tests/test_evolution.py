@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mpodyn import oracle
-from mpodyn.charge_tensor import TruncationPolicy
+from mpodyn.charge_tensor import TruncationPolicy, ZeroNormError
 from mpodyn.evolution import (
     EvolutionLog,
     TrotterSchedule,
@@ -15,11 +15,20 @@ from mpodyn.evolution import (
     save_checkpoint,
     sublattice_bonds,
 )
-from mpodyn.models import ModelSpec, SIGMA_Z, annihilator_local, bond_gate, sigma_z_local, super_gate
-from mpodyn.mps_core import TruncationRecord, from_fock
+from mpodyn.models import (
+    ModelSpec,
+    SIGMA_Z,
+    annihilator_local,
+    bond_gate,
+    number_local,
+    sigma_z_local,
+    super_gate,
+)
+from mpodyn.mps_core import CanonicalMps, TruncationRecord, from_fock
 from mpodyn.operator_space import (
     CANONICAL,
     GRAND_CANONICAL,
+    SuperState,
     embed_factor,
     hs_trace_pair,
     identity_superstate,
@@ -228,6 +237,33 @@ class TestEvolve:
         with pytest.raises(ValueError, match="t_max / dt must be finite"):
             evolve(s, spec, make_schedule(2, 5e-324), 1e10, UNRESTRICTED)
 
+    def test_zero_superstate_rejected(self):
+        spec = ModelSpec.xxz(4, 0.5)
+        with pytest.raises(ZeroNormError, match="annihilated"):
+            evolve(SuperState.zero(4, 2, GRAND_CANONICAL), spec, make_schedule(2, 0.25), 0.5, UNRESTRICTED)
+
+    @pytest.mark.parametrize(
+        "make_target",
+        [
+            lambda: lift_product_operator(embed_factor(number_local(3), 2, 4)),
+            lambda: lift_product_operator(embed_factor(sigma_z_local(), 2, 3)),
+            lambda: from_fock([0, 1, 0, 1], 3),
+            lambda: from_fock([0, 1, 0], 2),
+            lambda: identity_superstate(4, 2).mps,
+        ],
+        ids=["superstate-d3", "superstate-L3", "state-d3", "state-L3", "superstate-as-state"],
+    )
+    def test_site_dimension_mismatch_rejected(self, make_target):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            evolve(make_target(), ModelSpec.xxz(4, 0.5), make_schedule(2, 0.25), 0.5, UNRESTRICTED)
+
+    @pytest.mark.parametrize("budget", [0.0, -0.5, 1.5, float("nan")])
+    def test_cutoff_budget_outside_unit_interval_rejected(self, budget):
+        spec = ModelSpec.xxz(4, 0.5)
+        s = lift_product_operator(embed_factor(sigma_z_local(), 2, 4))
+        with pytest.raises(ValueError, match="cutoff_budget"):
+            evolve(s, spec, make_schedule(2, 0.25), 0.5, UNRESTRICTED, cutoff_budget=budget)
+
     def test_end_time_is_the_last_time(self):
         spec = ModelSpec.xxz(4, 0.5)
         s = lift_product_operator(embed_factor(sigma_z_local(), 2, 4))
@@ -311,6 +347,19 @@ class TestCheckpoint:
         assert log2.termination_reason == log.termination_reason
         assert len(log2.records) == len(log.records)
         assert np.max(np.abs(target.densify() - s.densify())) < 1e-12
+
+    def test_state_round_trip(self, tmp_path):
+        spec = ModelSpec.xxz(4, 0.5)
+        psi = from_fock([1, 0, 1, 0], 2)
+        log = evolve(psi, spec, make_schedule(2, 0.1), 0.3, UNRESTRICTED)
+        prefix = str(tmp_path / "ckpt")
+        save_checkpoint(prefix, psi, log, 0.3)
+        with open(prefix + ".json") as fh:
+            assert json.load(fh)["is_super"] is False
+        target, log2, t = load_checkpoint(prefix)
+        assert isinstance(target, CanonicalMps) and t == 0.3
+        assert log2.times == log.times and log2.nu_product == log.nu_product
+        assert np.array_equal(target.to_statevector(), psi.to_statevector())
 
     def test_end_time_is_not_stored_and_older_sidecars_load(self, tmp_path):
         spec = ModelSpec.xxz(4, 0.5)

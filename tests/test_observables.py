@@ -12,6 +12,7 @@ from mpodyn.mps_core import CanonicalMps, from_fock
 from mpodyn.observables import (
     FitParams,
     TimeSeries,
+    _canonicalize_fit,
     _fit_model,
     _observable_factors,
     build_observable_superstate,
@@ -468,6 +469,14 @@ class TestFit:
         slope = np.polyfit(np.log(t), np.log(vals), 1)[0]
         assert abs(params.kappa - slope) < 1e-6
         assert abs(params.kappa + 0.5) < 1e-6
+
+    @pytest.mark.parametrize("t0", [0.3, 2.9, -1.4])
+    def test_negative_amplitude_is_a_half_period_shift(self, t0):
+        raw = np.array([-0.6, 1.0, -0.3, 0.4, 2.5, t0])
+        got = _canonicalize_fit(raw)
+        assert got[2] > 0 and 0 <= got[5] < 2 * np.pi / 2.5
+        t = np.linspace(1.0, 8.0, 50)
+        assert np.allclose(_fit_model(got, t), _fit_model(raw, t), rtol=1e-12, atol=0)
 
     def test_unfittable_window(self):
         t = np.linspace(1, 2, 20)

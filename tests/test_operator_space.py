@@ -14,13 +14,14 @@ from mpodyn.models import (
     number_local,
     sigma_z_local,
 )
-from mpodyn.mps_core import CanonicalMps, from_fock
+from mpodyn.mps_core import CanonicalMps, canonicalize, from_fock
 from mpodyn.operator_space import (
     _merged_pair_index,
     BRUTE,
     CANONICAL,
     GRAND_CANONICAL,
     LocalOperator,
+    SuperState,
     apply_out_chain,
     embed_factor,
     expectation_in_state,
@@ -72,6 +73,18 @@ class TestLocalOperator:
         assert LocalOperator.from_matrix(boson_annihilator(4)).delta_n == 1
         mixed = LocalOperator.from_matrix(np.array([[0, 1], [1, 0]]))
         assert mixed.delta_n is None
+        assert LocalOperator.from_matrix(np.zeros((3, 3))).delta_n == 0
+        # a zero matrix obeys every charge rule
+        assert LocalOperator(3, np.zeros((3, 3)), 2).delta_n == 2
+
+    @pytest.mark.parametrize(
+        "entries",
+        [np.zeros((3, 2)), np.zeros(2), np.zeros((2, 2, 2)), 1.0],
+        ids=["3x2", "1-D", "3-D", "scalar"],
+    )
+    def test_from_matrix_rejects_non_square(self, entries):
+        with pytest.raises(ValueError, match="entries must be d x d"):
+            LocalOperator.from_matrix(entries)
 
     def test_dagger_flips_delta(self):
         a = annihilator_local(3)
@@ -275,6 +288,36 @@ class TestOutChainCompose:
         with pytest.raises(ChargeMismatchError, match="charge mismatch"):
             out_chain_compose(_charge_breaking_operator(target.L), target)
 
+    @pytest.mark.parametrize(
+        "make_op, make_target, delta",
+        [
+            (lambda: lift_product_operator(embed_factor(LocalOperator(2, np.zeros((2, 2)), 1), 2, 3)),
+             lambda: projector_superstate(1, 3, 2), 1),
+            (lambda: lift_product_operator(embed_factor(annihilator_local(2), 2, 3)),
+             lambda: SuperState.zero(3, 2, BRUTE, 2), 3),
+            (lambda: lift_product_operator(embed_factor(annihilator_local(2), 2, 3)),
+             lambda: SuperState.zero(3, 2, BRUTE, None), None),
+        ],
+        ids=["zero-operator", "zero-target", "zero-target-indefinite"],
+    )
+    def test_zero_operand_gives_flagged_zero(self, make_op, make_target, delta):
+        target = make_target()
+        s = out_chain_compose(make_op(), target)
+        assert s.is_zero and s.mps is None
+        assert (s.L, s.d, s.mode, s.delta_n) == (target.L, target.d, target.mode, delta)
+
+    @pytest.mark.parametrize(
+        "make_op",
+        [
+            lambda: lift_product_operator(embed_factor(annihilator_local(2), 2, 3), BRUTE),
+            lambda: projector_superstate(1, 3, 2),
+        ],
+        ids=["brute", "canonical"],
+    )
+    def test_operator_must_be_grand_canonical(self, make_op):
+        with pytest.raises(ChargeMismatchError, match="indefinite charge"):
+            out_chain_compose(make_op(), identity_superstate(3, 2))
+
 
 def _merged_pair_loop(ix_t, ix_o, w_out):
     """The per-pair loop ``_merged_pair_index`` replaced: the merged index and
@@ -309,6 +352,81 @@ def test_merged_pair_index_matches_the_pair_loop(rng, w_out):
         assert np.shape(sec) == np.shape(off) == (ix_t.nsectors, ix_o.nsectors)
         pairs = np.ndindex(ix_t.nsectors, ix_o.nsectors)
         assert {(pt, po): (sec[pt][po], off[pt][po]) for pt, po in pairs} == placement
+
+
+def _composed_by_block_pairs(op_s, target):
+    """The block-pair loop ``out_chain_compose`` replaced, for nonzero operands:
+    every target block against every operator block, each state against each."""
+    d, L = target.d, target.L
+    w_out = target.weights[1]
+    phys, t_states, _ = super_site_layout(d, target.weights)
+    o_states = super_site_layout(d, op_s.weights)[1]
+    state_pos = {ji: (sec, p) for sec, lst in enumerate(t_states) for p, ji in enumerate(lst)}
+    links = []
+    left_ix, left_sec, left_off = _merged_pair_index(target.mps.bond_index(0), op_s.mps.bond_index(0), w_out)
+    for m in range(1, L + 1):
+        right_ix, right_sec, right_off = _merged_pair_index(
+            target.mps.bond_index(m), op_s.mps.bond_index(m), w_out
+        )
+        blocks = {}
+        for (pt, st, pt2), bt in target.mps.sites[m - 1].blocks.items():
+            for (po, so, po2), bo in op_s.mps.sites[m - 1].blocks.items():
+                lsec, loff = left_sec[pt][po], left_off[pt][po]
+                rsec, roff = right_sec[pt2][po2], right_off[pt2][po2]
+                rows, cols = bt.shape[0] * bo.shape[0], bt.shape[2] * bo.shape[2]
+                for p, (j, i) in enumerate(t_states[st]):
+                    for q, (i_o, x) in enumerate(o_states[so]):
+                        if i_o != i:
+                            continue
+                        psec, ppos = state_pos[(j, x)]
+                        key = (lsec, psec, rsec)
+                        if key not in blocks:
+                            blocks[key] = np.zeros(
+                                (left_ix.dims[lsec], phys.dims[psec], right_ix.dims[rsec]), dtype=np.complex128
+                            )
+                        outer = np.multiply.outer(bt[:, p, :], bo[:, q, :])
+                        blocks[key][loff : loff + rows, ppos, roff : roff + cols] += (
+                            outer.transpose(0, 2, 1, 3).reshape(rows, cols)
+                        )
+        links.append(SectorMatrices.from_blocks(
+            (left_ix, phys, right_ix), {key: blk for key, blk in blocks.items() if blk.any()}
+        ))
+        left_ix, left_sec, left_off = right_ix, right_sec, right_off
+    new_mps, factor = canonicalize(links)
+    return new_mps, target.prefactor * op_s.prefactor * factor
+
+
+_PIN_OPERATORS = {
+    "annihilator": lambda L, d: lift_product_operator(embed_factor(annihilator_local(d), 2, L)),
+    "number-creator": lambda L, d: lift_product_operator(
+        [number_local(d)] + [identity_local(d)] * (L - 2) + [creator_local(d)]
+    ),
+    "evolved": lambda L, d: _evolved(annihilator_local(d), 2, L, d),
+}
+_PIN_TARGETS = {
+    "grand_canonical": lambda L, d: _evolved(creator_local(d), 1, L, d),
+    "brute": lambda L, d: _evolved(creator_local(d), 1, L, d, BRUTE),
+    "projector": lambda L, d: projector_superstate(d - 1, L, d),
+    "identity": lambda L, d: identity_superstate(L, d),
+    "identity-brute": lambda L, d: identity_superstate(L, d, BRUTE),
+}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("L", [3, 4])
+@pytest.mark.parametrize("op_kind", list(_PIN_OPERATORS))
+@pytest.mark.parametrize("target_kind", list(_PIN_TARGETS))
+def test_compose_is_bit_identical_to_the_block_pair_loop(d, L, op_kind, target_kind):
+    op, target = _PIN_OPERATORS[op_kind](L, d), _PIN_TARGETS[target_kind](L, d)
+    if op_kind == "evolved":
+        assert op.mps.max_bond_dimension() > 1
+    want, prefactor = _composed_by_block_pairs(op, target)
+    got = out_chain_compose(op, target)
+    assert got.prefactor == prefactor
+    for g, w in zip(got.mps.sites, want.sites, strict=True):
+        assert g.leg == w.leg and g.indices == w.indices
+        assert np.array_equal(g.keys, w.keys)
+        assert g.flat.tobytes() == w.flat.tobytes()
 
 
 class TestTraces:
@@ -346,7 +464,26 @@ class TestTraces:
         assert abs(val.real - s.hs_norm() ** 2) < 1e-10
 
 
+    @pytest.mark.parametrize(
+        "other", [lambda: identity_superstate(4, 2), lambda: identity_superstate(3, 3)], ids=["L", "d"]
+    )
+    def test_shape_mismatch_rejected(self, other):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            hs_trace_pair(identity_superstate(3, 2), other())
+
+
 class TestExpectation:
+    @pytest.mark.parametrize(
+        "psi", [lambda: from_fock([0, 1, 0, 1], 2), lambda: from_fock([0, 2, 1], 3)], ids=["L", "d"]
+    )
+    def test_shape_mismatch_rejected(self, psi):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            expectation_in_state(identity_superstate(3, 2), psi())
+
+    def test_zero_superstate_gives_zero(self):
+        zero = SuperState.zero(3, 2, GRAND_CANONICAL)
+        assert expectation_in_state(zero, from_fock([0, 1, 0], 2)) == 0.0
+
     def test_identity_gives_one(self, rng):
         from conftest import random_charge_mps
 
